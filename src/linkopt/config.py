@@ -102,6 +102,9 @@ _SCHEMA: dict[str, set[str]] = {
     "tolerance": {"delta", "quad_epsrel", "quad_epsabs"},
 }
 
+# Largest sweep grid accepted; the reference grid has 79 points.
+MAX_SWEEP_POINTS = 100_000
+
 _MODULATION_KEYS = {
     "bits_per_symbol", "ber_form", "c_m", "k_m", "papr", "circuit_class",
 }
@@ -157,11 +160,14 @@ class _Reader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"{self.section}.{key}: invalid number {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.section}.{key}: must be finite, got {raw!r}")
+        return value
 
     def integer(self, key: str, default: int) -> int:
         raw = self._get(key)
@@ -328,6 +334,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"sweep: need 0 < d_min_m <= d_max_m and d_step_m > 0, got "
             f"({d_min}, {d_max}, {d_step})"
+        )
+    if (d_max - d_min) / d_step + 1.0 > MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep.d_step_m: {d_step} gives more than {MAX_SWEEP_POINTS} "
+            f"distances between {d_min} and {d_max} m"
         )
 
     duty_r = reader("duty")

@@ -1,10 +1,12 @@
 """Energy-optimal link parameters under reliability and power constraints.
 
 Closed-form unconstrained optima for the average SNR (quadratic root for
-CPA/ETPA, cubic root for TPA), closed-form and numeric payload optima,
-SNR conditioning against the reliability floor and the transmit-power
-ceiling, and the joint search over modulation order and retransmission cap
-that alternates the SNR and payload updates to a fixed point.
+CPA/ETPA; for TPA the positive root of a depressed cubic, taken in
+trigonometric or Cardano form and polished by one Newton step), closed-form
+and numeric payload optima, SNR conditioning against the reliability floor
+and the transmit-power ceiling, and the joint search over modulation order
+and retransmission cap that alternates the SNR and payload updates to a
+fixed point.  The solver path uses only the standard library.
 
 Sign conventions: the cubic solved for the TPA optimum is written against the
 scaled threshold ``k_eff * w0`` (the threshold with its decay constant
@@ -14,13 +16,10 @@ point of the TPA energy curve, which the golden-section oracle confirms.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
-
-from scipy.optimize import brentq
 
 from .energy import (
     EnergyCoefficients,
@@ -45,8 +44,6 @@ from .per import (
     snr_min,
     waterfall_threshold,
 )
-
-logger = logging.getLogger(__name__)
 
 # Table defaults for combined TX+RX circuit power, watts.
 DEFAULT_CIRCUIT_POWER: Mapping[CircuitClass, float] = {
@@ -202,6 +199,38 @@ def _tpa_cubic(
     return -2.0 * omega0, -2.0 * omega0 * b
 
 
+def _depressed_cubic_root(p: float, q: float) -> float:
+    """Positive root of ``x^3 + p x + q = 0`` for ``p < 0`` and ``q <= 0``.
+
+    With three real roots (``(q/2)^2 + (p/3)^3 <= 0``) the largest is the
+    trigonometric one; otherwise Cardano's real root is written as
+    ``u - p / (3 u)`` with ``u = cbrt(-q/2 + sqrt(disc))``, a sum of two
+    non-negative terms, so nothing cancels (Numerical Recipes, section 5.6).
+    One Newton step then polishes the root to the last bits.  The positive
+    root is simple and well conditioned for these signs.
+
+    Raises:
+        ArithmeticError: when the polished residual exceeds 1e-12 of the
+            size of the cubic's terms.
+    """
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if disc <= 0.0:
+        r = math.sqrt(-p / 3.0)
+        cos3t = min(max(-0.5 * q / (r * r * r), -1.0), 1.0)
+        x = 2.0 * r * math.cos(math.acos(cos3t) / 3.0)
+    else:
+        u = (-0.5 * q + math.sqrt(disc)) ** (1.0 / 3.0)
+        x = u - p / (3.0 * u)
+    x -= (x * (x * x + p) + q) / (3.0 * x * x + p)
+    scale = abs(x) ** 3 + abs(p * x) + abs(q)
+    residual = abs(x * (x * x + p) + q)
+    if residual > 1e-12 * scale:
+        raise ArithmeticError(
+            f"TPA cubic residual {residual:.3g} above 1e-12 * scale {scale:.3g}"
+        )
+    return x
+
+
 def optimal_snr_tpa(
     coeffs: EnergyCoefficients,
     omega0: float,
@@ -211,81 +240,15 @@ def optimal_snr_tpa(
 ) -> float:
     """Unconstrained energy-optimal SNR for TPA coefficients.
 
-    Solves the stationarity cubic in sqrt(SNR) with a safeguarded bracketing
-    root finder.  The cubic has exactly one positive root for positive
-    circuit energy; if bracketing ever fails the argmin is recovered by
-    direct numeric minimization and the case is logged.
+    The stationarity condition is a depressed cubic in sqrt(SNR) with
+    exactly one positive root, solved in closed form by
+    :func:`_depressed_cubic_root`.
     """
     if coeffs.pa_variant is not PaVariant.TPA:
         raise ValueError("cubic SNR optimum applies to TPA coefficients only")
     p, q = _tpa_cubic(coeffs, omega0, k_eff, n_p, n_h)
-    f = lambda x: x * (x * x + p) + q
-    lo = 1e-12
-    hi = 2.0 * math.sqrt(-p) + 2.0 * abs(q) ** (1.0 / 3.0) + 1.0
-    tries = 0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        tries += 1
-        if tries > 200:
-            break
-    if f(lo) >= 0.0 or f(hi) <= 0.0:
-        logger.warning(
-            "TPA cubic root not bracketed (p=%.3g, q=%.3g); "
-            "falling back to numeric minimization", p, q,
-        )
-        rho = n_p / (n_h + n_p) if n_p > 0 else 0.0
-        energy = lambda g: _exp_or_inf(omega0 / g) * (
-            coeffs.a_coeff * math.sqrt(g) + coeffs.b_coeff * rho
-        )
-        return golden_section_min_relative(energy, 1e-6, 1e9, 1e-9)
-    x = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    scale = abs(x) ** 3 + abs(p * x) + abs(q)
-    residual = abs(f(x))
-    if residual > 1e-12 * scale:
-        raise ArithmeticError(
-            f"TPA cubic residual {residual:.3g} above 1e-12 * scale {scale:.3g}"
-        )
+    x = _depressed_cubic_root(p, q)
     return x * x
-
-
-def tpa_closed_form_condition(
-    coeffs: EnergyCoefficients, omega0: float, k_eff: float, n_p: float, n_h: int
-) -> bool:
-    """Whether the explicit TPA root expression has a real value."""
-    rho = n_p / (n_h + n_p) if n_p > 0 else 0.0
-    w = k_eff * omega0
-    a, b = coeffs.a_coeff, coeffs.b_coeff
-    return 27.0 * b * b * k_eff * rho * rho > 8.0 * a * a * w
-
-
-def optimal_snr_tpa_closed_form(
-    coeffs: EnergyCoefficients,
-    omega0: float,
-    k_eff: float,
-    n_p: float,
-    n_h: int,
-) -> float | None:
-    """Explicit radical expression for the TPA optimal SNR.
-
-    Valid when :func:`tpa_closed_form_condition` holds (single real cubic
-    root); returns None otherwise.  Kept as a cross-check for the bracketing
-    solver in :func:`optimal_snr_tpa`.
-    """
-    if not tpa_closed_form_condition(coeffs, omega0, k_eff, n_p, n_h):
-        return None
-    rho = n_p / (n_h + n_p) if n_p > 0 else 0.0
-    w = k_eff * omega0
-    a, b, k = coeffs.a_coeff, coeffs.b_coeff, k_eff
-    disc = b * b * k**7 * w**4 * rho * rho * (
-        27.0 * b * b * k * rho * rho - 8.0 * a * a * w
-    )
-    big_a = (
-        54.0 * b * b * k**4 * w * w * rho * rho
-        - 8.0 * a * a * k**3 * w**3
-        + 6.0 * math.sqrt(3.0) * math.sqrt(disc)
-    ) / (a * a)
-    cube = big_a ** (1.0 / 3.0)
-    return (4.0 * w / k + 4.0 * w * w / cube + cube / (k * k)) / 3.0
 
 
 def constrain_snr(

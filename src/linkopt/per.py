@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy import integrate
-from scipy.special import erfc
-
 from .errors import OutOfRegimeError, QuadratureError
 
 # Euler-Mascheroni constant, double precision.
@@ -122,7 +119,7 @@ class QosSpec:
 
 
 def _q_function(x: float) -> float:
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def ber(scheme: ModulationScheme, gamma: float) -> float:
@@ -194,6 +191,9 @@ def _checked_quad(
     epsrel: float = QUAD_EPSREL,
     epsabs: float = QUAD_EPSABS,
 ) -> float:
+    # Only the quadrature oracles need scipy; the solver path never loads it.
+    from scipy import integrate
+
     value, abserr = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=400)
     if abserr > max(10.0 * epsabs, 1e-6 * abs(value)):
         raise QuadratureError(

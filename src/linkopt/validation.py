@@ -263,26 +263,40 @@ def check_payload_optima_vs_golden(
     return _result("payload_optima_vs_golden", worst, 1.0, where)
 
 
+def cubic_root_bisection(p: float, q: float) -> float:
+    """Positive root of ``x^3 + p x + q`` (p < 0, q <= 0) by plain bisection.
+
+    The root lies in ``[sqrt(-p), 2 (sqrt(-p) + cbrt(-q))]``, where the cubic
+    changes sign once; halving runs until the bracket is two adjacent floats.
+    """
+    f = lambda x: x * (x * x + p) + q
+    lo = math.sqrt(-p)
+    hi = 2.0 * (lo + (-q) ** (1.0 / 3.0))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def check_tpa_root_crosscheck(
     config: ScenarioConfig, count: int = 40, seed: int = 20242
 ) -> CheckResult:
-    """Bracketed TPA root against the explicit radical, where it exists."""
+    """Closed-form TPA cubic root against bisection of the same cubic."""
     worst = 0.0
-    used = 0
     pa = config.pa_models[PaVariant.TPA]
     for scheme, _, link, n_p in _random_instances(config, count, seed):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         w0 = waterfall_threshold(scheme, config.n_h + n_p)
-        closed = opt.optimal_snr_tpa_closed_form(
-            coeffs, w0, scheme.k_eff, n_p, config.n_h
-        )
-        if closed is None:
-            continue
-        used += 1
+        p, q = opt._tpa_cubic(coeffs, w0, scheme.k_eff, n_p, config.n_h)
+        numeric = cubic_root_bisection(p, q) ** 2
         root = opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, config.n_h)
-        worst = max(worst, abs(closed - root) / root)
-    return _result("tpa_root_crosscheck", worst, 1e-9, f"instances={used}")
+        worst = max(worst, abs(numeric - root) / root)
+    return _result("tpa_root_crosscheck", worst, 1e-9, f"instances={count}")
 
 
 def check_pa_saturation(config: ScenarioConfig) -> CheckResult:

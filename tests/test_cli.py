@@ -2,8 +2,10 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,14 @@ def small_config(tmp_path):
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def child_env():
+    """Environment for a child interpreter that imports this linkopt."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestOptimize:
@@ -239,7 +249,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "linkopt.cli", "optimize",
              "--distance", "5", "--pa", "etpa"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert "modulation:" in proc.stdout
@@ -251,3 +261,49 @@ class TestEntryPoint:
         assert code == cli.EXIT_OK
         header = buffer.getvalue().splitlines()[0]
         assert header == ",".join(cli.SWEEP_COLUMNS)
+
+    def test_solver_path_imports_no_scipy_or_numpy(self):
+        """optimize loads neither scipy nor numpy; validate still passes."""
+        script = (
+            "import sys\n"
+            "from linkopt.cli import main\n"
+            "code = main(['optimize', '--distance', '10', '--pa', 'tpa'])\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('scipy', 'numpy'))\n"
+            "print('optimize exit', code, 'heavy modules', heavy)\n"
+            "print('validate exit', main(['validate']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "optimize exit 0 heavy modules []" in lines
+        assert lines[-2:] == ["checks: 17/17 passed", "validate exit 0"]
+
+
+NON_FINITE_CASES = [
+    ("link", "p0_mw", "optimize"),
+    ("duty", "period_s", "lifetime"),
+    ("tolerance", "delta", "optimize"),
+]
+
+
+class TestNonFiniteConfig:
+    """nan and infinities in the config end in a usage error naming the key."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key,command", NON_FINITE_CASES)
+    def test_rejected_with_field_path(self, tmp_path, capsys, section, key,
+                                      command, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        argv = ["--config", str(path), command, "--out", str(tmp_path / "o")]
+        if command == "optimize":
+            argv += ["--distance", "10", "--pa", "tpa"]
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert f"{section}.{key}: must be finite" in err
+        assert not (tmp_path / "o").exists()

@@ -4,6 +4,7 @@ import pytest
 
 from linkopt.config import (
     DEFAULT_CONFIG_TEXT,
+    MAX_SWEEP_POINTS,
     default_config,
     load_config,
     parse_config,
@@ -104,6 +105,15 @@ class TestRejection:
     def test_bad_sweep(self):
         with pytest.raises(ConfigError, match="sweep"):
             parse_config("[sweep]\nd_min_m = 5\nd_max_m = 2\n")
+
+    def test_sweep_grid_bounded(self):
+        with pytest.raises(ConfigError, match="sweep.d_step_m"):
+            parse_config("[sweep]\nd_step_m = 1e-9\n")
+        grid = "[sweep]\nd_min_m = 1\nd_max_m = {}\nd_step_m = 1\n"
+        cfg = parse_config(grid.format(MAX_SWEEP_POINTS))
+        assert len(cfg.distances()) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="sweep.d_step_m"):
+            parse_config(grid.format(MAX_SWEEP_POINTS + 1))
 
     def test_unknown_enabled_modulation(self):
         with pytest.raises(ConfigError, match="enabled: unknown scheme '8PSK'"):

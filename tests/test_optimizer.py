@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linkopt.config import default_config
 from linkopt.energy import (
@@ -16,9 +18,11 @@ from linkopt.energy import (
 )
 from linkopt.optimizer import (
     Binding,
+    _depressed_cubic_root,
     _packet_energy_unbounded,
     _payload_continuous_quadratic,
     _payload_continuous_tpa,
+    _tpa_cubic,
     constrain_snr,
     golden_section_min,
     golden_section_min_relative,
@@ -27,14 +31,13 @@ from linkopt.optimizer import (
     optimal_payload_tpa,
     optimal_snr_quadratic,
     optimal_snr_tpa,
-    optimal_snr_tpa_closed_form,
     snr_max,
     solve_candidate,
     sweep_distance,
-    tpa_closed_form_condition,
     tpa_payload_diagnostic,
 )
 from linkopt.per import QosSpec, per_rayleigh, snr_min, waterfall_threshold
+from linkopt.validation import cubic_root_bisection
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
@@ -215,38 +218,67 @@ class TestOptimalSnrTpa:
         numeric = golden_section_min_relative(f, w0 * 1e-3, w0 * 1e9, 1e-9)
         assert star == pytest.approx(numeric, rel=1e-6)
 
+    @staticmethod
+    def _root_against_bisection(coeffs, scheme):
+        """Discriminant of the 16QAM cubic and the root's error to bisection."""
+        w0 = waterfall_threshold(scheme, 1024)
+        p, q = _tpa_cubic(coeffs, w0, scheme.k_eff, 976, 48)
+        root = optimal_snr_tpa(coeffs, w0, scheme.k_eff, 976, 48)
+        numeric = cubic_root_bisection(p, q) ** 2
+        return (q / 2.0) ** 2 + (p / 3.0) ** 3, abs(root - numeric) / numeric
+
     @pytest.mark.parametrize("d", [2.0, 5.0, 10.0])
     def test_explicit_radical_crosscheck(self, d):
-        """Where the radical exists it agrees with the bracketed root."""
+        """At short range the cubic has one real root: Cardano's branch."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(d), 0.31)
-        w0 = waterfall_threshold(scheme, 1024)
-        assert tpa_closed_form_condition(coeffs, w0, scheme.k_eff, 976, 48)
-        closed = optimal_snr_tpa_closed_form(coeffs, w0, scheme.k_eff, 976, 48)
-        root = optimal_snr_tpa(coeffs, w0, scheme.k_eff, 976, 48)
-        assert closed == pytest.approx(root, rel=1e-9)
+        disc, error = self._root_against_bisection(coeffs, scheme)
+        assert disc > 0.0
+        assert error <= 1e-9
 
     def test_radical_condition_fails_far_out(self):
-        """At long range the SNR coefficient dominates and no radical exists."""
+        """At long range the cubic has three real roots: trigonometric branch."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(30.0), 0.31)
-        w0 = waterfall_threshold(scheme, 1024)
-        assert not tpa_closed_form_condition(coeffs, w0, scheme.k_eff, 976, 48)
+        disc, error = self._root_against_bisection(coeffs, scheme)
+        assert disc <= 0.0
+        assert error <= 1e-9
 
     def test_radical_absent_when_condition_fails(self):
+        """A vanishing circuit term also takes the trigonometric branch."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(10.0), 0.31)
         tiny = replace(coeffs, b_coeff=coeffs.a_coeff * 1e-12)
-        w0 = waterfall_threshold(scheme, 1024)
-        assert not tpa_closed_form_condition(tiny, w0, scheme.k_eff, 976, 48)
-        assert optimal_snr_tpa_closed_form(
-            tiny, w0, scheme.k_eff, 976, 48
-        ) is None
+        disc, error = self._root_against_bisection(tiny, scheme)
+        assert disc <= 0.0
+        assert error <= 1e-9
 
     def test_rejects_non_tpa_coefficients(self):
         coeffs = energy_coefficients(CPA, MODS["4QAM"], link_at(5.0), 0.31)
         with pytest.raises(ValueError):
             optimal_snr_tpa(coeffs, 5.0, 1.1196, 976, 48)
+
+
+def _negative_log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: -(10.0 ** e))
+
+
+class TestDepressedCubicRoot:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        p=_negative_log_uniform(-30.0, 30.0),
+        q=st.one_of(st.just(0.0), _negative_log_uniform(-30.0, 30.0)),
+    )
+    @example(p=-3.0, q=-2.0)      # zero discriminant: roots 2, -1, -1
+    @example(p=-1.0, q=-1e6)      # Cardano branch
+    @example(p=-1e6, q=-1.0)      # trigonometric branch
+    @example(p=-4.0, q=0.0)       # n_p = 0: root sqrt(-p)
+    def test_positive_root_matches_bisection(self, p, q):
+        x = _depressed_cubic_root(p, q)
+        assert x > 0.0
+        scale = x ** 3 + abs(p * x) + abs(q)
+        assert abs(x * (x * x + p) + q) <= 1e-12 * scale
+        assert x == pytest.approx(cubic_root_bisection(p, q), rel=1e-12)
 
 
 class TestConstrainSnr:
