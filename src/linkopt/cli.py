@@ -19,7 +19,7 @@ from .config import ScenarioConfig, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime, lifetime_gain
-from .optimizer import joint_optimize
+from .optimizer import candidate_table, joint_optimize, select_best
 from .validation import run_all_checks, write_per_error_table
 
 EXIT_OK = 0
@@ -150,38 +150,45 @@ LIFETIME_COLUMNS = [
 ]
 
 
+def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
+    """One (distance, amplifier, best point, baseline point) per row.
+
+    The baseline scheme is one of the enabled ones, so its best point is
+    selected from the same candidate table as the overall best.
+    """
+    baseline = config.baseline_scheme()
+    for d in config.distances():
+        link = replace(config.link_template, distance_m=d)
+        for variant in sorted(variants, key=lambda v: v.value):
+            table = candidate_table(
+                link, config.qos, config.pa_models[variant], config.modulations,
+                config.n_h, delta=config.delta,
+                circuit_power=config.circuit_power,
+            )
+            base = select_best(c for c in table if c.scheme == baseline)
+            yield d, variant, select_best(table), base
+
+
 def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
                  out: TextIO) -> int:
     """Emit lifetime and gain over the OQPSK-only baseline per distance."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LIFETIME_COLUMNS)
-    baseline_set = (config.baseline_scheme(),)
     any_feasible = False
-    for d in config.distances():
-        link = replace(config.link_template, distance_m=d)
-        for variant in sorted(variants, key=lambda v: v.value):
-            pa = config.pa_models[variant]
-            best = joint_optimize(
-                link, config.qos, pa, config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            )
-            base = joint_optimize(
-                link, config.qos, pa, baseline_set, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            )
-            life = lifetime(best, config.duty) if best.feasible else None
-            base_life = lifetime(base, config.duty) if base.feasible else None
-            gain = None
-            if best.feasible and base.feasible:
-                gain = lifetime_gain(best, base, config.duty)
-            any_feasible = any_feasible or life is not None
-            writer.writerow([
-                _fmt(d),
-                variant.value,
-                _fmt(life),
-                _fmt(base_life),
-                _fmt(gain),
-            ])
+    for d, variant, best, base in _lifetime_rows(config, variants):
+        life = lifetime(best, config.duty) if best.feasible else None
+        base_life = lifetime(base, config.duty) if base.feasible else None
+        gain = None
+        if best.feasible and base.feasible:
+            gain = lifetime_gain(best, base, config.duty)
+        any_feasible = any_feasible or life is not None
+        writer.writerow([
+            _fmt(d),
+            variant.value,
+            _fmt(life),
+            _fmt(base_life),
+            _fmt(gain),
+        ])
     return EXIT_OK if any_feasible else EXIT_INFEASIBLE
 
 
@@ -243,8 +250,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             variants = _parse_pa_list(args.pa)
             if len(variants) != 1:
                 raise ConfigError("optimize takes exactly one --pa model")
-            if args.distance <= 0.0:
-                raise ConfigError("--distance must be positive")
+            if not (math.isfinite(args.distance) and args.distance > 0.0):
+                raise ConfigError(
+                    f"--distance: must be positive and finite, got {args.distance}"
+                )
             out = _open_out(args.out)
             try:
                 return cmd_optimize(config, args.distance, variants[0], out)

@@ -235,8 +235,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"qos: {exc}") from None
 
     n_h = reader("packet").integer("n_h_bits", 48)
-    if n_h < 0:
-        raise ConfigError("packet.n_h_bits: must be >= 0")
+    if n_h < 1:
+        raise ConfigError("packet.n_h_bits: must be >= 1")
 
     circuit = reader("circuit")
     circuit_power = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .energy import (
     EnergyCoefficients,
@@ -33,7 +33,7 @@ from .energy import (
     path_gain,
     transmit_power,
 )
-from .errors import DegeneratePayloadError
+from .errors import DegeneratePayloadError, OutOfRegimeError
 from .per import (
     EULER_GAMMA,
     CircuitClass,
@@ -407,34 +407,6 @@ def tpa_payload_diagnostic(
     return (n_h * kappa + math.sqrt(radicand)) / (2.0 * a * (g - (b / a) ** 2))
 
 
-def _continuous_payload(
-    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
-) -> float:
-    if coeffs.pa_variant is PaVariant.TPA:
-        return _payload_continuous_tpa(coeffs, scheme, n_h, gamma_bar)
-    return _payload_continuous_quadratic(coeffs, scheme, n_h, gamma_bar)
-
-
-def _unconstrained_snr(
-    coeffs: EnergyCoefficients,
-    scheme: ModulationScheme,
-    omega0: float,
-    n_p: float,
-    n_h: int,
-) -> float:
-    if coeffs.pa_variant is PaVariant.TPA:
-        return optimal_snr_tpa(coeffs, omega0, scheme.k_eff, n_p, n_h)
-    return optimal_snr_quadratic(coeffs, omega0, n_p, n_h)
-
-
-def _waterfall_real(scheme: ModulationScheme, n_bits: float) -> float | None:
-    """Waterfall threshold at a real-valued packet size; None out of regime."""
-    n_c = n_bits * scheme.c_eff
-    if n_c <= 1.0:
-        return None
-    return (math.log(n_c) + EULER_GAMMA) / scheme.k_eff
-
-
 def solve_candidate(
     link: LinkBudget,
     qos: QosSpec,
@@ -457,6 +429,8 @@ def solve_candidate(
     Returns ``(point, None)`` on success or ``(None, reason)`` when the
     candidate is infeasible or the iteration fails to converge.
     """
+    if n_h < 1:
+        raise ValueError(f"n_h must be >= 1, got {n_h}")
     coeffs = energy_coefficients(pa, scheme, link, p_c)
     gamma_cap = snr_max(link, scheme, pa)
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
@@ -465,6 +439,16 @@ def solve_candidate(
             f"{scheme.name}/tau={qos.max_retransmissions}: no payload meets the "
             f"PER bound at full power (snr_max={gamma_cap:.4g})"
         )
+    if gamma_cap <= 0.0:
+        raise ValueError("gamma_min and gamma_max must be > 0")
+
+    # Invariants of the iteration: the decay constant, the log of the
+    # per-attempt success bound and the amplifier's pair of closed forms.
+    k_eff = scheme.k_eff
+    log_keep = math.log1p(-qos.per_attempt_bound)
+    tpa = coeffs.pa_variant is PaVariant.TPA
+    payload_optimum = _payload_continuous_tpa if tpa else _payload_continuous_quadratic
+    cap = float(ceiling)
 
     n_p = float(n_p_init)
     gamma_prev: float | None = None
@@ -472,24 +456,33 @@ def solve_candidate(
     converged = False
     for _ in range(max_iter):
         n_bits = n_h + n_p
-        w0 = _waterfall_real(scheme, n_bits)
-        if w0 is None:
+        try:
+            w0 = waterfall_threshold(scheme, n_bits)
+        except OutOfRegimeError:
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: packet of "
                 f"{n_bits:.0f} bits below the waterfall regime"
             )
-        gamma_star = _unconstrained_snr(coeffs, scheme, w0, n_p, n_h)
-        gamma_floor = -w0 / math.log1p(-qos.per_attempt_bound)
-        selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
-        if selected is None:
+        if tpa:
+            gamma_star = optimal_snr_tpa(coeffs, w0, k_eff, n_p, n_h)
+        else:
+            gamma_star = optimal_snr_quadratic(coeffs, w0, n_p, n_h)
+        gamma_floor = -w0 / log_keep
+        if gamma_floor <= 0.0:
+            raise ValueError("gamma_min and gamma_max must be > 0")
+        if gamma_floor > gamma_cap:
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: snr_min "
                 f"{gamma_floor:.4g} exceeds snr_max {gamma_cap:.4g} "
                 f"at N={n_bits:.0f}"
             )
-        gamma_req = selected
-        n_p = min(max(_continuous_payload(coeffs, scheme, n_h, gamma_req), 1.0),
-                  float(ceiling))
+        if gamma_star < gamma_floor:
+            gamma_req = gamma_floor
+        elif gamma_star > gamma_cap:
+            gamma_req = gamma_cap
+        else:
+            gamma_req = gamma_star
+        n_p = min(max(payload_optimum(coeffs, scheme, n_h, gamma_req), 1.0), cap)
         if gamma_prev is not None and abs(gamma_req - gamma_prev) <= delta:
             converged = True
             break
@@ -509,7 +502,10 @@ def solve_candidate(
     n_p_int = max(1, min(math.floor(n_p), ceiling))
     n_bits = n_h + n_p_int
     w0 = waterfall_threshold(scheme, n_bits)
-    gamma_star = _unconstrained_snr(coeffs, scheme, w0, n_p_int, n_h)
+    if tpa:
+        gamma_star = optimal_snr_tpa(coeffs, w0, k_eff, n_p_int, n_h)
+    else:
+        gamma_star = optimal_snr_quadratic(coeffs, w0, n_p_int, n_h)
     gamma_floor = snr_min(scheme, n_h, n_p_int, qos)
     selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
     if selected is None:
@@ -517,8 +513,8 @@ def solve_candidate(
             f"{scheme.name}/tau={qos.max_retransmissions}: infeasible after "
             f"payload flooring"
         )
-    wanted = _continuous_payload(coeffs, scheme, n_h, selected)
-    if n_p_int >= ceiling and wanted > float(ceiling):
+    wanted = payload_optimum(coeffs, scheme, n_h, selected)
+    if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
     p = per_rayleigh(scheme, n_bits, selected)
     energy = avg_transmissions(p, qos.max_retransmissions) * e0(
@@ -545,7 +541,20 @@ def _tau_candidates(qos: QosSpec) -> Sequence[int]:
     return range(1, qos.max_retransmissions + 1)
 
 
-def joint_optimize(
+class Candidate(NamedTuple):
+    """One (modulation, retransmission cap) entry of the candidate table.
+
+    Exactly one of ``point`` (a feasible operating point) and ``reason``
+    (why the candidate was rejected) is set.
+    """
+
+    scheme: ModulationScheme
+    tau: int
+    point: OperatingPoint | None
+    reason: str | None
+
+
+def candidate_table(
     link: LinkBudget,
     qos: QosSpec,
     pa: PaModel,
@@ -553,36 +562,47 @@ def joint_optimize(
     n_h: int,
     delta: float = 1e-6,
     circuit_power: Mapping[CircuitClass, float] | None = None,
-) -> OperatingPoint:
-    """Exhaustive search over modulations and retransmission caps.
+) -> list[Candidate]:
+    """Solve every (modulation, tau) pair of the joint search once.
 
-    Every (modulation, tau) pair runs the alternating fixed-point solver;
-    the feasible point with the lowest truncated-retransmission energy wins.
-    Ties within 1e-9 relative prefer the lower modulation order, then the
-    smaller retransmission cap (candidates are visited in that order and
-    replaced only on strict improvement).  When nothing is feasible the
-    returned marker carries one reason per rejected candidate.
+    Modulations are visited by ascending order, then name, and caps in
+    ascending order; :func:`select_best` relies on that order for ties.
     """
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
         raise ValueError("modulation_set must not be empty")
     if delta <= 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
+    if n_h < 1:
+        raise ValueError(f"n_h must be >= 1, got {n_h}")
     p_c_map = DEFAULT_CIRCUIT_POWER if circuit_power is None else circuit_power
-    best: OperatingPoint | None = None
-    reasons: list[str] = []
+    table = []
     for scheme in mods:
         p_c = p_c_map[scheme.circuit_power_class]
         for tau in _tau_candidates(qos):
-            candidate_qos = QosSpec(qos.target_per, tau)
             point, reason = solve_candidate(
-                link, candidate_qos, pa, scheme, p_c, n_h, delta=delta
+                link, QosSpec(qos.target_per, tau), pa, scheme, p_c, n_h,
+                delta=delta,
             )
-            if point is None:
-                reasons.append(reason)
-                continue
-            if best is None or point.energy < best.energy * (1.0 - 1e-9):
-                best = point
+            table.append(Candidate(scheme, tau, point, reason))
+    return table
+
+
+def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
+    """Lowest-energy feasible point of a candidate table, in table order.
+
+    A later candidate replaces the best so far only when its energy is lower
+    by more than 1e-9 relative, so ties keep the earlier entry.  When nothing
+    is feasible the returned marker carries one reason per candidate.
+    """
+    best: OperatingPoint | None = None
+    reasons: list[str] = []
+    for candidate in candidates:
+        point = candidate.point
+        if point is None:
+            reasons.append(candidate.reason)
+        elif best is None or point.energy < best.energy * (1.0 - 1e-9):
+            best = point
     if best is None:
         return OperatingPoint(
             scheme=None,
@@ -597,6 +617,29 @@ def joint_optimize(
             failure_reasons=tuple(reasons),
         )
     return best
+
+
+def joint_optimize(
+    link: LinkBudget,
+    qos: QosSpec,
+    pa: PaModel,
+    modulation_set: Iterable[ModulationScheme],
+    n_h: int,
+    delta: float = 1e-6,
+    circuit_power: Mapping[CircuitClass, float] | None = None,
+) -> OperatingPoint:
+    """Exhaustive search over modulations and retransmission caps.
+
+    Every (modulation, tau) pair runs the alternating fixed-point solver;
+    the feasible point with the lowest truncated-retransmission energy wins.
+    Ties within 1e-9 relative prefer the lower modulation order, then the
+    smaller retransmission cap.  When nothing is feasible the returned
+    marker carries one reason per rejected candidate.
+    """
+    return select_best(candidate_table(
+        link, qos, pa, modulation_set, n_h, delta=delta,
+        circuit_power=circuit_power,
+    ))
 
 
 def sweep_distance(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import OutOfRegimeError, QuadratureError
 
@@ -80,14 +81,17 @@ class ModulationScheme:
         if self.bits_per_symbol < 1:
             raise ValueError(f"{self.name}: bits_per_symbol must be >= 1")
 
-    @property
+    # The fitted constants are cached in the instance dict on first use; the
+    # solver reads them on every fixed-point iteration.  Equality and hash
+    # still compare the declared fields only.
+    @cached_property
     def c_eff(self) -> float:
         """Amplitude constant of the fitted exponential BER law."""
         if self.ber_form is BerForm.GAUSSIAN_Q:
             return Q_AMPLITUDE_FIT * self.c_m
         return self.c_m
 
-    @property
+    @cached_property
     def k_eff(self) -> float:
         """Decay constant of the fitted exponential BER law."""
         if self.ber_form is BerForm.GAUSSIAN_Q:

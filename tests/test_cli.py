@@ -1,13 +1,17 @@
 """Tests for the command-line interface and its CSV contracts."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkopt import cli
 from linkopt import optimizer
@@ -82,6 +86,12 @@ class TestOptimize:
     def test_negative_distance_rejected(self, capsys):
         code = run_cli(["optimize", "--distance", "-4", "--pa", "cpa"])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_zero_distance_rejected(self, capsys, value):
+        code = run_cli(["optimize", f"--distance={value}", "--pa", "tpa"])
+        assert code == cli.EXIT_USAGE
+        assert "--distance: must be positive and finite" in capsys.readouterr().err
 
     def test_multiple_pa_models_rejected(self, capsys):
         code = run_cli(["optimize", "--distance", "10", "--pa", "cpa,tpa"])
@@ -178,6 +188,104 @@ class TestLifetime:
             rows = list(csv.DictReader(handle))
         for row in rows:
             assert float(row["gain_percent"]) == pytest.approx(0.0, abs=1e-9)
+
+
+# SHA-256 of the default `sweep` and `lifetime` CSVs, as recorded in
+# bench/README.md.  A change that means to alter results updates both.
+REFERENCE_SHA256 = {
+    "sweep": "3f3f3a9aabe2436019dc610ad0e2068f60a6ababf62cef4ee672982d171c36a1",
+    "lifetime": "8b9667a87b76b3c345272f3c115ca44e3e1cf6c32edbdf44a1402db35e043383",
+}
+
+
+class TestReferenceDatasets:
+    @pytest.mark.parametrize("command", sorted(REFERENCE_SHA256))
+    def test_default_csv_byte_identical(self, tmp_path, command):
+        path = tmp_path / f"{command}.csv"
+        assert run_cli([command, "--out", str(path)]) == cli.EXIT_OK
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == REFERENCE_SHA256[command]
+
+
+def baseline_only(config, link, pa):
+    """The baseline point as a separate baseline-only search finds it."""
+    return optimizer.joint_optimize(
+        link, config.qos, pa, (config.baseline_scheme(),), config.n_h,
+        delta=config.delta, circuit_power=config.circuit_power,
+    )
+
+
+def full_search(config, link, pa):
+    return optimizer.joint_optimize(
+        link, config.qos, pa, config.modulations, config.n_h,
+        delta=config.delta, circuit_power=config.circuit_power,
+    )
+
+
+class TestLifetimeSharedTable:
+    """lifetime takes its baseline from the full search's candidate table."""
+
+    def test_default_points_match_separate_searches(self):
+        cfg = default_config()
+        rows = list(cli._lifetime_rows(cfg, list(PaVariant)))
+        assert len(rows) == len(cfg.distances()) * len(PaVariant)
+        for d, variant, best, base in rows:
+            link = replace(cfg.link_template, distance_m=d)
+            pa = cfg.pa_models[variant]
+            assert best == full_search(cfg, link, pa)
+            assert base == baseline_only(cfg, link, pa)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p0_mw=st.floats(1.0, 100.0),
+        kappa=st.floats(2.5, 4.0),
+        bandwidth_khz=st.floats(3.0, 100.0),
+        n_h_bits=st.integers(16, 128),
+        target_per=st.floats(1e-4, 1e-2),
+        max_retx=st.integers(0, 5),
+        distance=st.floats(2.0, 80.0),
+        variant=st.sampled_from(list(PaVariant)),
+        enabled=st.lists(
+            st.sampled_from(["NCFSK", "BPSK", "OQPSK", "4QAM", "16QAM", "64QAM"]),
+            min_size=1, max_size=6, unique=True,
+        ),
+        baseline_index=st.integers(0, 5),
+    )
+    def test_random_points_match_separate_searches(
+            self, p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
+            distance, variant, enabled, baseline_index):
+        cfg = parse_config(
+            f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
+            f"bandwidth_khz = {bandwidth_khz!r}\n"
+            f"[packet]\nn_h_bits = {n_h_bits}\n"
+            f"[qos]\ntarget_per = {target_per!r}\n"
+            f"max_retransmissions = {max_retx}\n"
+            f"[modulations]\nenabled = {', '.join(enabled)}\n"
+            f"baseline = {enabled[baseline_index % len(enabled)]}\n"
+            f"[sweep]\nd_min_m = {distance!r}\nd_max_m = {distance!r}\n"
+        )
+        [(d, _, best, base)] = cli._lifetime_rows(cfg, [variant])
+        link = replace(cfg.link_template, distance_m=d)
+        pa = cfg.pa_models[variant]
+        assert best == full_search(cfg, link, pa)
+        assert base == baseline_only(cfg, link, pa)
+
+    def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
+        calls = []
+        solve = optimizer.solve_candidate
+
+        def counting(link, qos, pa, scheme, *args, **kwargs):
+            calls.append((link.distance_m, pa.variant, scheme.name,
+                          qos.max_retransmissions))
+            return solve(link, qos, pa, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_candidate", counting)
+        cfg = default_config()
+        cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
+        points = len(cfg.distances()) * len(PaVariant)
+        per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
+        assert (points, per_point) == (237, 18)
+        assert len(calls) == len(set(calls)) == points * per_point
 
 
 class TestCustomModulationEndToEnd:

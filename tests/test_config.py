@@ -115,6 +115,10 @@ class TestRejection:
         with pytest.raises(ConfigError, match="sweep.d_step_m"):
             parse_config(grid.format(MAX_SWEEP_POINTS + 1))
 
+    def test_zero_header_rejected(self):
+        with pytest.raises(ConfigError, match="packet.n_h_bits: must be >= 1"):
+            parse_config("[packet]\nn_h_bits = 0\n")
+
     def test_unknown_enabled_modulation(self):
         with pytest.raises(ConfigError, match="enabled: unknown scheme '8PSK'"):
             parse_config("[modulations]\nenabled = 8PSK\n")

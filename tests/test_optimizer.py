@@ -526,6 +526,15 @@ class TestJointOptimize:
                 circuit_power=CFG.circuit_power,
             )
 
+    def test_headerless_packet_rejected(self):
+        with pytest.raises(ValueError, match="n_h must be >= 1"):
+            joint_optimize(
+                link_at(10.0), CFG.qos, CPA, CFG.modulations, 0,
+                circuit_power=CFG.circuit_power,
+            )
+        with pytest.raises(ValueError, match="n_h must be >= 1"):
+            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, 0)
+
     def test_tpa_selects_lower_order_than_etpa_midrange(self):
         """The square-root-law amplifier downgrades modulation earlier."""
         for d in (5.0, 15.0):
