@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence, TextIO
 
-from .config import ScenarioConfig, default_config, load_config
+from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime, lifetime_gain
@@ -250,10 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             variants = _parse_pa_list(args.pa)
             if len(variants) != 1:
                 raise ConfigError("optimize takes exactly one --pa model")
-            if not (math.isfinite(args.distance) and args.distance > 0.0):
-                raise ConfigError(
-                    f"--distance: must be positive and finite, got {args.distance}"
-                )
+            check_distance(config.link_template, args.distance, "--distance")
             out = _open_out(args.out)
             try:
                 return cmd_optimize(config, args.distance, variants[0], out)

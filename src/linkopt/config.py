@@ -17,9 +17,9 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .energy import LinkBudget, PaModel, PaVariant
+from .energy import LinkBudget, PaModel, PaVariant, path_gain
 from .errors import ConfigError
 from .lifetime import DutyProfile
 from .per import (
@@ -105,6 +105,10 @@ _SCHEMA: dict[str, set[str]] = {
 # Largest sweep grid accepted; the reference grid has 79 points.
 MAX_SWEEP_POINTS = 100_000
 
+# Largest magnitude accepted for a dB or dBm figure.  Its linear value then
+# lies within 1e-300..1e300, so converting it cannot overflow or underflow.
+MAX_ABS_DB = 3000.0
+
 _MODULATION_KEYS = {
     "bits_per_symbol", "ber_form", "c_m", "k_m", "papr", "circuit_class",
 }
@@ -169,6 +173,21 @@ class _Reader:
             raise ConfigError(f"{self.section}.{key}: must be finite, got {raw!r}")
         return value
 
+    def positive(self, key: str, default: float) -> float:
+        value = self.number(key, default)
+        if value <= 0.0:
+            raise ConfigError(f"{self.section}.{key}: must be > 0, got {value!r}")
+        return value
+
+    def decibels(self, key: str, default: float) -> float:
+        value = self.number(key, default)
+        if abs(value) > MAX_ABS_DB:
+            raise ConfigError(
+                f"{self.section}.{key}: must be within +-{MAX_ABS_DB:g} dB, "
+                f"got {value!r}"
+            )
+        return value
+
     def integer(self, key: str, default: int) -> int:
         raw = self._get(key)
         if raw is None:
@@ -187,6 +206,32 @@ class _Reader:
 
 def _dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def check_distance(link_template: LinkBudget, distance_m: float, field: str) -> None:
+    """Reject a link distance the model cannot be evaluated at.
+
+    The distance must be positive and finite.  The path gain there, and the
+    noise power referred to the transmitter (bandwidth x N0 x path gain)
+    that every SNR is measured against, must be positive finite doubles.
+
+    Raises:
+        ConfigError: naming `field` when either condition fails.
+    """
+    if not (math.isfinite(distance_m) and distance_m > 0.0):
+        raise ConfigError(f"{field}: must be positive and finite, got {distance_m}")
+    link = replace(link_template, distance_m=distance_m)
+    try:
+        gain = path_gain(link)
+    except OverflowError:
+        gain = math.inf
+    noise = link.bandwidth_hz * link.n0 * gain
+    if not (0.0 < gain < math.inf and 0.0 < noise < math.inf):
+        raise ConfigError(
+            f"{field}: path loss at {distance_m:g} m is outside the range of a "
+            f"double (link.kappa = {link.kappa:g}, link.g1_db = "
+            f"{link.g1_db:g}, link.link_margin_db = {link.link_margin_db:g})"
+        )
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -214,15 +259,15 @@ def parse_config(text: str) -> ScenarioConfig:
         return _Reader(name, sections.get(name, {}))
 
     link = reader("link")
-    noise_half_dbm = link.number("noise_half_psd_dbm_hz", -174.0)
+    noise_half_dbm = link.decibels("noise_half_psd_dbm_hz", -174.0)
     link_template = LinkBudget(
         distance_m=1.0,
-        kappa=link.number("kappa", 3.5),
-        g1_db=link.number("g1_db", 30.0),
-        link_margin_db=link.number("link_margin_db", 40.0),
+        kappa=link.positive("kappa", 3.5),
+        g1_db=link.decibels("g1_db", 30.0),
+        link_margin_db=link.decibels("link_margin_db", 40.0),
         n0=2.0 * _dbm_to_watts(noise_half_dbm),
-        bandwidth_hz=link.number("bandwidth_khz", 10.0) * 1e3,
-        p0_w=link.number("p0_mw", 10.0) * 1e-3,
+        bandwidth_hz=link.positive("bandwidth_khz", 10.0) * 1e3,
+        p0_w=link.positive("p0_mw", 10.0) * 1e-3,
     )
 
     qos_r = reader("qos")
@@ -240,8 +285,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
     circuit = reader("circuit")
     circuit_power = {
-        CircuitClass.MQAM: circuit.number("pc_mqam_mw", 310.0) * 1e-3,
-        CircuitClass.MFSK: circuit.number("pc_mfsk_mw", 265.0) * 1e-3,
+        CircuitClass.MQAM: circuit.positive("pc_mqam_mw", 310.0) * 1e-3,
+        CircuitClass.MFSK: circuit.positive("pc_mfsk_mw", 265.0) * 1e-3,
     }
 
     pa_defaults_mw = {PaVariant.CPA: 1000.0, PaVariant.TPA: 400.0,
@@ -311,6 +356,9 @@ def parse_config(text: str) -> ScenarioConfig:
     enabled = [token.strip() for token in enabled_text.split(",") if token.strip()]
     if not enabled:
         raise ConfigError("modulations.enabled: must list at least one scheme")
+    if len(set(enabled)) < len(enabled):
+        twice = sorted({name for name in enabled if enabled.count(name) > 1})
+        raise ConfigError(f"modulations.enabled: listed more than once: {twice}")
     modulations = []
     for name in enabled:
         if name not in table:
@@ -340,6 +388,9 @@ def parse_config(text: str) -> ScenarioConfig:
             f"sweep.d_step_m: {d_step} gives more than {MAX_SWEEP_POINTS} "
             f"distances between {d_min} and {d_max} m"
         )
+    # The path gain grows with distance, so the two ends bound the grid.
+    check_distance(link_template, d_min, "sweep.d_min_m")
+    check_distance(link_template, d_max, "sweep.d_max_m")
 
     duty_r = reader("duty")
     try:

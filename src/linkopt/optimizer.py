@@ -33,7 +33,7 @@ from .energy import (
     path_gain,
     transmit_power,
 )
-from .errors import DegeneratePayloadError, OutOfRegimeError
+from .errors import DegeneratePayloadError
 from .per import (
     EULER_GAMMA,
     CircuitClass,
@@ -432,7 +432,40 @@ def solve_candidate(
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     coeffs = energy_coefficients(pa, scheme, link, p_c)
-    gamma_cap = snr_max(link, scheme, pa)
+    return _solve_candidate(
+        link, qos, pa, scheme, coeffs, snr_max(link, scheme, pa), n_h,
+        delta, n_p_init, max_iter,
+    )
+
+
+def _solve_candidate(
+    link: LinkBudget,
+    qos: QosSpec,
+    pa: PaModel,
+    scheme: ModulationScheme,
+    coeffs: EnergyCoefficients,
+    gamma_cap: float,
+    n_h: int,
+    delta: float,
+    n_p_init: float,
+    max_iter: int,
+) -> tuple[OperatingPoint | None, str | None]:
+    """:func:`solve_candidate` given the scheme's coefficients and SNR cap.
+
+    Neither ``coeffs`` nor ``gamma_cap`` depends on the retransmission cap,
+    so :func:`candidate_table` works them out once per scheme.
+
+    The fixed-point loop writes the waterfall threshold, the quadratic SNR
+    optimum, the TPA cubic's coefficients and both payload optima inline.
+    Each expression keeps the operands and evaluation order of its public
+    counterpart (:func:`~linkopt.per.waterfall_threshold`,
+    :func:`optimal_snr_quadratic`, :func:`_tpa_cubic`,
+    :func:`_payload_continuous_quadratic`, :func:`_payload_continuous_tpa`),
+    so every iterate is bit-identical to theirs; the per-step call overhead
+    is what is saved.  Those functions remain the reference implementations:
+    the oracle battery checks them, and a test pins this loop to a solver
+    written with them.  The step after convergence runs once and calls them.
+    """
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
         return None, (
@@ -442,31 +475,39 @@ def solve_candidate(
     if gamma_cap <= 0.0:
         raise ValueError("gamma_min and gamma_max must be > 0")
 
-    # Invariants of the iteration: the decay constant, the log of the
-    # per-attempt success bound and the amplifier's pair of closed forms.
+    c_eff = scheme.c_eff
     k_eff = scheme.k_eff
+    a = coeffs.a_coeff
+    b = coeffs.b_coeff
+    ratio = b / a
     log_keep = math.log1p(-qos.per_attempt_bound)
     tpa = coeffs.pa_variant is PaVariant.TPA
-    payload_optimum = _payload_continuous_tpa if tpa else _payload_continuous_quadratic
     cap = float(ceiling)
+    log, sqrt = math.log, math.sqrt
 
     n_p = float(n_p_init)
     gamma_prev: float | None = None
-    gamma_req: float | None = None
+    g: float | None = None
     converged = False
     for _ in range(max_iter):
         n_bits = n_h + n_p
-        try:
-            w0 = waterfall_threshold(scheme, n_bits)
-        except OutOfRegimeError:
+        n_c = n_bits * c_eff
+        if n_c <= 1.0:
+            # c_eff <= 1, so every packet shorter than one bit lands here.
+            if n_bits < 1:
+                raise ValueError(f"n_bits must be >= 1, got {n_bits}")
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: packet of "
                 f"{n_bits:.0f} bits below the waterfall regime"
             )
+        w0 = (log(n_c) + EULER_GAMMA) / k_eff
+        rho = n_p / n_bits if n_p > 0 else 0.0
         if tpa:
-            gamma_star = optimal_snr_tpa(coeffs, w0, k_eff, n_p, n_h)
+            p = -2.0 * w0
+            x = _depressed_cubic_root(p, p * (ratio * rho))
+            gamma_star = x * x
         else:
-            gamma_star = optimal_snr_quadratic(coeffs, w0, n_p, n_h)
+            gamma_star = w0 / 2.0 + sqrt(w0 * (w0 / 4.0 + ratio * rho))
         gamma_floor = -w0 / log_keep
         if gamma_floor <= 0.0:
             raise ValueError("gamma_min and gamma_max must be > 0")
@@ -477,20 +518,33 @@ def solve_candidate(
                 f"at N={n_bits:.0f}"
             )
         if gamma_star < gamma_floor:
-            gamma_req = gamma_floor
+            g = gamma_floor
         elif gamma_star > gamma_cap:
-            gamma_req = gamma_cap
+            g = gamma_cap
         else:
-            gamma_req = gamma_star
-        n_p = min(max(payload_optimum(coeffs, scheme, n_h, gamma_req), 1.0), cap)
-        if gamma_prev is not None and abs(gamma_req - gamma_prev) <= delta:
+            g = gamma_star
+        if tpa:
+            sq = sqrt(g)
+            kg1 = k_eff * g - 1.0
+            a_sq_b = a * sq + b
+            radicand = a * a * g * kg1 ** 2 + 4.0 * a * k_eff * g * sq * a_sq_b
+            wanted = n_h * (a * sq * kg1 + sqrt(radicand)) / (2.0 * a_sq_b)
+        else:
+            radicand = (
+                k_eff * k_eff * g * g + 2.0 * k_eff * g + 4.0 * ratio * k_eff + 1.0
+            )
+            wanted = (
+                n_h * g * ((k_eff * g - 1.0) + sqrt(radicand)) / (2.0 * (g + ratio))
+            )
+        n_p = min(max(wanted, 1.0), cap)
+        if gamma_prev is not None and abs(g - gamma_prev) <= delta:
             converged = True
             break
-        gamma_prev = gamma_req
+        gamma_prev = g
     if not converged:
         residual = (
-            abs(gamma_req - gamma_prev)
-            if gamma_req is not None and gamma_prev is not None
+            abs(g - gamma_prev)
+            if g is not None and gamma_prev is not None
             else math.inf
         )
         return None, (
@@ -504,8 +558,10 @@ def solve_candidate(
     w0 = waterfall_threshold(scheme, n_bits)
     if tpa:
         gamma_star = optimal_snr_tpa(coeffs, w0, k_eff, n_p_int, n_h)
+        payload_optimum = _payload_continuous_tpa
     else:
         gamma_star = optimal_snr_quadratic(coeffs, w0, n_p_int, n_h)
+        payload_optimum = _payload_continuous_quadratic
     gamma_floor = snr_min(scheme, n_h, n_p_int, qos)
     selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
     if selected is None:
@@ -567,6 +623,9 @@ def candidate_table(
 
     Modulations are visited by ascending order, then name, and caps in
     ascending order; :func:`select_best` relies on that order for ties.
+    Each pair gets the same result as :func:`solve_candidate` with its
+    defaults; the energy coefficients and the SNR cap are worked out once
+    per modulation and the QoS spec once per cap.
     """
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
@@ -576,15 +635,19 @@ def candidate_table(
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     p_c_map = DEFAULT_CIRCUIT_POWER if circuit_power is None else circuit_power
+    specs = [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
     table = []
     for scheme in mods:
-        p_c = p_c_map[scheme.circuit_power_class]
-        for tau in _tau_candidates(qos):
-            point, reason = solve_candidate(
-                link, QosSpec(qos.target_per, tau), pa, scheme, p_c, n_h,
-                delta=delta,
+        coeffs = energy_coefficients(
+            pa, scheme, link, p_c_map[scheme.circuit_power_class]
+        )
+        gamma_cap = snr_max(link, scheme, pa)
+        for spec in specs:
+            point, reason = _solve_candidate(
+                link, spec, pa, scheme, coeffs, gamma_cap, n_h, delta,
+                n_p_init=0.0, max_iter=100,
             )
-            table.append(Candidate(scheme, tau, point, reason))
+            table.append(Candidate(scheme, spec.max_retransmissions, point, reason))
     return table
 
 

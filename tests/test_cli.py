@@ -93,6 +93,12 @@ class TestOptimize:
         assert code == cli.EXIT_USAGE
         assert "--distance: must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e90", "1e-200"])
+    def test_distance_outside_double_range_rejected(self, capsys, value):
+        code = run_cli(["optimize", "--distance", value, "--pa", "cpa"])
+        assert code == cli.EXIT_USAGE
+        assert "--distance: path loss at" in capsys.readouterr().err
+
     def test_multiple_pa_models_rejected(self, capsys):
         code = run_cli(["optimize", "--distance", "10", "--pa", "cpa,tpa"])
         assert code == cli.EXIT_USAGE
@@ -272,14 +278,16 @@ class TestLifetimeSharedTable:
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
         calls = []
-        solve = optimizer.solve_candidate
+        solve = optimizer._solve_candidate
 
         def counting(link, qos, pa, scheme, *args, **kwargs):
             calls.append((link.distance_m, pa.variant, scheme.name,
                           qos.max_retransmissions))
             return solve(link, qos, pa, scheme, *args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "solve_candidate", counting)
+        # candidate_table hands each candidate, with its scheme's set-up, to
+        # the per-candidate solve behind solve_candidate.
+        monkeypatch.setattr(optimizer, "_solve_candidate", counting)
         cfg = default_config()
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
         points = len(cfg.distances()) * len(PaVariant)

@@ -119,6 +119,38 @@ class TestRejection:
         with pytest.raises(ConfigError, match="packet.n_h_bits: must be >= 1"):
             parse_config("[packet]\nn_h_bits = 0\n")
 
+    def test_duplicate_enabled_modulation(self):
+        with pytest.raises(ConfigError,
+                           match=r"modulations.enabled: listed more than once: \['OQPSK'\]"):
+            parse_config("[modulations]\nenabled = OQPSK, BPSK, OQPSK\n")
+
+    @pytest.mark.parametrize("value", ["0", "-2.5"])
+    @pytest.mark.parametrize("section,key", [
+        ("link", "p0_mw"), ("link", "kappa"), ("link", "bandwidth_khz"),
+        ("circuit", "pc_mqam_mw"), ("circuit", "pc_mfsk_mw"),
+    ])
+    def test_non_positive_rejected_with_field_path(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}: must be > 0"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["1e6", "-1e6", "3001"])
+    @pytest.mark.parametrize("key", [
+        "g1_db", "link_margin_db", "noise_half_psd_dbm_hz",
+    ])
+    def test_decibels_out_of_range_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"link.{key}: must be within"):
+            parse_config(f"[link]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("text,field", [
+        ("[sweep]\nd_max_m = 1e90\nd_step_m = 1e86\n", "sweep.d_max_m"),
+        ("[link]\nkappa = 400\n", "sweep.d_max_m"),
+        ("[sweep]\nd_min_m = 1e-200\n", "sweep.d_min_m"),
+        ("[link]\ng1_db = 3000\nlink_margin_db = 3000\n", "sweep.d_min_m"),
+    ])
+    def test_sweep_end_outside_double_range_rejected(self, text, field):
+        with pytest.raises(ConfigError, match=f"{field}: path loss at"):
+            parse_config(text)
+
     def test_unknown_enabled_modulation(self):
         with pytest.raises(ConfigError, match="enabled: unknown scheme '8PSK'"):
             parse_config("[modulations]\nenabled = 8PSK\n")
