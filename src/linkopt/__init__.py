@@ -55,9 +55,7 @@ from .per import (
     payload_max,
     per_rayleigh,
     per_rayleigh_exact,
-    required_per,
     snr_min,
-    waterfall_from_coded_constants,
     waterfall_threshold,
     waterfall_threshold_numeric,
 )
@@ -108,13 +106,11 @@ __all__ = [
     "payload_max",
     "per_rayleigh",
     "per_rayleigh_exact",
-    "required_per",
     "snr_max",
     "snr_min",
     "solve_candidate",
     "sweep_distance",
     "transmit_power",
-    "waterfall_from_coded_constants",
     "waterfall_threshold",
     "waterfall_threshold_numeric",
 ]

@@ -72,18 +72,17 @@ def _open_out(path: str | None) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _sweep_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
-    """One row per (distance, amplifier); deterministic order."""
-    distances = config.distances()
-    for d in distances:
-        for variant in sorted(variants, key=lambda v: v.value):
-            pa = config.pa_models[variant]
-            link = replace(config.link_template, distance_m=d)
-            point = joint_optimize(
-                link, config.qos, pa, config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
+def _candidate_tables(config: ScenarioConfig, variants: Sequence[PaVariant]):
+    """One candidate table per (distance, amplifier); deterministic order."""
+    ordered = sorted(variants, key=lambda v: v.value)
+    for d in config.distances():
+        link = replace(config.link_template, distance_m=d)
+        for variant in ordered:
+            yield d, variant, candidate_table(
+                link, config.qos, config.pa_models[variant], config.modulations,
+                config.n_h, delta=config.delta,
+                circuit_power=config.circuit_power,
             )
-            yield d, variant, point
 
 
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
@@ -126,7 +125,8 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, variant, point in _sweep_rows(config, variants):
+    for d, variant, table in _candidate_tables(config, variants):
+        point = select_best(table)
         any_feasible = any_feasible or point.feasible
         writer.writerow([
             _fmt(d),
@@ -157,16 +157,9 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     selected from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d in config.distances():
-        link = replace(config.link_template, distance_m=d)
-        for variant in sorted(variants, key=lambda v: v.value):
-            table = candidate_table(
-                link, config.qos, config.pa_models[variant], config.modulations,
-                config.n_h, delta=config.delta,
-                circuit_power=config.circuit_power,
-            )
-            base = select_best(c for c in table if c.scheme == baseline)
-            yield d, variant, select_best(table), base
+    for d, variant, table in _candidate_tables(config, variants):
+        base = select_best(c for c in table if c.scheme == baseline)
+        yield d, variant, select_best(table), base
 
 
 def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
@@ -246,34 +239,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
+        if args.command == "validate":
+            return cmd_validate(config, sys.stdout, args.out)
+        variants = _parse_pa_list(args.pa)
         if args.command == "optimize":
-            variants = _parse_pa_list(args.pa)
             if len(variants) != 1:
                 raise ConfigError("optimize takes exactly one --pa model")
             check_distance(config.link_template, args.distance, "--distance")
-            out = _open_out(args.out)
-            try:
-                return cmd_optimize(config, args.distance, variants[0], out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
-        if args.command == "sweep":
-            out = _open_out(args.out)
-            try:
-                return cmd_sweep(config, _parse_pa_list(args.pa), out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
-        if args.command == "lifetime":
-            out = _open_out(args.out)
-            try:
-                return cmd_lifetime(config, _parse_pa_list(args.pa), out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
-        if args.command == "validate":
-            return cmd_validate(config, sys.stdout, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+            command = lambda out: cmd_optimize(
+                config, args.distance, variants[0], out)
+        else:
+            dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
+            command = lambda out: dataset(config, variants, out)
+        out = _open_out(args.out)
+        try:
+            return command(out)
+        finally:
+            if out is not sys.stdout:
+                out.close()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,9 +3,10 @@
 The config is an INI file with nested section names and explicit units in
 every key name (``p0_mw``, ``g1_db``, ...), because dB/linear and W/mW
 mix-ups are the dominant failure mode in link-budget tooling.  Unknown
-sections or keys are rejected with a field-path diagnostic; missing keys
-fall back to the defaults below, which reproduce the reference parameter
-table of the analysis.
+sections or keys are rejected with a field-path diagnostic.  Missing keys
+take their value from ``DEFAULT_CONFIG_TEXT``, the reference parameter table
+of the analysis; that text is the only place a default is written down, and
+its sections and keys are the only ones accepted.
 
 Note the noise entry: ``noise_half_psd_dbm_hz`` is the per-dimension density
 (N0/2, the -174 dBm/Hz figure on data sheets).  The stored one-sided N0 is
@@ -18,6 +19,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, replace
+from enum import Enum
 
 from .energy import LinkBudget, PaModel, PaVariant, path_gain
 from .errors import ConfigError
@@ -85,22 +87,19 @@ quad_epsrel = 1e-10
 quad_epsabs = 1e-14
 """
 
-_SCHEMA: dict[str, set[str]] = {
-    "link": {
-        "p0_mw", "kappa", "g1_db", "link_margin_db",
-        "noise_half_psd_dbm_hz", "bandwidth_khz",
-    },
-    "packet": {"n_h_bits"},
-    "qos": {"target_per", "max_retransmissions"},
-    "circuit": {"pc_mqam_mw", "pc_mfsk_mw"},
-    "pa.cpa": {"eta_max_pct", "p_t_max_mw"},
-    "pa.tpa": {"eta_max_pct", "p_t_max_mw"},
-    "pa.etpa": {"eta_max_pct", "p_t_max_mw", "c"},
-    "modulations": {"enabled", "baseline", "mqam_papr_formula"},
-    "sweep": {"d_min_m", "d_max_m", "d_step_m"},
-    "duty": {"battery_ah", "battery_v", "payload_kbit", "period_s"},
-    "tolerance": {"delta", "quad_epsrel", "quad_epsabs"},
-}
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """INI text as ``{section: {key: raw value}}``, in file order."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from None
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+# Parsed once: every default, and the schema of the fixed sections.
+_DEFAULTS = _read_sections(DEFAULT_CONFIG_TEXT)
 
 # Largest sweep grid accepted; the reference grid has 79 points.
 MAX_SWEEP_POINTS = 100_000
@@ -112,6 +111,16 @@ MAX_ABS_DB = 3000.0
 _MODULATION_KEYS = {
     "bits_per_symbol", "ber_form", "c_m", "k_m", "papr", "circuit_class",
 }
+
+
+def _grid_steps(d_min: float, d_max: float, d_step: float) -> int:
+    """Steps of the sweep grid; a last step within 1e-9 of d_max counts."""
+    return int(math.floor((d_max - d_min) / d_step + 1e-9))
+
+
+def _grid_point(d_min: float, d_step: float, i: int) -> float:
+    """The i-th sweep distance, rounded to 1e-9 m."""
+    return round(d_min + i * d_step, 9)
 
 
 @dataclass(frozen=True)
@@ -132,12 +141,11 @@ class ScenarioConfig:
     delta: float
     quad_epsrel: float
     quad_epsabs: float
-    mqam_papr_formula: str = "growing"
 
     def distances(self) -> list[float]:
         """Sweep grid, inclusive of both ends up to step rounding."""
-        count = int(math.floor((self.d_max_m - self.d_min_m) / self.d_step_m + 1e-9))
-        return [round(self.d_min_m + i * self.d_step_m, 9) for i in range(count + 1)]
+        steps = _grid_steps(self.d_min_m, self.d_max_m, self.d_step_m)
+        return [_grid_point(self.d_min_m, self.d_step_m, i) for i in range(steps + 1)]
 
     def scheme(self, name: str) -> ModulationScheme:
         for mod in self.modulations:
@@ -156,13 +164,8 @@ class _Reader:
         self.section = section
         self.values = values
 
-    def _get(self, key: str) -> str | None:
-        return self.values.get(key)
-
-    def number(self, key: str, default: float) -> float:
-        raw = self._get(key)
-        if raw is None:
-            return default
+    def number(self, key: str) -> float:
+        raw = self.values[key]
         try:
             value = float(raw)
         except ValueError:
@@ -173,14 +176,14 @@ class _Reader:
             raise ConfigError(f"{self.section}.{key}: must be finite, got {raw!r}")
         return value
 
-    def positive(self, key: str, default: float) -> float:
-        value = self.number(key, default)
+    def positive(self, key: str) -> float:
+        value = self.number(key)
         if value <= 0.0:
             raise ConfigError(f"{self.section}.{key}: must be > 0, got {value!r}")
         return value
 
-    def decibels(self, key: str, default: float) -> float:
-        value = self.number(key, default)
+    def decibels(self, key: str) -> float:
+        value = self.number(key)
         if abs(value) > MAX_ABS_DB:
             raise ConfigError(
                 f"{self.section}.{key}: must be within +-{MAX_ABS_DB:g} dB, "
@@ -188,10 +191,8 @@ class _Reader:
             )
         return value
 
-    def integer(self, key: str, default: int) -> int:
-        raw = self._get(key)
-        if raw is None:
-            return default
+    def integer(self, key: str) -> int:
+        raw = self.values[key]
         try:
             return int(raw)
         except ValueError:
@@ -199,9 +200,18 @@ class _Reader:
                 f"{self.section}.{key}: invalid integer {raw!r}"
             ) from None
 
-    def text(self, key: str, default: str) -> str:
-        raw = self._get(key)
-        return default if raw is None else raw.strip()
+    def text(self, key: str) -> str:
+        return self.values[key].strip()
+
+    def choice(self, key: str, kind: type[Enum]) -> Enum:
+        raw = self.text(key)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{self.section}.{key}: expected one of "
+                f"{[member.value for member in kind]}, got {raw!r}"
+            ) from None
 
 
 def _dbm_to_watts(dbm: float) -> float:
@@ -236,78 +246,70 @@ def check_distance(link_template: LinkBudget, distance_m: float, field: str) -> 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from INI text."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
-
-    sections: dict[str, dict[str, str]] = {}
-    for name in parser.sections():
-        if name in _SCHEMA:
-            allowed = _SCHEMA[name]
+    sections = {name: dict(values) for name, values in _DEFAULTS.items()}
+    for name, values in _read_sections(text).items():
+        if name in _DEFAULTS:
+            allowed = _DEFAULTS[name]
         elif name.startswith("modulation."):
             allowed = _MODULATION_KEYS
         else:
             raise ConfigError(f"{name}: unknown section")
-        for key in parser[name]:
+        for key in values:
             if key not in allowed:
                 raise ConfigError(f"{name}: unknown key {key!r}")
-        sections[name] = dict(parser[name])
+        sections.setdefault(name, {}).update(values)
 
     def reader(name: str) -> _Reader:
-        return _Reader(name, sections.get(name, {}))
+        return _Reader(name, sections[name])
 
     link = reader("link")
-    noise_half_dbm = link.decibels("noise_half_psd_dbm_hz", -174.0)
+    noise_half_dbm = link.decibels("noise_half_psd_dbm_hz")
     link_template = LinkBudget(
         distance_m=1.0,
-        kappa=link.positive("kappa", 3.5),
-        g1_db=link.decibels("g1_db", 30.0),
-        link_margin_db=link.decibels("link_margin_db", 40.0),
+        kappa=link.positive("kappa"),
+        g1_db=link.decibels("g1_db"),
+        link_margin_db=link.decibels("link_margin_db"),
         n0=2.0 * _dbm_to_watts(noise_half_dbm),
-        bandwidth_hz=link.positive("bandwidth_khz", 10.0) * 1e3,
-        p0_w=link.positive("p0_mw", 10.0) * 1e-3,
+        bandwidth_hz=link.positive("bandwidth_khz") * 1e3,
+        p0_w=link.positive("p0_mw") * 1e-3,
     )
 
     qos_r = reader("qos")
     try:
         qos = QosSpec(
-            target_per=qos_r.number("target_per", 0.001),
-            max_retransmissions=qos_r.integer("max_retransmissions", 3),
+            target_per=qos_r.number("target_per"),
+            max_retransmissions=qos_r.integer("max_retransmissions"),
         )
     except ValueError as exc:
         raise ConfigError(f"qos: {exc}") from None
 
-    n_h = reader("packet").integer("n_h_bits", 48)
+    n_h = reader("packet").integer("n_h_bits")
     if n_h < 1:
         raise ConfigError("packet.n_h_bits: must be >= 1")
 
     circuit = reader("circuit")
     circuit_power = {
-        CircuitClass.MQAM: circuit.positive("pc_mqam_mw", 310.0) * 1e-3,
-        CircuitClass.MFSK: circuit.positive("pc_mfsk_mw", 265.0) * 1e-3,
+        CircuitClass.MQAM: circuit.positive("pc_mqam_mw") * 1e-3,
+        CircuitClass.MFSK: circuit.positive("pc_mfsk_mw") * 1e-3,
     }
 
-    pa_defaults_mw = {PaVariant.CPA: 1000.0, PaVariant.TPA: 400.0,
-                      PaVariant.ETPA: 250.0}
     pa_models = {}
     for variant in PaVariant:
         pa_r = reader(f"pa.{variant.value}")
         kwargs = dict(
             variant=variant,
-            eta_max=pa_r.number("eta_max_pct", 80.0) / 100.0,
-            p_t_max=pa_r.number("p_t_max_mw", pa_defaults_mw[variant]) * 1e-3,
+            eta_max=pa_r.number("eta_max_pct") / 100.0,
+            p_t_max=pa_r.number("p_t_max_mw") * 1e-3,
         )
         if variant is PaVariant.ETPA:
-            kwargs["etpa_c"] = pa_r.number("c", 0.0082)
+            kwargs["etpa_c"] = pa_r.number("c")
         try:
             pa_models[variant] = PaModel(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"pa.{variant.value}: {exc}") from None
 
     mods_r = reader("modulations")
-    papr_formula = mods_r.text("mqam_papr_formula", "growing")
+    papr_formula = mods_r.text("mqam_papr_formula")
     try:
         table = {m.name: m for m in default_modulations(papr_formula)}
     except ValueError as exc:
@@ -321,38 +323,22 @@ def parse_config(text: str) -> ScenarioConfig:
         missing = _MODULATION_KEYS - set(values)
         if missing:
             raise ConfigError(f"{name}: missing keys {sorted(missing)}")
-        form_text = r.text("ber_form", "")
-        try:
-            form = BerForm(form_text)
-        except ValueError:
-            raise ConfigError(
-                f"{name}.ber_form: expected one of "
-                f"{[f.value for f in BerForm]}, got {form_text!r}"
-            ) from None
-        class_text = r.text("circuit_class", "")
-        try:
-            circuit_class = CircuitClass(class_text)
-        except ValueError:
-            raise ConfigError(
-                f"{name}.circuit_class: expected one of "
-                f"{[c.value for c in CircuitClass]}, got {class_text!r}"
-            ) from None
+        form = r.choice("ber_form", BerForm)
+        circuit_class = r.choice("circuit_class", CircuitClass)
         try:
             table[mod_name] = ModulationScheme(
                 name=mod_name,
-                bits_per_symbol=r.integer("bits_per_symbol", 0),
+                bits_per_symbol=r.integer("bits_per_symbol"),
                 ber_form=form,
-                c_m=r.number("c_m", 0.0),
-                k_m=r.number("k_m", 0.0),
-                papr=r.number("papr", 0.0),
+                c_m=r.number("c_m"),
+                k_m=r.number("k_m"),
+                papr=r.number("papr"),
                 circuit_power_class=circuit_class,
             )
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
 
-    enabled_text = mods_r.text(
-        "enabled", "NCFSK, BPSK, OQPSK, 4QAM, 16QAM, 64QAM"
-    )
+    enabled_text = mods_r.text("enabled")
     enabled = [token.strip() for token in enabled_text.split(",") if token.strip()]
     if not enabled:
         raise ConfigError("modulations.enabled: must list at least one scheme")
@@ -368,16 +354,21 @@ def parse_config(text: str) -> ScenarioConfig:
             )
         modulations.append(table[name])
 
-    baseline_name = mods_r.text("baseline", "OQPSK")
+    baseline_name = mods_r.text("baseline")
     if baseline_name not in table:
         raise ConfigError(
             f"modulations.baseline: unknown scheme {baseline_name!r}"
         )
+    if baseline_name not in enabled:
+        raise ConfigError(
+            f"modulations.baseline: {baseline_name!r} is not in "
+            f"modulations.enabled ({', '.join(enabled)})"
+        )
 
     sweep = reader("sweep")
-    d_min = sweep.number("d_min_m", 2.0)
-    d_max = sweep.number("d_max_m", 80.0)
-    d_step = sweep.number("d_step_m", 1.0)
+    d_min = sweep.number("d_min_m")
+    d_max = sweep.number("d_max_m")
+    d_step = sweep.number("d_step_m")
     if d_min <= 0.0 or d_max < d_min or d_step <= 0.0:
         raise ConfigError(
             f"sweep: need 0 < d_min_m <= d_max_m and d_step_m > 0, got "
@@ -388,23 +379,32 @@ def parse_config(text: str) -> ScenarioConfig:
             f"sweep.d_step_m: {d_step} gives more than {MAX_SWEEP_POINTS} "
             f"distances between {d_min} and {d_max} m"
         )
-    # The path gain grows with distance, so the two ends bound the grid.
-    check_distance(link_template, d_min, "sweep.d_min_m")
-    check_distance(link_template, d_max, "sweep.d_max_m")
+    # The path gain grows with distance, so the two ends bound the grid;
+    # distances() rounds them, which can move them (d_min_m = 1e-12 to 0).
+    last = _grid_steps(d_min, d_max, d_step)
+    for field, end, point in (
+        ("sweep.d_min_m", d_min, _grid_point(d_min, d_step, 0)),
+        ("sweep.d_max_m", d_max, _grid_point(d_min, d_step, last)),
+    ):
+        check_distance(link_template, end, field)
+        if point != end:
+            check_distance(
+                link_template, point, f"{field} as rounded to the 1e-9 m grid"
+            )
 
     duty_r = reader("duty")
     try:
         duty = DutyProfile(
-            battery_charge_ah=duty_r.number("battery_ah", 2.0),
-            battery_voltage=duty_r.number("battery_v", 3.0),
-            payload_per_period_bits=duty_r.number("payload_kbit", 5.0) * 1e3,
-            period_s=duty_r.number("period_s", 300.0),
+            battery_charge_ah=duty_r.number("battery_ah"),
+            battery_voltage=duty_r.number("battery_v"),
+            payload_per_period_bits=duty_r.number("payload_kbit") * 1e3,
+            period_s=duty_r.number("period_s"),
         )
     except ValueError as exc:
         raise ConfigError(f"duty: {exc}") from None
 
     tol = reader("tolerance")
-    delta = tol.number("delta", 1e-6)
+    delta = tol.number("delta")
     if delta <= 0.0:
         raise ConfigError("tolerance.delta: must be > 0")
 
@@ -421,9 +421,8 @@ def parse_config(text: str) -> ScenarioConfig:
         d_step_m=d_step,
         duty=duty,
         delta=delta,
-        quad_epsrel=tol.number("quad_epsrel", 1e-10),
-        quad_epsabs=tol.number("quad_epsabs", 1e-14),
-        mqam_papr_formula=papr_formula,
+        quad_epsrel=tol.number("quad_epsrel"),
+        quad_epsabs=tol.number("quad_epsabs"),
     )
 
 
@@ -439,4 +438,4 @@ def load_config(path: str) -> ScenarioConfig:
 
 def default_config() -> ScenarioConfig:
     """The built-in scenario matching the reference parameter table."""
-    return parse_config(DEFAULT_CONFIG_TEXT)
+    return parse_config("")

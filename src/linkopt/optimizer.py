@@ -45,11 +45,8 @@ from .per import (
     waterfall_threshold,
 )
 
-# Table defaults for combined TX+RX circuit power, watts.
-DEFAULT_CIRCUIT_POWER: Mapping[CircuitClass, float] = {
-    CircuitClass.MQAM: 0.310,
-    CircuitClass.MFSK: 0.265,
-}
+# Fixed-point iterations allowed per candidate before it is rejected.
+MAX_ITER = 100
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -327,7 +324,7 @@ def _packet_energy_unbounded(
 ) -> float:
     """Unbounded-retransmission energy per bit at a real-valued payload."""
     n = n_h + n_p
-    w0 = (math.log(n * scheme.c_eff) + EULER_GAMMA) / scheme.k_eff
+    w0 = waterfall_threshold(scheme, n)
     overhead = n / n_p
     if coeffs.pa_variant is PaVariant.TPA:
         attempt = overhead * coeffs.a_coeff * math.sqrt(gamma_bar) + coeffs.b_coeff
@@ -345,11 +342,9 @@ def optimal_payload_tpa(
 ) -> int:
     """Energy-optimal payload for TPA at fixed SNR, by direct minimization.
 
-    Golden-section search over the real-valued payload is the authoritative
-    route here; the legacy radical expression
-    (:func:`tpa_payload_diagnostic`) is self-referential and kept only as a
-    diagnostic.  The search bracket grows until the energy curve turns
-    upward, then the result is floored.
+    Golden-section search over the real-valued payload; the oracle for the
+    closed form the solver uses.  The search bracket grows until the energy
+    curve turns upward, then the result is floored.
     """
     if coeffs.pa_variant is not PaVariant.TPA:
         raise ValueError("TPA payload optimum needs TPA coefficients")
@@ -375,38 +370,6 @@ def optimal_payload_tpa(
     return value
 
 
-def tpa_payload_diagnostic(
-    coeffs: EnergyCoefficients,
-    scheme: ModulationScheme,
-    n_h: int,
-    gamma_bar: float,
-    n_p: float,
-) -> float:
-    """Literal legacy radical for the TPA payload optimum.
-
-    The published expression references the payload on both sides, so it can
-    only be evaluated at a trial ``n_p``; flipping the sign of its
-    ``n_p^2`` term and evaluating at ``n_h`` reproduces the true stationary
-    point (see :func:`_payload_continuous_tpa`).  Kept for diagnostics only.
-    """
-    k = scheme.k_eff
-    g = gamma_bar
-    a, b = coeffs.a_coeff, coeffs.b_coeff
-    if g <= (b / a) ** 2:
-        raise ValueError(
-            f"diagnostic requires gamma_bar > (B/A)^2 = {(b / a) ** 2:.4g}"
-        )
-    sq = math.sqrt(g)
-    kappa = a * k * g * g - b * k * g * sq - a * g + b * sq
-    radicand = (
-        4.0 * a * k * n_h * n_h * g * (a * g - b * sq) * (g - (b / a) ** 2)
-        - n_p * n_p * kappa * kappa
-    )
-    if radicand < 0.0:
-        raise ValueError("negative radicand in legacy payload expression")
-    return (n_h * kappa + math.sqrt(radicand)) / (2.0 * a * (g - (b / a) ** 2))
-
-
 def solve_candidate(
     link: LinkBudget,
     qos: QosSpec,
@@ -414,9 +377,10 @@ def solve_candidate(
     scheme: ModulationScheme,
     p_c: float,
     n_h: int,
-    delta: float = 1e-6,
+    *,
+    delta: float,
     n_p_init: float = 0.0,
-    max_iter: int = 100,
+    max_iter: int = MAX_ITER,
 ) -> tuple[OperatingPoint | None, str | None]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair.
 
@@ -488,6 +452,7 @@ def _solve_candidate(
     n_p = float(n_p_init)
     gamma_prev: float | None = None
     g: float | None = None
+    residual = math.inf
     converged = False
     for _ in range(max_iter):
         n_bits = n_h + n_p
@@ -537,16 +502,13 @@ def _solve_candidate(
                 n_h * g * ((k_eff * g - 1.0) + sqrt(radicand)) / (2.0 * (g + ratio))
             )
         n_p = min(max(wanted, 1.0), cap)
-        if gamma_prev is not None and abs(g - gamma_prev) <= delta:
-            converged = True
-            break
+        if gamma_prev is not None:
+            residual = abs(g - gamma_prev)
+            if residual <= delta:
+                converged = True
+                break
         gamma_prev = g
     if not converged:
-        residual = (
-            abs(g - gamma_prev)
-            if g is not None and gamma_prev is not None
-            else math.inf
-        )
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
             f"within {max_iter} iterations (last residual {residual:.3g})"
@@ -616,16 +578,17 @@ def candidate_table(
     pa: PaModel,
     modulation_set: Iterable[ModulationScheme],
     n_h: int,
-    delta: float = 1e-6,
-    circuit_power: Mapping[CircuitClass, float] | None = None,
+    *,
+    delta: float,
+    circuit_power: Mapping[CircuitClass, float],
 ) -> list[Candidate]:
     """Solve every (modulation, tau) pair of the joint search once.
 
     Modulations are visited by ascending order, then name, and caps in
     ascending order; :func:`select_best` relies on that order for ties.
     Each pair gets the same result as :func:`solve_candidate` with its
-    defaults; the energy coefficients and the SNR cap are worked out once
-    per modulation and the QoS spec once per cap.
+    default start and iteration limit; the energy coefficients and the SNR
+    cap are worked out once per modulation and the QoS spec once per cap.
     """
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
@@ -634,18 +597,17 @@ def candidate_table(
         raise ValueError(f"delta must be > 0, got {delta}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
-    p_c_map = DEFAULT_CIRCUIT_POWER if circuit_power is None else circuit_power
     specs = [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
     table = []
     for scheme in mods:
         coeffs = energy_coefficients(
-            pa, scheme, link, p_c_map[scheme.circuit_power_class]
+            pa, scheme, link, circuit_power[scheme.circuit_power_class]
         )
         gamma_cap = snr_max(link, scheme, pa)
         for spec in specs:
             point, reason = _solve_candidate(
                 link, spec, pa, scheme, coeffs, gamma_cap, n_h, delta,
-                n_p_init=0.0, max_iter=100,
+                n_p_init=0.0, max_iter=MAX_ITER,
             )
             table.append(Candidate(scheme, spec.max_retransmissions, point, reason))
     return table
@@ -688,8 +650,9 @@ def joint_optimize(
     pa: PaModel,
     modulation_set: Iterable[ModulationScheme],
     n_h: int,
-    delta: float = 1e-6,
-    circuit_power: Mapping[CircuitClass, float] | None = None,
+    *,
+    delta: float,
+    circuit_power: Mapping[CircuitClass, float],
 ) -> OperatingPoint:
     """Exhaustive search over modulations and retransmission caps.
 
@@ -712,8 +675,9 @@ def sweep_distance(
     pa: PaModel,
     modulation_set: Iterable[ModulationScheme],
     n_h: int,
-    delta: float = 1e-6,
-    circuit_power: Mapping[CircuitClass, float] | None = None,
+    *,
+    delta: float,
+    circuit_power: Mapping[CircuitClass, float],
 ) -> list[OperatingPoint]:
     """Joint optimization at each distance; infeasible points are values.
 

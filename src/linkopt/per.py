@@ -280,11 +280,6 @@ def per_rayleigh_exact(
     return value
 
 
-def required_per(qos: QosSpec) -> float:
-    """Per-attempt PER bound implied by the reliability target."""
-    return qos.per_attempt_bound
-
-
 def snr_min(
     scheme: ModulationScheme, n_h: int, n_p: int, qos: QosSpec
 ) -> float:
@@ -324,27 +319,6 @@ def payload_max(
     if value <= 0.0:
         return 0
     return min(math.floor(value), PAYLOAD_CEILING)
-
-
-def waterfall_from_coded_constants(k_cap: float, b_cap: float, n_bits: int) -> float:
-    """Waterfall threshold from log-linear packet-size constants.
-
-    Schemes whose threshold has been fitted externally as
-    ``w0 = k_cap * ln(N) + b_cap`` (the usual parameterization for coded
-    transmissions) can reuse every Rayleigh-fading formula here.  The uncoded
-    laws correspond to ``k_cap = 1/k_eff`` and
-    ``b_cap = (ln(c_eff) + euler_gamma)/k_eff``.
-    """
-    if k_cap <= 0.0:
-        raise ValueError(f"k_cap must be > 0, got {k_cap}")
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    w0 = k_cap * math.log(n_bits) + b_cap
-    if w0 <= 0.0:
-        raise OutOfRegimeError(
-            f"coded constants give non-positive threshold {w0:.4g} at N={n_bits}"
-        )
-    return w0
 
 
 def _mqam_c(order: int) -> float:

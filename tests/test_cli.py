@@ -59,7 +59,8 @@ class TestOptimize:
 
     def test_infeasible_distance_exit_code(self, tmp_path, capsys):
         path = tmp_path / "qam4.ini"
-        path.write_text("[modulations]\nenabled = 4QAM\n", encoding="utf-8")
+        path.write_text("[modulations]\nenabled = 4QAM\nbaseline = 4QAM\n",
+                        encoding="utf-8")
         code = run_cli([
             "--config", str(path), "optimize", "--distance", "70", "--pa", "cpa",
         ])
@@ -135,7 +136,7 @@ class TestSweep:
         path = tmp_path / "far.ini"
         path.write_text(
             "[sweep]\nd_min_m = 60\nd_max_m = 70\nd_step_m = 5\n"
-            "[modulations]\nenabled = 4QAM\n",
+            "[modulations]\nenabled = 4QAM\nbaseline = 4QAM\n",
             encoding="utf-8",
         )
         out_path = tmp_path / "far.csv"
@@ -194,6 +195,17 @@ class TestLifetime:
             rows = list(csv.DictReader(handle))
         for row in rows:
             assert float(row["gain_percent"]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_baseline_not_enabled_fails_before_any_output(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "no_base.ini"
+        path.write_text("[modulations]\nenabled = 16QAM, 64QAM\n",
+                        encoding="utf-8")
+        code = run_cli(["--config", str(path), "lifetime"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "modulations.baseline: 'OQPSK' is not in" in captured.err
 
 
 # SHA-256 of the default `sweep` and `lifetime` CSVs, as recorded in

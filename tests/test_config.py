@@ -2,6 +2,7 @@
 
 import pytest
 
+from linkopt import config
 from linkopt.config import (
     DEFAULT_CONFIG_TEXT,
     MAX_SWEEP_POINTS,
@@ -151,6 +152,23 @@ class TestRejection:
         with pytest.raises(ConfigError, match=f"{field}: path loss at"):
             parse_config(text)
 
+    def test_sweep_end_rounded_to_zero_rejected(self):
+        """d_min_m passes as written but the 1e-9 m grid rounds it to 0."""
+        with pytest.raises(
+            ConfigError,
+            match=r"sweep\.d_min_m as rounded to the 1e-9 m grid: must be "
+                  r"positive and finite, got 0\.0",
+        ):
+            parse_config("[sweep]\nd_min_m = 1e-12\nd_max_m = 2\n")
+
+    def test_baseline_not_enabled_rejected(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"modulations\.baseline: 'OQPSK' is not in "
+                  r"modulations\.enabled \(16QAM, 64QAM\)",
+        ):
+            parse_config("[modulations]\nenabled = 16QAM, 64QAM\n")
+
     def test_unknown_enabled_modulation(self):
         with pytest.raises(ConfigError, match="enabled: unknown scheme '8PSK'"):
             parse_config("[modulations]\nenabled = 8PSK\n")
@@ -178,6 +196,27 @@ class TestRejection:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent/linkopt.ini")
+
+
+class TestDefaultSource:
+    """Every default comes from DEFAULT_CONFIG_TEXT, parsed once at import."""
+
+    def test_missing_key_reads_the_parsed_default_table(self, monkeypatch):
+        monkeypatch.setitem(config._DEFAULTS["packet"], "n_h_bits", "64")
+        assert parse_config("").n_h == 64
+
+    def test_default_text_not_parsed_per_call(self, monkeypatch):
+        texts = []
+        read = config._read_sections
+
+        def spy(text):
+            texts.append(text)
+            return read(text)
+
+        monkeypatch.setattr(config, "_read_sections", spy)
+        default_config()
+        parse_config("[packet]\nn_h_bits = 32\n")
+        assert texts == ["", "[packet]\nn_h_bits = 32\n"]
 
 
 class TestOverrides:

@@ -34,7 +34,6 @@ from linkopt.optimizer import (
     snr_max,
     solve_candidate,
     sweep_distance,
-    tpa_payload_diagnostic,
 )
 from linkopt.per import QosSpec, per_rayleigh, snr_min, waterfall_threshold
 from linkopt.validation import cubic_root_bisection
@@ -407,16 +406,6 @@ class TestOptimalPayloadTpa:
         numeric = math.floor(golden_section_min(f, 1.0, hi, 1e-4))
         assert abs(numeric - optimal_payload_quadratic(coeffs, scheme, 48, g)) <= 1
 
-    def test_diagnostic_guard_and_self_reference(self):
-        """The legacy radical needs the SNR guard and a trial payload."""
-        scheme = MODS["16QAM"]
-        coeffs = energy_coefficients(TPA, scheme, link_at(10.0), 0.31)
-        guard = (coeffs.b_coeff / coeffs.a_coeff) ** 2
-        with pytest.raises(ValueError, match="gamma_bar"):
-            tpa_payload_diagnostic(coeffs, scheme, 48, guard * 0.5, 500.0)
-        value = tpa_payload_diagnostic(coeffs, scheme, 48, guard * 50.0, 0.0)
-        assert math.isfinite(value)
-
     def test_diagnostic_sign_flip_recovers_optimum(self):
         """Replacing the -n_p^2 radicand term with +n_h^2 gives the optimum.
 
@@ -482,10 +471,25 @@ class TestSolveCandidate:
 
     def test_infeasible_far_range(self):
         point, reason = solve_candidate(
-            link_at(70.0), QosSpec(0.001, 3), CPA, MODS["4QAM"], 0.31, CFG.n_h
+            link_at(70.0), QosSpec(0.001, 3), CPA, MODS["4QAM"], 0.31, CFG.n_h,
+            delta=CFG.delta,
         )
         assert point is None
         assert "PER bound" in reason or "snr_min" in reason
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_non_convergence_reports_last_step(self, max_iter):
+        """The reason carries the last step's SNR change, inf after one."""
+        args = (link_at(5.0), QosSpec(CFG.qos.target_per, 2), CPA,
+                MODS["64QAM"], 0.31, CFG.n_h)
+        point, reason = solve_candidate(*args, delta=CFG.delta,
+                                        max_iter=max_iter)
+        assert point is None
+        residual = float(reason.rsplit("last residual ", 1)[1].rstrip(")"))
+        if max_iter == 1:
+            assert residual == math.inf
+        else:
+            assert CFG.delta < residual < math.inf
 
     def test_reliability_floor_point_sits_on_bound(self):
         """Where the floor binds the realized PER equals the bound."""
@@ -523,17 +527,18 @@ class TestJointOptimize:
         with pytest.raises(ValueError):
             joint_optimize(
                 link_at(10.0), CFG.qos, CPA, (), CFG.n_h,
-                circuit_power=CFG.circuit_power,
+                delta=CFG.delta, circuit_power=CFG.circuit_power,
             )
 
     def test_headerless_packet_rejected(self):
         with pytest.raises(ValueError, match="n_h must be >= 1"):
             joint_optimize(
                 link_at(10.0), CFG.qos, CPA, CFG.modulations, 0,
-                circuit_power=CFG.circuit_power,
+                delta=CFG.delta, circuit_power=CFG.circuit_power,
             )
         with pytest.raises(ValueError, match="n_h must be >= 1"):
-            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, 0)
+            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, 0,
+                            delta=CFG.delta)
 
     def test_tpa_selects_lower_order_than_etpa_midrange(self):
         """The square-root-law amplifier downgrades modulation earlier."""
@@ -624,14 +629,15 @@ class TestSweepDistance:
         with pytest.raises(ValueError):
             sweep_distance(
                 CFG.link_template, [1.0, 0.0], CFG.qos, CPA,
-                CFG.modulations, CFG.n_h, circuit_power=CFG.circuit_power,
+                CFG.modulations, CFG.n_h, delta=CFG.delta,
+                circuit_power=CFG.circuit_power,
             )
 
     def test_feasibility_horizon_is_prefix(self):
         distances = [float(d) for d in range(2, 82, 4)]
         for pa in (CPA, TPA, ETPA):
             points = sweep_distance(
-                CFG.link_template, distances, CFG.qos, CPA, CFG.modulations,
+                CFG.link_template, distances, CFG.qos, pa, CFG.modulations,
                 CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
             )
             flags = [p.feasible for p in points]

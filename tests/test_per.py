@@ -20,9 +20,7 @@ from linkopt.per import (
     per_rayleigh,
     per_rayleigh_bound_numeric,
     per_rayleigh_exact,
-    required_per,
     snr_min,
-    waterfall_from_coded_constants,
     waterfall_threshold,
     waterfall_threshold_numeric,
 )
@@ -301,13 +299,13 @@ class TestMonteCarloCrossCheck:
 
 class TestRequiredPer:
     def test_table_case(self):
-        assert required_per(QOS) == pytest.approx(0.1778279410038923, rel=1e-12)
+        assert QOS.per_attempt_bound == pytest.approx(0.1778279410038923, rel=1e-12)
 
     def test_no_retransmissions(self):
-        assert required_per(QosSpec(0.004, 0)) == pytest.approx(0.004)
+        assert QosSpec(0.004, 0).per_attempt_bound == pytest.approx(0.004)
 
     def test_square_root_case(self):
-        assert required_per(QosSpec(0.01, 1)) == pytest.approx(0.1)
+        assert QosSpec(0.01, 1).per_attempt_bound == pytest.approx(0.1)
 
 
 class TestSnrMin:
@@ -369,29 +367,6 @@ class TestPayloadMax:
 
     def test_saturation_for_enormous_snr(self):
         assert payload_max(QAM16, 48, 1e9, QOS) >= 10 ** 12
-
-
-class TestCodedConstants:
-    def test_matches_uncoded_parameterization(self):
-        """k = 1/k_eff, b = (ln c_eff + euler)/k_eff reproduces the threshold."""
-        k_cap = 1.0 / QAM16.k_eff
-        b_cap = (math.log(QAM16.c_eff) + EULER_GAMMA) / QAM16.k_eff
-        for n in (120, 1024, 10048):
-            assert waterfall_from_coded_constants(k_cap, b_cap, n) == pytest.approx(
-                waterfall_threshold(QAM16, n), rel=1e-12
-            )
-
-    def test_single_bit_gives_offset(self):
-        assert waterfall_from_coded_constants(2.0, 3.5, 1) == pytest.approx(3.5)
-
-    def test_doubling_adds_k_ln2(self):
-        a = waterfall_from_coded_constants(2.0, 3.5, 500)
-        b = waterfall_from_coded_constants(2.0, 3.5, 1000)
-        assert b - a == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(OutOfRegimeError):
-            waterfall_from_coded_constants(1.0, -10.0, 2)
 
 
 class TestQFitSanity:

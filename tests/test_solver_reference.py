@@ -40,7 +40,7 @@ from linkopt.optimizer import (
 from linkopt.per import QosSpec, payload_max, per_rayleigh, snr_min, waterfall_threshold
 
 
-def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, delta=1e-6,
+def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, *, delta,
                               n_p_init=0.0, max_iter=100):
     """The fixed-point solver written with one public closed form per step."""
     if n_h < 1:
@@ -65,6 +65,7 @@ def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, delta=1e-6,
     n_p = float(n_p_init)
     gamma_prev = None
     gamma_req = None
+    residual = math.inf
     converged = False
     for _ in range(max_iter):
         n_bits = n_h + n_p
@@ -95,16 +96,13 @@ def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, delta=1e-6,
         else:
             gamma_req = gamma_star
         n_p = min(max(payload_optimum(coeffs, scheme, n_h, gamma_req), 1.0), cap)
-        if gamma_prev is not None and abs(gamma_req - gamma_prev) <= delta:
-            converged = True
-            break
+        if gamma_prev is not None:
+            residual = abs(gamma_req - gamma_prev)
+            if residual <= delta:
+                converged = True
+                break
         gamma_prev = gamma_req
     if not converged:
-        residual = (
-            abs(gamma_req - gamma_prev)
-            if gamma_req is not None and gamma_prev is not None
-            else math.inf
-        )
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
             f"within {max_iter} iterations (last residual {residual:.3g})"
