@@ -82,19 +82,32 @@ payload_kbit = 5.0
 period_s = 300.0
 
 [tolerance]
-delta = 1e-6
+# delta: relative payload tolerance of the fixed-point solve, which stops once
+# a map evaluation moves the payload by at most delta times the new payload.
+# Each candidate gets at most 100 map evaluations (optimizer.MAX_ITER), and
+# each retransmission cap starts from the previous cap's payload.
+delta = 1e-10
 quad_epsrel = 1e-10
 quad_epsabs = 1e-14
 """
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
-    """INI text as ``{section: {key: raw value}}``, in file order."""
+    """INI text as ``{section: {key: raw value}}``, in file order.
+
+    A non-empty ``[DEFAULT]`` section is rejected: ``configparser`` would
+    copy its keys into every other section, past the schema.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(
+            f"{parser.default_section}: unknown section (its keys would apply "
+            f"to every section)"
+        )
     return {name: dict(parser[name]) for name in parser.sections()}
 
 

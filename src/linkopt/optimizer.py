@@ -45,7 +45,7 @@ from .per import (
     waterfall_threshold,
 )
 
-# Fixed-point iterations allowed per candidate before it is rejected.
+# Payload-map evaluations allowed per candidate before it is rejected.
 MAX_ITER = 100
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -384,11 +384,13 @@ def solve_candidate(
 ) -> tuple[OperatingPoint | None, str | None]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair.
 
-    Runs the fixed-point iteration: unconstrained optimal SNR at the current
-    payload, conditioning against the reliability floor and power ceiling,
-    then the optimal payload at the conditioned SNR, capped at the largest
-    payload the link can carry at full power.  The payload stays real-valued
-    during the iteration and is floored once at convergence.
+    Finds the fixed point of the payload map: unconstrained optimal SNR at
+    the current payload, conditioning against the reliability floor and
+    power ceiling, then the optimal payload at the conditioned SNR, capped
+    at the largest payload the link can carry at full power.  Steffensen's
+    method runs from ``n_p_init`` (lowered to that cap) until a step moves
+    the payload by at most ``delta`` relative; ``max_iter`` counts map
+    evaluations.  The payload is floored once at convergence.
 
     Returns ``(point, None)`` on success or ``(None, reason)`` when the
     candidate is infeasible or the iteration fails to converge.
@@ -399,7 +401,7 @@ def solve_candidate(
     return _solve_candidate(
         link, qos, pa, scheme, coeffs, snr_max(link, scheme, pa), n_h,
         delta, n_p_init, max_iter,
-    )
+    )[:2]
 
 
 def _solve_candidate(
@@ -413,11 +415,12 @@ def _solve_candidate(
     delta: float,
     n_p_init: float,
     max_iter: int,
-) -> tuple[OperatingPoint | None, str | None]:
+) -> tuple[OperatingPoint | None, str | None, float]:
     """:func:`solve_candidate` given the scheme's coefficients and SNR cap.
 
     Neither ``coeffs`` nor ``gamma_cap`` depends on the retransmission cap,
-    so :func:`candidate_table` works them out once per scheme.
+    so :func:`candidate_table` works them out once per scheme.  The third
+    value is the converged real-valued payload, 0.0 without convergence.
 
     The fixed-point loop writes the waterfall threshold, the quadratic SNR
     optimum, the TPA cubic's coefficients and both payload optima inline.
@@ -435,7 +438,7 @@ def _solve_candidate(
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no payload meets the "
             f"PER bound at full power (snr_max={gamma_cap:.4g})"
-        )
+        ), 0.0
     if gamma_cap <= 0.0:
         raise ValueError("gamma_min and gamma_max must be > 0")
 
@@ -449,22 +452,27 @@ def _solve_candidate(
     cap = float(ceiling)
     log, sqrt = math.log, math.sqrt
 
-    n_p = float(n_p_init)
-    gamma_prev: float | None = None
-    g: float | None = None
+    # Steffensen's method on the map n_p -> n_p' (>= 1) of one loop pass: after
+    # plain steps p0 -> p1 -> p2 the next pass is at their Aitken point clamped
+    # to [1, ceiling], or at p2 if the steps grow or the map rejects that point.
+    n_p = min(float(n_p_init), cap)
+    p0: float | None = None
+    fallback: float | None = None
     residual = math.inf
-    converged = False
     for _ in range(max_iter):
         n_bits = n_h + n_p
         n_c = n_bits * c_eff
         if n_c <= 1.0:
+            if fallback is not None:
+                n_p, fallback = fallback, None
+                continue
             # c_eff <= 1, so every packet shorter than one bit lands here.
             if n_bits < 1:
                 raise ValueError(f"n_bits must be >= 1, got {n_bits}")
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: packet of "
                 f"{n_bits:.0f} bits below the waterfall regime"
-            )
+            ), 0.0
         w0 = (log(n_c) + EULER_GAMMA) / k_eff
         rho = n_p / n_bits if n_p > 0 else 0.0
         if tpa:
@@ -477,11 +485,14 @@ def _solve_candidate(
         if gamma_floor <= 0.0:
             raise ValueError("gamma_min and gamma_max must be > 0")
         if gamma_floor > gamma_cap:
+            if fallback is not None:
+                n_p, fallback = fallback, None
+                continue
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: snr_min "
                 f"{gamma_floor:.4g} exceeds snr_max {gamma_cap:.4g} "
                 f"at N={n_bits:.0f}"
-            )
+            ), 0.0
         if gamma_star < gamma_floor:
             g = gamma_floor
         elif gamma_star > gamma_cap:
@@ -501,18 +512,26 @@ def _solve_candidate(
             wanted = (
                 n_h * g * ((k_eff * g - 1.0) + sqrt(radicand)) / (2.0 * (g + ratio))
             )
-        n_p = min(max(wanted, 1.0), cap)
-        if gamma_prev is not None:
-            residual = abs(g - gamma_prev)
-            if residual <= delta:
-                converged = True
-                break
-        gamma_prev = g
-    if not converged:
+        nxt = min(max(wanted, 1.0), cap)
+        residual = abs(nxt - n_p)
+        if residual <= delta * nxt:
+            n_p = nxt
+            break
+        if p0 is None:
+            p0, n_p, fallback = n_p, nxt, None
+        elif residual < abs(n_p - p0):
+            # Contracting steps make the denominator non-zero and the point
+            # finite; growing ones would extrapolate away from the root.
+            step = n_p - p0
+            aitken = p0 - step * step / (nxt - n_p - step)
+            p0, n_p, fallback = None, min(max(aitken, 1.0), cap), nxt
+        else:
+            p0, n_p = None, nxt
+    else:
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
             f"within {max_iter} iterations (last residual {residual:.3g})"
-        )
+        ), 0.0
 
     # Freeze the payload to bits and re-condition once at the integer point.
     n_p_int = max(1, min(math.floor(n_p), ceiling))
@@ -530,7 +549,7 @@ def _solve_candidate(
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: infeasible after "
             f"payload flooring"
-        )
+        ), n_p
     wanted = payload_optimum(coeffs, scheme, n_h, selected)
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
@@ -550,7 +569,7 @@ def _solve_candidate(
         feasible=True,
         binding=binding,
     )
-    return point, None
+    return point, None, n_p
 
 
 def _tau_candidates(qos: QosSpec) -> Sequence[int]:
@@ -589,6 +608,9 @@ def candidate_table(
     Each pair gets the same result as :func:`solve_candidate` with its
     default start and iteration limit; the energy coefficients and the SNR
     cap are worked out once per modulation and the QoS spec once per cap.
+    Each cap's solve starts at the previous cap's converged payload, or 0:
+    the payload map depends on the cap only through the SNR floor and the
+    payload ceiling, and the ceiling grows with the cap.
     """
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
@@ -600,14 +622,22 @@ def candidate_table(
     specs = [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
     table = []
     for scheme in mods:
-        coeffs = energy_coefficients(
-            pa, scheme, link, circuit_power[scheme.circuit_power_class]
-        )
+        try:
+            coeffs = energy_coefficients(
+                pa, scheme, link, circuit_power[scheme.circuit_power_class]
+            )
+        except (ValueError, ArithmeticError) as exc:
+            table += [Candidate(scheme, spec.max_retransmissions, None, (
+                f"{scheme.name}/tau={spec.max_retransmissions}: energy "
+                f"coefficients outside the range of a double ({exc})"
+            )) for spec in specs]
+            continue
         gamma_cap = snr_max(link, scheme, pa)
+        n_p = 0.0
         for spec in specs:
-            point, reason = _solve_candidate(
+            point, reason, n_p = _solve_candidate(
                 link, spec, pa, scheme, coeffs, gamma_cap, n_h, delta,
-                n_p_init=0.0, max_iter=MAX_ITER,
+                n_p_init=n_p, max_iter=MAX_ITER,
             )
             table.append(Candidate(scheme, spec.max_retransmissions, point, reason))
     return table

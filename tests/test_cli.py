@@ -69,6 +69,27 @@ class TestOptimize:
         assert "feasible: false" in out
         assert "reason:" in out
 
+    @pytest.mark.parametrize("text,distance,pa,coefficient", [
+        ("[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n",
+         "10", "cpa", "b_coeff must be positive finite, got 0.0"),
+        ("[link]\nlink_margin_db = -3000\n", "1e-3", "tpa",
+         "float division by zero"),
+    ], ids=["b_coeff_underflow", "tpa_a_coeff_division_by_zero"])
+    def test_coefficients_outside_double_range_are_rejections(
+            self, tmp_path, capsys, text, distance, pa, coefficient):
+        """In-range inputs whose energy coefficients leave the double range
+        end in one rejection reason per candidate, not a traceback."""
+        path = tmp_path / "extreme.ini"
+        path.write_text(text, encoding="utf-8")
+        code = run_cli([
+            "--config", str(path), "optimize", "--distance", distance,
+            "--pa", pa,
+        ])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_INFEASIBLE
+        assert (f"reason: 16QAM/tau=2: energy coefficients outside the range "
+                f"of a double ({coefficient})") in out
+
     def test_malformed_config_exit_and_message(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[link]\nmystery_key = 3\n", encoding="utf-8")

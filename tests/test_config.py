@@ -50,7 +50,7 @@ class TestDefaults:
         assert self.cfg.qos.max_retransmissions == 3
 
     def test_tolerances(self):
-        assert self.cfg.delta == pytest.approx(1e-6)
+        assert self.cfg.delta == pytest.approx(1e-10)
         assert self.cfg.quad_epsrel == pytest.approx(1e-10)
         assert self.cfg.quad_epsabs == pytest.approx(1e-14)
 
@@ -184,6 +184,20 @@ class TestRejection:
     def test_custom_modulation_missing_keys(self):
         with pytest.raises(ConfigError, match="modulation.8PSK: missing keys"):
             parse_config("[modulation.8PSK]\nbits_per_symbol = 3\n")
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\np0_mw = 5\n[link]\nkappa = 3.5\n",
+        "[DEFAULT]\nmystery = 1\n",
+    ], ids=["key_of_another_section", "unknown_key_alone"])
+    def test_default_section_rejected(self, text):
+        """configparser copies [DEFAULT] keys into every section, past the
+        schema; a non-empty one is refused by name."""
+        with pytest.raises(ConfigError, match=r"^DEFAULT: unknown section"):
+            parse_config(text)
+
+    def test_empty_default_section_accepted(self):
+        config = parse_config("[DEFAULT]\n[link]\np0_mw = 20\n")
+        assert config.link_template.p0_w == pytest.approx(0.02)
 
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):

@@ -35,7 +35,13 @@ from linkopt.optimizer import (
     solve_candidate,
     sweep_distance,
 )
-from linkopt.per import QosSpec, per_rayleigh, snr_min, waterfall_threshold
+from linkopt.per import (
+    QosSpec,
+    payload_max,
+    per_rayleigh,
+    snr_min,
+    waterfall_threshold,
+)
 from linkopt.validation import cubic_root_bisection
 
 CFG = default_config()
@@ -477,19 +483,34 @@ class TestSolveCandidate:
         assert point is None
         assert "PER bound" in reason or "snr_min" in reason
 
-    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
     def test_non_convergence_reports_last_step(self, max_iter):
-        """The reason carries the last step's SNR change, inf after one."""
+        """The reason carries the last map evaluation's payload step, inf
+        before any evaluation."""
         args = (link_at(5.0), QosSpec(CFG.qos.target_per, 2), CPA,
                 MODS["64QAM"], 0.31, CFG.n_h)
         point, reason = solve_candidate(*args, delta=CFG.delta,
                                         max_iter=max_iter)
         assert point is None
+        assert f"no convergence within {max_iter} iterations" in reason
         residual = float(reason.rsplit("last residual ", 1)[1].rstrip(")"))
-        if max_iter == 1:
+        if max_iter == 0:
             assert residual == math.inf
         else:
             assert CFG.delta < residual < math.inf
+
+    def test_start_above_payload_ceiling_is_lowered_to_it(self):
+        """A start above the ceiling solves like a cold start; unclamped,
+        its first SNR floor would exceed the power cap."""
+        scheme = MODS["NCFSK"]
+        link = link_at(20.0)
+        qos = QosSpec(CFG.qos.target_per, 1)
+        p_c = CFG.circuit_power[scheme.circuit_power_class]
+        assert payload_max(scheme, CFG.n_h, snr_max(link, scheme, CPA), qos) == 268
+        args = (link, qos, CPA, scheme, p_c, CFG.n_h)
+        cold = solve_candidate(*args, delta=CFG.delta)
+        assert cold[0] is not None
+        assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=371.0)) == repr(cold)
 
     def test_reliability_floor_point_sits_on_bound(self):
         """Where the floor binds the realized PER equals the bound."""
