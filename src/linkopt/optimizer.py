@@ -433,14 +433,17 @@ def _solve_candidate(
     the oracle battery checks them, and a test pins this loop to a solver
     written with them.  The step after convergence runs once and calls them.
     """
+    if gamma_cap == 0.0:
+        return None, (
+            f"{scheme.name}/tau={qos.max_retransmissions}: SNR cap outside "
+            f"the range of a double (snr_max underflows to 0)"
+        ), 0.0
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no payload meets the "
             f"PER bound at full power (snr_max={gamma_cap:.4g})"
         ), 0.0
-    if gamma_cap <= 0.0:
-        raise ValueError("gamma_min and gamma_max must be > 0")
 
     c_eff = scheme.c_eff
     k_eff = scheme.k_eff
@@ -477,7 +480,12 @@ def _solve_candidate(
         rho = n_p / n_bits if n_p > 0 else 0.0
         if tpa:
             p = -2.0 * w0
-            x = _depressed_cubic_root(p, p * (ratio * rho))
+            try:
+                x = _depressed_cubic_root(p, p * (ratio * rho))
+            except OverflowError:
+                return None, _out_of_range(
+                    scheme, qos, "the TPA cubic overflowed"
+                ), 0.0
             gamma_star = x * x
         else:
             gamma_star = w0 / 2.0 + sqrt(w0 * (w0 / 4.0 + ratio * rho))
@@ -528,6 +536,11 @@ def _solve_candidate(
         else:
             p0, n_p = None, nxt
     else:
+        if math.isnan(residual):
+            # Finite inputs give nan only through an overflow to infinity.
+            return None, _out_of_range(
+                scheme, qos, "a step overflowed to an undefined value"
+            ), 0.0
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
             f"within {max_iter} iterations (last residual {residual:.3g})"
@@ -570,6 +583,14 @@ def _solve_candidate(
         binding=binding,
     )
     return point, None, n_p
+
+
+def _out_of_range(scheme: ModulationScheme, qos: QosSpec, detail: str) -> str:
+    """Rejection reason of a candidate whose payload map overflows."""
+    return (
+        f"{scheme.name}/tau={qos.max_retransmissions}: payload map outside "
+        f"the range of a double ({detail})"
+    )
 
 
 def _tau_candidates(qos: QosSpec) -> Sequence[int]:

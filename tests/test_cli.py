@@ -90,6 +90,35 @@ class TestOptimize:
         assert (f"reason: 16QAM/tau=2: energy coefficients outside the range "
                 f"of a double ({coefficient})") in out
 
+    @pytest.mark.parametrize("text,distance,pa", [
+        ("[link]\nlink_margin_db = -3000\n", "0.1", "tpa"),
+        ("[link]\nlink_margin_db = -3000\n", "0.1", "cpa"),
+        ("[link]\nlink_margin_db = -3000\n", "0.01", "cpa"),
+        ("[link]\nlink_margin_db = -3000\n", "0.1", "etpa"),
+        ("[link]\nlink_margin_db = -3000\n", "0.01", "etpa"),
+        ("[link]\np0_mw = 1e-300\nnoise_half_psd_dbm_hz = 2900\n", "10",
+         "cpa"),
+    ], ids=["tpa_cubic_overflow", "cpa_ratio_inf", "cpa_ratio_inf_1cm",
+            "etpa_ratio_inf", "etpa_ratio_inf_1cm", "snr_cap_underflow"])
+    def test_solve_outside_double_range_is_a_rejection(
+            self, tmp_path, capsys, text, distance, pa):
+        """Coefficients in range whose solve overflows or underflows a double
+        end in one reason per candidate that says so, never in a traceback
+        or a nan."""
+        path = tmp_path / "extreme.ini"
+        path.write_text(text, encoding="utf-8")
+        code = run_cli([
+            "--config", str(path), "optimize", "--distance", distance,
+            "--pa", pa,
+        ])
+        out = capsys.readouterr().out
+        assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+        assert "nan" not in out
+        reasons = [line for line in out.splitlines()
+                   if line.startswith("reason: ")]
+        assert len(reasons) == 6 * 3
+        assert all("outside the range of a double" in r for r in reasons)
+
     def test_malformed_config_exit_and_message(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[link]\nmystery_key = 3\n", encoding="utf-8")
@@ -411,25 +440,32 @@ class TestEntryPoint:
         header = buffer.getvalue().splitlines()[0]
         assert header == ",".join(cli.SWEEP_COLUMNS)
 
-    def test_solver_path_imports_no_scipy_or_numpy(self):
-        """optimize loads neither scipy nor numpy; validate still passes."""
+    def test_solver_path_imports_no_scipy_or_numpy(self, tmp_path):
+        """optimize and validate, PER table included, load neither scipy
+        nor numpy, and validate still passes."""
+        table = tmp_path / "table.csv"
         script = (
             "import sys\n"
             "from linkopt.cli import main\n"
+            "def heavy():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('scipy', 'numpy'))\n"
             "code = main(['optimize', '--distance', '10', '--pa', 'tpa'])\n"
-            "heavy = sorted(m for m in sys.modules\n"
-            "               if m.split('.')[0] in ('scipy', 'numpy'))\n"
-            "print('optimize exit', code, 'heavy modules', heavy)\n"
-            "print('validate exit', main(['validate']))\n"
+            "print('optimize exit', code, 'heavy modules', heavy())\n"
+            "code = main(['validate', '--out', sys.argv[1]])\n"
+            "print('validate exit', code, 'heavy modules', heavy())\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, str(table)],
             capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "optimize exit 0 heavy modules []" in lines
-        assert lines[-2:] == ["checks: 17/17 passed", "validate exit 0"]
+        assert lines[-2:] == [
+            "checks: 17/17 passed", "validate exit 0 heavy modules []",
+        ]
+        assert len(table.read_text(encoding="utf-8").splitlines()) == 1 + 93
 
 
 NON_FINITE_CASES = [

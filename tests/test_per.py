@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from linkopt import per
 from linkopt.errors import OutOfRegimeError
 from linkopt.per import (
     EULER_GAMMA,
+    QUAD_EPSABS,
+    QUAD_EPSREL,
     BerForm,
     CircuitClass,
     ModulationScheme,
@@ -18,7 +21,6 @@ from linkopt.per import (
     papr_mqam_growing,
     payload_max,
     per_rayleigh,
-    per_rayleigh_bound_numeric,
     per_rayleigh_exact,
     snr_min,
     waterfall_threshold,
@@ -222,7 +224,7 @@ class TestPerRayleigh:
     def test_matches_numeric_threshold_route(self):
         g = 10.0 ** 2.5
         approx = per_rayleigh(QAM16, 1024, g)
-        bound = per_rayleigh_bound_numeric(QAM16, 1024, g)
+        bound = -math.expm1(-waterfall_threshold_numeric(QAM16, 1024) / g)
         assert abs(approx - bound) / bound <= 0.03
 
     def test_strictly_decreasing_in_snr(self):
@@ -268,7 +270,7 @@ class TestPerRayleighExact:
         """The numeric-threshold expression upper-bounds the exact average."""
         g = 10.0 ** (snr_db / 10.0)
         exact = per_rayleigh_exact(QAM16, n_bits, g)
-        bound = per_rayleigh_bound_numeric(QAM16, n_bits, g)
+        bound = -math.expm1(-waterfall_threshold_numeric(QAM16, n_bits) / g)
         assert exact <= bound * (1.0 + 1e-9)
 
     def test_approximation_close_to_bound_at_20db(self):
@@ -276,6 +278,98 @@ class TestPerRayleighExact:
         exact = per_rayleigh_exact(QAM16, 1024, g)
         approx = per_rayleigh(QAM16, 1024, g)
         assert abs(approx - exact) / exact <= 0.05
+
+
+class TestGaussKronrod:
+    """The standard-library adaptive QK21 rule behind both oracles."""
+
+    def test_rule_is_exact_to_its_degree(self):
+        """Over [-1, 1], the Gauss weights integrate x^d exactly up to
+        degree 19 and the Kronrod weights up to degree 31."""
+        for weights, degree in ((per._GAUSS, 19), (per._KRONROD, 31)):
+            for d in range(degree + 1):
+                exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+                got = math.fsum(w * x ** d for w, x in zip(weights, per._NODES))
+                assert abs(got - exact) <= 2e-16
+
+    @pytest.mark.parametrize("f,lo,hi,expected", [
+        (math.exp, 0.0, 1.0, math.e - 1.0),
+        (lambda x: x ** 31, 0.0, 1.0, 1.0 / 32.0),  # exact on one panel
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0),  # singular at 0
+        (lambda x: math.exp(-x), 0.0, 700.0, -math.expm1(-700.0)),
+    ], ids=["exp", "x31", "inverse_sqrt", "exp_decay"])
+    def test_known_integrals(self, f, lo, hi, expected):
+        """Each meets the default tolerance, and its error estimate covers
+        the true error."""
+        value, abserr = per._gauss_kronrod(f, lo, hi, QUAD_EPSREL, QUAD_EPSABS)
+        assert abserr <= QUAD_EPSREL * abs(value)
+        assert abs(value - expected) <= abserr
+
+    @pytest.mark.parametrize("scheme", [NCFSK, UNIT_EXP])
+    def test_single_bit_exponential_law(self, scheme):
+        """One exponential-law bit averages to c / (1 + k gamma_bar); the
+        truncated tail beyond the AWGN cutoff is below 1e-13 of it."""
+        for g in (0.05, 0.5, 3.0, 40.0, 1e4):
+            expected = scheme.c_m / (1.0 + scheme.k_m * g)
+            assert per_rayleigh_exact(scheme, 1, g) == pytest.approx(
+                expected, rel=1e-12
+            )
+
+    def test_unreachable_tolerance_raises(self):
+        """A square wave too fine for 400 panels stops there, and the error
+        estimate guard turns the result into a QuadratureError."""
+        from linkopt.errors import QuadratureError
+
+        calls = []
+
+        def square_wave(x):
+            calls.append(x)
+            return float(math.floor(x * 1e9) % 2)
+
+        value, abserr = per._gauss_kronrod(square_wave, 0.0, 1.0, 1e-10, 1e-14)
+        assert len(calls) == 21 * (2 * per.QUAD_PANELS - 1)
+        assert abserr > 1e-6 * abs(value)
+        with pytest.raises(QuadratureError, match="error estimate"):
+            per._checked_quad(square_wave, 0.0, 1.0, "square wave")
+
+    @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
+    @pytest.mark.parametrize("n_bits", [1, 120, 10048])
+    def test_curve_is_awgn_per_bit_for_bit(self, scheme, n_bits):
+        curve = per._awgn_per_curve(scheme, n_bits)
+        for i in range(400):
+            g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
+            assert curve(g) == awgn_per(scheme, n_bits, g)
+
+    def test_battery_integrals_match_scipy(self, monkeypatch, tmp_path):
+        """Every integral of the threshold and PER-table oracles agrees with
+        QUADPACK's own QAGS to 1e-12 relative where it exceeds epsabs."""
+        integrate = pytest.importorskip("scipy.integrate")
+        from linkopt import validation
+        from linkopt.config import default_config
+
+        quadrature = per._gauss_kronrod
+        seen = []
+
+        def recording(f, lo, hi, epsrel, epsabs):
+            value, abserr = quadrature(f, lo, hi, epsrel, epsabs)
+            seen.append((f, lo, hi, epsrel, epsabs, value))
+            return value, abserr
+
+        monkeypatch.setattr(per, "_gauss_kronrod", recording)
+        cfg = default_config()
+        validation.check_waterfall_closed_vs_numeric(cfg)
+        validation.check_per_error_vs_bound(cfg)
+        validation.check_exact_below_bound(cfg)
+        validation.write_per_error_table(cfg, str(tmp_path / "table.csv"))
+        assert len(seen) == 233
+        for f, lo, hi, epsrel, epsabs, value in seen:
+            reference = integrate.quad(
+                f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=400
+            )[0]
+            if abs(reference) > epsabs:
+                assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+            else:
+                assert abs(value - reference) <= epsabs
 
 
 class TestMonteCarloCrossCheck:
