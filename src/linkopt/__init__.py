@@ -34,10 +34,8 @@ from .optimizer import (
     Binding,
     OperatingPoint,
     constrain_snr,
-    golden_section_min,
     joint_optimize,
     optimal_payload_quadratic,
-    optimal_payload_tpa,
     optimal_snr_quadratic,
     optimal_snr_tpa,
     snr_max,
@@ -90,13 +88,11 @@ __all__ = [
     "e0",
     "energy_coefficients",
     "energy_per_bit",
-    "golden_section_min",
     "joint_optimize",
     "lifetime",
     "lifetime_gain",
     "load_config",
     "optimal_payload_quadratic",
-    "optimal_payload_tpa",
     "optimal_snr_quadratic",
     "optimal_snr_tpa",
     "pa_efficiency",

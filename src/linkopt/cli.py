@@ -19,8 +19,7 @@ from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime, lifetime_gain
-from .optimizer import candidate_table, joint_optimize, select_best
-from .validation import run_all_checks, write_per_error_table
+from .optimizer import candidate_tables, joint_optimize, select_best
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,19 +71,6 @@ def _open_out(path: str | None) -> TextIO:
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _candidate_tables(config: ScenarioConfig, variants: Sequence[PaVariant]):
-    """One candidate table per (distance, amplifier); deterministic order."""
-    ordered = sorted(variants, key=lambda v: v.value)
-    for d in config.distances():
-        link = replace(config.link_template, distance_m=d)
-        for variant in ordered:
-            yield d, variant, candidate_table(
-                link, config.qos, config.pa_models[variant], config.modulations,
-                config.n_h, delta=config.delta,
-                circuit_power=config.circuit_power,
-            )
-
-
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
                  out: TextIO) -> int:
     """Solve one distance and print the operating point."""
@@ -125,12 +111,17 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, variant, table in _candidate_tables(config, variants):
+    for d, pa, table in candidate_tables(
+        config.link_template, config.distances(), config.qos,
+        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
+        config.modulations, config.n_h, delta=config.delta,
+        circuit_power=config.circuit_power,
+    ):
         point = select_best(table)
         any_feasible = any_feasible or point.feasible
         writer.writerow([
             _fmt(d),
-            variant.value,
+            pa.variant.value,
             point.scheme.name if point.feasible else "",
             _fmt(_db(point.gamma_bar)),
             _fmt(_dbm(point.p_t)),
@@ -157,9 +148,14 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     selected from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d, variant, table in _candidate_tables(config, variants):
+    for d, pa, table in candidate_tables(
+        config.link_template, config.distances(), config.qos,
+        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
+        config.modulations, config.n_h, delta=config.delta,
+        circuit_power=config.circuit_power,
+    ):
         base = select_best(c for c in table if c.scheme == baseline)
-        yield d, variant, select_best(table), base
+        yield d, pa.variant, select_best(table), base
 
 
 def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
@@ -188,6 +184,9 @@ def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
 def cmd_validate(config: ScenarioConfig, out: TextIO,
                  table_path: str | None) -> int:
     """Run the oracle cross-check battery; nonzero exit on any failure."""
+    # The solve commands never load the battery.
+    from .validation import run_all_checks, write_per_error_table
+
     results = run_all_checks(config)
     for result in results:
         out.write(result.line() + "\n")

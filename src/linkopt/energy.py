@@ -184,6 +184,8 @@ def energy_coefficients(
         a = xi * n0 * g_d * math.sqrt(pa.p_t_max) / (
             pa.eta_max * math.sqrt(n0 * g_d * r_b)
         )
+        if math.isnan(a):
+            raise OverflowError("TPA a_coeff overflows: inf / inf")
         b = p_c / r_b
     else:
         c = pa.etpa_c

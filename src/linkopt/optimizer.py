@@ -3,15 +3,17 @@
 Closed-form unconstrained optima for the average SNR (quadratic root for
 CPA/ETPA; for TPA the positive root of a depressed cubic, taken in
 trigonometric or Cardano form and polished by one Newton step), closed-form
-and numeric payload optima, SNR conditioning against the reliability floor
-and the transmit-power ceiling, and the joint search over modulation order
-and retransmission cap that alternates the SNR and payload updates to a
-fixed point.  The solver path uses only the standard library.
+payload optima, SNR conditioning against the reliability floor and the
+transmit-power ceiling, and the joint search over modulation order and
+retransmission cap that alternates the SNR and payload updates to a fixed
+point, at one distance or swept over many.  The solver path uses only the
+standard library.
 
 Sign conventions: the cubic solved for the TPA optimum is written against the
 scaled threshold ``k_eff * w0`` (the threshold with its decay constant
 multiplied back in); with that convention its root is the exact stationary
-point of the TPA energy curve, which the golden-section oracle confirms.
+point of the TPA energy curve, which the numeric oracle in
+:mod:`linkopt.validation` confirms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .energy import (
     EnergyCoefficients,
@@ -47,16 +49,6 @@ from .per import (
 
 # Payload-map evaluations allowed per candidate before it is rejected.
 MAX_ITER = 100
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _exp_or_inf(x: float) -> float:
-    """exp(x) saturating to +inf instead of raising on overflow."""
-    if x > 700.0:
-        return math.inf
-    return math.exp(x)
 
 
 class Binding(Enum):
@@ -103,69 +95,6 @@ def snr_max(
     if pa is not None:
         cap = min(cap, pa.p_t_max / scheme.papr)
     return cap / (link.bandwidth_hz * link.n0 * path_gain(link))
-
-
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Argmin of a unimodal scalar function by golden-section search.
-
-    Returns a point within absolute distance `tol` of the minimizer; when
-    the minimum sits on the bracket edge the edge itself is returned.
-    Raises ValueError on bracket inconsistency: a non-finite comparison or a
-    search that stalls in the interior above both endpoint values, either of
-    which means the function was not unimodal on [lo, hi].
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    y_lo, y_hi = f(lo), f(hi)
-    a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if math.isnan(yc) or math.isnan(yd):
-            raise ValueError(
-                f"golden section saw a non-finite value near [{a:.6g}, {b:.6g}]"
-            )
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = f(d)
-    x, y = (c, yc) if yc < yd else (d, yd)
-    best_y, best_x = min((y, x), (y_lo, lo), (y_hi, hi), key=lambda t: t[0])
-    if best_y < y and a - lo > tol and hi - b > tol:
-        raise ValueError(
-            f"golden section stalled at f({x:.6g}) = {y:.6g}, above both "
-            f"endpoints; function does not look unimodal on [{lo:.6g}, {hi:.6g}]"
-        )
-    return best_x
-
-
-def golden_section_min_relative(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float
-) -> float:
-    """Golden-section argmin to a relative tolerance via log reparameterization.
-
-    Searching over ln(x) makes the absolute tolerance of the inner search a
-    relative tolerance on x and keeps a positive unimodal problem unimodal,
-    so wide brackets spanning many decades stay cheap.
-    """
-    if lo <= 0.0:
-        raise ValueError(f"need lo > 0 for relative search, got {lo}")
-    u = golden_section_min(
-        lambda t: f(math.exp(t)), math.log(lo), math.log(hi), rel_tol
-    )
-    return math.exp(u)
 
 
 def optimal_snr_quadratic(
@@ -312,61 +241,6 @@ def optimal_payload_quadratic(
         raise DegeneratePayloadError(
             f"optimal payload degenerate ({value} bits) at gamma_bar={gamma_bar:.4g}"
         )
-    return value
-
-
-def _packet_energy_unbounded(
-    coeffs: EnergyCoefficients,
-    scheme: ModulationScheme,
-    n_h: int,
-    gamma_bar: float,
-    n_p: float,
-) -> float:
-    """Unbounded-retransmission energy per bit at a real-valued payload."""
-    n = n_h + n_p
-    w0 = waterfall_threshold(scheme, n)
-    overhead = n / n_p
-    if coeffs.pa_variant is PaVariant.TPA:
-        attempt = overhead * coeffs.a_coeff * math.sqrt(gamma_bar) + coeffs.b_coeff
-    else:
-        attempt = overhead * coeffs.a_coeff * gamma_bar + coeffs.b_coeff
-    return _exp_or_inf(w0 / gamma_bar) * attempt
-
-
-def optimal_payload_tpa(
-    coeffs: EnergyCoefficients,
-    scheme: ModulationScheme,
-    n_h: int,
-    gamma_bar: float,
-    n_p_hi: float | None = None,
-) -> int:
-    """Energy-optimal payload for TPA at fixed SNR, by direct minimization.
-
-    Golden-section search over the real-valued payload; the oracle for the
-    closed form the solver uses.  The search bracket grows until the energy
-    curve turns upward, then the result is floored.
-    """
-    if coeffs.pa_variant is not PaVariant.TPA:
-        raise ValueError("TPA payload optimum needs TPA coefficients")
-    if gamma_bar <= 0.0:
-        raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    f = lambda n_p: _packet_energy_unbounded(coeffs, scheme, n_h, gamma_bar, n_p)
-    if n_p_hi is None:
-        n_p_hi = 16.0
-        while f(n_p_hi) <= f(n_p_hi / 2.0) and n_p_hi < 1e12:
-            n_p_hi *= 2.0
-    if n_p_hi <= 1.0:
-        raise DegeneratePayloadError(
-            f"empty payload interval [1, {n_p_hi:.4g}] at gamma_bar={gamma_bar:.4g}"
-        )
-    value = math.floor(golden_section_min(f, 1.0, n_p_hi, 1e-3))
-    if value < 1:
-        raise DegeneratePayloadError(
-            f"optimal payload degenerate at gamma_bar={gamma_bar:.4g}"
-        )
-    # Integer argmin: unimodality makes the better floor neighbour optimal.
-    if f(value + 1) < f(value):
-        value += 1
     return value
 
 
@@ -719,6 +593,36 @@ def joint_optimize(
     ))
 
 
+def candidate_tables(
+    link_template: LinkBudget,
+    distances: Iterable[float],
+    qos: QosSpec,
+    pa_models: Iterable[PaModel],
+    modulation_set: Iterable[ModulationScheme],
+    n_h: int,
+    *,
+    delta: float,
+    circuit_power: Mapping[CircuitClass, float],
+) -> Iterator[tuple[float, PaModel, list[Candidate]]]:
+    """Yield ``(distance, pa, candidate_table)``, distance-major.
+
+    Amplifiers keep the given order.  Each table is solved independently of
+    every other, so it does not depend on which distances are swept.  A
+    distance <= 0 raises ValueError when the sweep reaches it.
+    """
+    pas = tuple(pa_models)
+    mods = tuple(modulation_set)
+    for d in distances:
+        if d <= 0.0:
+            raise ValueError(f"distances must be positive, got {d}")
+        link = replace(link_template, distance_m=d)
+        for pa in pas:
+            yield d, pa, candidate_table(
+                link, qos, pa, mods, n_h, delta=delta,
+                circuit_power=circuit_power,
+            )
+
+
 def sweep_distance(
     link_template: LinkBudget,
     distances: Sequence[float],
@@ -730,21 +634,8 @@ def sweep_distance(
     delta: float,
     circuit_power: Mapping[CircuitClass, float],
 ) -> list[OperatingPoint]:
-    """Joint optimization at each distance; infeasible points are values.
-
-    Order-preserving and deterministic: each distance is solved
-    independently of every other, so results do not depend on evaluation
-    order.
-    """
-    mods = tuple(modulation_set)
-    points = []
-    for d in distances:
-        if d <= 0.0:
-            raise ValueError(f"distances must be positive, got {d}")
-        link = replace(link_template, distance_m=d)
-        points.append(
-            joint_optimize(
-                link, qos, pa, mods, n_h, delta=delta, circuit_power=circuit_power
-            )
-        )
-    return points
+    """:func:`joint_optimize` at each distance; infeasible points are values."""
+    return [select_best(table) for _, _, table in candidate_tables(
+        link_template, distances, qos, (pa,), modulation_set, n_h,
+        delta=delta, circuit_power=circuit_power,
+    )]

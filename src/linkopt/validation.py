@@ -13,10 +13,12 @@ import csv
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import optimizer as opt
 from .config import ScenarioConfig
 from .energy import (
+    EnergyCoefficients,
     PaModel,
     PaVariant,
     avg_transmissions,
@@ -37,6 +39,9 @@ from .per import (
 
 PACKET_SIZES = (120, 512, 1024, 10048)
 ERROR_TABLE_SIZES = (120, 1024, 10048)
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,111 @@ def check_payload_max_roundtrip(config: ScenarioConfig) -> CheckResult:
     return _result("payload_max_roundtrip", bad, 1e-12)
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x) saturating to +inf instead of raising on overflow."""
+    if x > 700.0:
+        return math.inf
+    return math.exp(x)
+
+
+def golden_section_min(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> float:
+    """Argmin of a unimodal scalar function by golden-section search.
+
+    Returns a point within absolute distance `tol` of the minimizer; when
+    the minimum sits on the bracket edge the edge itself is returned.
+    Raises ValueError on bracket inconsistency: a non-finite comparison or a
+    search that stalls in the interior above both endpoint values, either of
+    which means the function was not unimodal on [lo, hi].
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    y_lo, y_hi = f(lo), f(hi)
+    a, b = lo, hi
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc, yd = f(c), f(d)
+    while h > tol:
+        if math.isnan(yc) or math.isnan(yd):
+            raise ValueError(
+                f"golden section saw a non-finite value near [{a:.6g}, {b:.6g}]"
+            )
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + _INVPHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INVPHI * h
+            yd = f(d)
+    x, y = (c, yc) if yc < yd else (d, yd)
+    best_y, best_x = min((y, x), (y_lo, lo), (y_hi, hi), key=lambda t: t[0])
+    if best_y < y and a - lo > tol and hi - b > tol:
+        raise ValueError(
+            f"golden section stalled at f({x:.6g}) = {y:.6g}, above both "
+            f"endpoints; function does not look unimodal on [{lo:.6g}, {hi:.6g}]"
+        )
+    return best_x
+
+
+def golden_section_min_relative(
+    f: Callable[[float], float], lo: float, hi: float, rel_tol: float
+) -> float:
+    """Golden-section argmin to a relative tolerance via log reparameterization.
+
+    Searching over ln(x) makes the absolute tolerance of the inner search a
+    relative tolerance on x and keeps a positive unimodal problem unimodal,
+    so wide brackets spanning many decades stay cheap.
+    """
+    if lo <= 0.0:
+        raise ValueError(f"need lo > 0 for relative search, got {lo}")
+    u = golden_section_min(
+        lambda t: f(math.exp(t)), math.log(lo), math.log(hi), rel_tol
+    )
+    return math.exp(u)
+
+
+def _packet_energy_unbounded(
+    coeffs: EnergyCoefficients,
+    scheme: ModulationScheme,
+    n_h: int,
+    gamma_bar: float,
+    n_p: float,
+) -> float:
+    """Unbounded-retransmission energy per bit at a real-valued payload."""
+    n = n_h + n_p
+    w0 = waterfall_threshold(scheme, n)
+    overhead = n / n_p
+    if coeffs.pa_variant is PaVariant.TPA:
+        attempt = overhead * coeffs.a_coeff * math.sqrt(gamma_bar) + coeffs.b_coeff
+    else:
+        attempt = overhead * coeffs.a_coeff * gamma_bar + coeffs.b_coeff
+    return _exp_or_inf(w0 / gamma_bar) * attempt
+
+
+def golden_payload(
+    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
+) -> float:
+    """Real-valued payload minimizing the unbounded-retransmission energy.
+
+    Golden-section search to 1e-4 bits over [1, hi], where ``hi`` doubles
+    from 16 bits until the energy curve turns upward or reaches 1e9 bits.
+    """
+    curve = lambda n_p: _packet_energy_unbounded(
+        coeffs, scheme, n_h, gamma_bar, n_p
+    )
+    hi = 16.0
+    while curve(hi) <= curve(hi / 2.0) and hi < 1e9:
+        hi *= 2.0
+    return golden_section_min(curve, 1.0, hi, 1e-4)
+
+
 def _random_instances(config: ScenarioConfig, count: int, seed: int):
     rng = random.Random(seed)
     schemes = config.modulations
@@ -209,7 +319,7 @@ def _energy_curve_snr(coeffs, scheme, n_p, n_h):
             )
         else:
             attempt = coeffs.a_coeff * g + coeffs.b_coeff * n_p / (n_h + n_p)
-        return opt._exp_or_inf(w0 / g) * attempt
+        return _exp_or_inf(w0 / g) * attempt
 
     return f, w0
 
@@ -228,7 +338,7 @@ def check_snr_optima_vs_golden(
             star = opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, config.n_h)
         else:
             star = opt.optimal_snr_quadratic(coeffs, w0, n_p, config.n_h)
-        numeric = opt.golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
+        numeric = golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
         rel = abs(star - numeric) / numeric
         if rel > worst:
             worst = rel
@@ -247,24 +357,15 @@ def check_payload_optima_vs_golden(
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         g = 10.0 ** rng.uniform(1.2, 3.2)
-        curve = lambda n_p: opt._packet_energy_unbounded(
-            coeffs, scheme, config.n_h, g, n_p
-        )
-        hi = 16.0
-        while curve(hi) <= curve(hi / 2.0) and hi < 1e9:
-            hi *= 2.0
-        numeric = opt.golden_section_min(curve, 1.0, hi, 1e-4)
+        numeric = math.floor(golden_payload(coeffs, scheme, config.n_h, g))
         if coeffs.pa_variant is PaVariant.TPA:
-            # The solver's closed form, floored; unimodality makes the better
-            # integer neighbour the integer argmin.
+            # Floored like the numeric side: the solver's floor at convergence.
             analytic = max(1, math.floor(
                 opt._payload_continuous_tpa(coeffs, scheme, config.n_h, g)
             ))
-            if curve(analytic + 1) < curve(analytic):
-                analytic += 1
         else:
             analytic = opt.optimal_payload_quadratic(coeffs, scheme, config.n_h, g)
-        gap = abs(analytic - math.floor(numeric))
+        gap = abs(analytic - numeric)
         if gap > worst:
             worst = gap
             where = f"{scheme.name}/{pa.variant.value}"
@@ -400,32 +501,31 @@ def check_scale_invariance(config: ScenarioConfig) -> CheckResult:
             a = opt.optimal_snr_quadratic(coeffs, w0, n_p, config.n_h)
             b = opt.optimal_snr_quadratic(scaled, w0, n_p, config.n_h)
         worst = max(worst, abs(a - b) / a)
-    for variant, pa in config.pa_models.items():
-        for d in (5.0, 20.0, 45.0):
-            link = replace(config.link_template, distance_m=d)
-            base = opt.joint_optimize(
-                link, config.qos, pa, config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            )
-            scaled_link = replace(
-                link, n0=link.n0 * factor, p0_w=link.p0_w * factor
-            )
-            scaled_pa = replace(pa, p_t_max=pa.p_t_max * factor)
-            scaled_pc = {
-                k: v * factor for k, v in config.circuit_power.items()
-            }
-            other = opt.joint_optimize(
-                scaled_link, config.qos, scaled_pa, config.modulations,
-                config.n_h, delta=config.delta, circuit_power=scaled_pc,
-            )
-            same = (
-                base.feasible == other.feasible
-                and (base.scheme.name if base.feasible else None)
-                == (other.scheme.name if other.feasible else None)
-            )
-            if not same:
-                worst = max(worst, 1.0)
-                detail = f"selection moved at {variant.value}/d={d}"
+    link = config.link_template
+    distances = (5.0, 20.0, 45.0)
+    base = opt.candidate_tables(
+        link, distances, config.qos, config.pa_models.values(),
+        config.modulations, config.n_h, delta=config.delta,
+        circuit_power=config.circuit_power,
+    )
+    scaled = opt.candidate_tables(
+        replace(link, n0=link.n0 * factor, p0_w=link.p0_w * factor),
+        distances, config.qos,
+        [replace(pa, p_t_max=pa.p_t_max * factor)
+         for pa in config.pa_models.values()],
+        config.modulations, config.n_h, delta=config.delta,
+        circuit_power={k: v * factor for k, v in config.circuit_power.items()},
+    )
+    for (d, pa, table), (_, _, scaled_table) in zip(base, scaled):
+        one, other = opt.select_best(table), opt.select_best(scaled_table)
+        same = (
+            one.feasible == other.feasible
+            and (one.scheme.name if one.feasible else None)
+            == (other.scheme.name if other.feasible else None)
+        )
+        if not same:
+            worst = max(worst, 1.0)
+            detail = f"selection moved at {pa.variant.value}/d={d}"
     return _result("argmin_scale_invariance", worst, 1e-9, detail)
 
 
@@ -462,29 +562,28 @@ def check_multistart_agreement(config: ScenarioConfig) -> CheckResult:
 
 
 def _conditioned_points(config: ScenarioConfig):
-    for variant, pa in config.pa_models.items():
-        for d in (5.0, 15.0, 25.0, 35.0, 45.0):
-            link = replace(config.link_template, distance_m=d)
-            point = opt.joint_optimize(
-                link, config.qos, pa, config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            )
-            if point.feasible:
-                yield variant, d, link, pa, point
+    for d, pa, table in opt.candidate_tables(
+        config.link_template, (5.0, 15.0, 25.0, 35.0, 45.0), config.qos,
+        config.pa_models.values(), config.modulations, config.n_h,
+        delta=config.delta, circuit_power=config.circuit_power,
+    ):
+        point = opt.select_best(table)
+        if point.feasible:
+            yield d, pa, point
 
 
 def check_conditioning_snr_min(config: ScenarioConfig) -> CheckResult:
     """Where the reliability floor binds, the PER equals the bound exactly."""
     worst = 0.0
     where = ""
-    for variant, d, link, pa, point in _conditioned_points(config):
+    for d, pa, point in _conditioned_points(config):
         if point.binding is not opt.Binding.SNR_MIN_BOUND:
             continue
         qos_t = QosSpec(config.qos.target_per, point.tau_r)
         p = per_rayleigh(point.scheme, point.n_p + config.n_h, point.gamma_bar)
         rel = abs(p - qos_t.per_attempt_bound) / qos_t.per_attempt_bound
         if rel > worst:
-            worst, where = rel, f"{variant.value}/d={d}"
+            worst, where = rel, f"{pa.variant.value}/d={d}"
     return _result("conditioning_snr_min", worst, 1e-9, where)
 
 
@@ -497,8 +596,8 @@ def check_conditioning_snr_max(config: ScenarioConfig) -> CheckResult:
     """
     worst = 0.0
     where = ""
-    for variant, d, link, pa, point in _conditioned_points(config):
-        cap = min(link.p0_w, pa.p_t_max / point.scheme.papr)
+    for d, pa, point in _conditioned_points(config):
+        cap = min(config.link_template.p0_w, pa.p_t_max / point.scheme.papr)
         if point.binding is opt.Binding.SNR_MAX_BOUND:
             rel = abs(point.p_t - cap) / cap
         elif point.binding is opt.Binding.PAYLOAD_MAX_BOUND:
@@ -506,27 +605,25 @@ def check_conditioning_snr_max(config: ScenarioConfig) -> CheckResult:
         else:
             continue
         if rel > worst:
-            worst, where = rel, f"{variant.value}/d={d}"
+            worst, where = rel, f"{pa.variant.value}/d={d}"
     return _result("conditioning_snr_max", worst, 1e-12, where)
 
 
 def check_feasibility_prefix(config: ScenarioConfig) -> CheckResult:
     """Once a scheme goes infeasible with distance it stays infeasible."""
-    distances = [float(d) for d in range(2, 90, 2)]
     violations = 0
-    for variant, pa in config.pa_models.items():
+    seen_infeasible = set()
+    for _, pa, table in opt.candidate_tables(
+        config.link_template, [float(d) for d in range(2, 90, 2)], config.qos,
+        config.pa_models.values(), config.modulations, config.n_h,
+        delta=config.delta, circuit_power=config.circuit_power,
+    ):
         for scheme in config.modulations:
-            points = opt.sweep_distance(
-                config.link_template, distances, config.qos, pa, (scheme,),
-                config.n_h, delta=config.delta,
-                circuit_power=config.circuit_power,
-            )
-            seen_infeasible = False
-            for point in points:
-                if not point.feasible:
-                    seen_infeasible = True
-                elif seen_infeasible:
-                    violations += 1
+            point = opt.select_best(c for c in table if c.scheme == scheme)
+            if not point.feasible:
+                seen_infeasible.add((pa.variant, scheme))
+            elif (pa.variant, scheme) in seen_infeasible:
+                violations += 1
     return _result("feasibility_prefix", float(violations), 0.0)
 
 

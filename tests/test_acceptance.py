@@ -16,14 +16,10 @@ from linkopt.energy import PaVariant, energy_coefficients
 from linkopt.optimizer import (
     Binding,
     constrain_snr,
-    golden_section_min,
-    golden_section_min_relative,
     joint_optimize,
-    optimal_payload_tpa,
     optimal_snr_quadratic,
     optimal_snr_tpa,
     snr_max,
-    _packet_energy_unbounded,
     _payload_continuous_quadratic,
     _payload_continuous_tpa,
 )
@@ -33,7 +29,11 @@ from linkopt.per import (
     waterfall_threshold,
     waterfall_threshold_numeric,
 )
-from linkopt.validation import run_all_checks
+from linkopt.validation import (
+    golden_payload,
+    golden_section_min_relative,
+    run_all_checks,
+)
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
@@ -173,22 +173,15 @@ class TestCriterion3:
             worst_snr = max(worst_snr, abs(star - numeric) / numeric)
 
             g = 10.0 ** rng.uniform(1.2, 3.4)
-            payload_curve = lambda n: _packet_energy_unbounded(
-                coeffs, scheme, CFG.n_h, g, n
-            )
             if pa.variant is PaVariant.TPA:
                 stationary = _payload_continuous_tpa(coeffs, scheme, CFG.n_h, g)
-                numeric_payload = optimal_payload_tpa(coeffs, scheme, CFG.n_h, g)
             else:
                 stationary = _payload_continuous_quadratic(
                     coeffs, scheme, CFG.n_h, g
                 )
-                hi = 16.0
-                while payload_curve(hi) <= payload_curve(hi / 2.0):
-                    hi *= 2.0
-                numeric_payload = math.floor(
-                    golden_section_min(payload_curve, 1.0, hi, 1e-4)
-                )
+            numeric_payload = math.floor(
+                golden_payload(coeffs, scheme, CFG.n_h, g)
+            )
             # Stationary points below one bit pin to the one-bit boundary.
             analytic = max(1, math.floor(stationary))
             worst_payload = max(worst_payload,

@@ -98,8 +98,13 @@ class TestOptimize:
         ("[link]\nlink_margin_db = -3000\n", "0.01", "etpa"),
         ("[link]\np0_mw = 1e-300\nnoise_half_psd_dbm_hz = 2900\n", "10",
          "cpa"),
+        ("[link]\nbandwidth_khz = 4.661332057150907e-187\n"
+         "noise_half_psd_dbm_hz = 1428.4039761280337\n"
+         "link_margin_db = 2172.6444256628347\n", "1809.9699226692878",
+         "tpa"),
     ], ids=["tpa_cubic_overflow", "cpa_ratio_inf", "cpa_ratio_inf_1cm",
-            "etpa_ratio_inf", "etpa_ratio_inf_1cm", "snr_cap_underflow"])
+            "etpa_ratio_inf", "etpa_ratio_inf_1cm", "snr_cap_underflow",
+            "tpa_a_coeff_inf_over_inf"])
     def test_solve_outside_double_range_is_a_rejection(
             self, tmp_path, capsys, text, distance, pa):
         """Coefficients in range whose solve overflows or underflows a double
@@ -442,7 +447,8 @@ class TestEntryPoint:
 
     def test_solver_path_imports_no_scipy_or_numpy(self, tmp_path):
         """optimize and validate, PER table included, load neither scipy
-        nor numpy, and validate still passes."""
+        nor numpy, optimize leaves the oracle battery unloaded, and validate
+        still passes."""
         table = tmp_path / "table.csv"
         script = (
             "import sys\n"
@@ -452,6 +458,7 @@ class TestEntryPoint:
             "                  if m.split('.')[0] in ('scipy', 'numpy'))\n"
             "code = main(['optimize', '--distance', '10', '--pa', 'tpa'])\n"
             "print('optimize exit', code, 'heavy modules', heavy())\n"
+            "print('battery loaded', 'linkopt.validation' in sys.modules)\n"
             "code = main(['validate', '--out', sys.argv[1]])\n"
             "print('validate exit', code, 'heavy modules', heavy())\n"
         )
@@ -462,6 +469,7 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert "optimize exit 0 heavy modules []" in lines
+        assert "battery loaded False" in lines
         assert lines[-2:] == [
             "checks: 17/17 passed", "validate exit 0 heavy modules []",
         ]

@@ -19,18 +19,16 @@ from linkopt.energy import (
 from linkopt.optimizer import (
     Binding,
     _depressed_cubic_root,
-    _packet_energy_unbounded,
     _payload_continuous_quadratic,
     _payload_continuous_tpa,
     _tpa_cubic,
+    candidate_tables,
     constrain_snr,
-    golden_section_min,
-    golden_section_min_relative,
     joint_optimize,
     optimal_payload_quadratic,
-    optimal_payload_tpa,
     optimal_snr_quadratic,
     optimal_snr_tpa,
+    select_best,
     snr_max,
     solve_candidate,
     sweep_distance,
@@ -42,7 +40,13 @@ from linkopt.per import (
     snr_min,
     waterfall_threshold,
 )
-from linkopt.validation import cubic_root_bisection
+from linkopt.validation import (
+    _packet_energy_unbounded,
+    cubic_root_bisection,
+    golden_payload,
+    golden_section_min,
+    golden_section_min_relative,
+)
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
@@ -330,11 +334,7 @@ class TestOptimalPayloadQuadratic:
         coeffs = energy_coefficients(ETPA, scheme, link_at(10.0), 0.31)
         g = 10.0 ** (snr_db / 10.0)
         star = optimal_payload_quadratic(coeffs, scheme, 48, g)
-        f = lambda n_p: _packet_energy_unbounded(coeffs, scheme, 48, g, n_p)
-        hi = 16.0
-        while f(hi) <= f(hi / 2.0):
-            hi *= 2.0
-        numeric = golden_section_min(f, 1.0, hi, 1e-4)
+        numeric = golden_payload(coeffs, scheme, 48, g)
         assert abs(star - math.floor(numeric)) <= 1
 
     def test_linear_in_overhead(self):
@@ -382,11 +382,14 @@ class TestOptimalPayloadQuadratic:
 
 class TestOptimalPayloadTpa:
     def test_local_optimality_at_one_bit(self):
+        """The better floor neighbour of the numeric argmin is integer-optimal."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(10.0), 0.31)
         g = 10.0 ** 2.2
-        star = optimal_payload_tpa(coeffs, scheme, 48, g)
         f = lambda n_p: _packet_energy_unbounded(coeffs, scheme, 48, g, n_p)
+        star = math.floor(golden_payload(coeffs, scheme, 48, g))
+        if f(star + 1) < f(star):
+            star += 1
         assert f(star) <= f(star - 1) + 1e-18
         assert f(star) <= f(star + 1) + 1e-18
 
@@ -396,7 +399,7 @@ class TestOptimalPayloadTpa:
         coeffs = energy_coefficients(TPA, scheme, link_at(6.0), 0.31)
         for snr_db in (20, 28, 34):
             g = 10.0 ** (snr_db / 10.0)
-            numeric = optimal_payload_tpa(coeffs, scheme, 48, g)
+            numeric = math.floor(golden_payload(coeffs, scheme, 48, g))
             analytic = _payload_continuous_tpa(coeffs, scheme, 48, g)
             assert abs(numeric - math.floor(analytic)) <= 1
 
@@ -405,11 +408,7 @@ class TestOptimalPayloadTpa:
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(CPA, scheme, link_at(10.0), 0.31)
         g = 10.0 ** 2.4
-        f = lambda n_p: _packet_energy_unbounded(coeffs, scheme, 48, g, n_p)
-        hi = 16.0
-        while f(hi) <= f(hi / 2.0):
-            hi *= 2.0
-        numeric = math.floor(golden_section_min(f, 1.0, hi, 1e-4))
+        numeric = math.floor(golden_payload(coeffs, scheme, 48, g))
         assert abs(numeric - optimal_payload_quadratic(coeffs, scheme, 48, g)) <= 1
 
     def test_diagnostic_sign_flip_recovers_optimum(self):
@@ -434,8 +433,8 @@ class TestOptimalPayloadTpa:
         assert flipped == pytest.approx(
             _payload_continuous_tpa(coeffs, scheme, 48, g), rel=1e-9
         )
-        assert abs(math.floor(flipped) - optimal_payload_tpa(
-            coeffs, scheme, 48, g
+        assert abs(math.floor(flipped) - math.floor(
+            golden_payload(coeffs, scheme, 48, g)
         )) <= 1
 
 
@@ -702,6 +701,36 @@ class TestSweepDistance:
             assert point.p_t == pytest.approx(
                 transmit_power(point.gamma_bar, link_at(d)), rel=1e-12
             )
+
+
+class TestCandidateTables:
+    def test_distance_major_and_equal_to_joint_optimize(self):
+        """Tables come distance-major, amplifiers in the given order, and
+        each one selects what a standalone solve at that point returns."""
+        distances = [3.0, 17.0, 60.0]
+        pas = [TPA, CPA, ETPA]
+        tables = list(candidate_tables(
+            CFG.link_template, distances, CFG.qos, pas, CFG.modulations,
+            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
+        ))
+        assert [(d, pa) for d, pa, _ in tables] == [
+            (d, pa) for d in distances for pa in pas
+        ]
+        for d, pa, table in tables:
+            alone = joint_optimize(
+                link_at(d), CFG.qos, pa, CFG.modulations, CFG.n_h,
+                delta=CFG.delta, circuit_power=CFG.circuit_power,
+            )
+            assert select_best(table) == alone
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_rejects_non_positive_distance(self, bad):
+        tables = candidate_tables(
+            CFG.link_template, [4.0, bad], CFG.qos, [CPA], CFG.modulations,
+            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
+        )
+        with pytest.raises(ValueError, match="distances must be positive"):
+            list(tables)
 
 
 class TestRandomizedOracleEquivalence:
