@@ -144,8 +144,8 @@ LIFETIME_COLUMNS = [
 def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     """One (distance, amplifier, best point, baseline point) per row.
 
-    The baseline scheme is one of the enabled ones, so its best point is
-    selected from the same candidate table as the overall best.
+    The baseline is one of the config's own scheme objects, so its best point
+    is selected by identity from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
     for d, pa, table in candidate_tables(
@@ -154,7 +154,7 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
         config.modulations, config.n_h, delta=config.delta,
         circuit_power=config.circuit_power,
     ):
-        base = select_best(c for c in table if c.scheme == baseline)
+        base = select_best(c for c in table if c.scheme is baseline)
         yield d, pa.variant, select_best(table), base
 
 
@@ -185,13 +185,14 @@ def cmd_validate(config: ScenarioConfig, out: TextIO,
                  table_path: str | None) -> int:
     """Run the oracle cross-check battery; nonzero exit on any failure."""
     # The solve commands never load the battery.
-    from .validation import run_all_checks, write_per_error_table
+    from .validation import BatteryRun, run_all_checks, write_per_error_table
 
-    results = run_all_checks(config)
+    run = BatteryRun(config)
+    results = run_all_checks(config, run)
     for result in results:
         out.write(result.line() + "\n")
     if table_path is not None:
-        write_per_error_table(config, table_path)
+        write_per_error_table(config, table_path, run)
     failed = [r for r in results if not r.passed]
     out.write(f"checks: {len(results) - len(failed)}/{len(results)} passed\n")
     return EXIT_VALIDATION if failed else EXIT_OK

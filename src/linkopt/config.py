@@ -195,6 +195,12 @@ class _Reader:
             raise ConfigError(f"{self.section}.{key}: must be > 0, got {value!r}")
         return value
 
+    def non_negative(self, key: str) -> float:
+        value = self.number(key)
+        if value < 0.0:
+            raise ConfigError(f"{self.section}.{key}: must be >= 0, got {value!r}")
+        return value
+
     def decibels(self, key: str) -> float:
         value = self.number(key)
         if abs(value) > MAX_ABS_DB:
@@ -417,9 +423,16 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"duty: {exc}") from None
 
     tol = reader("tolerance")
-    delta = tol.number("delta")
-    if delta <= 0.0:
-        raise ConfigError("tolerance.delta: must be > 0")
+    delta = tol.positive("delta")
+    epsrel = tol.non_negative("quad_epsrel")
+    epsabs = tol.non_negative("quad_epsabs")
+    # QUADPACK's invalid-input rule: with no absolute tolerance, a relative
+    # one below 50 machine epsilons can never be met.
+    if epsabs == 0.0 and epsrel < 50.0 * math.ulp(1.0):
+        raise ConfigError(
+            f"tolerance.quad_epsrel: must be >= 50 machine epsilons "
+            f"(1.1e-14) when quad_epsabs = 0, got {epsrel!r}"
+        )
 
     return ScenarioConfig(
         link_template=link_template,
@@ -434,8 +447,8 @@ def parse_config(text: str) -> ScenarioConfig:
         d_step_m=d_step,
         duty=duty,
         delta=delta,
-        quad_epsrel=tol.number("quad_epsrel"),
-        quad_epsabs=tol.number("quad_epsabs"),
+        quad_epsrel=epsrel,
+        quad_epsabs=epsabs,
     )
 
 

@@ -176,7 +176,7 @@ def waterfall_threshold(scheme: ModulationScheme, n_bits: int) -> float:
     return (math.log(n_c) + EULER_GAMMA) / scheme.k_eff
 
 
-def _awgn_per_curve(scheme: ModulationScheme, n_bits: int):
+def _awgn_per_curve(scheme: ModulationScheme, n_bits: int, gamma_bar=None):
     """:func:`awgn_per` of one packet as a function of the SNR alone.
 
     The scheme's constants and its BER branch are looked up once per curve.
@@ -184,6 +184,10 @@ def _awgn_per_curve(scheme: ModulationScheme, n_bits: int):
     :func:`awgn_per`, so it is bit-identical; the clamp to [0, 1] is left
     out because ``0 < c_m <= 1`` already keeps the BER there for
     ``gamma >= 0``, the only SNRs the quadrature oracles evaluate.
+
+    With ``gamma_bar`` the curve is weighted by the Rayleigh density in the
+    same call: each value is bit-identical to
+    ``per(gamma) * exp(-gamma / gamma_bar) / gamma_bar``.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -192,16 +196,25 @@ def _awgn_per_curve(scheme: ModulationScheme, n_bits: int):
     expm1, log1p = math.expm1, math.log1p
     root2 = math.sqrt(2.0)
     if scheme.ber_form is BerForm.EXPONENTIAL:
-        def per(gamma: float) -> float:
-            b = c * exp(-k * gamma)
-            if b >= 1.0:
-                return 1.0
-            return -expm1(n_bits * log1p(-b))
-    else:
-        # The Q-function BER is at most c_m / 2, so it never reaches 1.
+        if gamma_bar is None:
+            def per(gamma: float) -> float:
+                b = c * exp(-k * gamma)
+                return 1.0 if b >= 1.0 else -expm1(n_bits * log1p(-b))
+        else:
+            def per(gamma: float) -> float:
+                b = c * exp(-k * gamma)
+                p = 1.0 if b >= 1.0 else -expm1(n_bits * log1p(-b))
+                return p * exp(-gamma / gamma_bar) / gamma_bar
+    # The Q-function BER is at most c_m / 2, so it never reaches 1.
+    elif gamma_bar is None:
         def per(gamma: float) -> float:
             b = c * (0.5 * erfc(sqrt(k * gamma) / root2))
             return -expm1(n_bits * log1p(-b))
+    else:
+        def per(gamma: float) -> float:
+            b = c * (0.5 * erfc(sqrt(k * gamma) / root2))
+            p = -expm1(n_bits * log1p(-b))
+            return p * exp(-gamma / gamma_bar) / gamma_bar
     return per
 
 
@@ -362,10 +375,8 @@ def per_rayleigh_exact(
     """
     if gamma_bar <= 0.0:
         raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    per = _awgn_per_curve(scheme, n_bits)
-    hi = _awgn_cutoff(scheme, per)
-    exp = math.exp
-    integrand = lambda g: per(g) * exp(-g / gamma_bar) / gamma_bar
+    hi = _awgn_cutoff(scheme, _awgn_per_curve(scheme, n_bits))
+    integrand = _awgn_per_curve(scheme, n_bits, gamma_bar)
     what = f"exact Rayleigh PER {scheme.name} N={n_bits}"
     # Split where the Rayleigh density concentrates, so deep-fade averages
     # (gamma_bar far below the AWGN cutoff) are not missed by the panels.

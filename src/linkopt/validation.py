@@ -69,15 +69,51 @@ def _result(name, residual, threshold, detail=""):
     return CheckResult(name, residual <= threshold, residual, threshold, detail)
 
 
-def check_waterfall_closed_vs_numeric(config: ScenarioConfig) -> CheckResult:
+class BatteryRun:
+    """Oracle work shared by the checks of one battery run.
+
+    ``cmd_validate`` makes one per call; a check called alone makes its own.
+    :meth:`quad` memoizes the quadrature oracles, and the conditioned points
+    are solved once.  Nothing outlives the run, and no candidate table
+    outlives the check that solves it.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self._quad: dict = {}
+        self._conditioned = None
+
+    def quad(self, oracle, *args) -> float:
+        """``oracle(*args, quad_epsrel, quad_epsabs)``, once per run."""
+        key = (oracle, *args, self.config.quad_epsrel, self.config.quad_epsabs)
+        if key not in self._quad:
+            self._quad[key] = oracle(*key[1:])
+        return self._quad[key]
+
+    def conditioned_points(self) -> list:
+        """``(distance, pa, best point)`` of each feasible amplifier at 5..45 m."""
+        if self._conditioned is None:
+            config = self.config
+            tables = opt.candidate_tables(
+                config.link_template, (5.0, 15.0, 25.0, 35.0, 45.0), config.qos,
+                config.pa_models.values(), config.modulations, config.n_h,
+                delta=config.delta, circuit_power=config.circuit_power,
+            )
+            best = ((d, pa, opt.select_best(table)) for d, pa, table in tables)
+            self._conditioned = [row for row in best if row[2].feasible]
+        return self._conditioned
+
+
+def check_waterfall_closed_vs_numeric(
+    config: ScenarioConfig, run=None
+) -> CheckResult:
     """Gumbel-mean threshold against adaptive quadrature, all schemes."""
+    run = run or BatteryRun(config)
     worst = 0.0
     where = ""
     for scheme in config.modulations:
         for n in PACKET_SIZES:
-            numeric = waterfall_threshold_numeric(
-                scheme, n, config.quad_epsrel, config.quad_epsabs
-            )
+            numeric = run.quad(waterfall_threshold_numeric, scheme, n)
             closed = waterfall_threshold(scheme, n)
             rel = abs(closed - numeric) / numeric
             if rel > worst:
@@ -85,31 +121,19 @@ def check_waterfall_closed_vs_numeric(config: ScenarioConfig) -> CheckResult:
     return _result("waterfall_closed_vs_numeric", worst, 0.03, where)
 
 
-def check_per_error_vs_bound(config: ScenarioConfig) -> CheckResult:
+def check_per_error_vs_bound(config: ScenarioConfig, run=None) -> CheckResult:
     """Closed-form PER error tracks the numeric upper bound's error.
 
     Compares relative errors against the exact Rayleigh-average PER for
     16QAM over 10..40 dB; the two routes must stay within 2 percentage
     points of each other.
     """
-    scheme = _scheme_like_16qam(config)
     worst = 0.0
     where = ""
-    for n in ERROR_TABLE_SIZES:
-        w_closed = waterfall_threshold(scheme, n)
-        w_num = waterfall_threshold_numeric(
-            scheme, n, config.quad_epsrel, config.quad_epsabs
-        )
-        for snr_db in range(10, 41, 2):
-            g = 10.0 ** (snr_db / 10.0)
-            exact = per_rayleigh_exact(
-                scheme, n, g, config.quad_epsrel, config.quad_epsabs
-            )
-            re_closed = abs(-math.expm1(-w_closed / g) - exact) / exact
-            re_bound = abs(-math.expm1(-w_num / g) - exact) / exact
-            gap = abs(re_closed - re_bound)
-            if gap > worst:
-                worst, where = gap, f"N={n}/snr={snr_db}dB"
+    for n, snr_db, exact, err_closed, err_bound in _per_errors(config, run, 2):
+        gap = abs(err_closed / exact - err_bound / exact)
+        if gap > worst:
+            worst, where = gap, f"N={n}/snr={snr_db}dB"
     return _result("per_error_vs_bound", worst, 0.02, where)
 
 
@@ -120,7 +144,22 @@ def _scheme_like_16qam(config: ScenarioConfig) -> ModulationScheme:
     return config.modulations[-1]
 
 
-def check_per_monotonicity(config: ScenarioConfig) -> CheckResult:
+def _per_errors(config: ScenarioConfig, run, snr_step: int):
+    """``(N, SNR dB, exact PER, |closed form - exact|, |bound - exact|)`` for
+    16QAM at :data:`ERROR_TABLE_SIZES` and 10..40 dB."""
+    run = run or BatteryRun(config)
+    scheme = _scheme_like_16qam(config)
+    for n in ERROR_TABLE_SIZES:
+        w_closed = waterfall_threshold(scheme, n)
+        w_num = run.quad(waterfall_threshold_numeric, scheme, n)
+        for snr_db in range(10, 41, snr_step):
+            g = 10.0 ** (snr_db / 10.0)
+            exact = run.quad(per_rayleigh_exact, scheme, n, g)
+            yield (n, snr_db, exact, abs(-math.expm1(-w_closed / g) - exact),
+                   abs(-math.expm1(-w_num / g) - exact))
+
+
+def check_per_monotonicity(config: ScenarioConfig, run=None) -> CheckResult:
     """PER strictly decreasing in SNR and increasing in packet size."""
     worst = 0.0
     sizes = (64, 256, 1024, 4096)
@@ -137,20 +176,17 @@ def check_per_monotonicity(config: ScenarioConfig) -> CheckResult:
     return _result("per_monotonicity", worst, 0.0)
 
 
-def check_exact_below_bound(config: ScenarioConfig) -> CheckResult:
+def check_exact_below_bound(config: ScenarioConfig, run=None) -> CheckResult:
     """Exact Rayleigh PER never exceeds the numeric-threshold bound."""
+    run = run or BatteryRun(config)
     worst = -math.inf
     where = ""
     for scheme in config.modulations:
         for n in (120, 1024):
-            w_num = waterfall_threshold_numeric(
-                scheme, n, config.quad_epsrel, config.quad_epsabs
-            )
+            w_num = run.quad(waterfall_threshold_numeric, scheme, n)
             for snr_db in (5, 15, 25, 35):
                 g = 10.0 ** (snr_db / 10.0)
-                exact = per_rayleigh_exact(
-                    scheme, n, g, config.quad_epsrel, config.quad_epsabs
-                )
+                exact = run.quad(per_rayleigh_exact, scheme, n, g)
                 bound = -math.expm1(-w_num / g)
                 excess = exact - bound
                 if excess > worst:
@@ -158,7 +194,7 @@ def check_exact_below_bound(config: ScenarioConfig) -> CheckResult:
     return _result("exact_below_bound", worst, 1e-9, where)
 
 
-def check_snr_min_roundtrip(config: ScenarioConfig) -> CheckResult:
+def check_snr_min_roundtrip(config: ScenarioConfig, run=None) -> CheckResult:
     """per_rayleigh(snr_min) returns the per-attempt bound exactly."""
     worst = 0.0
     qos = config.qos
@@ -172,7 +208,7 @@ def check_snr_min_roundtrip(config: ScenarioConfig) -> CheckResult:
     return _result("snr_min_roundtrip", worst, 1e-9)
 
 
-def check_payload_max_roundtrip(config: ScenarioConfig) -> CheckResult:
+def check_payload_max_roundtrip(config: ScenarioConfig, run=None) -> CheckResult:
     """payload_max is the floor-inverse of the PER constraint in packet size."""
     qos = config.qos
     bad = 0.0
@@ -324,8 +360,15 @@ def _energy_curve_snr(coeffs, scheme, n_p, n_h):
     return f, w0
 
 
+def _snr_optimum(coeffs, scheme, w0, n_p, n_h):
+    """The solver's closed-form SNR optimum for the coefficients' amplifier."""
+    if coeffs.pa_variant is PaVariant.TPA:
+        return opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, n_h)
+    return opt.optimal_snr_quadratic(coeffs, w0, n_p, n_h)
+
+
 def check_snr_optima_vs_golden(
-    config: ScenarioConfig, count: int = 60, seed: int = 20240
+    config: ScenarioConfig, count: int = 60, seed: int = 20240, run=None
 ) -> CheckResult:
     """Closed-form optimal SNR against golden-section argmin."""
     worst = 0.0
@@ -334,10 +377,7 @@ def check_snr_optima_vs_golden(
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         f, w0 = _energy_curve_snr(coeffs, scheme, n_p, config.n_h)
-        if coeffs.pa_variant is PaVariant.TPA:
-            star = opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, config.n_h)
-        else:
-            star = opt.optimal_snr_quadratic(coeffs, w0, n_p, config.n_h)
+        star = _snr_optimum(coeffs, scheme, w0, n_p, config.n_h)
         numeric = golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
         rel = abs(star - numeric) / numeric
         if rel > worst:
@@ -347,7 +387,7 @@ def check_snr_optima_vs_golden(
 
 
 def check_payload_optima_vs_golden(
-    config: ScenarioConfig, count: int = 40, seed: int = 20241
+    config: ScenarioConfig, count: int = 40, seed: int = 20241, run=None
 ) -> CheckResult:
     """Closed-form / numeric payload optimum against golden-section argmin."""
     worst = 0.0
@@ -392,7 +432,7 @@ def cubic_root_bisection(p: float, q: float) -> float:
 
 
 def check_tpa_root_crosscheck(
-    config: ScenarioConfig, count: int = 40, seed: int = 20242
+    config: ScenarioConfig, count: int = 40, seed: int = 20242, run=None
 ) -> CheckResult:
     """Closed-form TPA cubic root against bisection of the same cubic."""
     worst = 0.0
@@ -408,7 +448,7 @@ def check_tpa_root_crosscheck(
     return _result("tpa_root_crosscheck", worst, 1e-9, f"instances={count}")
 
 
-def check_pa_saturation(config: ScenarioConfig) -> CheckResult:
+def check_pa_saturation(config: ScenarioConfig, run=None) -> CheckResult:
     """Efficiency law identities at and below the designed maximum power."""
     worst = 0.0
     for pa in config.pa_models.values():
@@ -427,7 +467,7 @@ def check_pa_saturation(config: ScenarioConfig) -> CheckResult:
     return _result("pa_efficiency_saturation", worst, 1e-12)
 
 
-def check_e0_ordering(config: ScenarioConfig) -> CheckResult:
+def check_e0_ordering(config: ScenarioConfig, run=None) -> CheckResult:
     """Per-attempt energy ordering TPA >= ETPA >= CPA at matched settings.
 
     Holds when all variants share eta_max and p_t_max and operate backed off
@@ -458,7 +498,7 @@ def check_e0_ordering(config: ScenarioConfig) -> CheckResult:
     return _result("e0_pa_ordering", worst, 0.0)
 
 
-def check_avg_transmissions(config: ScenarioConfig) -> CheckResult:
+def check_avg_transmissions(config: ScenarioConfig, run=None) -> CheckResult:
     """Truncated-retransmission count limits and monotonicity."""
     worst = 0.0
     worst = max(worst, abs(avg_transmissions(0.0, 3) - 1.0))
@@ -474,7 +514,7 @@ def check_avg_transmissions(config: ScenarioConfig) -> CheckResult:
     return _result("avg_transmissions_limits", worst, 1e-12)
 
 
-def check_scale_invariance(config: ScenarioConfig) -> CheckResult:
+def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
     """Joint scaling of both energy coefficients never moves any argmin.
 
     Scaling noise density, power cap, amplifier maximum and circuit power by
@@ -494,12 +534,8 @@ def check_scale_invariance(config: ScenarioConfig) -> CheckResult:
             a_coeff=coeffs.a_coeff * factor,
             b_coeff=coeffs.b_coeff * factor,
         )
-        if pa.variant is PaVariant.TPA:
-            a = opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, config.n_h)
-            b = opt.optimal_snr_tpa(scaled, w0, scheme.k_eff, n_p, config.n_h)
-        else:
-            a = opt.optimal_snr_quadratic(coeffs, w0, n_p, config.n_h)
-            b = opt.optimal_snr_quadratic(scaled, w0, n_p, config.n_h)
+        a = _snr_optimum(coeffs, scheme, w0, n_p, config.n_h)
+        b = _snr_optimum(scaled, scheme, w0, n_p, config.n_h)
         worst = max(worst, abs(a - b) / a)
     link = config.link_template
     distances = (5.0, 20.0, 45.0)
@@ -529,7 +565,7 @@ def check_scale_invariance(config: ScenarioConfig) -> CheckResult:
     return _result("argmin_scale_invariance", worst, 1e-9, detail)
 
 
-def check_multistart_agreement(config: ScenarioConfig) -> CheckResult:
+def check_multistart_agreement(config: ScenarioConfig, run=None) -> CheckResult:
     """Random payload initializations converge to one fixed point.
 
     Covers every amplifier at 8 m and 20 m.  The candidate table starts each
@@ -561,22 +597,12 @@ def check_multistart_agreement(config: ScenarioConfig) -> CheckResult:
     return _result("multistart_agreement", worst, 1e-6, where)
 
 
-def _conditioned_points(config: ScenarioConfig):
-    for d, pa, table in opt.candidate_tables(
-        config.link_template, (5.0, 15.0, 25.0, 35.0, 45.0), config.qos,
-        config.pa_models.values(), config.modulations, config.n_h,
-        delta=config.delta, circuit_power=config.circuit_power,
-    ):
-        point = opt.select_best(table)
-        if point.feasible:
-            yield d, pa, point
-
-
-def check_conditioning_snr_min(config: ScenarioConfig) -> CheckResult:
+def check_conditioning_snr_min(config: ScenarioConfig, run=None) -> CheckResult:
     """Where the reliability floor binds, the PER equals the bound exactly."""
+    run = run or BatteryRun(config)
     worst = 0.0
     where = ""
-    for d, pa, point in _conditioned_points(config):
+    for d, pa, point in run.conditioned_points():
         if point.binding is not opt.Binding.SNR_MIN_BOUND:
             continue
         qos_t = QosSpec(config.qos.target_per, point.tau_r)
@@ -587,16 +613,17 @@ def check_conditioning_snr_min(config: ScenarioConfig) -> CheckResult:
     return _result("conditioning_snr_min", worst, 1e-9, where)
 
 
-def check_conditioning_snr_max(config: ScenarioConfig) -> CheckResult:
+def check_conditioning_snr_max(config: ScenarioConfig, run=None) -> CheckResult:
     """Where the power cap binds, the transmit power equals the cap exactly.
 
     Payload-capped points sit on the reliability boundary of the floored
     payload ceiling, a granularity step below the cap, so they only need to
     respect the cap rather than meet it.
     """
+    run = run or BatteryRun(config)
     worst = 0.0
     where = ""
-    for d, pa, point in _conditioned_points(config):
+    for d, pa, point in run.conditioned_points():
         cap = min(config.link_template.p0_w, pa.p_t_max / point.scheme.papr)
         if point.binding is opt.Binding.SNR_MAX_BOUND:
             rel = abs(point.p_t - cap) / cap
@@ -609,7 +636,7 @@ def check_conditioning_snr_max(config: ScenarioConfig) -> CheckResult:
     return _result("conditioning_snr_max", worst, 1e-12, where)
 
 
-def check_feasibility_prefix(config: ScenarioConfig) -> CheckResult:
+def check_feasibility_prefix(config: ScenarioConfig, run=None) -> CheckResult:
     """Once a scheme goes infeasible with distance it stays infeasible."""
     violations = 0
     seen_infeasible = set()
@@ -619,7 +646,9 @@ def check_feasibility_prefix(config: ScenarioConfig) -> CheckResult:
         delta=config.delta, circuit_power=config.circuit_power,
     ):
         for scheme in config.modulations:
-            point = opt.select_best(c for c in table if c.scheme == scheme)
+            # Table schemes are the config's own objects: identity, not the
+            # dataclass __eq__.
+            point = opt.select_best(c for c in table if c.scheme is scheme)
             if not point.feasible:
                 seen_infeasible.add((pa.variant, scheme))
             elif (pa.variant, scheme) in seen_infeasible:
@@ -648,42 +677,32 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(config: ScenarioConfig) -> list[CheckResult]:
-    """Run every oracle cross-check against the given scenario."""
-    return [check(config) for check in ALL_CHECKS]
+def run_all_checks(config: ScenarioConfig, run=None) -> list[CheckResult]:
+    """Run every oracle cross-check against the given scenario.
+
+    Each check is called as ``check(config, run=run)``, all with one
+    :class:`BatteryRun`; checks that share no oracle work ignore it.
+    """
+    run = run or BatteryRun(config)
+    return [check(config, run=run) for check in ALL_CHECKS]
 
 
-def write_per_error_table(config: ScenarioConfig, path: str) -> None:
+def write_per_error_table(config: ScenarioConfig, path: str, run=None) -> None:
     """CSV of PER relative-error curves for 16QAM at three packet sizes.
 
     Columns: packet size, SNR, and the relative errors of the closed-form
     approximation and of the numeric-threshold bound against the exact
     Rayleigh-average PER.
     """
-    scheme = _scheme_like_16qam(config)
+    name = _scheme_like_16qam(config).name
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["modulation", "n_bits", "snr_db", "re_closed_pct", "re_bound_pct"]
         )
-        for n in ERROR_TABLE_SIZES:
-            w_closed = waterfall_threshold(scheme, n)
-            w_num = waterfall_threshold_numeric(
-                scheme, n, config.quad_epsrel, config.quad_epsabs
+        for n, snr_db, exact, err_closed, err_bound in _per_errors(config, run, 1):
+            re_closed = 100.0 * err_closed / exact
+            re_bound = 100.0 * err_bound / exact
+            writer.writerow(
+                [name, n, snr_db, f"{re_closed:.10g}", f"{re_bound:.10g}"]
             )
-            for snr_db in range(10, 41):
-                g = 10.0 ** (snr_db / 10.0)
-                exact = per_rayleigh_exact(
-                    scheme, n, g, config.quad_epsrel, config.quad_epsabs
-                )
-                re_closed = 100.0 * abs(-math.expm1(-w_closed / g) - exact) / exact
-                re_bound = 100.0 * abs(-math.expm1(-w_num / g) - exact) / exact
-                writer.writerow(
-                    [
-                        scheme.name,
-                        n,
-                        snr_db,
-                        f"{re_closed:.10g}",
-                        f"{re_bound:.10g}",
-                    ]
-                )

@@ -270,6 +270,12 @@ REFERENCE_SHA256 = {
     "lifetime": "8b9667a87b76b3c345272f3c115ca44e3e1cf6c32edbdf44a1402db35e043383",
 }
 
+# SHA-256 of the default `validate --out t.csv` stdout and of its PER table.
+VALIDATE_STDOUT_SHA256 = (
+    "e4736d45728ac5ad1e69606bee465c1f92cac8a59521c1750852e676f95e06ea"
+)
+PER_TABLE_SHA256 = "5b98033d26abe1d7c5ad916f8532a1f7314be7e9cc1e60f47d1f3ec297a507c7"
+
 
 class TestReferenceDatasets:
     @pytest.mark.parametrize("command", sorted(REFERENCE_SHA256))
@@ -278,6 +284,15 @@ class TestReferenceDatasets:
         assert run_cli([command, "--out", str(path)]) == cli.EXIT_OK
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == REFERENCE_SHA256[command]
+
+    def test_default_validate_byte_identical(self, tmp_path, capsys):
+        """Every residual line of the battery and the PER error table (whose
+        hash bench/workloads.py also checks) are pinned."""
+        path = tmp_path / "t.csv"
+        assert run_cli(["validate", "--out", str(path)]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == VALIDATE_STDOUT_SHA256
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PER_TABLE_SHA256
 
 
 def baseline_only(config, link, pa):

@@ -134,6 +134,28 @@ class TestRejection:
         with pytest.raises(ConfigError, match=f"{section}.{key}: must be > 0"):
             parse_config(f"[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("key", ["quad_epsrel", "quad_epsabs"])
+    def test_negative_quad_tolerance_rejected(self, key):
+        with pytest.raises(ConfigError,
+                           match=f"tolerance.{key}: must be >= 0, got -1e-10"):
+            parse_config(f"[tolerance]\n{key} = -1e-10\n")
+
+    @pytest.mark.parametrize("epsrel", ["0", "1e-14"])
+    def test_unreachable_quad_tolerance_rejected(self, epsrel):
+        """QUADPACK's rule: epsabs = 0 needs epsrel >= 50 machine epsilons,
+        or every integral would run to its panel limit."""
+        with pytest.raises(ConfigError,
+                           match="tolerance.quad_epsrel: must be >= 50 machine"):
+            parse_config(
+                f"[tolerance]\nquad_epsrel = {epsrel}\nquad_epsabs = 0\n"
+            )
+
+    def test_quad_tolerance_edges_accepted(self):
+        cfg = parse_config("[tolerance]\nquad_epsrel = 0\nquad_epsabs = 1e-14\n")
+        assert (cfg.quad_epsrel, cfg.quad_epsabs) == (0.0, 1e-14)
+        cfg = parse_config("[tolerance]\nquad_epsrel = 1.2e-14\nquad_epsabs = 0\n")
+        assert (cfg.quad_epsrel, cfg.quad_epsabs) == (1.2e-14, 0.0)
+
     @pytest.mark.parametrize("value", ["1e6", "-1e6", "3001"])
     @pytest.mark.parametrize("key", [
         "g1_db", "link_margin_db", "noise_half_psd_dbm_hz",

@@ -340,6 +340,19 @@ class TestGaussKronrod:
             g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
             assert curve(g) == awgn_per(scheme, n_bits, g)
 
+    @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
+    @pytest.mark.parametrize("n_bits", [1, 120, 10048])
+    def test_rayleigh_integrand_is_weighted_curve_bit_for_bit(self, scheme, n_bits):
+        """The one-call integrand of per_rayleigh_exact equals the curve
+        times the Rayleigh density, bit for bit."""
+        curve = per._awgn_per_curve(scheme, n_bits)
+        for gamma_bar in (0.3, 10.0, 3162.2776601683795):
+            integrand = per._awgn_per_curve(scheme, n_bits, gamma_bar)
+            for i in range(400):
+                g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
+                expected = curve(g) * math.exp(-g / gamma_bar) / gamma_bar
+                assert integrand(g) == expected
+
     def test_battery_integrals_match_scipy(self, monkeypatch, tmp_path):
         """Every integral of the threshold and PER-table oracles agrees with
         QUADPACK's own QAGS to 1e-12 relative where it exceeds epsabs."""

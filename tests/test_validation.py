@@ -1,13 +1,19 @@
 """Tests of what the oracle battery checks, beyond its pass/fail summary."""
 
+import io
 import math
 from collections import Counter
 
-from linkopt import optimizer
+import pytest
+
+from linkopt import cli, optimizer, per
 from linkopt.config import default_config
 from linkopt.validation import (
+    ALL_CHECKS,
+    check_feasibility_prefix,
     check_multistart_agreement,
     check_payload_optima_vs_golden,
+    run_all_checks,
 )
 
 CFG = default_config()
@@ -43,3 +49,64 @@ def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
     assert not result.passed
     assert math.isfinite(result.residual) and result.residual >= 2.0
     assert result.detail.endswith("/tpa")
+
+
+def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
+    """One validate call makes 161 distinct integrals and 165 candidate
+    tables, and a second call redoes all of them: nothing persists."""
+    calls = Counter()
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(per, "_checked_quad",
+                        counting("quad", per._checked_quad))
+    monkeypatch.setattr(optimizer, "candidate_table",
+                        counting("table", optimizer.candidate_table))
+    for _ in range(2):
+        calls.clear()
+        code = cli.cmd_validate(CFG, io.StringIO(), str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_OK
+        assert calls == {"quad": 161, "table": 165}
+
+
+def test_checks_alone_match_the_shared_run():
+    """Each check with its own BatteryRun reports the same line as inside
+    run_all_checks, where the checks share one."""
+    shared = run_all_checks(CFG)
+    assert len(shared) == len(ALL_CHECKS) == 17
+    for check, result in zip(ALL_CHECKS, shared):
+        assert check(CFG).line() == result.line()
+
+
+@pytest.mark.parametrize("forced", [0, 1])
+def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
+    """A scheme made infeasible at 2 m and feasible again further out is a
+    violation at every later distance where it is feasible."""
+    tables = optimizer.candidate_tables
+    seen = []
+
+    def force_infeasible(link, distances, *args, **kwargs):
+        again = 0
+        for d, pa, table in tables(link, distances, *args, **kwargs):
+            scheme = table[0].scheme
+            if d == 2.0 and forced:
+                table = [
+                    c._replace(point=None, reason="forced") if c.scheme is scheme
+                    else c for c in table
+                ]
+            elif d > 2.0 and any(
+                c.scheme is scheme and c.point is not None for c in table
+            ):
+                again += 1
+            yield d, pa, table
+        seen.append(again)
+
+    monkeypatch.setattr(optimizer, "candidate_tables", force_infeasible)
+    result = check_feasibility_prefix(CFG)
+    assert result.residual == (seen[0] if forced else 0.0)
+    assert result.passed == (not forced)
+    assert seen[0] > 0
