@@ -21,31 +21,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .energy import (
     EnergyCoefficients,
     LinkBudget,
     PaModel,
     PaVariant,
-    avg_transmissions,
-    e0,
     energy_coefficients,
+    energy_per_bit,
     pa_power,
     path_gain,
     transmit_power,
 )
 from .errors import DegeneratePayloadError
-from .per import (
-    EULER_GAMMA,
-    CircuitClass,
-    ModulationScheme,
-    QosSpec,
-    payload_max,
-    per_rayleigh,
-    snr_min,
-    waterfall_threshold,
-)
+from .per import EULER_GAMMA, CircuitClass, ModulationScheme, QosSpec, payload_max
 
 # Payload-map evaluations allowed per candidate before it is rejected.
 MAX_ITER = 100
@@ -269,13 +259,102 @@ def solve_candidate(
     Returns ``(point, None)`` on success or ``(None, reason)`` when the
     candidate is infeasible or the iteration fails to converge.
     """
+    _check_delta(delta)
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     coeffs = energy_coefficients(pa, scheme, link, p_c)
+    gamma_cap = snr_max(link, scheme, pa)
     return _solve_candidate(
-        link, qos, pa, scheme, coeffs, snr_max(link, scheme, pa), n_h,
-        delta, n_p_init, max_iter,
+        link, qos, pa, scheme, coeffs, gamma_cap,
+        _payload_map(coeffs, scheme, n_h, gamma_cap), n_h, delta, n_p_init,
+        max_iter,
     )[:2]
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
+
+
+def _payload_map(
+    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_cap: float
+) -> Callable[[float, float], tuple[float, Binding, float] | str]:
+    """One pass of the alternation for one scheme, as ``step(n_p, log_keep)``.
+
+    ``log_keep`` is ``log1p(-per_attempt_bound)``, through which alone the
+    retransmission cap enters.  ``step`` returns ``(gamma, binding,
+    wanted)``: the unconstrained SNR optimum at payload ``n_p`` conditioned
+    against the reliability floor and ``gamma_cap``, the constraint that
+    bound it, and the real-valued payload optimum at that SNR.  When the map
+    rejects ``n_p`` it returns the reason instead, without the
+    ``scheme/tau=`` prefix.
+
+    The waterfall threshold, the SNR optima, the conditioning and both
+    payload optima are written inline.  Each expression keeps the operands
+    and evaluation order of its public counterpart
+    (:func:`~linkopt.per.waterfall_threshold`, :func:`optimal_snr_quadratic`,
+    :func:`_tpa_cubic`, :func:`~linkopt.per.snr_min`, :func:`constrain_snr`,
+    :func:`_payload_continuous_quadratic`, :func:`_payload_continuous_tpa`),
+    so every value is bit-identical to theirs; the per-step call overhead is
+    what is saved.  Those functions remain the reference implementations:
+    the oracle battery checks them, and a test pins every evaluation of this
+    map to them.
+    """
+    c_eff = scheme.c_eff
+    k_eff = scheme.k_eff
+    a = coeffs.a_coeff
+    b = coeffs.b_coeff
+    ratio = b / a
+    tpa = coeffs.pa_variant is PaVariant.TPA
+    log, sqrt = math.log, math.sqrt
+
+    def step(n_p: float, log_keep: float):
+        n_bits = n_h + n_p
+        n_c = n_bits * c_eff
+        if n_c <= 1.0:
+            # c_eff <= 1, so every packet shorter than one bit lands here.
+            if n_bits < 1:
+                raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+            return f"packet of {n_bits:.0f} bits below the waterfall regime"
+        w0 = (log(n_c) + EULER_GAMMA) / k_eff
+        rho = n_p / n_bits if n_p > 0 else 0.0
+        if tpa:
+            p = -2.0 * w0
+            try:
+                x = _depressed_cubic_root(p, p * (ratio * rho))
+            except OverflowError:
+                return (
+                    "payload map outside the range of a double "
+                    "(the TPA cubic overflowed)"
+                )
+            gamma_star = x * x
+        else:
+            gamma_star = w0 / 2.0 + sqrt(w0 * (w0 / 4.0 + ratio * rho))
+        # w0 >= EULER_GAMMA / k_eff > 0 and log_keep < 0, so the floor is > 0.
+        gamma_floor = -w0 / log_keep
+        if gamma_floor > gamma_cap:
+            return (
+                f"snr_min {gamma_floor:.4g} exceeds snr_max {gamma_cap:.4g} "
+                f"at N={n_bits:.0f}"
+            )
+        if gamma_star < gamma_floor:
+            g, binding = gamma_floor, Binding.SNR_MIN_BOUND
+        elif gamma_star > gamma_cap:
+            g, binding = gamma_cap, Binding.SNR_MAX_BOUND
+        else:
+            g, binding = gamma_star, Binding.UNCONSTRAINED
+        if tpa:
+            sq = sqrt(g)
+            kg1 = k_eff * g - 1.0
+            a_sq_b = a * sq + b
+            radicand = a * a * g * kg1 ** 2 + 4.0 * a * k_eff * g * sq * a_sq_b
+            return g, binding, n_h * (a * sq * kg1 + sqrt(radicand)) / (2.0 * a_sq_b)
+        radicand = k_eff * k_eff * g * g + 2.0 * k_eff * g + 4.0 * ratio * k_eff + 1.0
+        return g, binding, (
+            n_h * g * ((k_eff * g - 1.0) + sqrt(radicand)) / (2.0 * (g + ratio))
+        )
+
+    return step
 
 
 def _solve_candidate(
@@ -285,27 +364,20 @@ def _solve_candidate(
     scheme: ModulationScheme,
     coeffs: EnergyCoefficients,
     gamma_cap: float,
+    step: Callable[[float, float], tuple[float, Binding, float] | str],
     n_h: int,
     delta: float,
     n_p_init: float,
     max_iter: int,
 ) -> tuple[OperatingPoint | None, str | None, float]:
-    """:func:`solve_candidate` given the scheme's coefficients and SNR cap.
+    """:func:`solve_candidate` given the scheme's coefficients, SNR cap and map.
 
-    Neither ``coeffs`` nor ``gamma_cap`` depends on the retransmission cap,
-    so :func:`candidate_table` works them out once per scheme.  The third
+    ``step`` is :func:`_payload_map` of ``coeffs``, ``scheme``, ``n_h`` and
+    ``gamma_cap``.  None of them depends on the retransmission cap, so
+    :func:`candidate_table` builds them once per scheme.  The loop iterates
+    ``step``; after convergence one more ``step`` at the floored payload
+    gives the operating point's SNR, binding and payload optimum.  The third
     value is the converged real-valued payload, 0.0 without convergence.
-
-    The fixed-point loop writes the waterfall threshold, the quadratic SNR
-    optimum, the TPA cubic's coefficients and both payload optima inline.
-    Each expression keeps the operands and evaluation order of its public
-    counterpart (:func:`~linkopt.per.waterfall_threshold`,
-    :func:`optimal_snr_quadratic`, :func:`_tpa_cubic`,
-    :func:`_payload_continuous_quadratic`, :func:`_payload_continuous_tpa`),
-    so every iterate is bit-identical to theirs; the per-step call overhead
-    is what is saved.  Those functions remain the reference implementations:
-    the oracle battery checks them, and a test pins this loop to a solver
-    written with them.  The step after convergence runs once and calls them.
     """
     if gamma_cap == 0.0:
         return None, (
@@ -319,15 +391,8 @@ def _solve_candidate(
             f"PER bound at full power (snr_max={gamma_cap:.4g})"
         ), 0.0
 
-    c_eff = scheme.c_eff
-    k_eff = scheme.k_eff
-    a = coeffs.a_coeff
-    b = coeffs.b_coeff
-    ratio = b / a
     log_keep = math.log1p(-qos.per_attempt_bound)
-    tpa = coeffs.pa_variant is PaVariant.TPA
     cap = float(ceiling)
-    log, sqrt = math.log, math.sqrt
 
     # Steffensen's method on the map n_p -> n_p' (>= 1) of one loop pass: after
     # plain steps p0 -> p1 -> p2 the next pass is at their Aitken point clamped
@@ -337,64 +402,15 @@ def _solve_candidate(
     fallback: float | None = None
     residual = math.inf
     for _ in range(max_iter):
-        n_bits = n_h + n_p
-        n_c = n_bits * c_eff
-        if n_c <= 1.0:
-            if fallback is not None:
-                n_p, fallback = fallback, None
-                continue
-            # c_eff <= 1, so every packet shorter than one bit lands here.
-            if n_bits < 1:
-                raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-            return None, (
-                f"{scheme.name}/tau={qos.max_retransmissions}: packet of "
-                f"{n_bits:.0f} bits below the waterfall regime"
-            ), 0.0
-        w0 = (log(n_c) + EULER_GAMMA) / k_eff
-        rho = n_p / n_bits if n_p > 0 else 0.0
-        if tpa:
-            p = -2.0 * w0
-            try:
-                x = _depressed_cubic_root(p, p * (ratio * rho))
-            except OverflowError:
-                return None, _out_of_range(
-                    scheme, qos, "the TPA cubic overflowed"
-                ), 0.0
-            gamma_star = x * x
-        else:
-            gamma_star = w0 / 2.0 + sqrt(w0 * (w0 / 4.0 + ratio * rho))
-        gamma_floor = -w0 / log_keep
-        if gamma_floor <= 0.0:
-            raise ValueError("gamma_min and gamma_max must be > 0")
-        if gamma_floor > gamma_cap:
+        result = step(n_p, log_keep)
+        if isinstance(result, str):
             if fallback is not None:
                 n_p, fallback = fallback, None
                 continue
             return None, (
-                f"{scheme.name}/tau={qos.max_retransmissions}: snr_min "
-                f"{gamma_floor:.4g} exceeds snr_max {gamma_cap:.4g} "
-                f"at N={n_bits:.0f}"
+                f"{scheme.name}/tau={qos.max_retransmissions}: {result}"
             ), 0.0
-        if gamma_star < gamma_floor:
-            g = gamma_floor
-        elif gamma_star > gamma_cap:
-            g = gamma_cap
-        else:
-            g = gamma_star
-        if tpa:
-            sq = sqrt(g)
-            kg1 = k_eff * g - 1.0
-            a_sq_b = a * sq + b
-            radicand = a * a * g * kg1 ** 2 + 4.0 * a * k_eff * g * sq * a_sq_b
-            wanted = n_h * (a * sq * kg1 + sqrt(radicand)) / (2.0 * a_sq_b)
-        else:
-            radicand = (
-                k_eff * k_eff * g * g + 2.0 * k_eff * g + 4.0 * ratio * k_eff + 1.0
-            )
-            wanted = (
-                n_h * g * ((k_eff * g - 1.0) + sqrt(radicand)) / (2.0 * (g + ratio))
-            )
-        nxt = min(max(wanted, 1.0), cap)
+        nxt = min(max(result[2], 1.0), cap)
         residual = abs(nxt - n_p)
         if residual <= delta * nxt:
             n_p = nxt
@@ -404,67 +420,46 @@ def _solve_candidate(
         elif residual < abs(n_p - p0):
             # Contracting steps make the denominator non-zero and the point
             # finite; growing ones would extrapolate away from the root.
-            step = n_p - p0
-            aitken = p0 - step * step / (nxt - n_p - step)
+            move = n_p - p0
+            aitken = p0 - move * move / (nxt - n_p - move)
             p0, n_p, fallback = None, min(max(aitken, 1.0), cap), nxt
         else:
             p0, n_p = None, nxt
     else:
         if math.isnan(residual):
             # Finite inputs give nan only through an overflow to infinity.
-            return None, _out_of_range(
-                scheme, qos, "a step overflowed to an undefined value"
+            return None, (
+                f"{scheme.name}/tau={qos.max_retransmissions}: payload map "
+                f"outside the range of a double (a step overflowed to an "
+                f"undefined value)"
             ), 0.0
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
             f"within {max_iter} iterations (last residual {residual:.3g})"
         ), 0.0
 
-    # Freeze the payload to bits and re-condition once at the integer point.
-    n_p_int = max(1, min(math.floor(n_p), ceiling))
-    n_bits = n_h + n_p_int
-    w0 = waterfall_threshold(scheme, n_bits)
-    if tpa:
-        gamma_star = optimal_snr_tpa(coeffs, w0, k_eff, n_p_int, n_h)
-        payload_optimum = _payload_continuous_tpa
-    else:
-        gamma_star = optimal_snr_quadratic(coeffs, w0, n_p_int, n_h)
-        payload_optimum = _payload_continuous_quadratic
-    gamma_floor = snr_min(scheme, n_h, n_p_int, qos)
-    selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
-    if selected is None:
-        return None, (
-            f"{scheme.name}/tau={qos.max_retransmissions}: infeasible after "
-            f"payload flooring"
-        ), n_p
-    wanted = payload_optimum(coeffs, scheme, n_h, selected)
+    # Freeze the payload to bits (n_p is in [1, ceiling]) and take one more
+    # pass at the integer point.
+    n_p_int = math.floor(n_p)
+    result = step(n_p_int, log_keep)
+    if isinstance(result, str):
+        return None, f"{scheme.name}/tau={qos.max_retransmissions}: {result}", n_p
+    selected, binding, wanted = result
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
-    p = per_rayleigh(scheme, n_bits, selected)
-    energy = avg_transmissions(p, qos.max_retransmissions) * e0(
-        coeffs, n_p_int, n_h, selected
-    )
     p_t = transmit_power(selected, link)
     point = OperatingPoint(
         scheme=scheme,
         gamma_bar=selected,
         n_p=n_p_int,
         tau_r=qos.max_retransmissions,
-        energy=energy,
+        energy=energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos),
         p_t=p_t,
         p_pa=pa_power(pa, scheme, p_t),
         feasible=True,
         binding=binding,
     )
     return point, None, n_p
-
-
-def _out_of_range(scheme: ModulationScheme, qos: QosSpec, detail: str) -> str:
-    """Rejection reason of a candidate whose payload map overflows."""
-    return (
-        f"{scheme.name}/tau={qos.max_retransmissions}: payload map outside "
-        f"the range of a double ({detail})"
-    )
 
 
 def _tau_candidates(qos: QosSpec) -> Sequence[int]:
@@ -501,8 +496,9 @@ def candidate_table(
     Modulations are visited by ascending order, then name, and caps in
     ascending order; :func:`select_best` relies on that order for ties.
     Each pair gets the same result as :func:`solve_candidate` with its
-    default start and iteration limit; the energy coefficients and the SNR
-    cap are worked out once per modulation and the QoS spec once per cap.
+    default start and iteration limit, from :func:`_solve_candidate`: the
+    energy coefficients, the SNR cap and the payload map are built once per
+    modulation and the QoS spec once per cap.
     Each cap's solve starts at the previous cap's converged payload, or 0:
     the payload map depends on the cap only through the SNR floor and the
     payload ceiling, and the ceiling grows with the cap.
@@ -510,8 +506,7 @@ def candidate_table(
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
         raise ValueError("modulation_set must not be empty")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    _check_delta(delta)
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     specs = [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
@@ -528,10 +523,11 @@ def candidate_table(
             )) for spec in specs]
             continue
         gamma_cap = snr_max(link, scheme, pa)
+        step = _payload_map(coeffs, scheme, n_h, gamma_cap)
         n_p = 0.0
         for spec in specs:
             point, reason, n_p = _solve_candidate(
-                link, spec, pa, scheme, coeffs, gamma_cap, n_h, delta,
+                link, spec, pa, scheme, coeffs, gamma_cap, step, n_h, delta,
                 n_p_init=n_p, max_iter=MAX_ITER,
             )
             table.append(Candidate(scheme, spec.max_retransmissions, point, reason))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkopt.config import default_config
+from linkopt.config import default_config, parse_config
 from linkopt.energy import (
     PaModel,
     PaVariant,
@@ -22,6 +22,7 @@ from linkopt.optimizer import (
     _payload_continuous_quadratic,
     _payload_continuous_tpa,
     _tpa_cubic,
+    candidate_table,
     candidate_tables,
     constrain_snr,
     joint_optimize,
@@ -510,6 +511,32 @@ class TestSolveCandidate:
         cold = solve_candidate(*args, delta=CFG.delta)
         assert cold[0] is not None
         assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=371.0)) == repr(cold)
+
+    def test_floored_payload_below_waterfall_regime_is_rejected(self):
+        """A payload that converges inside the waterfall regime can floor
+        out of it; the integer step then rejects it as the loop would."""
+        cfg = parse_config(
+            "[link]\np0_mw = 1\nkappa = 3\nbandwidth_khz = 3\n"
+            "[packet]\nn_h_bits = 3\n"
+            "[qos]\ntarget_per = 0.0078125\nmax_retransmissions = 0\n"
+        )
+        scheme = {m.name: m for m in cfg.modulations}["BPSK"]
+        args = (replace(cfg.link_template, distance_m=2.0), cfg.qos,
+                cfg.pa_models[PaVariant.CPA], scheme,
+                cfg.circuit_power[scheme.circuit_power_class], cfg.n_h)
+        assert solve_candidate(*args, delta=cfg.delta, n_p_init=2.0) == (
+            None, "BPSK/tau=0: packet of 4 bits below the waterfall regime"
+        )
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+    def test_delta_outside_positive_finite_range_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be > 0 and finite"):
+            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
+                            CFG.n_h, delta=delta)
+        with pytest.raises(ValueError, match="delta must be > 0 and finite"):
+            candidate_table(link_at(10.0), CFG.qos, CPA, CFG.modulations,
+                            CFG.n_h, delta=delta,
+                            circuit_power=CFG.circuit_power)
 
     def test_reliability_floor_point_sits_on_bound(self):
         """Where the floor binds the realized PER equals the bound."""

@@ -1,14 +1,14 @@
-"""The solver's fixed-point loop against a reference built from the closed forms.
+"""The solver's payload map and fixed-point loop against closed-form references.
 
-``optimizer._solve_candidate`` writes the waterfall threshold, the SNR optima
-and the payload optima inline, and accelerates the payload iteration with
-Steffensen's method.  ``reference_map`` below is one evaluation of the same
-payload map written with the public closed forms, and
+``optimizer._payload_map`` writes the waterfall threshold, the SNR optima,
+the conditioning and the payload optima inline, and ``_solve_candidate``
+iterates it with Steffensen's method.  ``reference_map`` below is one
+evaluation of the same map written with the public closed forms, and
 ``reference_solve_candidate`` iterates it plainly.
 
 - Every map evaluation of the solver is pinned bit for bit to
-  ``reference_map``: a line tracer reads the iterate, the conditioned SNR and
-  the next payload of each pass.
+  ``reference_map``: a wrapper around ``optimizer._payload_map`` records the
+  payload, ``log_keep`` and result of each evaluation.
 - The reference loop is the outcome oracle: where both converge, the two
   must return the same ``(point, reason)`` or raise the same error.  A
   rejection inside the loop quotes the packet size of the iterate it came
@@ -17,17 +17,17 @@ payload map written with the public closed forms, and
   payload; every entry must equal a cold ``solve_candidate``.
 """
 
-import inspect
+import contextlib
 import math
 import re
-import sys
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkopt import optimizer
-from linkopt.config import parse_config
+from linkopt import optimizer, per
+from linkopt.config import default_config, parse_config
 from linkopt.energy import (
     PaVariant,
     avg_transmissions,
@@ -49,18 +49,19 @@ from linkopt.optimizer import (
     snr_max,
     solve_candidate,
 )
-from linkopt.per import QosSpec, payload_max, per_rayleigh, snr_min, waterfall_threshold
+from linkopt.per import QosSpec, payload_max, per_rayleigh, waterfall_threshold
 
 # The plain iteration converges linearly; give it room to reach the same
 # relative tolerance the accelerated solver stops at.
 REFERENCE_MAX_ITER = 2000
 
 
-def reference_map(coeffs, scheme, qos, n_h, gamma_cap, cap, n_p):
+def reference_map(coeffs, scheme, n_h, gamma_cap, n_p, log_keep):
     """One payload-map evaluation with one public closed form per step.
 
-    Returns ``(conditioned SNR, next payload)``, or the rejection text
-    (without its ``scheme/tau`` prefix) when the map rejects ``n_p``.
+    Returns ``(conditioned SNR, binding, real payload optimum)``, or the
+    rejection text (without its ``scheme/tau`` prefix) when the map rejects
+    ``n_p``.
     """
     n_bits = n_h + n_p
     try:
@@ -73,22 +74,14 @@ def reference_map(coeffs, scheme, qos, n_h, gamma_cap, cap, n_p):
     else:
         gamma_star = optimal_snr_quadratic(coeffs, w0, n_p, n_h)
         payload_optimum = _payload_continuous_quadratic
-    gamma_floor = -w0 / math.log1p(-qos.per_attempt_bound)
-    if gamma_floor <= 0.0:
-        raise ValueError("gamma_min and gamma_max must be > 0")
-    if gamma_floor > gamma_cap:
+    gamma_floor = -w0 / log_keep
+    selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
+    if selected is None:
         return (
             f"snr_min {gamma_floor:.4g} exceeds snr_max {gamma_cap:.4g} "
             f"at N={n_bits:.0f}"
         )
-    if gamma_star < gamma_floor:
-        gamma_req = gamma_floor
-    elif gamma_star > gamma_cap:
-        gamma_req = gamma_cap
-    else:
-        gamma_req = gamma_star
-    return gamma_req, min(max(payload_optimum(coeffs, scheme, n_h, gamma_req),
-                              1.0), cap)
+    return selected, binding, payload_optimum(coeffs, scheme, n_h, selected)
 
 
 def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, *, delta,
@@ -105,18 +98,18 @@ def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, *, delta,
             f"{prefix}: no payload meets the PER bound at full power "
             f"(snr_max={gamma_cap:.4g})"
         )
-    if gamma_cap <= 0.0:
-        raise ValueError("gamma_min and gamma_max must be > 0")
     cap = float(ceiling)
+    log_keep = math.log1p(-qos.per_attempt_bound)
 
     n_p = min(float(n_p_init), cap)
     residual = math.inf
     for _ in range(max_iter):
-        step = reference_map(coeffs, scheme, qos, n_h, gamma_cap, cap, n_p)
+        step = reference_map(coeffs, scheme, n_h, gamma_cap, n_p, log_keep)
         if isinstance(step, str):
             return None, f"{prefix}: {step}"
-        residual = abs(step[1] - n_p)
-        n_p = step[1]
+        nxt = min(max(step[2], 1.0), cap)
+        residual = abs(nxt - n_p)
+        n_p = nxt
         if residual <= delta * max(1.0, n_p):
             break
     else:
@@ -126,22 +119,13 @@ def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, *, delta,
         )
 
     n_p_int = max(1, min(math.floor(n_p), ceiling))
-    n_bits = n_h + n_p_int
-    w0 = waterfall_threshold(scheme, n_bits)
-    if coeffs.pa_variant is PaVariant.TPA:
-        gamma_star = optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p_int, n_h)
-        payload_optimum = _payload_continuous_tpa
-    else:
-        gamma_star = optimal_snr_quadratic(coeffs, w0, n_p_int, n_h)
-        payload_optimum = _payload_continuous_quadratic
-    gamma_floor = snr_min(scheme, n_h, n_p_int, qos)
-    selected, binding = constrain_snr(gamma_star, gamma_floor, gamma_cap)
-    if selected is None:
-        return None, f"{prefix}: infeasible after payload flooring"
-    wanted = payload_optimum(coeffs, scheme, n_h, selected)
+    step = reference_map(coeffs, scheme, n_h, gamma_cap, n_p_int, log_keep)
+    if isinstance(step, str):
+        return None, f"{prefix}: {step}"
+    selected, binding, wanted = step
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
-    p = per_rayleigh(scheme, n_bits, selected)
+    p = per_rayleigh(scheme, n_h + n_p_int, selected)
     energy = avg_transmissions(p, qos.max_retransmissions) * e0(
         coeffs, n_p_int, n_h, selected
     )
@@ -172,51 +156,27 @@ def outcome(solve, *args, **kwargs):
         return f"raises {type(exc).__name__}: {exc}"
 
 
-def _probe_line():
-    """Line of ``_solve_candidate`` reached once per completed map evaluation.
+def recorded_evaluations(run):
+    """``run()``'s result and every payload-map evaluation made during it.
 
-    When it runs, the locals ``n_p``, ``g`` and ``nxt`` hold the evaluated
-    payload, the conditioned SNR and the map's value there.
+    Each evaluation is ``(map inputs, n_p, log_keep, result)``, where the map
+    inputs are the ``(coeffs, scheme, n_h, gamma_cap)`` it was built from, so
+    that it can be replayed through :func:`reference_map`.
     """
-    lines, first = inspect.getsourcelines(optimizer._solve_candidate)
-    [offset] = [i for i, line in enumerate(lines)
-                if line.strip() == "residual = abs(nxt - n_p)"]
-    return first + offset
-
-
-PROBE_LINE = _probe_line()
-
-
-def traced_evaluations(run):
-    """``run()``'s result and the ``(n_p, g, nxt)`` of each map evaluation.
-
-    A line tracer reads the locals of every ``_solve_candidate`` frame at
-    :data:`PROBE_LINE`; ``coeffs``, ``scheme``, ``qos``, ``n_h``,
-    ``gamma_cap`` and ``cap`` are read with them so that each evaluation
-    can be replayed through :func:`reference_map`.
-    """
-    code = optimizer._solve_candidate.__code__
+    build = optimizer._payload_map
     evaluations = []
 
-    def trace_lines(frame, event, arg):
-        if event == "line" and frame.f_lineno == PROBE_LINE:
-            f = frame.f_locals
-            evaluations.append((
-                (f["coeffs"], f["scheme"], f["qos"], f["n_h"], f["gamma_cap"],
-                 f["cap"]),
-                f["n_p"], f["g"], f["nxt"],
-            ))
-        return trace_lines
+    def recording_map(*inputs):
+        step = build(*inputs)
 
-    def trace_calls(frame, event, arg):
-        return trace_lines if frame.f_code is code else None
+        def recorded(n_p, log_keep):
+            result = step(n_p, log_keep)
+            evaluations.append((inputs, n_p, log_keep, result))
+            return result
+        return recorded
 
-    previous = sys.gettrace()
-    sys.settrace(trace_calls)
-    try:
+    with mock.patch.object(optimizer, "_payload_map", recording_map):
         result = run()
-    finally:
-        sys.settrace(previous)
     return result, evaluations
 
 
@@ -279,18 +239,19 @@ QUERY_SPACE = dict(
 def test_inline_loop_matches_closed_form_reference(
         p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx, distance,
         variant, n_p_init, max_iter):
-    """Each pass of the loop is bit for bit one evaluation of the map."""
+    """Each evaluation of the solver's map, in the loop and at the integer
+    payload, is bit for bit one evaluation of the reference map."""
     cfg, link, pa = scenario(p0_mw, kappa, bandwidth_khz, n_h_bits,
                              target_per, max_retx, distance, variant)
-    table, evaluations = traced_evaluations(lambda: table_of(cfg, link, pa))
+    table, evaluations = recorded_evaluations(lambda: table_of(cfg, link, pa))
     for scheme, tau, _, _ in table:
-        _, more = traced_evaluations(lambda: outcome(
+        _, more = recorded_evaluations(lambda: outcome(
             solve_candidate, *candidate_args(cfg, link, pa, scheme, tau),
             delta=cfg.delta, n_p_init=n_p_init, max_iter=max_iter,
         ))
         evaluations += more
-    for inputs, n_p, g, nxt in evaluations:
-        assert repr(reference_map(*inputs, n_p)) == repr((g, nxt))
+    for inputs, n_p, log_keep, result in evaluations:
+        assert repr(reference_map(*inputs, n_p, log_keep)) == repr(result)
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,6 +261,8 @@ def test_inline_loop_matches_closed_form_reference(
 @example(10.0, 3.5, 10.0, 48, 1e-3, 1, 5.0, PaVariant.ETPA, -60.0)
 @example(10.0, 3.5, 10.0, 48, 1e-3, 1, 20.0, PaVariant.CPA, 371.0)
 @example(1.0, 3.0, 3.0, 1, 1e-4, 0, 2.0, PaVariant.CPA, 30.0)
+# Converges to a payload whose floor is below the waterfall regime.
+@example(1.0, 3.0, 3.0, 3, 0.0078125, 0, 2.0, PaVariant.CPA, 2.0)
 def test_accelerated_loop_matches_plain_reference(
         p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx, distance,
         variant, n_p_init):
@@ -335,3 +298,40 @@ def test_warm_started_table_matches_cold_solves(
         cold = solve_candidate(*candidate_args(cfg, link, pa, scheme, tau),
                                delta=cfg.delta, n_p_init=0.0)
         assert repr((point, reason)) == repr(cold)
+
+
+def test_default_grid_builds_one_map_per_table_and_scheme():
+    """A default sweep builds 1,422 maps (79 distances x 3 amplifiers x 6
+    schemes) and calls none of the public closed forms the map replaces,
+    through any module's binding of them."""
+    cfg = default_config()
+    replaced = (
+        optimizer.optimal_snr_quadratic, optimizer.optimal_snr_tpa,
+        optimizer._payload_continuous_quadratic,
+        optimizer._payload_continuous_tpa, optimizer.constrain_snr,
+        per.snr_min,
+    )
+    spies = {id(func): mock.Mock(wraps=func) for func in replaced}
+    maps = []
+    build = optimizer._payload_map
+
+    def counting_map(*inputs):
+        maps.append(inputs)
+        return build(*inputs)
+
+    with contextlib.ExitStack() as stack:
+        for module in (optimizer, per):
+            for name, value in list(vars(module).items()):
+                if id(value) in spies:
+                    stack.enter_context(
+                        mock.patch.object(module, name, spies[id(value)]))
+        stack.enter_context(
+            mock.patch.object(optimizer, "_payload_map", counting_map))
+        tables = list(optimizer.candidate_tables(
+            cfg.link_template, cfg.distances(), cfg.qos,
+            cfg.pa_models.values(), cfg.modulations, cfg.n_h,
+            delta=cfg.delta, circuit_power=cfg.circuit_power,
+        ))
+    assert len(tables) == 79 * 3
+    assert len(maps) == len(tables) * len(cfg.modulations) == 1422
+    assert [spy.call_count for spy in spies.values()] == [0] * len(replaced)
