@@ -2,8 +2,8 @@
 
 All dataset outputs are CSV (RFC-4180 quoting, LF line endings, ``.``
 decimal separator); plotting is left to external tooling.  Exit codes:
-0 success, 1 usage or config error, 2 only infeasible results, 3 validation
-failure.
+0 success, 1 usage or config error (or a reader that closed the output pipe
+early), 2 only infeasible results, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence, TextIO
@@ -234,31 +235,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> int:
+    config = load_config(args.config) if args.config else default_config()
+    if args.command == "validate":
+        return cmd_validate(config, sys.stdout, args.out)
+    variants = _parse_pa_list(args.pa)
+    if args.command == "optimize":
+        if len(variants) != 1:
+            raise ConfigError("optimize takes exactly one --pa model")
+        check_distance(config.link_template, args.distance, "--distance")
+        command = lambda out: cmd_optimize(
+            config, args.distance, variants[0], out)
+    else:
+        dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
+        command = lambda out: dataset(config, variants, out)
+    out = _open_out(args.out)
+    try:
+        return command(out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else default_config()
-        if args.command == "validate":
-            return cmd_validate(config, sys.stdout, args.out)
-        variants = _parse_pa_list(args.pa)
-        if args.command == "optimize":
-            if len(variants) != 1:
-                raise ConfigError("optimize takes exactly one --pa model")
-            check_distance(config.link_template, args.distance, "--distance")
-            command = lambda out: cmd_optimize(
-                config, args.distance, variants[0], out)
-        else:
-            dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
-            command = lambda out: dataset(config, variants, out)
-        out = _open_out(args.out)
-        try:
-            return command(out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = _run(args)
+        # Flush here, so that a closed pipe raises inside this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`linkopt sweep | head -1`).  Send
+        # what is still buffered to devnull, so that the flush at exit
+        # cannot fail again (the recipe in the `signal` module's docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return EXIT_USAGE
     except LinkoptError as exc:
         print(f"error: {exc}", file=sys.stderr)

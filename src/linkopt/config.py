@@ -8,6 +8,22 @@ take their value from ``DEFAULT_CONFIG_TEXT``, the reference parameter table
 of the analysis; that text is the only place a default is written down, and
 its sections and keys are the only ones accepted.
 
+The INI syntax is the one ``configparser.ConfigParser(interpolation=None)``
+reads, read here by a small line reader:
+
+- the text is split into lines on ``\\n`` only;
+- a ``[section]`` header's name runs from the first ``[`` to the last ``]``;
+- ``key = value`` or ``key: value`` is split at the first ``=`` or ``:``;
+  keys are lower-cased, and keys and values are stripped;
+- a line whose first non-blank character is ``#`` or ``;`` is a comment;
+- a line indented deeper than its key continues that key's value; blank
+  lines inside a value are kept and trailing ones dropped;
+- a repeated section, a repeated key within a section, and a line before
+  the first header are errors, reported with their line number;
+- an empty ``[DEFAULT]`` is accepted, and a non-empty one rejected, because
+  ``configparser`` would copy its keys into every other section, past the
+  schema.
+
 Note the noise entry: ``noise_half_psd_dbm_hz`` is the per-dimension density
 (N0/2, the -174 dBm/Hz figure on data sheets).  The stored one-sided N0 is
 twice that value; misreading it would shift every SNR by 3 dB.
@@ -15,8 +31,6 @@ twice that value; misreading it would shift every SNR by 3 dB.
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,6 +39,7 @@ from .energy import LinkBudget, PaModel, PaVariant, path_gain
 from .errors import ConfigError
 from .lifetime import DutyProfile
 from .per import (
+    MQAM_PAPR_FORMULAS,
     BerForm,
     CircuitClass,
     ModulationScheme,
@@ -95,24 +110,75 @@ quad_epsabs = 1e-14
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
     """INI text as ``{section: {key: raw value}}``, in file order.
 
-    A non-empty ``[DEFAULT]`` section is rejected: ``configparser`` would
-    copy its keys into every other section, past the schema.
+    The syntax is the one in the module docstring.
+
+    Raises:
+        ConfigError: "config syntax error" with the line number, or a
+            non-empty ``[DEFAULT]`` named as an unknown section.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from None
-    if parser.defaults():
+    sections: dict[str, dict[str, list[str]]] = {}
+    default: dict[str, list[str]] = {}
+    values = None  # the current section's lines per key
+    key = None  # the key a continuation line extends
+    indent = 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and key is not None:
+                values[key].append("")
+            continue
+        level = len(line) - len(line.lstrip())
+        if key is not None and level > indent:
+            values[key].append(stripped)
+            continue
+        indent = level
+        end = stripped.rfind("]")
+        if stripped[0] == "[" and end > 1:
+            name = stripped[1:end]
+            if name == "DEFAULT":
+                values = default
+            elif name in sections:
+                raise _syntax_error(lineno, f"section {name!r} already exists")
+            else:
+                values = sections[name] = {}
+            key = None
+            continue
+        if values is None:
+            raise _syntax_error(lineno, "no section header before this line")
+        equals, colon = stripped.find("="), stripped.find(":")
+        cut = equals if colon < 0 or 0 <= equals < colon else colon
+        if cut < 0:
+            raise _syntax_error(lineno, f"expected 'key = value', got {line!r}")
+        key = stripped[:cut].rstrip().lower()
+        if not key:
+            raise _syntax_error(lineno, f"empty key in {line!r}")
+        if key in values:
+            raise _syntax_error(lineno, f"key {key!r} already exists")
+        values[key] = [stripped[cut + 1:].lstrip()]
+    if default:
         raise ConfigError(
-            f"{parser.default_section}: unknown section (its keys would apply "
-            f"to every section)"
+            "DEFAULT: unknown section (its keys would apply to every section)"
         )
-    return {name: dict(parser[name]) for name in parser.sections()}
+    return {
+        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
+        for name, keys in sections.items()
+    }
+
+
+def _syntax_error(lineno: int, problem: str) -> ConfigError:
+    return ConfigError(f"config syntax error: line {lineno}: {problem}")
 
 
 # Parsed once: every default, and the schema of the fixed sections.
 _DEFAULTS = _read_sections(DEFAULT_CONFIG_TEXT)
+
+# Built once: the built-in schemes by name for each MQAM PAPR formula.  The
+# schemes are immutable, so every config shares them (and their cached
+# effective coefficients).
+_BUILTIN_SCHEMES = {
+    formula: {m.name: m for m in default_modulations(formula)}
+    for formula in MQAM_PAPR_FORMULAS
+}
 
 # Largest sweep grid accepted; the reference grid has 79 points.
 MAX_SWEEP_POINTS = 100_000
@@ -294,13 +360,13 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
     qos_r = reader("qos")
+    target_per = qos_r.number("target_per")
+    max_retransmissions = qos_r.integer("max_retransmissions")
     try:
-        qos = QosSpec(
-            target_per=qos_r.number("target_per"),
-            max_retransmissions=qos_r.integer("max_retransmissions"),
-        )
+        qos = QosSpec(target_per, max_retransmissions)
     except ValueError as exc:
-        raise ConfigError(f"qos: {exc}") from None
+        # QosSpec names the field first, as in "target_per: ...".
+        raise ConfigError(f"qos.{exc}") from None
 
     n_h = reader("packet").integer("n_h_bits")
     if n_h < 1:
@@ -329,10 +395,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
     mods_r = reader("modulations")
     papr_formula = mods_r.text("mqam_papr_formula")
-    try:
-        table = {m.name: m for m in default_modulations(papr_formula)}
-    except ValueError as exc:
-        raise ConfigError(f"modulations.mqam_papr_formula: {exc}") from None
+    if papr_formula not in _BUILTIN_SCHEMES:
+        raise ConfigError(
+            f"modulations.mqam_papr_formula: unknown MQAM PAPR formula "
+            f"{papr_formula!r}; expected one of {sorted(_BUILTIN_SCHEMES)}"
+        )
+    table = dict(_BUILTIN_SCHEMES[papr_formula])
 
     for name, values in sections.items():
         if not name.startswith("modulation."):

@@ -108,7 +108,8 @@ class QosSpec:
     A packet may be sent at most ``max_retransmissions + 1`` times; the
     residual failure probability after the last attempt must not exceed
     ``target_per``.  The implied per-attempt PER bound is cached in
-    ``per_attempt_bound``.
+    ``per_attempt_bound``; a bound that rounds to 1 is rejected, because the
+    payload ceiling takes ``log(1 - bound)``.
     """
 
     target_per: float
@@ -117,10 +118,16 @@ class QosSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_per < 1.0:
-            raise ValueError(f"target_per must be in (0, 1), got {self.target_per}")
+            raise ValueError(f"target_per: must be in (0, 1), got {self.target_per}")
         if self.max_retransmissions < 0:
-            raise ValueError("max_retransmissions must be >= 0")
+            raise ValueError("max_retransmissions: must be >= 0")
         bound = self.target_per ** (1.0 / (self.max_retransmissions + 1))
+        if bound >= 1.0:
+            raise ValueError(
+                f"target_per: {self.target_per!r} with max_retransmissions "
+                f"= {self.max_retransmissions} gives a per-attempt PER bound "
+                f"that rounds to 1"
+            )
         object.__setattr__(self, "per_attempt_bound", bound)
 
 

@@ -160,6 +160,22 @@ class TestOptimize:
         assert code == cli.EXIT_USAGE
         assert "exactly one" in capsys.readouterr().err
 
+    def test_target_per_bound_rounding_to_one_rejected(self, tmp_path):
+        """A per-attempt bound of 1 used to end in a log1p(-1) traceback."""
+        path = tmp_path / "qos.ini"
+        path.write_text(
+            "[qos]\ntarget_per = 0.9999999999999999\nmax_retransmissions = 1\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkopt.cli", "--config", str(path),
+             "optimize", "--distance", "10"],
+            capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr.startswith("error: qos.target_per: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweep:
     def test_row_count_and_schema(self, small_config, tmp_path):
@@ -462,8 +478,8 @@ class TestEntryPoint:
 
     def test_solver_path_imports_no_scipy_or_numpy(self, tmp_path):
         """optimize and validate, PER table included, load neither scipy
-        nor numpy, optimize leaves the oracle battery unloaded, and validate
-        still passes."""
+        nor numpy, optimize leaves the oracle battery and configparser
+        unloaded, and validate still passes."""
         table = tmp_path / "table.csv"
         script = (
             "import sys\n"
@@ -474,6 +490,7 @@ class TestEntryPoint:
             "code = main(['optimize', '--distance', '10', '--pa', 'tpa'])\n"
             "print('optimize exit', code, 'heavy modules', heavy())\n"
             "print('battery loaded', 'linkopt.validation' in sys.modules)\n"
+            "print('configparser loaded', 'configparser' in sys.modules)\n"
             "code = main(['validate', '--out', sys.argv[1]])\n"
             "print('validate exit', code, 'heavy modules', heavy())\n"
         )
@@ -485,10 +502,39 @@ class TestEntryPoint:
         lines = proc.stdout.splitlines()
         assert "optimize exit 0 heavy modules []" in lines
         assert "battery loaded False" in lines
+        assert "configparser loaded False" in lines
         assert lines[-2:] == [
             "checks: 17/17 passed", "validate exit 0 heavy modules []",
         ]
         assert len(table.read_text(encoding="utf-8").splitlines()) == 1 + 93
+
+    @pytest.mark.parametrize("command", ["sweep", "lifetime"])
+    def test_closed_output_pipe_exits_quietly(self, tmp_path, command):
+        """A reader that stops after one line, as `| head -1` does, ends the
+        command without a traceback.  The output is several times the size
+        of a pipe buffer, so writing it must fail once the reader is gone."""
+        path = tmp_path / "long.ini"
+        path.write_text(
+            "[modulations]\nenabled = BPSK\nbaseline = BPSK\n"
+            "[sweep]\nd_step_m = 0.05\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "linkopt.cli", "--config", str(path),
+             command],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=child_env(),
+        )
+        try:
+            assert proc.stdout.readline().startswith("distance_m,pa_model,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == cli.EXIT_USAGE
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == ""
 
 
 NON_FINITE_CASES = [

@@ -1,6 +1,13 @@
 """Tests for scenario config parsing, defaults and rejection diagnostics."""
 
+import ast
+import configparser
+import io
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linkopt import config
 from linkopt.config import (
@@ -13,6 +20,7 @@ from linkopt.config import (
 from linkopt.energy import PaVariant
 from linkopt.errors import ConfigError
 from linkopt.per import BerForm, CircuitClass
+from test_query_digests import WORKLOADS
 
 
 class TestDefaults:
@@ -102,6 +110,13 @@ class TestRejection:
     def test_bad_qos(self):
         with pytest.raises(ConfigError, match="qos"):
             parse_config("[qos]\ntarget_per = 1.5\n")
+
+    def test_per_attempt_bound_rounding_to_one_rejected(self):
+        """target_per ** (1/2) rounds to 1.0, and log1p(-1) has no value."""
+        with pytest.raises(ConfigError, match=r"^qos\.target_per: .* rounds to 1"):
+            parse_config(
+                "[qos]\ntarget_per = 0.9999999999999999\nmax_retransmissions = 1\n"
+            )
 
     def test_bad_sweep(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -229,6 +244,17 @@ class TestRejection:
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[link]\np0_mw = 1\np0_mw = 2\n")
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("not an ini file at all", 1),
+        ("[link]\np0_mw = 1\n\n[link]\n", 4),
+        ("[link]\nkappa\n", 2),
+        ("[link]\n# note\n = 3\n", 3),
+    ], ids=["no_header", "duplicate_section", "valueless_key", "empty_key"])
+    def test_syntax_error_names_the_line(self, text, lineno):
+        with pytest.raises(ConfigError,
+                           match=f"^config syntax error: line {lineno}: "):
+            parse_config(text)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config("/nonexistent/linkopt.ini")
@@ -305,3 +331,117 @@ class TestOverrides:
     def test_scheme_lookup_error(self):
         with pytest.raises(ConfigError, match="no scheme named"):
             default_config().scheme("8PSK")
+
+
+def reference_sections(text):
+    """The configparser reader that ``config._read_sections`` replaced, kept
+    as its oracle."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from None
+    if parser.defaults():
+        raise ConfigError(
+            f"{parser.default_section}: unknown section (its keys would apply "
+            f"to every section)"
+        )
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def outcome(read, text):
+    """Sections and keys in order, or the kind of rejection."""
+    try:
+        sections = read(text)
+    except ConfigError as exc:
+        message = str(exc)
+        return "syntax" if message.startswith("config syntax error") else message
+    return [(name, list(values.items())) for name, values in sections.items()]
+
+
+def assert_reads_like_configparser(text):
+    expected = outcome(reference_sections, text)
+    assert outcome(config._read_sections, text) == expected, repr(text)
+    if expected == "syntax":
+        with pytest.raises(ConfigError, match=r"line \d+"):
+            config._read_sections(text)
+
+
+_NAMES = ["a", "A", "b", "link", "DEFAULT", "default", "x y", "a]", "[a", ""]
+_KEYS = ["a", "A", "b", "B", "p0_mw", "P0_MW", "", "x y", "[k", "k]"]
+_PADS = ["", " ", "  ", "\t", " \t", "\r", "\x0c", "\xa0"]
+_WORDS = st.text(alphabet="aAb1. =:#;[]\t\r\x0c\xa0", max_size=6)
+
+
+@st.composite
+def ini_lines(draw):
+    """One line: a header, an option, a valueless key, a comment, a blank or
+    free text, each with a random indent (so some continue a value) and a
+    random tail."""
+    kind = draw(st.sampled_from(
+        ["header", "option", "option", "valueless", "comment", "blank", "free"]
+    ))
+    if kind == "header":
+        body = "[" + draw(st.sampled_from(_NAMES)) + "]" + draw(
+            st.sampled_from(["", "]", " tail", "=1", "[x]"]))
+    elif kind == "option":
+        body = draw(st.sampled_from(_KEYS)) + draw(st.sampled_from(
+            ["=", ":", " = ", " : ", "= ", " :", "=="])) + draw(_WORDS)
+    elif kind == "valueless":
+        body = draw(st.sampled_from(_KEYS))
+    elif kind == "comment":
+        body = draw(st.sampled_from(["#", ";"])) + draw(_WORDS)
+    elif kind == "blank":
+        body = ""
+    else:
+        body = draw(_WORDS)
+    return draw(st.sampled_from(_PADS)) + body + draw(st.sampled_from(_PADS))
+
+
+class TestReaderOracle:
+    """``_read_sections`` reads exactly what configparser reads."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(ini_lines(), max_size=12), tail=st.booleans())
+    @example(lines=["[DEFAULT]", "k = 1", "[DEFAULT]", "K = 2"], tail=False)
+    def test_generated_texts(self, lines, tail):
+        assert_reads_like_configparser("\n".join(lines) + "\n" * tail)
+
+    def test_shipped_defaults(self):
+        root = Path(__file__).resolve().parent.parent
+        assert_reads_like_configparser(DEFAULT_CONFIG_TEXT)
+        assert_reads_like_configparser(
+            (root / "default.ini").read_text(encoding="utf-8"))
+
+    def test_every_string_in_the_tests(self):
+        """Every string literal under tests/, each INI text among them."""
+        texts = set()
+        for path in Path(__file__).resolve().parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            texts.update(node.value for node in ast.walk(tree)
+                         if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str))
+        assert len(texts) > 100
+        for text in sorted(texts):
+            assert_reads_like_configparser(text)
+
+    def test_point_query_texts(self):
+        """Batch 0 of seeds 0-39 of the benchmark's point queries."""
+        texts = [query.ini for seed in range(40)
+                 for query in WORKLOADS.generate_queries(seed, 0, 300)]
+        assert len(texts) == 12_000
+        for text in texts:
+            assert_reads_like_configparser(text)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("[s]\nk = a\n\n  b\n\n\n", {"s": {"k": "a\n\nb"}}),
+        ("[s]\nk = a\n  # c\n\tb\n", {"s": {"k": "a\nb"}}),
+        ("[a]]x\nK: v = w\n", {"a]": {"k": "v = w"}}),
+        ("[s]\nk = a\r\n", {"s": {"k": "a"}}),
+        ("[s]\nk = a\x0cb\n", {"s": {"k": "a\x0cb"}}),
+        ("[DEFAULT]\n[DEFAULT]\n[s]\n", {"s": {}}),
+    ], ids=["blank_lines_in_value", "comment_in_value", "last_bracket",
+            "crlf", "form_feed_not_a_line_break", "empty_default_twice"])
+    def test_examples(self, text, expected):
+        assert config._read_sections(text) == expected
+        assert reference_sections(text) == expected
