@@ -480,12 +480,16 @@ def parse_config(text: str) -> ScenarioConfig:
             )
 
     duty_r = reader("duty")
+    battery_ah = duty_r.number("battery_ah")
+    battery_v = duty_r.number("battery_v")
+    payload_kbit = duty_r.number("payload_kbit")
+    period_s = duty_r.number("period_s")
     try:
         duty = DutyProfile(
-            battery_charge_ah=duty_r.number("battery_ah"),
-            battery_voltage=duty_r.number("battery_v"),
-            payload_per_period_bits=duty_r.number("payload_kbit") * 1e3,
-            period_s=duty_r.number("period_s"),
+            battery_charge_ah=battery_ah,
+            battery_voltage=battery_v,
+            payload_per_period_bits=payload_kbit * 1e3,
+            period_s=period_s,
         )
     except ValueError as exc:
         raise ConfigError(f"duty: {exc}") from None

@@ -19,7 +19,7 @@ point of the TPA energy curve, which the numeric oracle in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -51,8 +51,7 @@ class Binding(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(NamedTuple):
     """A solved link configuration, or an infeasibility marker.
 
     For infeasible results ``feasible`` is False, ``binding`` is
@@ -260,6 +259,8 @@ def solve_candidate(
     candidate is infeasible or the iteration fails to converge.
     """
     _check_delta(delta)
+    if n_p_init != n_p_init:
+        raise ValueError(f"n_p_init must not be nan, got {n_p_init}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     coeffs = energy_coefficients(pa, scheme, link, p_c)
@@ -374,7 +375,7 @@ def _solve_candidate(
 
     ``step`` is :func:`_payload_map` of ``coeffs``, ``scheme``, ``n_h`` and
     ``gamma_cap``.  None of them depends on the retransmission cap, so
-    :func:`candidate_table` builds them once per scheme.  The loop iterates
+    :func:`_candidate_table` builds them once per scheme.  The loop iterates
     ``step``; after convergence one more ``step`` at the floored payload
     gives the operating point's SNR, binding and payload optimum.  The third
     value is the converged real-valued payload, 0.0 without convergence.
@@ -397,32 +398,38 @@ def _solve_candidate(
     # Steffensen's method on the map n_p -> n_p' (>= 1) of one loop pass: after
     # plain steps p0 -> p1 -> p2 the next pass is at their Aitken point clamped
     # to [1, ceiling], or at p2 if the steps grow or the map rejects that point.
-    n_p = min(float(n_p_init), cap)
+    # The clamps and distances are written as comparisons that give what
+    # min/max/abs give for every float, nan included (max(nan, 1.0) is nan).
+    n_p = float(n_p_init)
+    if n_p > cap:
+        n_p = cap
     p0: float | None = None
     fallback: float | None = None
     residual = math.inf
     for _ in range(max_iter):
         result = step(n_p, log_keep)
-        if isinstance(result, str):
+        if result.__class__ is str:
             if fallback is not None:
                 n_p, fallback = fallback, None
                 continue
             return None, (
                 f"{scheme.name}/tau={qos.max_retransmissions}: {result}"
             ), 0.0
-        nxt = min(max(result[2], 1.0), cap)
-        residual = abs(nxt - n_p)
+        nxt = result[2]
+        nxt = 1.0 if nxt < 1.0 else cap if nxt > cap else nxt
+        residual = nxt - n_p if nxt >= n_p else n_p - nxt
         if residual <= delta * nxt:
             n_p = nxt
             break
         if p0 is None:
             p0, n_p, fallback = n_p, nxt, None
-        elif residual < abs(n_p - p0):
+        elif residual < (n_p - p0 if n_p >= p0 else p0 - n_p):
             # Contracting steps make the denominator non-zero and the point
             # finite; growing ones would extrapolate away from the root.
             move = n_p - p0
             aitken = p0 - move * move / (nxt - n_p - move)
-            p0, n_p, fallback = None, min(max(aitken, 1.0), cap), nxt
+            aitken = 1.0 if aitken < 1.0 else cap if aitken > cap else aitken
+            p0, n_p, fallback = None, aitken, nxt
         else:
             p0, n_p = None, nxt
     else:
@@ -442,27 +449,26 @@ def _solve_candidate(
     # pass at the integer point.
     n_p_int = math.floor(n_p)
     result = step(n_p_int, log_keep)
-    if isinstance(result, str):
+    if result.__class__ is str:
         return None, f"{scheme.name}/tau={qos.max_retransmissions}: {result}", n_p
     selected, binding, wanted = result
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
     p_t = transmit_power(selected, link)
-    point = OperatingPoint(
-        scheme=scheme,
-        gamma_bar=selected,
-        n_p=n_p_int,
-        tau_r=qos.max_retransmissions,
-        energy=energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos),
-        p_t=p_t,
-        p_pa=pa_power(pa, scheme, p_t),
-        feasible=True,
-        binding=binding,
-    )
-    return point, None, n_p
+    return OperatingPoint(
+        scheme, selected, n_p_int, qos.max_retransmissions,
+        energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos), p_t,
+        pa_power(pa, scheme, p_t), True, binding,
+    ), None, n_p
 
 
 def _tau_candidates(qos: QosSpec) -> Sequence[int]:
+    """Retransmission caps searched for ``qos``: 1 to its cap, or 0 alone.
+
+    Cap 0 is searched only when ``max_retransmissions`` is 0.  Searching it
+    as well would select the same point at all 237 points of the default
+    sweep; only the infeasible markers would list one more reason.
+    """
     if qos.max_retransmissions < 1:
         return (0,)
     return range(1, qos.max_retransmissions + 1)
@@ -503,13 +509,38 @@ def candidate_table(
     the payload map depends on the cap only through the SNR floor and the
     payload ceiling, and the ceiling grows with the cap.
     """
+    mods, specs = _table_inputs(qos, modulation_set, n_h, delta)
+    return _candidate_table(link, specs, pa, mods, n_h, delta, circuit_power)
+
+
+def _table_inputs(
+    qos: QosSpec,
+    modulation_set: Iterable[ModulationScheme],
+    n_h: int,
+    delta: float,
+) -> tuple[list[ModulationScheme], list[QosSpec]]:
+    """The checked inputs of :func:`_candidate_table` that do not depend on
+    the link or the amplifier: the modulations in table order and one QoS
+    spec per retransmission cap."""
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
         raise ValueError("modulation_set must not be empty")
     _check_delta(delta)
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
-    specs = [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
+    return mods, [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
+
+
+def _candidate_table(
+    link: LinkBudget,
+    specs: Sequence[QosSpec],
+    pa: PaModel,
+    mods: Sequence[ModulationScheme],
+    n_h: int,
+    delta: float,
+    circuit_power: Mapping[CircuitClass, float],
+) -> list[Candidate]:
+    """:func:`candidate_table` given the output of :func:`_table_inputs`."""
     table = []
     for scheme in mods:
         try:
@@ -528,7 +559,7 @@ def candidate_table(
         for spec in specs:
             point, reason, n_p = _solve_candidate(
                 link, spec, pa, scheme, coeffs, gamma_cap, step, n_h, delta,
-                n_p_init=n_p, max_iter=MAX_ITER,
+                n_p, MAX_ITER,
             )
             table.append(Candidate(scheme, spec.max_retransmissions, point, reason))
     return table
@@ -603,19 +634,20 @@ def candidate_tables(
     """Yield ``(distance, pa, candidate_table)``, distance-major.
 
     Amplifiers keep the given order.  Each table is solved independently of
-    every other, so it does not depend on which distances are swept.  A
+    every other, so it does not depend on which distances are swept.  The
+    modulation order, the QoS specs and the checks of :func:`candidate_table`
+    are done once per call, before the first distance is checked.  A
     distance <= 0 raises ValueError when the sweep reaches it.
     """
     pas = tuple(pa_models)
-    mods = tuple(modulation_set)
+    mods, specs = _table_inputs(qos, modulation_set, n_h, delta)
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         link = replace(link_template, distance_m=d)
         for pa in pas:
-            yield d, pa, candidate_table(
-                link, qos, pa, mods, n_h, delta=delta,
-                circuit_power=circuit_power,
+            yield d, pa, _candidate_table(
+                link, specs, pa, mods, n_h, delta, circuit_power
             )
 
 

@@ -118,6 +118,15 @@ class TestRejection:
                 "[qos]\ntarget_per = 0.9999999999999999\nmax_retransmissions = 1\n"
             )
 
+    @pytest.mark.parametrize("text,message", [
+        ("period_s = inf", "duty.period_s: must be finite, got 'inf'"),
+        ("battery_ah = x", "duty.battery_ah: invalid number 'x'"),
+    ])
+    def test_duty_reader_error_wrapped_once(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[duty]\n{text}\n")
+        assert str(info.value) == message
+
     def test_bad_sweep(self):
         with pytest.raises(ConfigError, match="sweep"):
             parse_config("[sweep]\nd_min_m = 5\nd_max_m = 2\n")

@@ -2,12 +2,14 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from linkopt import optimizer
 from linkopt.config import default_config, parse_config
 from linkopt.energy import (
     PaModel,
@@ -512,6 +514,23 @@ class TestSolveCandidate:
         assert cold[0] is not None
         assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=371.0)) == repr(cold)
 
+    def test_infinite_start_solves_as_the_ceiling(self):
+        scheme = MODS["64QAM"]
+        link = link_at(5.0)
+        qos = QosSpec(CFG.qos.target_per, 2)
+        ceiling = payload_max(scheme, CFG.n_h, snr_max(link, scheme, CPA), qos)
+        args = (link, qos, CPA, scheme, 0.31, CFG.n_h)
+        at_ceiling = solve_candidate(*args, delta=CFG.delta, n_p_init=ceiling)
+        assert at_ceiling[0] is not None
+        assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=math.inf)) == (
+            repr(at_ceiling)
+        )
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError, match="n_p_init must not be nan"):
+            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
+                            CFG.n_h, delta=CFG.delta, n_p_init=math.nan)
+
     def test_floored_payload_below_waterfall_regime_is_rejected(self):
         """A payload that converges inside the waterfall regime can floor
         out of it; the integer step then rejects it as the loop would."""
@@ -758,6 +777,75 @@ class TestCandidateTables:
         )
         with pytest.raises(ValueError, match="distances must be positive"):
             list(tables)
+
+
+class TestDefaultPassWork:
+    def test_solves_maps_evaluations_and_specs(self, monkeypatch):
+        """One default pass solves 4,266 candidates with 1,422 maps, 9,424
+        loop evaluations and 1,824 integer passes, and builds the QoS spec
+        of each of the 3 caps once."""
+        calls = Counter()
+        solve, build, spec = (optimizer._solve_candidate,
+                              optimizer._payload_map, optimizer.QosSpec)
+
+        def counting_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counting_map(*inputs):
+            calls["map"] += 1
+            step = build(*inputs)
+
+            def counted(n_p, log_keep):
+                calls["integer" if isinstance(n_p, int) else "loop"] += 1
+                return step(n_p, log_keep)
+            return counted
+
+        def counting_spec(*args):
+            calls["spec"] += 1
+            return spec(*args)
+
+        monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
+        monkeypatch.setattr(optimizer, "_payload_map", counting_map)
+        monkeypatch.setattr(optimizer, "QosSpec", counting_spec)
+        for _ in candidate_tables(
+            CFG.link_template, CFG.distances(), CFG.qos,
+            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
+            delta=CFG.delta, circuit_power=CFG.circuit_power,
+        ):
+            pass
+        assert calls == {"solve": 4266, "map": 1422, "loop": 9424,
+                         "integer": 1824, "spec": 3}
+
+
+class TestOperatingPoint:
+    def test_repr_of_a_default_point(self):
+        point = joint_optimize(
+            link_at(20.0), CFG.qos, CPA, CFG.modulations, CFG.n_h,
+            delta=CFG.delta, circuit_power=CFG.circuit_power,
+        )
+        assert repr(point) == (
+            "OperatingPoint(scheme=ModulationScheme(name='16QAM', "
+            "bits_per_symbol=4, ber_form=<BerForm.GAUSSIAN_Q: 'gaussian_q'>, "
+            "c_m=0.75, k_m=0.8, papr=14.25, "
+            "circuit_power_class=<CircuitClass.MQAM: 'mqam'>), "
+            "gamma_bar=53.1090363249008, n_p=325, tau_r=3, "
+            "energy=1.3174822340358124e-05, p_t=0.0015128762377444292, "
+            "p_pa=0.026948107984822642, feasible=True, "
+            "binding=<Binding.SNR_MIN_BOUND: 'snr_min'>, failure_reasons=())"
+        )
+
+    def test_equal_and_hashed_alike_across_solves(self):
+        args = (link_at(10.0), CFG.qos, CPA, MODS["64QAM"], 0.31, CFG.n_h)
+        one, _ = solve_candidate(*args, delta=CFG.delta)
+        two, _ = solve_candidate(*args, delta=CFG.delta)
+        assert one is not two
+        assert one == two and hash(one) == hash(two)
+
+    def test_fields_cannot_be_assigned(self):
+        point = select_best([])
+        with pytest.raises(AttributeError):
+            point.energy = 1.0
 
 
 class TestRandomizedOracleEquivalence:

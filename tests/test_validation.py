@@ -64,8 +64,8 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(per, "_checked_quad",
                         counting("quad", per._checked_quad))
-    monkeypatch.setattr(optimizer, "candidate_table",
-                        counting("table", optimizer.candidate_table))
+    monkeypatch.setattr(optimizer, "_candidate_table",
+                        counting("table", optimizer._candidate_table))
     for _ in range(2):
         calls.clear()
         code = cli.cmd_validate(CFG, io.StringIO(), str(tmp_path / "t.csv"))
