@@ -23,7 +23,6 @@ from .energy import (
 )
 from .errors import (
     ConfigError,
-    DegeneratePayloadError,
     LinkoptError,
     OutOfRegimeError,
     PeakPowerError,
@@ -33,14 +32,10 @@ from .lifetime import DutyProfile, lifetime, lifetime_gain
 from .optimizer import (
     Binding,
     OperatingPoint,
-    constrain_snr,
     joint_optimize,
-    optimal_payload_quadratic,
-    optimal_snr_quadratic,
-    optimal_snr_tpa,
+    payload_map,
     snr_max,
     solve_candidate,
-    sweep_distance,
 )
 from .per import (
     BerForm,
@@ -65,7 +60,6 @@ __all__ = [
     "Binding",
     "CircuitClass",
     "ConfigError",
-    "DegeneratePayloadError",
     "DutyProfile",
     "EnergyCoefficients",
     "LinkBudget",
@@ -82,7 +76,6 @@ __all__ = [
     "avg_transmissions",
     "awgn_per",
     "ber",
-    "constrain_snr",
     "default_config",
     "default_modulations",
     "e0",
@@ -92,20 +85,17 @@ __all__ = [
     "lifetime",
     "lifetime_gain",
     "load_config",
-    "optimal_payload_quadratic",
-    "optimal_snr_quadratic",
-    "optimal_snr_tpa",
     "pa_efficiency",
     "pa_power",
     "parse_config",
     "path_gain",
+    "payload_map",
     "payload_max",
     "per_rayleigh",
     "per_rayleigh_exact",
     "snr_max",
     "snr_min",
     "solve_candidate",
-    "sweep_distance",
     "transmit_power",
     "waterfall_threshold",
     "waterfall_threshold_numeric",

@@ -17,9 +17,5 @@ class PeakPowerError(LinkoptError, ValueError):
     """Requested output power violates the amplifier peak-power headroom."""
 
 
-class DegeneratePayloadError(LinkoptError, ValueError):
-    """Payload optimization produced a non-positive payload size."""
-
-
 class ConfigError(LinkoptError, ValueError):
     """Scenario configuration is malformed; message carries the field path."""

@@ -34,7 +34,6 @@ from .energy import (
     path_gain,
     transmit_power,
 )
-from .errors import DegeneratePayloadError
 from .per import EULER_GAMMA, CircuitClass, ModulationScheme, QosSpec, payload_max
 
 # Payload-map evaluations allowed per candidate before it is rejected.
@@ -86,34 +85,6 @@ def snr_max(
     return cap / (link.bandwidth_hz * link.n0 * path_gain(link))
 
 
-def optimal_snr_quadratic(
-    coeffs: EnergyCoefficients, omega0: float, n_p: float, n_h: int
-) -> float:
-    """Unconstrained energy-optimal SNR for CPA or ETPA coefficients.
-
-    Positive root of the stationarity quadratic of the unbounded-
-    retransmission energy curve; always at or above the waterfall threshold.
-    """
-    if coeffs.pa_variant is PaVariant.TPA:
-        raise ValueError("quadratic SNR optimum applies to CPA/ETPA only")
-    rho = n_p / (n_h + n_p) if n_p > 0 else 0.0
-    ratio = coeffs.b_coeff / coeffs.a_coeff
-    return omega0 / 2.0 + math.sqrt(omega0 * (omega0 / 4.0 + ratio * rho))
-
-
-def _tpa_cubic(
-    coeffs: EnergyCoefficients, omega0: float, k_eff: float, n_p: float, n_h: int
-) -> tuple[float, float]:
-    """Monic coefficients (p, q) of the TPA stationarity cubic in sqrt(SNR).
-
-    The cubic ``A k_eff x^3 - 2 A w x - 2 w B rho = 0`` with the scaled
-    threshold ``w = k_eff * omega0`` reduces to ``x^3 + p x + q = 0``.
-    """
-    rho = n_p / (n_h + n_p) if n_p > 0 else 0.0
-    b = coeffs.b_coeff / coeffs.a_coeff * rho
-    return -2.0 * omega0, -2.0 * omega0 * b
-
-
 def _depressed_cubic_root(p: float, q: float) -> float:
     """Positive root of ``x^3 + p x + q = 0`` for ``p < 0`` and ``q <= 0``.
 
@@ -146,93 +117,6 @@ def _depressed_cubic_root(p: float, q: float) -> float:
     return x
 
 
-def optimal_snr_tpa(
-    coeffs: EnergyCoefficients,
-    omega0: float,
-    k_eff: float,
-    n_p: float,
-    n_h: int,
-) -> float:
-    """Unconstrained energy-optimal SNR for TPA coefficients.
-
-    The stationarity condition is a depressed cubic in sqrt(SNR) with
-    exactly one positive root, solved in closed form by
-    :func:`_depressed_cubic_root`.
-    """
-    if coeffs.pa_variant is not PaVariant.TPA:
-        raise ValueError("cubic SNR optimum applies to TPA coefficients only")
-    p, q = _tpa_cubic(coeffs, omega0, k_eff, n_p, n_h)
-    x = _depressed_cubic_root(p, q)
-    return x * x
-
-
-def constrain_snr(
-    gamma_star: float, gamma_min: float, gamma_max: float
-) -> tuple[float | None, Binding]:
-    """Condition an unconstrained optimum against the SNR window.
-
-    Returns the selected SNR and which constraint (if any) is binding;
-    ``(None, Binding.INFEASIBLE)`` when the window is empty.  Infeasibility
-    is a value here, not an error.
-    """
-    if gamma_min <= 0.0 or gamma_max <= 0.0:
-        raise ValueError("gamma_min and gamma_max must be > 0")
-    if gamma_min > gamma_max:
-        return None, Binding.INFEASIBLE
-    if gamma_star < gamma_min:
-        return gamma_min, Binding.SNR_MIN_BOUND
-    if gamma_star > gamma_max:
-        return gamma_max, Binding.SNR_MAX_BOUND
-    return gamma_star, Binding.UNCONSTRAINED
-
-
-def _payload_continuous_quadratic(
-    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
-) -> float:
-    """Real-valued payload stationary point for CPA/ETPA coefficients."""
-    k = scheme.k_eff
-    g = gamma_bar
-    ratio = coeffs.b_coeff / coeffs.a_coeff
-    radicand = k * k * g * g + 2.0 * k * g + 4.0 * ratio * k + 1.0
-    return n_h * g * ((k * g - 1.0) + math.sqrt(radicand)) / (2.0 * (g + ratio))
-
-
-def _payload_continuous_tpa(
-    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
-) -> float:
-    """Real-valued payload stationary point for TPA coefficients."""
-    k = scheme.k_eff
-    g = gamma_bar
-    a, b = coeffs.a_coeff, coeffs.b_coeff
-    sq = math.sqrt(g)
-    radicand = a * a * g * (k * g - 1.0) ** 2 + 4.0 * a * k * g * sq * (a * sq + b)
-    return (
-        n_h
-        * (a * sq * (k * g - 1.0) + math.sqrt(radicand))
-        / (2.0 * (a * sq + b))
-    )
-
-
-def optimal_payload_quadratic(
-    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
-) -> int:
-    """Unconstrained energy-optimal payload for CPA/ETPA at fixed SNR.
-
-    Positive root of the payload stationarity quadratic, floored to an
-    integer bit count.
-    """
-    if coeffs.pa_variant is PaVariant.TPA:
-        raise ValueError("quadratic payload optimum applies to CPA/ETPA only")
-    if gamma_bar <= 0.0:
-        raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    value = math.floor(_payload_continuous_quadratic(coeffs, scheme, n_h, gamma_bar))
-    if value < 1:
-        raise DegeneratePayloadError(
-            f"optimal payload degenerate ({value} bits) at gamma_bar={gamma_bar:.4g}"
-        )
-    return value
-
-
 def solve_candidate(
     link: LinkBudget,
     qos: QosSpec,
@@ -263,11 +147,15 @@ def solve_candidate(
         raise ValueError(f"n_p_init must not be nan, got {n_p_init}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
+    if n_p_init < 1 - n_h:
+        raise ValueError(
+            f"n_p_init must be >= 1 - n_h = {1 - n_h}, got {n_p_init}"
+        )
     coeffs = energy_coefficients(pa, scheme, link, p_c)
     gamma_cap = snr_max(link, scheme, pa)
     return _solve_candidate(
         link, qos, pa, scheme, coeffs, gamma_cap,
-        _payload_map(coeffs, scheme, n_h, gamma_cap), n_h, delta, n_p_init,
+        payload_map(coeffs, scheme, n_h, gamma_cap), n_h, delta, n_p_init,
         max_iter,
     )[:2]
 
@@ -277,7 +165,7 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
 
 
-def _payload_map(
+def payload_map(
     coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_cap: float
 ) -> Callable[[float, float], tuple[float, Binding, float] | str]:
     """One pass of the alternation for one scheme, as ``step(n_p, log_keep)``.
@@ -290,16 +178,17 @@ def _payload_map(
     rejects ``n_p`` it returns the reason instead, without the
     ``scheme/tau=`` prefix.
 
-    The waterfall threshold, the SNR optima, the conditioning and both
-    payload optima are written inline.  Each expression keeps the operands
-    and evaluation order of its public counterpart
-    (:func:`~linkopt.per.waterfall_threshold`, :func:`optimal_snr_quadratic`,
-    :func:`_tpa_cubic`, :func:`~linkopt.per.snr_min`, :func:`constrain_snr`,
-    :func:`_payload_continuous_quadratic`, :func:`_payload_continuous_tpa`),
-    so every value is bit-identical to theirs; the per-step call overhead is
-    what is saved.  Those functions remain the reference implementations:
-    the oracle battery checks them, and a test pins every evaluation of this
-    map to them.
+    With ``w0`` the waterfall threshold at ``N = n_h + n_p`` bits and
+    ``rho = n_p / N``, the SNR optimum is the positive root of
+    ``g^2 - w0 g - w0 (b/a) rho = 0`` for CPA and ETPA, and the square of
+    the positive root of ``x^3 - 2 w0 x - 2 w0 (b/a) rho = 0`` for TPA
+    (:func:`_depressed_cubic_root`).  The payload optimum is the positive
+    root of the payload stationarity condition of the unbounded-
+    retransmission energy at the conditioned SNR.  These are the only copies
+    of those closed forms: the solver iterates this map, and the oracle
+    battery in :mod:`linkopt.validation` checks it.  With
+    ``gamma_cap = math.inf`` and ``log_keep = -math.inf`` (no floor) the
+    step returns the unconstrained SNR optimum.
     """
     c_eff = scheme.c_eff
     k_eff = scheme.k_eff
@@ -373,7 +262,7 @@ def _solve_candidate(
 ) -> tuple[OperatingPoint | None, str | None, float]:
     """:func:`solve_candidate` given the scheme's coefficients, SNR cap and map.
 
-    ``step`` is :func:`_payload_map` of ``coeffs``, ``scheme``, ``n_h`` and
+    ``step`` is :func:`payload_map` of ``coeffs``, ``scheme``, ``n_h`` and
     ``gamma_cap``.  None of them depends on the retransmission cap, so
     :func:`_candidate_table` builds them once per scheme.  The loop iterates
     ``step``; after convergence one more ``step`` at the floored payload
@@ -554,7 +443,7 @@ def _candidate_table(
             )) for spec in specs]
             continue
         gamma_cap = snr_max(link, scheme, pa)
-        step = _payload_map(coeffs, scheme, n_h, gamma_cap)
+        step = payload_map(coeffs, scheme, n_h, gamma_cap)
         n_p = 0.0
         for spec in specs:
             point, reason, n_p = _solve_candidate(
@@ -649,21 +538,3 @@ def candidate_tables(
             yield d, pa, _candidate_table(
                 link, specs, pa, mods, n_h, delta, circuit_power
             )
-
-
-def sweep_distance(
-    link_template: LinkBudget,
-    distances: Sequence[float],
-    qos: QosSpec,
-    pa: PaModel,
-    modulation_set: Iterable[ModulationScheme],
-    n_h: int,
-    *,
-    delta: float,
-    circuit_power: Mapping[CircuitClass, float],
-) -> list[OperatingPoint]:
-    """:func:`joint_optimize` at each distance; infeasible points are values."""
-    return [select_best(table) for _, _, table in candidate_tables(
-        link_template, distances, qos, (pa,), modulation_set, n_h,
-        delta=delta, circuit_power=circuit_power,
-    )]

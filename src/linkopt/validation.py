@@ -360,24 +360,24 @@ def _energy_curve_snr(coeffs, scheme, n_p, n_h):
     return f, w0
 
 
-def _snr_optimum(coeffs, scheme, w0, n_p, n_h):
-    """The solver's closed-form SNR optimum for the coefficients' amplifier."""
-    if coeffs.pa_variant is PaVariant.TPA:
-        return opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, n_h)
-    return opt.optimal_snr_quadratic(coeffs, w0, n_p, n_h)
+def _snr_optimum(coeffs, scheme, n_p, n_h):
+    """The solver's unconstrained SNR optimum: one step of its payload map
+    with no power cap and no reliability floor (``log_keep = -inf``)."""
+    return opt.payload_map(coeffs, scheme, n_h, math.inf)(n_p, -math.inf)[0]
 
 
 def check_snr_optima_vs_golden(
     config: ScenarioConfig, count: int = 60, seed: int = 20240, run=None
 ) -> CheckResult:
-    """Closed-form optimal SNR against golden-section argmin."""
+    """The payload map's unconstrained SNR optimum against golden-section
+    argmin."""
     worst = 0.0
     where = ""
     for scheme, pa, link, n_p in _random_instances(config, count, seed):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         f, w0 = _energy_curve_snr(coeffs, scheme, n_p, config.n_h)
-        star = _snr_optimum(coeffs, scheme, w0, n_p, config.n_h)
+        star = _snr_optimum(coeffs, scheme, n_p, config.n_h)
         numeric = golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
         rel = abs(star - numeric) / numeric
         if rel > worst:
@@ -389,23 +389,26 @@ def check_snr_optima_vs_golden(
 def check_payload_optima_vs_golden(
     config: ScenarioConfig, count: int = 40, seed: int = 20241, run=None
 ) -> CheckResult:
-    """Closed-form / numeric payload optimum against golden-section argmin."""
+    """The payload map's payload optimum against golden-section argmin.
+
+    The map is built with the sampled SNR as its power cap and stepped with
+    no reliability floor, so it conditions to the cap unless the
+    unconstrained SNR optimum lies below it; the search runs at the SNR the
+    step returns.
+    """
     worst = 0.0
     where = ""
     rng = random.Random(seed + 1)
-    for scheme, pa, link, _ in _random_instances(config, count, seed):
+    for scheme, pa, link, n_p in _random_instances(config, count, seed):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
-        g = 10.0 ** rng.uniform(1.2, 3.2)
+        cap = 10.0 ** rng.uniform(1.2, 3.2)
+        g, _, wanted = opt.payload_map(coeffs, scheme, config.n_h, cap)(
+            n_p, -math.inf
+        )
         numeric = math.floor(golden_payload(coeffs, scheme, config.n_h, g))
-        if coeffs.pa_variant is PaVariant.TPA:
-            # Floored like the numeric side: the solver's floor at convergence.
-            analytic = max(1, math.floor(
-                opt._payload_continuous_tpa(coeffs, scheme, config.n_h, g)
-            ))
-        else:
-            analytic = opt.optimal_payload_quadratic(coeffs, scheme, config.n_h, g)
-        gap = abs(analytic - numeric)
+        # Floored like the numeric side: the solver's floor at convergence.
+        gap = abs(max(1, math.floor(wanted)) - numeric)
         if gap > worst:
             worst = gap
             where = f"{scheme.name}/{pa.variant.value}"
@@ -434,16 +437,22 @@ def cubic_root_bisection(p: float, q: float) -> float:
 def check_tpa_root_crosscheck(
     config: ScenarioConfig, count: int = 40, seed: int = 20242, run=None
 ) -> CheckResult:
-    """Closed-form TPA cubic root against bisection of the same cubic."""
+    """The payload map's TPA SNR optimum against bisection of its cubic.
+
+    The optimum is ``x^2`` for the positive root ``x`` of the stationarity
+    cubic ``x^3 + p x + q = 0`` with ``p = -2 w0`` and ``q = p (b/a) rho``.
+    """
     worst = 0.0
     pa = config.pa_models[PaVariant.TPA]
     for scheme, _, link, n_p in _random_instances(config, count, seed):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
-        w0 = waterfall_threshold(scheme, config.n_h + n_p)
-        p, q = opt._tpa_cubic(coeffs, w0, scheme.k_eff, n_p, config.n_h)
-        numeric = cubic_root_bisection(p, q) ** 2
-        root = opt.optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, config.n_h)
+        n = config.n_h + n_p
+        p = -2.0 * waterfall_threshold(scheme, n)
+        numeric = cubic_root_bisection(
+            p, p * (coeffs.b_coeff / coeffs.a_coeff * (n_p / n))
+        ) ** 2
+        root = _snr_optimum(coeffs, scheme, n_p, config.n_h)
         worst = max(worst, abs(numeric - root) / root)
     return _result("tpa_root_crosscheck", worst, 1e-9, f"instances={count}")
 
@@ -528,14 +537,13 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
     for scheme, pa, link, n_p in _random_instances(config, 20, 20243):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
-        w0 = waterfall_threshold(scheme, config.n_h + n_p)
         scaled = replace(
             coeffs,
             a_coeff=coeffs.a_coeff * factor,
             b_coeff=coeffs.b_coeff * factor,
         )
-        a = _snr_optimum(coeffs, scheme, w0, n_p, config.n_h)
-        b = _snr_optimum(scaled, scheme, w0, n_p, config.n_h)
+        a = _snr_optimum(coeffs, scheme, n_p, config.n_h)
+        b = _snr_optimum(scaled, scheme, n_p, config.n_h)
         worst = max(worst, abs(a - b) / a)
     link = config.link_template
     distances = (5.0, 20.0, 45.0)

@@ -13,23 +13,14 @@ import pytest
 
 from linkopt.config import default_config
 from linkopt.energy import PaVariant, energy_coefficients
-from linkopt.optimizer import (
-    Binding,
-    constrain_snr,
-    joint_optimize,
-    optimal_snr_quadratic,
-    optimal_snr_tpa,
-    snr_max,
-    _payload_continuous_quadratic,
-    _payload_continuous_tpa,
-)
+from linkopt.optimizer import Binding, joint_optimize, payload_map, snr_max
 from linkopt.per import (
     per_rayleigh_exact,
-    snr_min,
     waterfall_threshold,
     waterfall_threshold_numeric,
 )
 from linkopt.validation import (
+    _snr_optimum,
     golden_payload,
     golden_section_min_relative,
     run_all_checks,
@@ -158,13 +149,12 @@ class TestCriterion3:
             w0 = waterfall_threshold(scheme, n_p + CFG.n_h)
             rho = n_p / (n_p + CFG.n_h)
 
+            star = _snr_optimum(coeffs, scheme, n_p, CFG.n_h)
             if pa.variant is PaVariant.TPA:
-                star = optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, CFG.n_h)
                 curve = lambda g: math.exp(min(w0 / g, 700.0)) * (
                     coeffs.a_coeff * math.sqrt(g) + coeffs.b_coeff * rho
                 )
             else:
-                star = optimal_snr_quadratic(coeffs, w0, n_p, CFG.n_h)
                 curve = lambda g: math.exp(min(w0 / g, 700.0)) * (
                     coeffs.a_coeff * g + coeffs.b_coeff * rho
                 )
@@ -172,13 +162,11 @@ class TestCriterion3:
                                                   1e-9)
             worst_snr = max(worst_snr, abs(star - numeric) / numeric)
 
-            g = 10.0 ** rng.uniform(1.2, 3.4)
-            if pa.variant is PaVariant.TPA:
-                stationary = _payload_continuous_tpa(coeffs, scheme, CFG.n_h, g)
-            else:
-                stationary = _payload_continuous_quadratic(
-                    coeffs, scheme, CFG.n_h, g
-                )
+            # Capped at the sampled SNR, the map conditions to it unless the
+            # unconstrained optimum lies below; both routes use that SNR.
+            g, _, stationary = payload_map(
+                coeffs, scheme, CFG.n_h, 10.0 ** rng.uniform(1.2, 3.4)
+            )(n_p, -math.inf)
             numeric_payload = math.floor(
                 golden_payload(coeffs, scheme, CFG.n_h, g)
             )
@@ -198,18 +186,19 @@ class TestCriterion4:
         """Fixed-payload 4QAM: optimum, then floor-bound, then infeasible."""
         scheme = MODS["4QAM"]
         pa = CFG.pa_models[PaVariant.CPA]
-        n_p = 976
-        floor = snr_min(scheme, CFG.n_h, n_p, CFG.qos)
-        w0 = waterfall_threshold(scheme, n_p + CFG.n_h)
+        log_keep = math.log1p(-CFG.qos.per_attempt_bound)
 
         def regime(d):
+            """The binding of the solver's payload map at 976 payload bits;
+            the map rejects the payload when the floor exceeds the cap."""
             link = link_at(d)
-            cap = snr_max(link, scheme, pa)
-            if floor > cap:
-                return Binding.INFEASIBLE
             coeffs = energy_coefficients(pa, scheme, link, 0.31)
-            star = optimal_snr_quadratic(coeffs, w0, n_p, CFG.n_h)
-            return constrain_snr(star, floor, cap)[1]
+            step = payload_map(coeffs, scheme, CFG.n_h, snr_max(link, scheme, pa))
+            result = step(976, log_keep)
+            if isinstance(result, str):
+                assert "exceeds snr_max" in result
+                return Binding.INFEASIBLE
+            return result[1]
 
         grid = [2.0 + 0.25 * i for i in range(313)]  # 2 .. 80 m
         regimes = [regime(d) for d in grid]

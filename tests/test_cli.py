@@ -430,13 +430,19 @@ class TestValidate:
         assert len(lines) == len(validation.ALL_CHECKS)
 
     def test_perturbed_closed_form_detected(self, capsys, monkeypatch):
-        """A 10% bias in the quadratic optimum must trip the oracle check."""
-        original = optimizer.optimal_snr_quadratic
+        """A 10% bias in the SNR the payload map returns must trip the
+        oracle check."""
+        build = optimizer.payload_map
 
-        def biased(coeffs, omega0, n_p, n_h):
-            return 1.1 * original(coeffs, omega0, n_p, n_h)
+        def biased(*inputs):
+            step = build(*inputs)
 
-        monkeypatch.setattr(optimizer, "optimal_snr_quadratic", biased)
+            def biased_step(n_p, log_keep):
+                gamma, binding, wanted = step(n_p, log_keep)
+                return 1.1 * gamma, binding, wanted
+            return biased_step
+
+        monkeypatch.setattr(optimizer, "payload_map", biased)
         result = validation.check_snr_optima_vs_golden(default_config())
         assert not result.passed
         assert result.residual > 0.01

@@ -21,20 +21,13 @@ from linkopt.energy import (
 from linkopt.optimizer import (
     Binding,
     _depressed_cubic_root,
-    _payload_continuous_quadratic,
-    _payload_continuous_tpa,
-    _tpa_cubic,
     candidate_table,
     candidate_tables,
-    constrain_snr,
     joint_optimize,
-    optimal_payload_quadratic,
-    optimal_snr_quadratic,
-    optimal_snr_tpa,
+    payload_map,
     select_best,
     snr_max,
     solve_candidate,
-    sweep_distance,
 )
 from linkopt.per import (
     QosSpec,
@@ -45,6 +38,7 @@ from linkopt.per import (
 )
 from linkopt.validation import (
     _packet_energy_unbounded,
+    _snr_optimum as snr_optimum,
     cubic_root_bisection,
     golden_payload,
     golden_section_min,
@@ -60,6 +54,32 @@ ETPA = CFG.pa_models[PaVariant.ETPA]
 
 def link_at(d):
     return replace(CFG.link_template, distance_m=d)
+
+
+def payload_step(coeffs, scheme, n_h, g, n_p=976):
+    """``(SNR, binding, payload optimum)`` of the payload map held at ``g``.
+
+    The map is capped at ``g`` with its reliability floor 1e-12 below, so
+    the step conditions to within 1e-12 of ``g`` from either side and
+    returns the real-valued payload optimum at that SNR.
+    """
+    log_keep = -waterfall_threshold(scheme, n_h + n_p) / (g * (1.0 - 1e-12))
+    return payload_map(coeffs, scheme, n_h, g)(n_p, log_keep)
+
+
+def tpa_cubic(coeffs, scheme, n_p, n_h):
+    """``(p, q)`` of the TPA stationarity cubic ``x^3 + p x + q = 0`` in
+    ``x = sqrt(SNR)``: ``p = -2 w0`` and ``q = p (b/a) rho``."""
+    p = -2.0 * waterfall_threshold(scheme, n_h + n_p)
+    return p, p * (coeffs.b_coeff / coeffs.a_coeff * (n_p / (n_h + n_p)))
+
+
+def sweep(distances, pa, modulations=CFG.modulations):
+    """The best point at each distance, from the distance loop."""
+    return [select_best(table) for _, _, table in candidate_tables(
+        CFG.link_template, distances, CFG.qos, (pa,), modulations, CFG.n_h,
+        delta=CFG.delta, circuit_power=CFG.circuit_power,
+    )]
 
 
 def snr_energy_curve(coeffs, scheme, n_p, n_h):
@@ -174,7 +194,7 @@ class TestOptimalSnrQuadratic:
         coeffs = energy_coefficients(CPA, MODS["4QAM"], link_at(10.0), 0.31)
         tiny = replace(coeffs, b_coeff=coeffs.a_coeff * 1e-15)
         w0 = waterfall_threshold(MODS["4QAM"], 1024)
-        assert optimal_snr_quadratic(tiny, w0, 976, 48) == pytest.approx(
+        assert snr_optimum(tiny, MODS["4QAM"], 976, 48) == pytest.approx(
             w0, rel=1e-6
         )
 
@@ -185,9 +205,7 @@ class TestOptimalSnrQuadratic:
         scheme = MODS[name]
         coeffs = energy_coefficients(pa, scheme, link_at(d), 0.31)
         n_p = 976
-        star = optimal_snr_quadratic(
-            coeffs, waterfall_threshold(scheme, n_p + 48), n_p, 48
-        )
+        star = snr_optimum(coeffs, scheme, n_p, 48)
         f, w0 = snr_energy_curve(coeffs, scheme, n_p, 48)
         numeric = golden_section_min_relative(f, w0 * 1e-3, w0 * 1e9, 1e-9)
         assert star == pytest.approx(numeric, rel=1e-6)
@@ -198,13 +216,8 @@ class TestOptimalSnrQuadratic:
         w0 = waterfall_threshold(MODS["4QAM"], 1024)
         rho = 976 / 1024
         big = replace(coeffs, b_coeff=coeffs.a_coeff * 1e9)
-        star = optimal_snr_quadratic(big, w0, 976, 48)
+        star = snr_optimum(big, MODS["4QAM"], 976, 48)
         assert star == pytest.approx(math.sqrt(w0 * 1e9 * rho), rel=1e-3)
-
-    def test_rejects_tpa_coefficients(self):
-        coeffs = energy_coefficients(TPA, MODS["4QAM"], link_at(5.0), 0.31)
-        with pytest.raises(ValueError):
-            optimal_snr_quadratic(coeffs, 5.0, 976, 48)
 
 
 class TestOptimalSnrTpa:
@@ -214,7 +227,7 @@ class TestOptimalSnrTpa:
         tiny = replace(coeffs, b_coeff=coeffs.a_coeff * 1e-15)
         scheme = MODS["16QAM"]
         w0 = waterfall_threshold(scheme, 1024)
-        assert optimal_snr_tpa(tiny, w0, scheme.k_eff, 976, 48) == pytest.approx(
+        assert snr_optimum(tiny, scheme, 976, 48) == pytest.approx(
             2.0 * w0, rel=1e-6
         )
 
@@ -224,18 +237,16 @@ class TestOptimalSnrTpa:
         scheme = MODS[name]
         coeffs = energy_coefficients(TPA, scheme, link_at(d), 0.31)
         n_p = 512
-        w0 = waterfall_threshold(scheme, n_p + 48)
-        star = optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, 48)
-        f, _ = snr_energy_curve(coeffs, scheme, n_p, 48)
+        star = snr_optimum(coeffs, scheme, n_p, 48)
+        f, w0 = snr_energy_curve(coeffs, scheme, n_p, 48)
         numeric = golden_section_min_relative(f, w0 * 1e-3, w0 * 1e9, 1e-9)
         assert star == pytest.approx(numeric, rel=1e-6)
 
     @staticmethod
     def _root_against_bisection(coeffs, scheme):
         """Discriminant of the 16QAM cubic and the root's error to bisection."""
-        w0 = waterfall_threshold(scheme, 1024)
-        p, q = _tpa_cubic(coeffs, w0, scheme.k_eff, 976, 48)
-        root = optimal_snr_tpa(coeffs, w0, scheme.k_eff, 976, 48)
+        p, q = tpa_cubic(coeffs, scheme, 976, 48)
+        root = snr_optimum(coeffs, scheme, 976, 48)
         numeric = cubic_root_bisection(p, q) ** 2
         return (q / 2.0) ** 2 + (p / 3.0) ** 3, abs(root - numeric) / numeric
 
@@ -265,11 +276,6 @@ class TestOptimalSnrTpa:
         assert disc <= 0.0
         assert error <= 1e-9
 
-    def test_rejects_non_tpa_coefficients(self):
-        coeffs = energy_coefficients(CPA, MODS["4QAM"], link_at(5.0), 0.31)
-        with pytest.raises(ValueError):
-            optimal_snr_tpa(coeffs, 5.0, 1.1196, 976, 48)
-
 
 def _negative_log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: -(10.0 ** e))
@@ -294,36 +300,48 @@ class TestDepressedCubicRoot:
 
 
 class TestConstrainSnr:
+    """The payload map's conditioning of the SNR optimum: 4QAM, CPA, 976
+    payload bits, at the default QoS."""
+
+    @staticmethod
+    def _step(d, gamma_cap=None):
+        scheme = MODS["4QAM"]
+        link = link_at(d)
+        coeffs = energy_coefficients(CPA, scheme, link, 0.31)
+        if gamma_cap is None:
+            gamma_cap = snr_max(link, scheme, CPA)
+        step = payload_map(coeffs, scheme, CFG.n_h, gamma_cap)
+        return step(976, math.log1p(-CFG.qos.per_attempt_bound)), coeffs
+
     def test_interior_optimum_kept(self):
-        assert constrain_snr(50.0, 10.0, 100.0) == (50.0, Binding.UNCONSTRAINED)
+        (gamma, binding, _), coeffs = self._step(10.0)
+        assert binding is Binding.UNCONSTRAINED
+        assert gamma == snr_optimum(coeffs, MODS["4QAM"], 976, CFG.n_h)
 
     def test_floor_binds(self):
-        assert constrain_snr(5.0, 10.0, 100.0) == (10.0, Binding.SNR_MIN_BOUND)
+        (gamma, binding, _), _ = self._step(36.0)
+        assert binding is Binding.SNR_MIN_BOUND
+        floor = snr_min(MODS["4QAM"], CFG.n_h, 976, CFG.qos)
+        assert gamma == pytest.approx(floor, rel=1e-12)
 
     def test_cap_binds(self):
-        assert constrain_snr(500.0, 10.0, 100.0) == (100.0, Binding.SNR_MAX_BOUND)
+        (gamma, binding, _), _ = self._step(10.0, gamma_cap=100.0)
+        assert (gamma, binding) == (100.0, Binding.SNR_MAX_BOUND)
 
     def test_empty_window_is_infeasible_value(self):
-        selected, binding = constrain_snr(50.0, 100.0, 10.0)
-        assert selected is None
-        assert binding is Binding.INFEASIBLE
+        """The map returns the rejection as a value, not an error."""
+        result, _ = self._step(70.0)
+        assert result.startswith("snr_min ")
+        assert " exceeds snr_max " in result
 
     def test_fixed_payload_regimes_across_distance(self):
         """4QAM at 976 payload bits walks optimum, floor, infeasible."""
-        scheme = MODS["4QAM"]
-        qos = CFG.qos
-        floor = snr_min(scheme, CFG.n_h, 976, qos)
-        w0 = waterfall_threshold(scheme, 976 + CFG.n_h)
         seen = []
         for d in (10.0, 36.0, 70.0):
-            link = link_at(d)
-            coeffs = energy_coefficients(CPA, scheme, link, 0.31)
-            cap = snr_max(link, scheme, CPA)
-            if floor > cap:
-                seen.append(Binding.INFEASIBLE)
-                continue
-            star = optimal_snr_quadratic(coeffs, w0, 976, CFG.n_h)
-            seen.append(constrain_snr(star, floor, cap)[1])
+            result, _ = self._step(d)
+            seen.append(
+                Binding.INFEASIBLE if isinstance(result, str) else result[1]
+            )
         assert seen == [
             Binding.UNCONSTRAINED, Binding.SNR_MIN_BOUND, Binding.INFEASIBLE,
         ]
@@ -335,39 +353,35 @@ class TestOptimalPayloadQuadratic:
     def test_matches_golden_section(self, name, snr_db):
         scheme = MODS[name]
         coeffs = energy_coefficients(ETPA, scheme, link_at(10.0), 0.31)
-        g = 10.0 ** (snr_db / 10.0)
-        star = optimal_payload_quadratic(coeffs, scheme, 48, g)
+        g, _, star = payload_step(coeffs, scheme, 48, 10.0 ** (snr_db / 10.0))
         numeric = golden_payload(coeffs, scheme, 48, g)
-        assert abs(star - math.floor(numeric)) <= 1
+        assert abs(math.floor(star) - math.floor(numeric)) <= 1
 
     def test_linear_in_overhead(self):
         """The continuous stationary point is homogeneous in the overhead."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(CPA, scheme, link_at(10.0), 0.31)
-        one = _payload_continuous_quadratic(coeffs, scheme, 48, 300.0)
-        two = _payload_continuous_quadratic(coeffs, scheme, 96, 300.0)
+        one = payload_step(coeffs, scheme, 48, 300.0)[2]
+        two = payload_step(coeffs, scheme, 96, 300.0)[2]
         assert two == pytest.approx(2.0 * one, rel=1e-12)
-        floored_one = optimal_payload_quadratic(coeffs, scheme, 48, 300.0)
-        floored_two = optimal_payload_quadratic(coeffs, scheme, 96, 300.0)
-        assert abs(floored_two - 2 * floored_one) <= 1
+        assert abs(math.floor(two) - 2 * math.floor(one)) <= 1
 
     def test_high_snr_growth_rate(self):
         """payload / overhead approaches k_eff * snr for large SNR."""
         scheme = MODS["OQPSK"]
         coeffs = energy_coefficients(CPA, scheme, link_at(10.0), 0.31)
-        g = 1e7
-        value = _payload_continuous_quadratic(coeffs, scheme, 48, g)
+        g, _, value = payload_step(coeffs, scheme, 48, 1e7)
         assert value / 48 == pytest.approx(scheme.k_eff * g, rel=1e-2)
 
-    def test_degenerate_payload_raises(self):
-        """A huge circuit term at low SNR pushes the optimum below one bit."""
-        from linkopt.errors import DegeneratePayloadError
-
+    def test_degenerate_payload_below_one_bit(self):
+        """A huge circuit term at low SNR pushes the optimum below one bit;
+        the solver's clamp to [1, ceiling] takes it to one bit."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(ETPA, scheme, link_at(2.0), 0.31)
         inflated = replace(coeffs, b_coeff=coeffs.a_coeff * 1e8)
-        with pytest.raises(DegeneratePayloadError):
-            optimal_payload_quadratic(inflated, scheme, 48, 20.0)
+        g, binding, wanted = payload_step(inflated, scheme, 48, 20.0)
+        assert (g, binding) == (20.0, Binding.SNR_MAX_BOUND)
+        assert 0.0 < wanted < 1.0
 
     def test_scaled_coefficients_keep_numeric_argmin(self):
         """Scaling both coefficients moves energies, never the argmin."""
@@ -401,18 +415,18 @@ class TestOptimalPayloadTpa:
         scheme = MODS["64QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(6.0), 0.31)
         for snr_db in (20, 28, 34):
-            g = 10.0 ** (snr_db / 10.0)
+            g, _, analytic = payload_step(coeffs, scheme, 48,
+                                          10.0 ** (snr_db / 10.0))
             numeric = math.floor(golden_payload(coeffs, scheme, 48, g))
-            analytic = _payload_continuous_tpa(coeffs, scheme, 48, g)
             assert abs(numeric - math.floor(analytic)) <= 1
 
     def test_cpa_limit_model_swap(self):
         """Run the numeric machinery on CPA-form energy: the quadratic wins."""
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(CPA, scheme, link_at(10.0), 0.31)
-        g = 10.0 ** 2.4
+        g, _, analytic = payload_step(coeffs, scheme, 48, 10.0 ** 2.4)
         numeric = math.floor(golden_payload(coeffs, scheme, 48, g))
-        assert abs(numeric - optimal_payload_quadratic(coeffs, scheme, 48, g)) <= 1
+        assert abs(numeric - math.floor(analytic)) <= 1
 
     def test_diagnostic_sign_flip_recovers_optimum(self):
         """Replacing the -n_p^2 radicand term with +n_h^2 gives the optimum.
@@ -422,7 +436,7 @@ class TestOptimalPayloadTpa:
         """
         scheme = MODS["16QAM"]
         coeffs = energy_coefficients(TPA, scheme, link_at(10.0), 0.31)
-        g = 10.0 ** 2.6
+        g, _, stationary = payload_step(coeffs, scheme, 48, 10.0 ** 2.6)
         a, b, k = coeffs.a_coeff, coeffs.b_coeff, scheme.k_eff
         sq = math.sqrt(g)
         kappa = a * k * g * g - b * k * g * sq - a * g + b * sq
@@ -433,9 +447,7 @@ class TestOptimalPayloadTpa:
         flipped = (48 * kappa + math.sqrt(radicand)) / (
             2.0 * a * (g - (b / a) ** 2)
         )
-        assert flipped == pytest.approx(
-            _payload_continuous_tpa(coeffs, scheme, 48, g), rel=1e-9
-        )
+        assert flipped == pytest.approx(stationary, rel=1e-9)
         assert abs(math.floor(flipped) - math.floor(
             golden_payload(coeffs, scheme, 48, g)
         )) <= 1
@@ -453,11 +465,10 @@ class TestSolveCandidate:
         assert reason is None and point.feasible
         assert point.binding is Binding.UNCONSTRAINED
         coeffs = energy_coefficients(CPA, scheme, link, 0.31)
-        w0 = waterfall_threshold(scheme, CFG.n_h + point.n_p)
-        snr_again = optimal_snr_quadratic(coeffs, w0, point.n_p, CFG.n_h)
+        snr_again = snr_optimum(coeffs, scheme, point.n_p, CFG.n_h)
         assert snr_again == pytest.approx(point.gamma_bar, rel=1e-9)
-        payload_again = _payload_continuous_quadratic(
-            coeffs, scheme, CFG.n_h, point.gamma_bar
+        _, _, payload_again = payload_step(
+            coeffs, scheme, CFG.n_h, point.gamma_bar, point.n_p
         )
         assert abs(payload_again - point.n_p) <= 1.0
 
@@ -530,6 +541,19 @@ class TestSolveCandidate:
         with pytest.raises(ValueError, match="n_p_init must not be nan"):
             solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
                             CFG.n_h, delta=CFG.delta, n_p_init=math.nan)
+
+    @pytest.mark.parametrize("start", [-150.0, -48.0, -math.inf])
+    def test_start_below_one_bit_packet_rejected(self, start):
+        """A start whose packet is shorter than one bit names ``n_p_init``;
+        the lowest start allowed, ``1 - n_h``, solves to a rejection."""
+        args = (link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, CFG.n_h)
+        with pytest.raises(ValueError, match=(
+            rf"n_p_init must be >= 1 - n_h = -47, got {start}"
+        )):
+            solve_candidate(*args, delta=CFG.delta, n_p_init=start)
+        assert solve_candidate(*args, delta=CFG.delta, n_p_init=-47.0) == (
+            None, "4QAM/tau=3: packet of 1 bits below the waterfall regime"
+        )
 
     def test_floored_payload_below_waterfall_regime_is_rejected(self):
         """A payload that converges inside the waterfall regime can floor
@@ -623,7 +647,7 @@ class TestJointOptimize:
             )
 
     def test_tpa_interior_point_satisfies_cubic_stationarity(self):
-        """An unconstrained TPA point sits on the cubic root exactly."""
+        """An unconstrained TPA point sits on the root of its cubic."""
         point = joint_optimize(
             link_at(3.0), CFG.qos, TPA, CFG.modulations, CFG.n_h,
             delta=CFG.delta, circuit_power=CFG.circuit_power,
@@ -632,8 +656,8 @@ class TestJointOptimize:
         scheme = point.scheme
         p_c = CFG.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(TPA, scheme, link_at(3.0), p_c)
-        w0 = waterfall_threshold(scheme, CFG.n_h + point.n_p)
-        again = optimal_snr_tpa(coeffs, w0, scheme.k_eff, point.n_p, CFG.n_h)
+        p, q = tpa_cubic(coeffs, scheme, point.n_p, CFG.n_h)
+        again = cubic_root_bisection(p, q) ** 2
         assert again == pytest.approx(point.gamma_bar, rel=1e-9)
 
     def test_exact_ties_prefer_earlier_candidate(self):
@@ -677,45 +701,28 @@ class TestJointOptimize:
 class TestSweepDistance:
     def test_row_count_and_order(self):
         distances = [2.0, 5.0, 11.0, 47.0, 75.0]
-        points = sweep_distance(
-            CFG.link_template, distances, CFG.qos, CPA, CFG.modulations,
-            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-        )
+        points = sweep(distances, CPA)
         assert len(points) == len(distances)
 
     def test_infeasible_tail_is_data_not_error(self):
-        points = sweep_distance(
-            CFG.link_template, [60.0, 70.0, 80.0], CFG.qos, CPA,
-            (MODS["4QAM"],), CFG.n_h, delta=CFG.delta,
-            circuit_power=CFG.circuit_power,
-        )
+        points = sweep([60.0, 70.0, 80.0], CPA, (MODS["4QAM"],))
         assert all(not p.feasible for p in points)
 
     def test_rejects_non_positive_distance(self):
         with pytest.raises(ValueError):
-            sweep_distance(
-                CFG.link_template, [1.0, 0.0], CFG.qos, CPA,
-                CFG.modulations, CFG.n_h, delta=CFG.delta,
-                circuit_power=CFG.circuit_power,
-            )
+            sweep([1.0, 0.0], CPA)
 
     def test_feasibility_horizon_is_prefix(self):
         distances = [float(d) for d in range(2, 82, 4)]
         for pa in (CPA, TPA, ETPA):
-            points = sweep_distance(
-                CFG.link_template, distances, CFG.qos, pa, CFG.modulations,
-                CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-            )
+            points = sweep(distances, pa)
             flags = [p.feasible for p in points]
             assert flags == sorted(flags, reverse=True)
 
     def test_points_independent_of_sweep_context(self):
         """Each sweep row equals a standalone solve at that distance."""
         distances = [4.0, 12.0, 28.0]
-        swept = sweep_distance(
-            CFG.link_template, distances, CFG.qos, ETPA, CFG.modulations,
-            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-        )
+        swept = sweep(distances, ETPA)
         for d, point in zip(distances, swept):
             alone = joint_optimize(
                 link_at(d), CFG.qos, ETPA, CFG.modulations, CFG.n_h,
@@ -726,10 +733,7 @@ class TestSweepDistance:
     def test_etpa_payload_ramp_inside_16qam_band(self):
         """Payload plateaus early in the 16QAM band, then climbs steeply."""
         distances = [13.0, 15.0, 17.0, 19.0, 21.0, 23.0]
-        points = sweep_distance(
-            CFG.link_template, distances, CFG.qos, ETPA, CFG.modulations,
-            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-        )
+        points = sweep(distances, ETPA)
         by_d = dict(zip(distances, points))
         assert all(p.scheme.name == "16QAM" for p in points)
         plateau = by_d[15.0].n_p
@@ -738,11 +742,7 @@ class TestSweepDistance:
         assert by_d[23.0].n_p > by_d[21.0].n_p > by_d[19.0].n_p
 
     def test_transmit_power_matches_snr(self):
-        points = sweep_distance(
-            CFG.link_template, [5.0, 15.0, 30.0], CFG.qos, ETPA,
-            CFG.modulations, CFG.n_h, delta=CFG.delta,
-            circuit_power=CFG.circuit_power,
-        )
+        points = sweep([5.0, 15.0, 30.0], ETPA)
         for d, point in zip([5.0, 15.0, 30.0], points):
             assert point.p_t == pytest.approx(
                 transmit_power(point.gamma_bar, link_at(d)), rel=1e-12
@@ -786,7 +786,7 @@ class TestDefaultPassWork:
         of each of the 3 caps once."""
         calls = Counter()
         solve, build, spec = (optimizer._solve_candidate,
-                              optimizer._payload_map, optimizer.QosSpec)
+                              optimizer.payload_map, optimizer.QosSpec)
 
         def counting_solve(*args):
             calls["solve"] += 1
@@ -806,7 +806,7 @@ class TestDefaultPassWork:
             return spec(*args)
 
         monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
-        monkeypatch.setattr(optimizer, "_payload_map", counting_map)
+        monkeypatch.setattr(optimizer, "payload_map", counting_map)
         monkeypatch.setattr(optimizer, "QosSpec", counting_spec)
         for _ in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
@@ -861,11 +861,7 @@ class TestRandomizedOracleEquivalence:
             n_p = rng.randrange(16, 2000)
             p_c = CFG.circuit_power[scheme.circuit_power_class]
             coeffs = energy_coefficients(pa, scheme, link, p_c)
-            w0 = waterfall_threshold(scheme, n_p + CFG.n_h)
-            if pa.variant is PaVariant.TPA:
-                star = optimal_snr_tpa(coeffs, w0, scheme.k_eff, n_p, CFG.n_h)
-            else:
-                star = optimal_snr_quadratic(coeffs, w0, n_p, CFG.n_h)
-            f, _ = snr_energy_curve(coeffs, scheme, n_p, CFG.n_h)
+            star = snr_optimum(coeffs, scheme, n_p, CFG.n_h)
+            f, w0 = snr_energy_curve(coeffs, scheme, n_p, CFG.n_h)
             numeric = golden_section_min_relative(f, w0 * 1e-3, w0 * 1e9, 1e-9)
             assert star == pytest.approx(numeric, rel=1e-6)

@@ -8,11 +8,15 @@ import pytest
 
 from linkopt import cli, optimizer, per
 from linkopt.config import default_config
+from linkopt.energy import PaVariant
 from linkopt.validation import (
     ALL_CHECKS,
     check_feasibility_prefix,
     check_multistart_agreement,
     check_payload_optima_vs_golden,
+    check_scale_invariance,
+    check_snr_optima_vs_golden,
+    check_tpa_root_crosscheck,
     run_all_checks,
 )
 
@@ -37,18 +41,53 @@ def test_multistart_covers_every_amplifier_at_8_and_20_m(monkeypatch):
 
 
 def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
-    """The TPA branch checks the solver's closed form: shifting it by three
-    bits fails the check, which a search-against-search check would miss."""
+    """The TPA branch checks the solver's payload map: shifting its payload
+    optimum by three bits fails the check, which a search-against-search
+    check would miss."""
     assert check_payload_optima_vs_golden(CFG).passed
-    closed_form = optimizer._payload_continuous_tpa
-    monkeypatch.setattr(
-        optimizer, "_payload_continuous_tpa",
-        lambda *args: closed_form(*args) + 3.0,
-    )
+    build = optimizer.payload_map
+
+    def shifted(coeffs, *inputs):
+        step = build(coeffs, *inputs)
+        if coeffs.pa_variant is not PaVariant.TPA:
+            return step
+
+        def shifted_step(n_p, log_keep):
+            gamma, binding, wanted = step(n_p, log_keep)
+            return gamma, binding, wanted + 3.0
+        return shifted_step
+
+    monkeypatch.setattr(optimizer, "payload_map", shifted)
     result = check_payload_optima_vs_golden(CFG)
     assert not result.passed
     assert math.isfinite(result.residual) and result.residual >= 2.0
     assert result.detail.endswith("/tpa")
+
+
+@pytest.mark.parametrize("check, maps", [
+    pytest.param(check, maps, id=check.__name__) for check, maps in (
+        (check_snr_optima_vs_golden, 60),
+        (check_payload_optima_vs_golden, 40),
+        (check_tpa_root_crosscheck, 40),
+        # 40 unconstrained optima, then 6 maps in each of 18 candidate tables.
+        (check_scale_invariance, 148),
+    )
+])
+def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
+                                                         maps):
+    """The checks of the SNR and payload optima build the map the solver
+    iterates, one per instance, so they check the only copy of those
+    closed forms."""
+    built = []
+    build = optimizer.payload_map
+
+    def counting(*inputs):
+        built.append(inputs)
+        return build(*inputs)
+
+    monkeypatch.setattr(optimizer, "payload_map", counting)
+    assert check(CFG).passed
+    assert len(built) == maps
 
 
 def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
