@@ -228,14 +228,13 @@ def energy_per_bit(
     n_h: int,
     gamma_bar: float,
     qos: QosSpec,
-    unbounded: bool = False,
 ) -> float:
     """Energy cost per reliably delivered information bit.
 
-    Composes the Rayleigh PER, the expected transmission count and the
-    per-attempt energy.  With ``unbounded=True`` the retransmission cap is
-    ignored (the variant the closed-form optimizers are derived from).
+    Composes the Rayleigh PER, the expected transmission count under the
+    retransmission cap of ``qos`` and the per-attempt energy.
     """
     p = per_rayleigh(scheme, n_p + n_h, gamma_bar)
-    tau = None if unbounded else qos.max_retransmissions
-    return avg_transmissions(p, tau) * e0(coeffs, n_p, n_h, gamma_bar)
+    return avg_transmissions(p, qos.max_retransmissions) * e0(
+        coeffs, n_p, n_h, gamma_bar
+    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .energy import (
     EnergyCoefficients,
@@ -70,18 +70,13 @@ class OperatingPoint(NamedTuple):
     failure_reasons: tuple[str, ...] = ()
 
 
-def snr_max(
-    link: LinkBudget, scheme: ModulationScheme, pa: PaModel | None = None
-) -> float:
+def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
     """Maximum achievable average SNR under the transmit-power limits.
 
     The effective power cap is ``min(p0, p_t_max / papr)``: the regulatory
     limit and the amplifier peak-power headroom for the active waveform.
-    Without a PA model only the regulatory limit applies.
     """
-    cap = link.p0_w
-    if pa is not None:
-        cap = min(cap, pa.p_t_max / scheme.papr)
+    cap = min(link.p0_w, pa.p_t_max / scheme.papr)
     return cap / (link.bandwidth_hz * link.n0 * path_gain(link))
 
 
@@ -127,7 +122,6 @@ def solve_candidate(
     *,
     delta: float,
     n_p_init: float = 0.0,
-    max_iter: int = MAX_ITER,
 ) -> tuple[OperatingPoint | None, str | None]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair.
 
@@ -136,11 +130,14 @@ def solve_candidate(
     power ceiling, then the optimal payload at the conditioned SNR, capped
     at the largest payload the link can carry at full power.  Steffensen's
     method runs from ``n_p_init`` (lowered to that cap) until a step moves
-    the payload by at most ``delta`` relative; ``max_iter`` counts map
-    evaluations.  The payload is floored once at convergence.
+    the payload by at most ``delta`` relative, within ``MAX_ITER`` map
+    evaluations.  The payload is floored once at convergence.  The scheme's
+    set-up is the one :func:`candidate_tables` builds, so a candidate gets
+    the same result or reason on both routes.
 
     Returns ``(point, None)`` on success or ``(None, reason)`` when the
-    candidate is infeasible or the iteration fails to converge.
+    candidate is infeasible, leaves the range of a double or fails to
+    converge.
     """
     _check_delta(delta)
     if n_p_init != n_p_init:
@@ -151,12 +148,11 @@ def solve_candidate(
         raise ValueError(
             f"n_p_init must be >= 1 - n_h = {1 - n_h}, got {n_p_init}"
         )
-    coeffs = energy_coefficients(pa, scheme, link, p_c)
-    gamma_cap = snr_max(link, scheme, pa)
+    if not p_c > 0.0:
+        raise ValueError(f"p_c must be > 0, got {p_c}")
     return _solve_candidate(
-        link, qos, pa, scheme, coeffs, gamma_cap,
-        payload_map(coeffs, scheme, n_h, gamma_cap), n_h, delta, n_p_init,
-        max_iter,
+        link, qos, pa, scheme, _scheme_setup(link, pa, scheme, p_c, n_h), n_h,
+        delta, n_p_init,
     )[:2]
 
 
@@ -247,33 +243,42 @@ def payload_map(
     return step
 
 
+def _scheme_setup(
+    link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float, n_h: int
+) -> tuple[EnergyCoefficients, float, Callable] | str:
+    """The energy coefficients, SNR cap and payload map of one scheme, none
+    of which depends on the retransmission cap, or the reason (without the
+    ``scheme/tau=`` prefix) why they leave the range of a double."""
+    try:
+        coeffs = energy_coefficients(pa, scheme, link, p_c)
+    except (ValueError, ArithmeticError) as exc:
+        return f"energy coefficients outside the range of a double ({exc})"
+    gamma_cap = snr_max(link, scheme, pa)
+    if gamma_cap == 0.0:
+        return "SNR cap outside the range of a double (snr_max underflows to 0)"
+    return coeffs, gamma_cap, payload_map(coeffs, scheme, n_h, gamma_cap)
+
+
 def _solve_candidate(
     link: LinkBudget,
     qos: QosSpec,
     pa: PaModel,
     scheme: ModulationScheme,
-    coeffs: EnergyCoefficients,
-    gamma_cap: float,
-    step: Callable[[float, float], tuple[float, Binding, float] | str],
+    setup: tuple[EnergyCoefficients, float, Callable] | str,
     n_h: int,
     delta: float,
     n_p_init: float,
-    max_iter: int,
 ) -> tuple[OperatingPoint | None, str | None, float]:
-    """:func:`solve_candidate` given the scheme's coefficients, SNR cap and map.
+    """:func:`solve_candidate` given the scheme's :func:`_scheme_setup`.
 
-    ``step`` is :func:`payload_map` of ``coeffs``, ``scheme``, ``n_h`` and
-    ``gamma_cap``.  None of them depends on the retransmission cap, so
-    :func:`_candidate_table` builds them once per scheme.  The loop iterates
-    ``step``; after convergence one more ``step`` at the floored payload
-    gives the operating point's SNR, binding and payload optimum.  The third
-    value is the converged real-valued payload, 0.0 without convergence.
+    The loop iterates the map, reading ``MAX_ITER`` when called; after
+    convergence one more step at the floored payload gives the operating
+    point's SNR, binding and payload optimum.  The third value is the
+    converged real-valued payload, 0.0 without convergence.
     """
-    if gamma_cap == 0.0:
-        return None, (
-            f"{scheme.name}/tau={qos.max_retransmissions}: SNR cap outside "
-            f"the range of a double (snr_max underflows to 0)"
-        ), 0.0
+    if setup.__class__ is str:
+        return None, f"{scheme.name}/tau={qos.max_retransmissions}: {setup}", 0.0
+    coeffs, gamma_cap, step = setup
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
         return None, (
@@ -295,7 +300,7 @@ def _solve_candidate(
     p0: float | None = None
     fallback: float | None = None
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         result = step(n_p, log_keep)
         if result.__class__ is str:
             if fallback is not None:
@@ -331,7 +336,7 @@ def _solve_candidate(
             ), 0.0
         return None, (
             f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
-            f"within {max_iter} iterations (last residual {residual:.3g})"
+            f"within {MAX_ITER} iterations (last residual {residual:.3g})"
         ), 0.0
 
     # Freeze the payload to bits (n_p is in [1, ceiling]) and take one more
@@ -351,18 +356,6 @@ def _solve_candidate(
     ), None, n_p
 
 
-def _tau_candidates(qos: QosSpec) -> Sequence[int]:
-    """Retransmission caps searched for ``qos``: 1 to its cap, or 0 alone.
-
-    Cap 0 is searched only when ``max_retransmissions`` is 0.  Searching it
-    as well would select the same point at all 237 points of the default
-    sweep; only the infeasible markers would list one more reason.
-    """
-    if qos.max_retransmissions < 1:
-        return (0,)
-    return range(1, qos.max_retransmissions + 1)
-
-
 class Candidate(NamedTuple):
     """One (modulation, retransmission cap) entry of the candidate table.
 
@@ -374,84 +367,6 @@ class Candidate(NamedTuple):
     tau: int
     point: OperatingPoint | None
     reason: str | None
-
-
-def candidate_table(
-    link: LinkBudget,
-    qos: QosSpec,
-    pa: PaModel,
-    modulation_set: Iterable[ModulationScheme],
-    n_h: int,
-    *,
-    delta: float,
-    circuit_power: Mapping[CircuitClass, float],
-) -> list[Candidate]:
-    """Solve every (modulation, tau) pair of the joint search once.
-
-    Modulations are visited by ascending order, then name, and caps in
-    ascending order; :func:`select_best` relies on that order for ties.
-    Each pair gets the same result as :func:`solve_candidate` with its
-    default start and iteration limit, from :func:`_solve_candidate`: the
-    energy coefficients, the SNR cap and the payload map are built once per
-    modulation and the QoS spec once per cap.
-    Each cap's solve starts at the previous cap's converged payload, or 0:
-    the payload map depends on the cap only through the SNR floor and the
-    payload ceiling, and the ceiling grows with the cap.
-    """
-    mods, specs = _table_inputs(qos, modulation_set, n_h, delta)
-    return _candidate_table(link, specs, pa, mods, n_h, delta, circuit_power)
-
-
-def _table_inputs(
-    qos: QosSpec,
-    modulation_set: Iterable[ModulationScheme],
-    n_h: int,
-    delta: float,
-) -> tuple[list[ModulationScheme], list[QosSpec]]:
-    """The checked inputs of :func:`_candidate_table` that do not depend on
-    the link or the amplifier: the modulations in table order and one QoS
-    spec per retransmission cap."""
-    mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
-    if not mods:
-        raise ValueError("modulation_set must not be empty")
-    _check_delta(delta)
-    if n_h < 1:
-        raise ValueError(f"n_h must be >= 1, got {n_h}")
-    return mods, [QosSpec(qos.target_per, tau) for tau in _tau_candidates(qos)]
-
-
-def _candidate_table(
-    link: LinkBudget,
-    specs: Sequence[QosSpec],
-    pa: PaModel,
-    mods: Sequence[ModulationScheme],
-    n_h: int,
-    delta: float,
-    circuit_power: Mapping[CircuitClass, float],
-) -> list[Candidate]:
-    """:func:`candidate_table` given the output of :func:`_table_inputs`."""
-    table = []
-    for scheme in mods:
-        try:
-            coeffs = energy_coefficients(
-                pa, scheme, link, circuit_power[scheme.circuit_power_class]
-            )
-        except (ValueError, ArithmeticError) as exc:
-            table += [Candidate(scheme, spec.max_retransmissions, None, (
-                f"{scheme.name}/tau={spec.max_retransmissions}: energy "
-                f"coefficients outside the range of a double ({exc})"
-            )) for spec in specs]
-            continue
-        gamma_cap = snr_max(link, scheme, pa)
-        step = payload_map(coeffs, scheme, n_h, gamma_cap)
-        n_p = 0.0
-        for spec in specs:
-            point, reason, n_p = _solve_candidate(
-                link, spec, pa, scheme, coeffs, gamma_cap, step, n_h, delta,
-                n_p, MAX_ITER,
-            )
-            table.append(Candidate(scheme, spec.max_retransmissions, point, reason))
-    return table
 
 
 def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
@@ -497,16 +412,17 @@ def joint_optimize(
 ) -> OperatingPoint:
     """Exhaustive search over modulations and retransmission caps.
 
-    Every (modulation, tau) pair runs the alternating fixed-point solver;
-    the feasible point with the lowest truncated-retransmission energy wins.
-    Ties within 1e-9 relative prefer the lower modulation order, then the
-    smaller retransmission cap.  When nothing is feasible the returned
-    marker carries one reason per rejected candidate.
+    :func:`select_best` of the one table :func:`candidate_tables` builds at
+    ``link``'s distance for ``pa``: the feasible (modulation, tau) pair with
+    the lowest truncated-retransmission energy, ties within 1e-9 relative
+    going to the lower modulation order, then the smaller cap, or a marker
+    with one reason per rejected candidate.
     """
-    return select_best(candidate_table(
-        link, qos, pa, modulation_set, n_h, delta=delta,
-        circuit_power=circuit_power,
-    ))
+    [(_, _, table)] = candidate_tables(
+        link, (link.distance_m,), qos, (pa,), modulation_set, n_h,
+        delta=delta, circuit_power=circuit_power,
+    )
+    return select_best(table)
 
 
 def candidate_tables(
@@ -520,21 +436,44 @@ def candidate_tables(
     delta: float,
     circuit_power: Mapping[CircuitClass, float],
 ) -> Iterator[tuple[float, PaModel, list[Candidate]]]:
-    """Yield ``(distance, pa, candidate_table)``, distance-major.
+    """Yield ``(distance, pa, table)``, distance-major, amplifiers in the
+    given order: the one builder of candidate tables.
 
-    Amplifiers keep the given order.  Each table is solved independently of
-    every other, so it does not depend on which distances are swept.  The
-    modulation order, the QoS specs and the checks of :func:`candidate_table`
-    are done once per call, before the first distance is checked.  A
-    distance <= 0 raises ValueError when the sweep reaches it.
+    A table holds one :class:`Candidate` per (modulation, tau) pair, by
+    ascending modulation order, then name, then cap (caps 1 to
+    ``max_retransmissions``, or 0 alone); :func:`select_best` relies on that
+    order for ties.  The inputs are checked once, when the first table is
+    asked for; a distance <= 0 raises ValueError when the sweep reaches it.
+    :func:`_scheme_setup` runs once per scheme and table.  Each cap's solve
+    starts at the previous cap's converged payload, or 0: the map depends on
+    the cap only through the SNR floor and the payload ceiling, which grows
+    with the cap.  No table depends on which distances are swept.
     """
     pas = tuple(pa_models)
-    mods, specs = _table_inputs(qos, modulation_set, n_h, delta)
+    mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
+    if not mods:
+        raise ValueError("modulation_set must not be empty")
+    _check_delta(delta)
+    if n_h < 1:
+        raise ValueError(f"n_h must be >= 1, got {n_h}")
+    # Cap 0 too would select the same point at all 237 default sweep points.
+    top = qos.max_retransmissions
+    specs = [QosSpec(qos.target_per, tau) for tau in range(min(top, 1), top + 1)]
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         link = replace(link_template, distance_m=d)
         for pa in pas:
-            yield d, pa, _candidate_table(
-                link, specs, pa, mods, n_h, delta, circuit_power
-            )
+            table = []
+            for scheme in mods:
+                p_c = circuit_power[scheme.circuit_power_class]
+                setup = _scheme_setup(link, pa, scheme, p_c, n_h)
+                n_p = 0.0
+                for spec in specs:
+                    point, reason, n_p = _solve_candidate(
+                        link, spec, pa, scheme, setup, n_h, delta, n_p
+                    )
+                    table.append(
+                        Candidate(scheme, spec.max_retransmissions, point, reason)
+                    )
+            yield d, pa, table

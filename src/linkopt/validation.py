@@ -576,9 +576,11 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
 def check_multistart_agreement(config: ScenarioConfig, run=None) -> CheckResult:
     """Random payload initializations converge to one fixed point.
 
-    Covers every amplifier at 8 m and 20 m.  The candidate table starts each
-    retransmission cap's solve from the previous cap's payload, which is
-    only sound while each candidate has a single fixed point.
+    Covers every amplifier at 8 m and 20 m, each start solved by
+    ``solve_candidate``.  ``candidate_tables`` starts each retransmission
+    cap's solve from the previous cap's payload, which is only sound while
+    each candidate has a single fixed point.  A rejected start fails the
+    check with its reason.
     """
     scheme = _scheme_like_16qam(config)
     p_c = config.circuit_power[scheme.circuit_power_class]
@@ -689,10 +691,20 @@ def run_all_checks(config: ScenarioConfig, run=None) -> list[CheckResult]:
     """Run every oracle cross-check against the given scenario.
 
     Each check is called as ``check(config, run=run)``, all with one
-    :class:`BatteryRun`; checks that share no oracle work ignore it.
+    :class:`BatteryRun`; checks that share no oracle work ignore it.  A
+    check that raises ValueError or ArithmeticError (a scenario its oracle
+    cannot evaluate) fails with residual inf and the error as its detail,
+    and the battery goes on.
     """
     run = run or BatteryRun(config)
-    return [check(config, run=run) for check in ALL_CHECKS]
+    results = []
+    for check in ALL_CHECKS:
+        try:
+            results.append(check(config, run=run))
+        except (ValueError, ArithmeticError) as exc:
+            results.append(_result(check.__name__, math.inf, 0.0,
+                                   f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def write_per_error_table(config: ScenarioConfig, path: str, run=None) -> None:

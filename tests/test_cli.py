@@ -383,7 +383,7 @@ class TestLifetimeSharedTable:
                           qos.max_retransmissions))
             return solve(link, qos, pa, scheme, *args, **kwargs)
 
-        # candidate_table hands each candidate, with its scheme's set-up, to
+        # candidate_tables hands each candidate, with its scheme's set-up, to
         # the per-candidate solve behind solve_candidate.
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
         cfg = default_config()
@@ -392,6 +392,31 @@ class TestLifetimeSharedTable:
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
         assert len(calls) == len(set(calls)) == points * per_point
+
+
+class TestSolveRouting:
+    """Every candidate solve goes through the one table builder, or through
+    ``solve_candidate`` in the battery's multistart check."""
+
+    @pytest.mark.parametrize("argv, callers", [
+        (["optimize", "--distance", "20"], {"candidate_tables"}),
+        (["sweep", "--out", "{out}"], {"candidate_tables"}),
+        (["lifetime", "--out", "{out}"], {"candidate_tables"}),
+        (["validate"], {"candidate_tables", "solve_candidate"}),
+    ], ids=["optimize", "sweep", "lifetime", "validate"])
+    def test_callers_of_the_per_candidate_solve(self, monkeypatch, tmp_path,
+                                                capsys, argv, callers):
+        seen = set()
+        solve = optimizer._solve_candidate
+
+        def recording(*args):
+            seen.add(sys._getframe(1).f_code.co_name)
+            return solve(*args)
+
+        monkeypatch.setattr(optimizer, "_solve_candidate", recording)
+        out = str(tmp_path / "out.csv")
+        assert run_cli([arg.format(out=out) for arg in argv]) == cli.EXIT_OK
+        assert seen == callers
 
 
 class TestCustomModulationEndToEnd:
@@ -446,6 +471,27 @@ class TestValidate:
         result = validation.check_snr_optima_vs_golden(default_config())
         assert not result.passed
         assert result.residual > 0.01
+
+    def test_check_error_is_a_fail_line(self, tmp_path, capsys):
+        """A config that parse_config accepts but whose energy coefficients
+        leave the range of a double fails the checks that raise on it, and
+        the battery still reports all 17 checks."""
+        path = tmp_path / "extreme.ini"
+        path.write_text(
+            "[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n",
+            encoding="utf-8",
+        )
+        code = run_cli(["--config", str(path), "validate"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == len(validation.ALL_CHECKS) + 1 == 18
+        assert lines[-1] == "checks: 11/17 passed"
+        assert (
+            "check_snr_optima_vs_golden,FAIL,residual=inf,threshold=0.000e+00,"
+            "ValueError: b_coeff must be positive finite, got 0.0"
+        ) in lines
 
     def test_error_table_csv(self, tmp_path, capsys):
         out_path = tmp_path / "re.csv"

@@ -105,11 +105,9 @@ class TestTransmitPower:
         assert p1 == pytest.approx(2.0 * p2, rel=1e-12)
 
     def test_power_cap_roundtrip(self):
-        """At the cap-derived SNR the transmit power equals the cap."""
-        from linkopt.optimizer import snr_max
-
+        """At the regulatory-cap SNR the transmit power equals the cap."""
         link = link_at(30.0)
-        g_max = snr_max(link, QAM4)
+        g_max = link.p0_w / (link.bandwidth_hz * link.n0 * path_gain(link))
         assert transmit_power(g_max, link) == pytest.approx(link.p0_w, rel=1e-12)
 
     def test_algebraic_inversion_at_20db(self):
@@ -236,17 +234,6 @@ class TestEnergyPerBit:
             e0(coeffs, 976, 48, g), rel=1e-8
         )
 
-    def test_unbounded_variant_uses_geometric_mean(self):
-        coeffs = energy_coefficients(CPA, QAM4, link_at(10.0), 0.31)
-        g = 60.0
-        p = per_rayleigh(QAM4, 1024, g)
-        bounded = energy_per_bit(coeffs, QAM4, 976, 48, g, QOS)
-        unbounded = energy_per_bit(coeffs, QAM4, 976, 48, g, QOS, unbounded=True)
-        assert unbounded == pytest.approx(
-            e0(coeffs, 976, 48, g) / (1.0 - p), rel=1e-12
-        )
-        assert bounded < unbounded
-
 
 def sign_changes(values):
     diffs = [b - a for a, b in zip(values, values[1:]) if b != a]
@@ -257,6 +244,14 @@ def sign_changes(values):
     return flips
 
 
+def unbounded_energy(coeffs, n_p, g):
+    """Energy per bit with unbounded retransmissions, the curve the
+    closed-form optima are derived from."""
+    return avg_transmissions(per_rayleigh(QAM4, n_p + 48, g), None) * e0(
+        coeffs, n_p, 48, g
+    )
+
+
 class TestUnimodality:
     """The reliability-weighted energy has a single interior minimum."""
 
@@ -264,10 +259,7 @@ class TestUnimodality:
     def test_energy_unimodal_in_snr(self, pa):
         coeffs = energy_coefficients(pa, QAM4, link_at(10.0), 0.31)
         grid = [10.0 ** (db / 20.0) for db in range(10, 120, 2)]
-        values = [
-            energy_per_bit(coeffs, QAM4, 976, 48, g, QOS, unbounded=True)
-            for g in grid
-        ]
+        values = [unbounded_energy(coeffs, 976, g) for g in grid]
         assert sign_changes(values) <= 1
 
     @pytest.mark.parametrize("pa", [CPA, TPA, ETPA])
@@ -275,10 +267,7 @@ class TestUnimodality:
         coeffs = energy_coefficients(pa, QAM4, link_at(10.0), 0.31)
         g = 10.0 ** 2.2
         grid = [int(round(1.3 ** k)) for k in range(1, 36)]
-        values = [
-            energy_per_bit(coeffs, QAM4, n_p, 48, g, QOS, unbounded=True)
-            for n_p in grid
-        ]
+        values = [unbounded_energy(coeffs, n_p, g) for n_p in grid]
         assert sign_changes(values) <= 1
 
 

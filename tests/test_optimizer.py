@@ -21,7 +21,6 @@ from linkopt.energy import (
 from linkopt.optimizer import (
     Binding,
     _depressed_cubic_root,
-    candidate_table,
     candidate_tables,
     joint_optimize,
     payload_map,
@@ -168,14 +167,13 @@ class TestSnrMax:
             link.bandwidth_hz * link.n0 * path_gain(link)
         )
         assert snr_max(link, scheme, CPA) == pytest.approx(expected, rel=1e-12)
-        assert snr_max(link, scheme) == pytest.approx(expected, rel=1e-12)
 
     def test_peak_headroom_binds_for_high_papr(self):
         pa = PaModel(PaVariant.ETPA, 0.8, 0.02)
         scheme = MODS["64QAM"]
         link = link_at(10.0)
         capped = snr_max(link, scheme, pa)
-        uncapped = snr_max(link, scheme)
+        uncapped = link.p0_w / (link.bandwidth_hz * link.n0 * path_gain(link))
         assert capped == pytest.approx(
             uncapped * (pa.p_t_max / scheme.papr) / link.p0_w, rel=1e-12
         )
@@ -497,13 +495,14 @@ class TestSolveCandidate:
         assert "PER bound" in reason or "snr_min" in reason
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
-    def test_non_convergence_reports_last_step(self, max_iter):
+    def test_non_convergence_reports_last_step(self, monkeypatch, max_iter):
         """The reason carries the last map evaluation's payload step, inf
-        before any evaluation."""
-        args = (link_at(5.0), QosSpec(CFG.qos.target_per, 2), CPA,
-                MODS["64QAM"], 0.31, CFG.n_h)
-        point, reason = solve_candidate(*args, delta=CFG.delta,
-                                        max_iter=max_iter)
+        before any evaluation, and the joint search reports it alike."""
+        monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
+        link, scheme = link_at(5.0), MODS["64QAM"]
+        qos = QosSpec(CFG.qos.target_per, 2)
+        point, reason = solve_candidate(link, qos, CPA, scheme, 0.31, CFG.n_h,
+                                        delta=CFG.delta)
         assert point is None
         assert f"no convergence within {max_iter} iterations" in reason
         residual = float(reason.rsplit("last residual ", 1)[1].rstrip(")"))
@@ -511,6 +510,10 @@ class TestSolveCandidate:
             assert residual == math.inf
         else:
             assert CFG.delta < residual < math.inf
+        joint = joint_optimize(link, qos, CPA, (scheme,), CFG.n_h,
+                               delta=CFG.delta,
+                               circuit_power={scheme.circuit_power_class: 0.31})
+        assert reason in joint.failure_reasons
 
     def test_start_above_payload_ceiling_is_lowered_to_it(self):
         """A start above the ceiling solves like a cold start; unclamped,
@@ -577,9 +580,34 @@ class TestSolveCandidate:
             solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
                             CFG.n_h, delta=delta)
         with pytest.raises(ValueError, match="delta must be > 0 and finite"):
-            candidate_table(link_at(10.0), CFG.qos, CPA, CFG.modulations,
-                            CFG.n_h, delta=delta,
-                            circuit_power=CFG.circuit_power)
+            joint_optimize(link_at(10.0), CFG.qos, CPA, CFG.modulations,
+                           CFG.n_h, delta=delta,
+                           circuit_power=CFG.circuit_power)
+
+    def test_coefficients_outside_double_range_match_the_table(self):
+        """A scheme whose coefficients leave the range of a double is a
+        rejection with the same reason from solve_candidate as in its
+        candidate table."""
+        cfg = parse_config(
+            "[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n"
+        )
+        pa = cfg.pa_models[PaVariant.CPA]
+        link = replace(cfg.link_template, distance_m=20.0)
+        [(_, _, table)] = candidate_tables(
+            link, (20.0,), cfg.qos, (pa,), cfg.modulations, cfg.n_h,
+            delta=cfg.delta, circuit_power=cfg.circuit_power,
+        )
+        reasons = {c.reason for c in table if c.scheme.name == "16QAM"}
+        assert {r.split(":", 1)[1] for r in reasons} == {
+            " energy coefficients outside the range of a double "
+            "(b_coeff must be positive finite, got 0.0)"
+        }
+        for scheme, tau, point, reason in table:
+            assert solve_candidate(
+                link, QosSpec(cfg.qos.target_per, tau), pa, scheme,
+                cfg.circuit_power[scheme.circuit_power_class], cfg.n_h,
+                delta=cfg.delta,
+            ) == (point, reason)
 
     def test_reliability_floor_point_sits_on_bound(self):
         """Where the floor binds the realized PER equals the bound."""
@@ -614,11 +642,14 @@ class TestJointOptimize:
         assert len(point.failure_reasons) == CFG.qos.max_retransmissions
 
     def test_empty_modulation_set_rejected(self):
-        with pytest.raises(ValueError):
-            joint_optimize(
-                link_at(10.0), CFG.qos, CPA, (), CFG.n_h,
-                delta=CFG.delta, circuit_power=CFG.circuit_power,
-            )
+        """An empty set is the first error reported, before a bad delta."""
+        for delta in (CFG.delta, math.nan):
+            with pytest.raises(ValueError,
+                               match="modulation_set must not be empty"):
+                joint_optimize(
+                    link_at(10.0), CFG.qos, CPA, (), CFG.n_h,
+                    delta=delta, circuit_power=CFG.circuit_power,
+                )
 
     def test_headerless_packet_rejected(self):
         with pytest.raises(ValueError, match="n_h must be >= 1"):

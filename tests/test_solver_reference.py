@@ -6,7 +6,7 @@
 the outcome oracle: where both converge, the two must return the same
 ``(point, reason)`` or raise the same error.  A rejection inside the loop
 quotes the packet size of the iterate it came at, which the two iterations
-need not share.  ``candidate_table`` starts each retransmission cap at the
+need not share.  ``candidate_tables`` starts each retransmission cap at the
 previous cap's payload; every entry must equal a cold ``solve_candidate``.
 The closed forms inside the map are checked by the oracle battery in
 ``linkopt.validation``.
@@ -33,7 +33,7 @@ from linkopt.energy import (
 from linkopt.optimizer import (
     Binding,
     OperatingPoint,
-    candidate_table,
+    candidate_tables,
     payload_map,
     snr_max,
     solve_candidate,
@@ -132,10 +132,11 @@ def scenario(p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
 
 
 def table_of(cfg, link, pa):
-    return candidate_table(
-        link, cfg.qos, pa, cfg.modulations, cfg.n_h, delta=cfg.delta,
-        circuit_power=cfg.circuit_power,
+    [(_, _, table)] = candidate_tables(
+        link, (link.distance_m,), cfg.qos, (pa,), cfg.modulations, cfg.n_h,
+        delta=cfg.delta, circuit_power=cfg.circuit_power,
     )
+    return table
 
 
 def candidate_args(cfg, link, pa, scheme, tau):

@@ -103,8 +103,14 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(per, "_checked_quad",
                         counting("quad", per._checked_quad))
-    monkeypatch.setattr(optimizer, "_candidate_table",
-                        counting("table", optimizer._candidate_table))
+    tables = optimizer.candidate_tables
+
+    def counting_tables(*args, **kwargs):
+        for item in tables(*args, **kwargs):
+            calls["table"] += 1
+            yield item
+
+    monkeypatch.setattr(optimizer, "candidate_tables", counting_tables)
     for _ in range(2):
         calls.clear()
         code = cli.cmd_validate(CFG, io.StringIO(), str(tmp_path / "t.csv"))
