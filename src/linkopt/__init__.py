@@ -35,7 +35,6 @@ from .optimizer import (
     joint_optimize,
     payload_map,
     snr_max,
-    solve_candidate,
 )
 from .per import (
     BerForm,
@@ -95,7 +94,6 @@ __all__ = [
     "per_rayleigh_exact",
     "snr_max",
     "snr_min",
-    "solve_candidate",
     "transmit_power",
     "waterfall_threshold",
     "waterfall_threshold_numeric",

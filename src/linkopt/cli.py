@@ -189,11 +189,11 @@ def cmd_validate(config: ScenarioConfig, out: TextIO,
     from .validation import BatteryRun, run_all_checks, write_per_error_table
 
     run = BatteryRun(config)
-    results = run_all_checks(config, run)
+    results = run_all_checks(run)
     for result in results:
         out.write(result.line() + "\n")
     if table_path is not None:
-        write_per_error_table(config, table_path, run)
+        write_per_error_table(run, table_path)
     failed = [r for r in results if not r.passed]
     out.write(f"checks: {len(results) - len(failed)}/{len(results)} passed\n")
     return EXIT_VALIDATION if failed else EXIT_OK

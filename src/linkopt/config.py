@@ -349,15 +349,19 @@ def parse_config(text: str) -> ScenarioConfig:
 
     link = reader("link")
     noise_half_dbm = link.decibels("noise_half_psd_dbm_hz")
-    link_template = LinkBudget(
-        distance_m=1.0,
-        kappa=link.positive("kappa"),
-        g1_db=link.decibels("g1_db"),
-        link_margin_db=link.decibels("link_margin_db"),
-        n0=2.0 * _dbm_to_watts(noise_half_dbm),
-        bandwidth_hz=link.positive("bandwidth_khz") * 1e3,
-        p0_w=link.positive("p0_mw") * 1e-3,
-    )
+    try:
+        link_template = LinkBudget(
+            distance_m=1.0,
+            kappa=link.positive("kappa"),
+            g1_db=link.decibels("g1_db"),
+            link_margin_db=link.decibels("link_margin_db"),
+            n0=2.0 * _dbm_to_watts(noise_half_dbm),
+            bandwidth_hz=link.positive("bandwidth_khz") * 1e3,
+            p0_w=link.positive("p0_mw") * 1e-3,
+        )
+    except ValueError as exc:
+        # A positive value can underflow to 0 in the unit conversion.
+        raise ConfigError(f"link: {exc}") from None
 
     qos_r = reader("qos")
     target_per = qos_r.number("target_per")

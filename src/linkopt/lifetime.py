@@ -8,8 +8,10 @@ profile parameter and are voltage-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .optimizer import OperatingPoint
 
 
@@ -39,13 +41,22 @@ class DutyProfile:
 
 
 def lifetime(point: OperatingPoint, profile: DutyProfile) -> float:
-    """Seconds until the communication energy budget is exhausted."""
+    """Seconds until the communication energy budget is exhausted; a
+    ConfigError naming ``duty`` when that is not a positive finite double."""
     if not point.feasible:
         raise ValueError("no lifetime for an infeasible operating point")
     if point.energy is None or point.energy <= 0.0:
         raise ValueError("operating point has no positive energy figure")
     energy_per_period = point.energy * profile.payload_per_period_bits
-    return profile.energy_budget_j / energy_per_period * profile.period_s
+    seconds = (profile.energy_budget_j / energy_per_period * profile.period_s
+               if energy_per_period > 0.0 else math.inf)
+    if not 0.0 < seconds < math.inf:
+        raise ConfigError(
+            f"duty: the lifetime at {point.energy:.4g} J/bit from battery_ah, "
+            f"battery_v, payload_kbit and period_s is outside the range of a "
+            f"double ({seconds:g} s)"
+        )
+    return seconds
 
 
 def lifetime_gain(

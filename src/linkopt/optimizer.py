@@ -112,55 +112,6 @@ def _depressed_cubic_root(p: float, q: float) -> float:
     return x
 
 
-def solve_candidate(
-    link: LinkBudget,
-    qos: QosSpec,
-    pa: PaModel,
-    scheme: ModulationScheme,
-    p_c: float,
-    n_h: int,
-    *,
-    delta: float,
-    n_p_init: float = 0.0,
-) -> tuple[OperatingPoint | None, str | None]:
-    """Alternating SNR/payload optimization for one (modulation, QoS) pair.
-
-    Finds the fixed point of the payload map: unconstrained optimal SNR at
-    the current payload, conditioning against the reliability floor and
-    power ceiling, then the optimal payload at the conditioned SNR, capped
-    at the largest payload the link can carry at full power.  Steffensen's
-    method runs from ``n_p_init`` (lowered to that cap) until a step moves
-    the payload by at most ``delta`` relative, within ``MAX_ITER`` map
-    evaluations.  The payload is floored once at convergence.  The scheme's
-    set-up is the one :func:`candidate_tables` builds, so a candidate gets
-    the same result or reason on both routes.
-
-    Returns ``(point, None)`` on success or ``(None, reason)`` when the
-    candidate is infeasible, leaves the range of a double or fails to
-    converge.
-    """
-    _check_delta(delta)
-    if n_p_init != n_p_init:
-        raise ValueError(f"n_p_init must not be nan, got {n_p_init}")
-    if n_h < 1:
-        raise ValueError(f"n_h must be >= 1, got {n_h}")
-    if n_p_init < 1 - n_h:
-        raise ValueError(
-            f"n_p_init must be >= 1 - n_h = {1 - n_h}, got {n_p_init}"
-        )
-    if not p_c > 0.0:
-        raise ValueError(f"p_c must be > 0, got {p_c}")
-    return _solve_candidate(
-        link, qos, pa, scheme, _scheme_setup(link, pa, scheme, p_c, n_h), n_h,
-        delta, n_p_init,
-    )[:2]
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be > 0 and finite, got {delta}")
-
-
 def payload_map(
     coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_cap: float
 ) -> Callable[[float, float], tuple[float, Binding, float] | str]:
@@ -269,12 +220,17 @@ def _solve_candidate(
     delta: float,
     n_p_init: float,
 ) -> tuple[OperatingPoint | None, str | None, float]:
-    """:func:`solve_candidate` given the scheme's :func:`_scheme_setup`.
+    """Alternating SNR/payload optimization for one (modulation, QoS) pair
+    on the scheme's :func:`_scheme_setup`: the fixed point of the payload
+    map, capped at the largest payload the link carries at full power.
 
-    The loop iterates the map, reading ``MAX_ITER`` when called; after
-    convergence one more step at the floored payload gives the operating
-    point's SNR, binding and payload optimum.  The third value is the
-    converged real-valued payload, 0.0 without convergence.
+    Steffensen's method runs from ``n_p_init`` (lowered to that cap) until a
+    step moves the payload by at most ``delta`` relative, within
+    ``MAX_ITER`` map evaluations (read when called); one more step at the
+    floored payload gives the point's SNR, binding and payload optimum.
+    Returns ``(point, None, n_p)``, or ``(None, reason, n_p)`` when the
+    candidate is infeasible, leaves the range of a double or fails to
+    converge; ``n_p`` is the converged payload, 0.0 without convergence.
     """
     if setup.__class__ is str:
         return None, f"{scheme.name}/tau={qos.max_retransmissions}: {setup}", 0.0
@@ -453,7 +409,8 @@ def candidate_tables(
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
     if not mods:
         raise ValueError("modulation_set must not be empty")
-    _check_delta(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     # Cap 0 too would select the same point at all 237 default sweep points.

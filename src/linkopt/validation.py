@@ -2,14 +2,18 @@
 
 Each check pairs an analytic route with an independent numeric one
 (quadrature, golden-section search, brute-force grids) and reports the
-measured residual against a fixed threshold.  The CLI ``validate``
-subcommand runs the whole battery and fails on any regression; the same
-checks back the acceptance test suite.
+measured residual against a fixed threshold.  Every check is called as
+``check(run)`` with one :class:`BatteryRun`, whose ``config`` is the
+scenario; it yields the ``(residual, where)`` of each instance it checks,
+and :func:`_worst` reduces them to its result within the call.  The CLI
+``validate`` subcommand runs the whole battery and fails on any regression;
+the same checks back the acceptance test suite.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -65,17 +69,44 @@ class CheckResult:
         return out
 
 
-def _result(name, residual, threshold, detail=""):
-    return CheckResult(name, residual <= threshold, residual, threshold, detail)
+def _worst(name, threshold, gaps, floor=0.0) -> CheckResult:
+    """A check's result from the ``(residual, where)`` of each instance: the
+    first largest residual above ``floor`` and its place, or ``no instances``.
+    A ValueError or ArithmeticError raised while the pairs are made (a
+    scenario the oracle cannot evaluate) fails the check with residual inf
+    and the error as its detail."""
+    worst, where, seen = floor, "", False
+    try:
+        for residual, at in gaps:
+            seen = True
+            if residual > worst:
+                worst, where = residual, at
+    except (ValueError, ArithmeticError) as exc:
+        worst, where = math.inf, f"{type(exc).__name__}: {exc}"
+    else:
+        if not seen:
+            where = "no instances"
+    return CheckResult(name, worst <= threshold, worst, threshold, where)
+
+
+def _check(name: str, threshold: float, floor: float = 0.0):
+    """Make a generator of ``(residual, where)`` pairs the check
+    ``check(run) -> CheckResult``, which runs it through :func:`_worst`."""
+    def decorate(gaps):
+        @functools.wraps(gaps)
+        def check(run):
+            return _worst(name, threshold, gaps(run), floor)
+        return check
+    return decorate
 
 
 class BatteryRun:
     """Oracle work shared by the checks of one battery run.
 
-    ``cmd_validate`` makes one per call; a check called alone makes its own.
-    :meth:`quad` memoizes the quadrature oracles, and the conditioned points
-    are solved once.  Nothing outlives the run, and no candidate table
-    outlives the check that solves it.
+    ``cmd_validate`` makes one per call, and every check reads its scenario
+    from ``config``.  :meth:`quad` memoizes the quadrature oracles, and the
+    conditioned points are solved once.  Nothing outlives the run, and no
+    candidate table outlives the check that solves it.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -90,51 +121,47 @@ class BatteryRun:
             self._quad[key] = oracle(*key[1:])
         return self._quad[key]
 
+    def tables(self, distances):
+        """:func:`optimizer.candidate_tables` of the scenario at ``distances``."""
+        config = self.config
+        return opt.candidate_tables(
+            config.link_template, distances, config.qos,
+            config.pa_models.values(), config.modulations, config.n_h,
+            delta=config.delta, circuit_power=config.circuit_power,
+        )
+
     def conditioned_points(self) -> list:
-        """``(distance, pa, best point)`` of each feasible amplifier at 5..45 m."""
+        """``(distance, pa, point)`` of every feasible candidate at 5..45 m."""
         if self._conditioned is None:
-            config = self.config
-            tables = opt.candidate_tables(
-                config.link_template, (5.0, 15.0, 25.0, 35.0, 45.0), config.qos,
-                config.pa_models.values(), config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            )
-            best = ((d, pa, opt.select_best(table)) for d, pa, table in tables)
-            self._conditioned = [row for row in best if row[2].feasible]
+            self._conditioned = [
+                (d, pa, c.point)
+                for d, pa, table in self.tables((5.0, 15.0, 25.0, 35.0, 45.0))
+                for c in table if c.point is not None
+            ]
         return self._conditioned
 
 
-def check_waterfall_closed_vs_numeric(
-    config: ScenarioConfig, run=None
-) -> CheckResult:
+@_check("waterfall_closed_vs_numeric", 0.03)
+def check_waterfall_closed_vs_numeric(run: BatteryRun):
     """Gumbel-mean threshold against adaptive quadrature, all schemes."""
-    run = run or BatteryRun(config)
-    worst = 0.0
-    where = ""
-    for scheme in config.modulations:
+    for scheme in run.config.modulations:
         for n in PACKET_SIZES:
             numeric = run.quad(waterfall_threshold_numeric, scheme, n)
             closed = waterfall_threshold(scheme, n)
-            rel = abs(closed - numeric) / numeric
-            if rel > worst:
-                worst, where = rel, f"{scheme.name}/N={n}"
-    return _result("waterfall_closed_vs_numeric", worst, 0.03, where)
+            yield abs(closed - numeric) / numeric, f"{scheme.name}/N={n}"
 
 
-def check_per_error_vs_bound(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("per_error_vs_bound", 0.02)
+def check_per_error_vs_bound(run: BatteryRun):
     """Closed-form PER error tracks the numeric upper bound's error.
 
     Compares relative errors against the exact Rayleigh-average PER for
     16QAM over 10..40 dB; the two routes must stay within 2 percentage
     points of each other.
     """
-    worst = 0.0
-    where = ""
-    for n, snr_db, exact, err_closed, err_bound in _per_errors(config, run, 2):
+    for n, snr_db, exact, err_closed, err_bound in _per_errors(run, 2):
         gap = abs(err_closed / exact - err_bound / exact)
-        if gap > worst:
-            worst, where = gap, f"N={n}/snr={snr_db}dB"
-    return _result("per_error_vs_bound", worst, 0.02, where)
+        yield gap, f"N={n}/snr={snr_db}dB"
 
 
 def _scheme_like_16qam(config: ScenarioConfig) -> ModulationScheme:
@@ -144,11 +171,10 @@ def _scheme_like_16qam(config: ScenarioConfig) -> ModulationScheme:
     return config.modulations[-1]
 
 
-def _per_errors(config: ScenarioConfig, run, snr_step: int):
+def _per_errors(run: BatteryRun, snr_step: int):
     """``(N, SNR dB, exact PER, |closed form - exact|, |bound - exact|)`` for
     16QAM at :data:`ERROR_TABLE_SIZES` and 10..40 dB."""
-    run = run or BatteryRun(config)
-    scheme = _scheme_like_16qam(config)
+    scheme = _scheme_like_16qam(run.config)
     for n in ERROR_TABLE_SIZES:
         w_closed = waterfall_threshold(scheme, n)
         w_num = run.quad(waterfall_threshold_numeric, scheme, n)
@@ -159,72 +185,62 @@ def _per_errors(config: ScenarioConfig, run, snr_step: int):
                    abs(-math.expm1(-w_num / g) - exact))
 
 
-def check_per_monotonicity(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("per_monotonicity", 0.0)
+def check_per_monotonicity(run: BatteryRun):
     """PER strictly decreasing in SNR and increasing in packet size."""
-    worst = 0.0
     sizes = (64, 256, 1024, 4096)
     snrs = [10.0 ** (db / 10.0) for db in range(2, 42, 2)]
-    for scheme in config.modulations:
+    for scheme in run.config.modulations:
         for n in sizes:
             values = [per_rayleigh(scheme, n, g) for g in snrs]
             for lo, hi in zip(values[1:], values):
-                worst = max(worst, lo - hi)
+                yield lo - hi, ""
         for g in snrs:
             values = [per_rayleigh(scheme, n, g) for n in sizes]
             for lo, hi in zip(values, values[1:]):
-                worst = max(worst, lo - hi)
-    return _result("per_monotonicity", worst, 0.0)
+                yield lo - hi, ""
 
 
-def check_exact_below_bound(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("exact_below_bound", 1e-9, floor=-math.inf)
+def check_exact_below_bound(run: BatteryRun):
     """Exact Rayleigh PER never exceeds the numeric-threshold bound."""
-    run = run or BatteryRun(config)
-    worst = -math.inf
-    where = ""
-    for scheme in config.modulations:
+    for scheme in run.config.modulations:
         for n in (120, 1024):
             w_num = run.quad(waterfall_threshold_numeric, scheme, n)
             for snr_db in (5, 15, 25, 35):
                 g = 10.0 ** (snr_db / 10.0)
                 exact = run.quad(per_rayleigh_exact, scheme, n, g)
                 bound = -math.expm1(-w_num / g)
-                excess = exact - bound
-                if excess > worst:
-                    worst, where = excess, f"{scheme.name}/N={n}/snr={snr_db}dB"
-    return _result("exact_below_bound", worst, 1e-9, where)
+                yield exact - bound, f"{scheme.name}/N={n}/snr={snr_db}dB"
 
 
-def check_snr_min_roundtrip(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("snr_min_roundtrip", 1e-9)
+def check_snr_min_roundtrip(run: BatteryRun):
     """per_rayleigh(snr_min) returns the per-attempt bound exactly."""
-    worst = 0.0
+    config = run.config
     qos = config.qos
     for scheme in config.modulations:
         for n_p in (100, 976, 5000):
             g = snr_min(scheme, config.n_h, n_p, qos)
             back = per_rayleigh(scheme, config.n_h + n_p, g)
-            worst = max(
-                worst, abs(back - qos.per_attempt_bound) / qos.per_attempt_bound
-            )
-    return _result("snr_min_roundtrip", worst, 1e-9)
+            yield abs(back - qos.per_attempt_bound) / qos.per_attempt_bound, ""
 
 
-def check_payload_max_roundtrip(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("payload_max_roundtrip", 1e-12)
+def check_payload_max_roundtrip(run: BatteryRun):
     """payload_max is the floor-inverse of the PER constraint in packet size."""
-    qos = config.qos
-    bad = 0.0
+    config = run.config
+    bound = config.qos.per_attempt_bound
     for scheme in config.modulations:
         for snr_db in (12, 20, 28):
             g = 10.0 ** (snr_db / 10.0)
-            n_max = payload_max(scheme, config.n_h, g, qos)
+            n_max = payload_max(scheme, config.n_h, g, config.qos)
             if n_max <= 0 or n_max >= 10**9:
                 continue
             at = per_rayleigh(scheme, config.n_h + n_max, g)
             above = per_rayleigh(scheme, config.n_h + n_max + 1, g)
-            if at > qos.per_attempt_bound * (1.0 + 1e-12):
-                bad = max(bad, at / qos.per_attempt_bound - 1.0)
-            if above <= qos.per_attempt_bound:
-                bad = max(bad, 1.0)
-    return _result("payload_max_roundtrip", bad, 1e-12)
+            excess = at / bound - 1.0 if at > bound * (1.0 + 1e-12) else 0.0
+            yield max(excess, 1.0 if above <= bound else 0.0), ""
 
 
 def _exp_or_inf(x: float) -> float:
@@ -366,29 +382,25 @@ def _snr_optimum(coeffs, scheme, n_p, n_h):
     return opt.payload_map(coeffs, scheme, n_h, math.inf)(n_p, -math.inf)[0]
 
 
-def check_snr_optima_vs_golden(
-    config: ScenarioConfig, count: int = 60, seed: int = 20240, run=None
-) -> CheckResult:
+
+
+@_check("snr_optima_vs_golden", 1e-6)
+def check_snr_optima_vs_golden(run: BatteryRun):
     """The payload map's unconstrained SNR optimum against golden-section
     argmin."""
-    worst = 0.0
-    where = ""
-    for scheme, pa, link, n_p in _random_instances(config, count, seed):
+    config = run.config
+    for scheme, pa, link, n_p in _random_instances(config, 60, 20240):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         f, w0 = _energy_curve_snr(coeffs, scheme, n_p, config.n_h)
         star = _snr_optimum(coeffs, scheme, n_p, config.n_h)
         numeric = golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
-        rel = abs(star - numeric) / numeric
-        if rel > worst:
-            worst = rel
-            where = f"{scheme.name}/{pa.variant.value}/d={link.distance_m:.1f}"
-    return _result("snr_optima_vs_golden", worst, 1e-6, where)
+        where = f"{scheme.name}/{pa.variant.value}/d={link.distance_m:.1f}"
+        yield abs(star - numeric) / numeric, where
 
 
-def check_payload_optima_vs_golden(
-    config: ScenarioConfig, count: int = 40, seed: int = 20241, run=None
-) -> CheckResult:
+@_check("payload_optima_vs_golden", 1.0)
+def check_payload_optima_vs_golden(run: BatteryRun):
     """The payload map's payload optimum against golden-section argmin.
 
     The map is built with the sampled SNR as its power cap and stepped with
@@ -396,10 +408,9 @@ def check_payload_optima_vs_golden(
     unconstrained SNR optimum lies below it; the search runs at the SNR the
     step returns.
     """
-    worst = 0.0
-    where = ""
-    rng = random.Random(seed + 1)
-    for scheme, pa, link, n_p in _random_instances(config, count, seed):
+    config = run.config
+    rng = random.Random(20242)
+    for scheme, pa, link, n_p in _random_instances(config, 40, 20241):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         cap = 10.0 ** rng.uniform(1.2, 3.2)
@@ -409,10 +420,7 @@ def check_payload_optima_vs_golden(
         numeric = math.floor(golden_payload(coeffs, scheme, config.n_h, g))
         # Floored like the numeric side: the solver's floor at convergence.
         gap = abs(max(1, math.floor(wanted)) - numeric)
-        if gap > worst:
-            worst = gap
-            where = f"{scheme.name}/{pa.variant.value}"
-    return _result("payload_optima_vs_golden", worst, 1.0, where)
+        yield gap, f"{scheme.name}/{pa.variant.value}"
 
 
 def cubic_root_bisection(p: float, q: float) -> float:
@@ -434,17 +442,18 @@ def cubic_root_bisection(p: float, q: float) -> float:
             hi = mid
 
 
-def check_tpa_root_crosscheck(
-    config: ScenarioConfig, count: int = 40, seed: int = 20242, run=None
-) -> CheckResult:
+
+
+@_check("tpa_root_crosscheck", 1e-9)
+def check_tpa_root_crosscheck(run: BatteryRun):
     """The payload map's TPA SNR optimum against bisection of its cubic.
 
     The optimum is ``x^2`` for the positive root ``x`` of the stationarity
     cubic ``x^3 + p x + q = 0`` with ``p = -2 w0`` and ``q = p (b/a) rho``.
     """
-    worst = 0.0
+    config = run.config
     pa = config.pa_models[PaVariant.TPA]
-    for scheme, _, link, n_p in _random_instances(config, count, seed):
+    for scheme, _, link, n_p in _random_instances(config, 40, 20242):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         n = config.n_h + n_p
@@ -453,41 +462,34 @@ def check_tpa_root_crosscheck(
             p, p * (coeffs.b_coeff / coeffs.a_coeff * (n_p / n))
         ) ** 2
         root = _snr_optimum(coeffs, scheme, n_p, config.n_h)
-        worst = max(worst, abs(numeric - root) / root)
-    return _result("tpa_root_crosscheck", worst, 1e-9, f"instances={count}")
+        yield abs(numeric - root) / root, "instances=40"
 
 
-def check_pa_saturation(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("pa_efficiency_saturation", 1e-12)
+def check_pa_saturation(run: BatteryRun):
     """Efficiency law identities at and below the designed maximum power."""
-    worst = 0.0
-    for pa in config.pa_models.values():
-        worst = max(worst, abs(pa_efficiency(pa, pa.p_t_max) - pa.eta_max))
+    for pa in run.config.pa_models.values():
+        yield abs(pa_efficiency(pa, pa.p_t_max) - pa.eta_max), ""
         if pa.variant is PaVariant.TPA:
-            worst = max(
-                worst,
-                abs(pa_efficiency(pa, pa.p_t_max / 4.0) - pa.eta_max / 2.0),
-            )
+            yield abs(pa_efficiency(pa, pa.p_t_max / 4.0) - pa.eta_max / 2.0), ""
         if pa.variant is PaVariant.ETPA:
             expected = pa.eta_max * (1.0 + pa.etpa_c) / 2.0
-            worst = max(
-                worst,
-                abs(pa_efficiency(pa, pa.etpa_c * pa.p_t_max) - expected),
-            )
-    return _result("pa_efficiency_saturation", worst, 1e-12)
+            yield abs(pa_efficiency(pa, pa.etpa_c * pa.p_t_max) - expected), ""
 
 
-def check_e0_ordering(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("e0_pa_ordering", 0.0, floor=-math.inf)
+def check_e0_ordering(run: BatteryRun):
     """Per-attempt energy ordering TPA >= ETPA >= CPA at matched settings.
 
     Holds when all variants share eta_max and p_t_max and operate backed off
     from saturation; the grid keeps the transmit power within the regulatory
     cap, far below the amplifier maximum.
     """
+    config = run.config
     base = config.pa_models[PaVariant.ETPA]
     models = {
         v: PaModel(v, base.eta_max, base.p_t_max, base.etpa_c) for v in PaVariant
     }
-    worst = -math.inf
     for scheme in config.modulations:
         p_c = config.circuit_power[scheme.circuit_power_class]
         for d in (5.0, 15.0, 40.0):
@@ -499,31 +501,26 @@ def check_e0_ordering(config: ScenarioConfig, run=None) -> CheckResult:
                 for variant, pa in models.items():
                     coeffs = energy_coefficients(pa, scheme, link, p_c)
                     values[variant] = e0(coeffs, 512, config.n_h, g)
-                worst = max(
-                    worst,
-                    values[PaVariant.ETPA] - values[PaVariant.TPA],
-                    values[PaVariant.CPA] - values[PaVariant.ETPA],
-                )
-    return _result("e0_pa_ordering", worst, 0.0)
+                yield values[PaVariant.ETPA] - values[PaVariant.TPA], ""
+                yield values[PaVariant.CPA] - values[PaVariant.ETPA], ""
 
 
-def check_avg_transmissions(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("avg_transmissions_limits", 1e-12)
+def check_avg_transmissions(run: BatteryRun):
     """Truncated-retransmission count limits and monotonicity."""
-    worst = 0.0
-    worst = max(worst, abs(avg_transmissions(0.0, 3) - 1.0))
-    worst = max(worst, abs(avg_transmissions(0.5, 1) - 1.5))
-    p_req = config.qos.per_attempt_bound
-    worst = max(worst, abs(avg_transmissions(p_req, None) - 1.0 / (1.0 - p_req)))
+    yield abs(avg_transmissions(0.0, 3) - 1.0), ""
+    yield abs(avg_transmissions(0.5, 1) - 1.5), ""
+    p_req = run.config.qos.per_attempt_bound
+    yield abs(avg_transmissions(p_req, None) - 1.0 / (1.0 - p_req)), ""
     prev = 0.0
     for i in range(1, 20):
-        p = i / 20.0
-        value = avg_transmissions(p, 3)
-        worst = max(worst, prev - value)
+        value = avg_transmissions(i / 20.0, 3)
+        yield prev - value, ""
         prev = value
-    return _result("avg_transmissions_limits", worst, 1e-12)
 
 
-def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("argmin_scale_invariance", 1e-9)
+def check_scale_invariance(run: BatteryRun):
     """Joint scaling of both energy coefficients never moves any argmin.
 
     Scaling noise density, power cap, amplifier maximum and circuit power by
@@ -531,9 +528,8 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
     leaving the SNR window untouched, so the selected modulation and the
     optimal SNR must not move.
     """
+    config = run.config
     factor = 7.3
-    worst = 0.0
-    detail = ""
     for scheme, pa, link, n_p in _random_instances(config, 20, 20243):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
@@ -544,14 +540,9 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
         )
         a = _snr_optimum(coeffs, scheme, n_p, config.n_h)
         b = _snr_optimum(scaled, scheme, n_p, config.n_h)
-        worst = max(worst, abs(a - b) / a)
+        yield abs(a - b) / a, ""
     link = config.link_template
     distances = (5.0, 20.0, 45.0)
-    base = opt.candidate_tables(
-        link, distances, config.qos, config.pa_models.values(),
-        config.modulations, config.n_h, delta=config.delta,
-        circuit_power=config.circuit_power,
-    )
     scaled = opt.candidate_tables(
         replace(link, n0=link.n0 * factor, p0_w=link.p0_w * factor),
         distances, config.qos,
@@ -560,7 +551,7 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
         config.modulations, config.n_h, delta=config.delta,
         circuit_power={k: v * factor for k, v in config.circuit_power.items()},
     )
-    for (d, pa, table), (_, _, scaled_table) in zip(base, scaled):
+    for (d, pa, table), (_, _, scaled_table) in zip(run.tables(distances), scaled):
         one, other = opt.select_best(table), opt.select_best(scaled_table)
         same = (
             one.feasible == other.feasible
@@ -568,102 +559,88 @@ def check_scale_invariance(config: ScenarioConfig, run=None) -> CheckResult:
             == (other.scheme.name if other.feasible else None)
         )
         if not same:
-            worst = max(worst, 1.0)
-            detail = f"selection moved at {pa.variant.value}/d={d}"
-    return _result("argmin_scale_invariance", worst, 1e-9, detail)
+            yield 1.0, f"selection moved at {pa.variant.value}/d={d}"
 
 
-def check_multistart_agreement(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("multistart_agreement", 1e-6)
+def check_multistart_agreement(run: BatteryRun):
     """Random payload initializations converge to one fixed point.
 
-    Covers every amplifier at 8 m and 20 m, each start solved by
-    ``solve_candidate``.  ``candidate_tables`` starts each retransmission
-    cap's solve from the previous cap's payload, which is only sound while
-    each candidate has a single fixed point.  A rejected start fails the
-    check with its reason.
+    Covers every amplifier at 8 m and 20 m, ten starts each, every start
+    solved by the per-candidate solve of ``candidate_tables``:
+    ``optimizer._solve_candidate`` on the scheme's ``_scheme_setup``.
+    ``candidate_tables`` starts each retransmission cap's solve from the
+    previous cap's payload, which is only sound while each candidate has a
+    single fixed point.  A rejected start fails the check with its reason.
     """
+    config = run.config
     scheme = _scheme_like_16qam(config)
     p_c = config.circuit_power[scheme.circuit_power_class]
-    qos = QosSpec(config.qos.target_per, config.qos.max_retransmissions)
     rng = random.Random(20244)
-    worst = 0.0
-    where = ""
     for variant, pa in config.pa_models.items():
         for d in (8.0, 20.0):
             link = replace(config.link_template, distance_m=d)
+            setup = opt._scheme_setup(link, pa, scheme, p_c, config.n_h)
             energies = []
             for _ in range(10):
-                point, reason = opt.solve_candidate(
-                    link, qos, pa, scheme, p_c, config.n_h,
-                    delta=config.delta, n_p_init=rng.uniform(1.0, 5000.0),
+                point, reason, _ = opt._solve_candidate(
+                    link, config.qos, pa, scheme, setup, config.n_h, config.delta,
+                    rng.uniform(1.0, 5000.0),
                 )
                 if point is None:
-                    return _result("multistart_agreement", math.inf, 1e-6,
-                                   f"{variant.value}/d={d}: {reason}")
+                    yield math.inf, f"{variant.value}/d={d}: {reason}"
+                    return
                 energies.append(point.energy)
             spread = (max(energies) - min(energies)) / min(energies)
-            if spread > worst:
-                worst, where = spread, f"{variant.value}/d={d}"
-    return _result("multistart_agreement", worst, 1e-6, where)
+            yield spread, f"{variant.value}/d={d}"
 
 
-def check_conditioning_snr_min(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("conditioning_snr_min", 1e-9)
+def check_conditioning_snr_min(run: BatteryRun):
     """Where the reliability floor binds, the PER equals the bound exactly."""
-    run = run or BatteryRun(config)
-    worst = 0.0
-    where = ""
+    config = run.config
     for d, pa, point in run.conditioned_points():
         if point.binding is not opt.Binding.SNR_MIN_BOUND:
             continue
-        qos_t = QosSpec(config.qos.target_per, point.tau_r)
+        bound = QosSpec(config.qos.target_per, point.tau_r).per_attempt_bound
         p = per_rayleigh(point.scheme, point.n_p + config.n_h, point.gamma_bar)
-        rel = abs(p - qos_t.per_attempt_bound) / qos_t.per_attempt_bound
-        if rel > worst:
-            worst, where = rel, f"{pa.variant.value}/d={d}"
-    return _result("conditioning_snr_min", worst, 1e-9, where)
+        yield abs(p - bound) / bound, f"{pa.variant.value}/d={d}"
 
 
-def check_conditioning_snr_max(config: ScenarioConfig, run=None) -> CheckResult:
+@_check("conditioning_snr_max", 1e-12)
+def check_conditioning_snr_max(run: BatteryRun):
     """Where the power cap binds, the transmit power equals the cap exactly.
 
     Payload-capped points sit on the reliability boundary of the floored
     payload ceiling, a granularity step below the cap, so they only need to
     respect the cap rather than meet it.
     """
-    run = run or BatteryRun(config)
-    worst = 0.0
-    where = ""
     for d, pa, point in run.conditioned_points():
-        cap = min(config.link_template.p0_w, pa.p_t_max / point.scheme.papr)
+        cap = min(run.config.link_template.p0_w, pa.p_t_max / point.scheme.papr)
         if point.binding is opt.Binding.SNR_MAX_BOUND:
-            rel = abs(point.p_t - cap) / cap
+            yield abs(point.p_t - cap) / cap, f"{pa.variant.value}/d={d}"
         elif point.binding is opt.Binding.PAYLOAD_MAX_BOUND:
-            rel = max(0.0, point.p_t - cap) / cap
-        else:
-            continue
-        if rel > worst:
-            worst, where = rel, f"{pa.variant.value}/d={d}"
-    return _result("conditioning_snr_max", worst, 1e-12, where)
+            yield max(0.0, point.p_t - cap) / cap, f"{pa.variant.value}/d={d}"
 
 
-def check_feasibility_prefix(config: ScenarioConfig, run=None) -> CheckResult:
-    """Once a scheme goes infeasible with distance it stays infeasible."""
+@_check("feasibility_prefix", 0.0)
+def check_feasibility_prefix(run: BatteryRun):
+    """Once a scheme goes infeasible with distance it stays infeasible.
+
+    The residual of each feasible entry is the count of violations so far.
+    """
     violations = 0
     seen_infeasible = set()
-    for _, pa, table in opt.candidate_tables(
-        config.link_template, [float(d) for d in range(2, 90, 2)], config.qos,
-        config.pa_models.values(), config.modulations, config.n_h,
-        delta=config.delta, circuit_power=config.circuit_power,
-    ):
-        for scheme in config.modulations:
+    for _, pa, table in run.tables([float(d) for d in range(2, 90, 2)]):
+        for scheme in run.config.modulations:
             # Table schemes are the config's own objects: identity, not the
             # dataclass __eq__.
             point = opt.select_best(c for c in table if c.scheme is scheme)
             if not point.feasible:
                 seen_infeasible.add((pa.variant, scheme))
-            elif (pa.variant, scheme) in seen_infeasible:
-                violations += 1
-    return _result("feasibility_prefix", float(violations), 0.0)
+                continue
+            violations += (pa.variant, scheme) in seen_infeasible
+            yield float(violations), ""
 
 
 ALL_CHECKS = (
@@ -687,40 +664,25 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(config: ScenarioConfig, run=None) -> list[CheckResult]:
-    """Run every oracle cross-check against the given scenario.
-
-    Each check is called as ``check(config, run=run)``, all with one
-    :class:`BatteryRun`; checks that share no oracle work ignore it.  A
-    check that raises ValueError or ArithmeticError (a scenario its oracle
-    cannot evaluate) fails with residual inf and the error as its detail,
-    and the battery goes on.
-    """
-    run = run or BatteryRun(config)
-    results = []
-    for check in ALL_CHECKS:
-        try:
-            results.append(check(config, run=run))
-        except (ValueError, ArithmeticError) as exc:
-            results.append(_result(check.__name__, math.inf, 0.0,
-                                   f"{type(exc).__name__}: {exc}"))
-    return results
+def run_all_checks(run: BatteryRun) -> list[CheckResult]:
+    """Run every oracle cross-check against the run's scenario."""
+    return [check(run) for check in ALL_CHECKS]
 
 
-def write_per_error_table(config: ScenarioConfig, path: str, run=None) -> None:
+def write_per_error_table(run: BatteryRun, path: str) -> None:
     """CSV of PER relative-error curves for 16QAM at three packet sizes.
 
     Columns: packet size, SNR, and the relative errors of the closed-form
     approximation and of the numeric-threshold bound against the exact
     Rayleigh-average PER.
     """
-    name = _scheme_like_16qam(config).name
+    name = _scheme_like_16qam(run.config).name
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["modulation", "n_bits", "snr_db", "re_closed_pct", "re_bound_pct"]
         )
-        for n, snr_db, exact, err_closed, err_bound in _per_errors(config, run, 1):
+        for n, snr_db, exact, err_closed, err_bound in _per_errors(run, 1):
             re_closed = 100.0 * err_closed / exact
             re_bound = 100.0 * err_bound / exact
             writer.writerow(

@@ -20,6 +20,7 @@ from linkopt.per import (
     waterfall_threshold_numeric,
 )
 from linkopt.validation import (
+    BatteryRun,
     _snr_optimum,
     golden_payload,
     golden_section_min_relative,
@@ -314,7 +315,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_invariant_suites_all_pass(self):
         """The full oracle cross-check battery stays green."""
-        results = run_all_checks(CFG)
+        results = run_all_checks(BatteryRun(CFG))
         failed = [r.name for r in results if not r.passed]
         ok = not failed
         report(8, "invariant suites", ok,

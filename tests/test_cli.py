@@ -288,7 +288,7 @@ REFERENCE_SHA256 = {
 
 # SHA-256 of the default `validate --out t.csv` stdout and of its PER table.
 VALIDATE_STDOUT_SHA256 = (
-    "e4736d45728ac5ad1e69606bee465c1f92cac8a59521c1750852e676f95e06ea"
+    "405360e3877be8bfa1b13d956dfece034a32f21fe1d5ba37fe5440dfb21127ac"
 )
 PER_TABLE_SHA256 = "5b98033d26abe1d7c5ad916f8532a1f7314be7e9cc1e60f47d1f3ec297a507c7"
 
@@ -384,7 +384,7 @@ class TestLifetimeSharedTable:
             return solve(link, qos, pa, scheme, *args, **kwargs)
 
         # candidate_tables hands each candidate, with its scheme's set-up, to
-        # the per-candidate solve behind solve_candidate.
+        # the per-candidate solve.
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
         cfg = default_config()
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
@@ -395,14 +395,14 @@ class TestLifetimeSharedTable:
 
 
 class TestSolveRouting:
-    """Every candidate solve goes through the one table builder, or through
-    ``solve_candidate`` in the battery's multistart check."""
+    """Every candidate solve is called by the one table builder, or by the
+    battery's multistart check."""
 
     @pytest.mark.parametrize("argv, callers", [
         (["optimize", "--distance", "20"], {"candidate_tables"}),
         (["sweep", "--out", "{out}"], {"candidate_tables"}),
         (["lifetime", "--out", "{out}"], {"candidate_tables"}),
-        (["validate"], {"candidate_tables", "solve_candidate"}),
+        (["validate"], {"candidate_tables", "check_multistart_agreement"}),
     ], ids=["optimize", "sweep", "lifetime", "validate"])
     def test_callers_of_the_per_candidate_solve(self, monkeypatch, tmp_path,
                                                 capsys, argv, callers):
@@ -468,14 +468,16 @@ class TestValidate:
             return biased_step
 
         monkeypatch.setattr(optimizer, "payload_map", biased)
-        result = validation.check_snr_optima_vs_golden(default_config())
+        result = validation.check_snr_optima_vs_golden(
+            validation.BatteryRun(default_config()))
         assert not result.passed
         assert result.residual > 0.01
 
     def test_check_error_is_a_fail_line(self, tmp_path, capsys):
         """A config that parse_config accepts but whose energy coefficients
-        leave the range of a double fails the checks that raise on it, and
-        the battery still reports all 17 checks."""
+        leave the range of a double fails the checks that raise on it under
+        their own names and thresholds, the battery still reports all 17
+        checks, and the checks left with nothing to check say so."""
         path = tmp_path / "extreme.ini"
         path.write_text(
             "[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n",
@@ -489,9 +491,15 @@ class TestValidate:
         assert len(lines) == len(validation.ALL_CHECKS) + 1 == 18
         assert lines[-1] == "checks: 11/17 passed"
         assert (
-            "check_snr_optima_vs_golden,FAIL,residual=inf,threshold=0.000e+00,"
+            "snr_optima_vs_golden,FAIL,residual=inf,threshold=1.000e-06,"
             "ValueError: b_coeff must be positive finite, got 0.0"
         ) in lines
+        assert not any(line.startswith("check_") for line in lines)
+        vacuous = [line.split(",")[0] for line in lines
+                   if line.endswith(",no instances")]
+        assert vacuous == [
+            "conditioning_snr_min", "conditioning_snr_max", "feasibility_prefix",
+        ]
 
     def test_error_table_csv(self, tmp_path, capsys):
         out_path = tmp_path / "re.csv"
@@ -613,3 +621,28 @@ class TestNonFiniteConfig:
         assert code == cli.EXIT_USAGE
         assert f"{section}.{key}: must be finite" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestOutOfRangeConfig:
+    """Finite values whose unit conversion or lifetime leaves the range of a
+    double end in a usage error naming the section: no traceback, and no
+    inf or nan in the CSV."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[link]\np0_mw = 1e-322\n", "link: p0_w must be > 0"),
+        ("[duty]\nbattery_ah = 1e300\nbattery_v = 1e300\n",
+         "duty: the lifetime at"),
+        ("[duty]\nperiod_s = 1e-320\npayload_kbit = 1e10\n",
+         "duty: the lifetime at"),
+        ("[duty]\npayload_kbit = 1e-322\n", "duty: the lifetime at"),
+    ], ids=["p0_underflow", "battery_energy_overflow", "lifetime_underflow",
+            "energy_per_period_underflow"])
+    def test_lifetime_rejected_with_section(self, tmp_path, capsys, text,
+                                            message):
+        path = tmp_path / "range.ini"
+        path.write_text(text, encoding="utf-8")
+        code = run_cli(["--config", str(path), "lifetime"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.err.startswith(f"error: {message}")
+        assert "inf" not in captured.out and "nan" not in captured.out

@@ -26,7 +26,6 @@ from linkopt.optimizer import (
     payload_map,
     select_best,
     snr_max,
-    solve_candidate,
 )
 from linkopt.per import (
     QosSpec,
@@ -53,6 +52,14 @@ ETPA = CFG.pa_models[PaVariant.ETPA]
 
 def link_at(d):
     return replace(CFG.link_template, distance_m=d)
+
+
+def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
+    """``(point, reason)`` of the per-candidate solve that candidate_tables
+    runs, on the scheme's set-up."""
+    setup = optimizer._scheme_setup(link, pa, scheme, p_c, n_h)
+    return optimizer._solve_candidate(
+        link, qos, pa, scheme, setup, n_h, delta, n_p_init)[:2]
 
 
 def payload_step(coeffs, scheme, n_h, g, n_p=976):
@@ -457,7 +464,7 @@ class TestSolveCandidate:
         scheme = MODS["64QAM"]
         link = link_at(5.0)
         qos = QosSpec(CFG.qos.target_per, 2)
-        point, reason = solve_candidate(
+        point, reason = solve_one(
             link, qos, CPA, scheme, 0.31, CFG.n_h, delta=CFG.delta
         )
         assert reason is None and point.feasible
@@ -478,7 +485,7 @@ class TestSolveCandidate:
         rng = random.Random(7)
         energies = set()
         for _ in range(10):
-            point, reason = solve_candidate(
+            point, reason = solve_one(
                 link, qos, ETPA, scheme, 0.31, CFG.n_h,
                 delta=CFG.delta, n_p_init=rng.uniform(1.0, 4000.0),
             )
@@ -487,7 +494,7 @@ class TestSolveCandidate:
         assert len(energies) == 1
 
     def test_infeasible_far_range(self):
-        point, reason = solve_candidate(
+        point, reason = solve_one(
             link_at(70.0), QosSpec(0.001, 3), CPA, MODS["4QAM"], 0.31, CFG.n_h,
             delta=CFG.delta,
         )
@@ -501,7 +508,7 @@ class TestSolveCandidate:
         monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
         link, scheme = link_at(5.0), MODS["64QAM"]
         qos = QosSpec(CFG.qos.target_per, 2)
-        point, reason = solve_candidate(link, qos, CPA, scheme, 0.31, CFG.n_h,
+        point, reason = solve_one(link, qos, CPA, scheme, 0.31, CFG.n_h,
                                         delta=CFG.delta)
         assert point is None
         assert f"no convergence within {max_iter} iterations" in reason
@@ -524,9 +531,9 @@ class TestSolveCandidate:
         p_c = CFG.circuit_power[scheme.circuit_power_class]
         assert payload_max(scheme, CFG.n_h, snr_max(link, scheme, CPA), qos) == 268
         args = (link, qos, CPA, scheme, p_c, CFG.n_h)
-        cold = solve_candidate(*args, delta=CFG.delta)
+        cold = solve_one(*args, delta=CFG.delta)
         assert cold[0] is not None
-        assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=371.0)) == repr(cold)
+        assert repr(solve_one(*args, delta=CFG.delta, n_p_init=371.0)) == repr(cold)
 
     def test_infinite_start_solves_as_the_ceiling(self):
         scheme = MODS["64QAM"]
@@ -534,27 +541,23 @@ class TestSolveCandidate:
         qos = QosSpec(CFG.qos.target_per, 2)
         ceiling = payload_max(scheme, CFG.n_h, snr_max(link, scheme, CPA), qos)
         args = (link, qos, CPA, scheme, 0.31, CFG.n_h)
-        at_ceiling = solve_candidate(*args, delta=CFG.delta, n_p_init=ceiling)
+        at_ceiling = solve_one(*args, delta=CFG.delta, n_p_init=ceiling)
         assert at_ceiling[0] is not None
-        assert repr(solve_candidate(*args, delta=CFG.delta, n_p_init=math.inf)) == (
+        assert repr(solve_one(*args, delta=CFG.delta, n_p_init=math.inf)) == (
             repr(at_ceiling)
         )
 
-    def test_nan_start_rejected(self):
-        with pytest.raises(ValueError, match="n_p_init must not be nan"):
-            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
-                            CFG.n_h, delta=CFG.delta, n_p_init=math.nan)
-
     @pytest.mark.parametrize("start", [-150.0, -48.0, -math.inf])
     def test_start_below_one_bit_packet_rejected(self, start):
-        """A start whose packet is shorter than one bit names ``n_p_init``;
-        the lowest start allowed, ``1 - n_h``, solves to a rejection."""
+        """A start whose packet is shorter than one bit raises in the first
+        step of the payload map; the lowest start allowed, ``1 - n_h``,
+        solves to a rejection."""
         args = (link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, CFG.n_h)
         with pytest.raises(ValueError, match=(
-            rf"n_p_init must be >= 1 - n_h = -47, got {start}"
+            rf"n_bits must be >= 1, got {CFG.n_h + start}"
         )):
-            solve_candidate(*args, delta=CFG.delta, n_p_init=start)
-        assert solve_candidate(*args, delta=CFG.delta, n_p_init=-47.0) == (
+            solve_one(*args, delta=CFG.delta, n_p_init=start)
+        assert solve_one(*args, delta=CFG.delta, n_p_init=-47.0) == (
             None, "4QAM/tau=3: packet of 1 bits below the waterfall regime"
         )
 
@@ -570,15 +573,12 @@ class TestSolveCandidate:
         args = (replace(cfg.link_template, distance_m=2.0), cfg.qos,
                 cfg.pa_models[PaVariant.CPA], scheme,
                 cfg.circuit_power[scheme.circuit_power_class], cfg.n_h)
-        assert solve_candidate(*args, delta=cfg.delta, n_p_init=2.0) == (
+        assert solve_one(*args, delta=cfg.delta, n_p_init=2.0) == (
             None, "BPSK/tau=0: packet of 4 bits below the waterfall regime"
         )
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
     def test_delta_outside_positive_finite_range_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta must be > 0 and finite"):
-            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31,
-                            CFG.n_h, delta=delta)
         with pytest.raises(ValueError, match="delta must be > 0 and finite"):
             joint_optimize(link_at(10.0), CFG.qos, CPA, CFG.modulations,
                            CFG.n_h, delta=delta,
@@ -586,7 +586,7 @@ class TestSolveCandidate:
 
     def test_coefficients_outside_double_range_match_the_table(self):
         """A scheme whose coefficients leave the range of a double is a
-        rejection with the same reason from solve_candidate as in its
+        rejection with the same reason from a solve on its own as in its
         candidate table."""
         cfg = parse_config(
             "[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n"
@@ -603,7 +603,7 @@ class TestSolveCandidate:
             "(b_coeff must be positive finite, got 0.0)"
         }
         for scheme, tau, point, reason in table:
-            assert solve_candidate(
+            assert solve_one(
                 link, QosSpec(cfg.qos.target_per, tau), pa, scheme,
                 cfg.circuit_power[scheme.circuit_power_class], cfg.n_h,
                 delta=cfg.delta,
@@ -613,7 +613,7 @@ class TestSolveCandidate:
         """Where the floor binds the realized PER equals the bound."""
         scheme = MODS["64QAM"]
         qos = QosSpec(CFG.qos.target_per, 3)
-        point, reason = solve_candidate(
+        point, reason = solve_one(
             link_at(10.0), qos, CPA, scheme, 0.31, CFG.n_h, delta=CFG.delta
         )
         assert reason is None
@@ -657,9 +657,6 @@ class TestJointOptimize:
                 link_at(10.0), CFG.qos, CPA, CFG.modulations, 0,
                 delta=CFG.delta, circuit_power=CFG.circuit_power,
             )
-        with pytest.raises(ValueError, match="n_h must be >= 1"):
-            solve_candidate(link_at(10.0), CFG.qos, CPA, MODS["4QAM"], 0.31, 0,
-                            delta=CFG.delta)
 
     def test_tpa_selects_lower_order_than_etpa_midrange(self):
         """The square-root-law amplifier downgrades modulation earlier."""
@@ -868,8 +865,8 @@ class TestOperatingPoint:
 
     def test_equal_and_hashed_alike_across_solves(self):
         args = (link_at(10.0), CFG.qos, CPA, MODS["64QAM"], 0.31, CFG.n_h)
-        one, _ = solve_candidate(*args, delta=CFG.delta)
-        two, _ = solve_candidate(*args, delta=CFG.delta)
+        one, _ = solve_one(*args, delta=CFG.delta)
+        two, _ = solve_one(*args, delta=CFG.delta)
         assert one is not two
         assert one == two and hash(one) == hash(two)
 

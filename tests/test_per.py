@@ -370,10 +370,11 @@ class TestGaussKronrod:
 
         monkeypatch.setattr(per, "_gauss_kronrod", recording)
         cfg = default_config()
-        validation.check_waterfall_closed_vs_numeric(cfg)
-        validation.check_per_error_vs_bound(cfg)
-        validation.check_exact_below_bound(cfg)
-        validation.write_per_error_table(cfg, str(tmp_path / "table.csv"))
+        validation.check_waterfall_closed_vs_numeric(validation.BatteryRun(cfg))
+        validation.check_per_error_vs_bound(validation.BatteryRun(cfg))
+        validation.check_exact_below_bound(validation.BatteryRun(cfg))
+        validation.write_per_error_table(validation.BatteryRun(cfg),
+                                         str(tmp_path / "table.csv"))
         assert len(seen) == 233
         for f, lo, hi, epsrel, epsabs, value in seen:
             reference = integrate.quad(

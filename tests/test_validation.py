@@ -9,8 +9,13 @@ import pytest
 from linkopt import cli, optimizer, per
 from linkopt.config import default_config
 from linkopt.energy import PaVariant
+from linkopt.optimizer import Binding
 from linkopt.validation import (
     ALL_CHECKS,
+    BatteryRun,
+    _worst,
+    check_conditioning_snr_max,
+    check_conditioning_snr_min,
     check_feasibility_prefix,
     check_multistart_agreement,
     check_payload_optima_vs_golden,
@@ -24,16 +29,17 @@ CFG = default_config()
 
 
 def test_multistart_covers_every_amplifier_at_8_and_20_m(monkeypatch):
-    """Ten starts per amplifier and distance, all on one fixed point."""
+    """Ten starts per amplifier and distance, all on one fixed point, each
+    solved by the per-candidate solve of the candidate tables."""
     seen = []
-    solve = optimizer.solve_candidate
+    solve = optimizer._solve_candidate
 
-    def recording(link, qos, pa, *args, **kwargs):
+    def recording(link, qos, pa, *args):
         seen.append((pa.variant, link.distance_m))
-        return solve(link, qos, pa, *args, **kwargs)
+        return solve(link, qos, pa, *args)
 
-    monkeypatch.setattr(optimizer, "solve_candidate", recording)
-    result = check_multistart_agreement(CFG)
+    monkeypatch.setattr(optimizer, "_solve_candidate", recording)
+    result = check_multistart_agreement(BatteryRun(CFG))
     assert result.passed and result.residual <= 1e-6
     assert Counter(seen) == {
         (variant, d): 10 for variant in CFG.pa_models for d in (8.0, 20.0)
@@ -44,7 +50,7 @@ def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
     """The TPA branch checks the solver's payload map: shifting its payload
     optimum by three bits fails the check, which a search-against-search
     check would miss."""
-    assert check_payload_optima_vs_golden(CFG).passed
+    assert check_payload_optima_vs_golden(BatteryRun(CFG)).passed
     build = optimizer.payload_map
 
     def shifted(coeffs, *inputs):
@@ -58,7 +64,7 @@ def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
         return shifted_step
 
     monkeypatch.setattr(optimizer, "payload_map", shifted)
-    result = check_payload_optima_vs_golden(CFG)
+    result = check_payload_optima_vs_golden(BatteryRun(CFG))
     assert not result.passed
     assert math.isfinite(result.residual) and result.residual >= 2.0
     assert result.detail.endswith("/tpa")
@@ -86,7 +92,7 @@ def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
         return build(*inputs)
 
     monkeypatch.setattr(optimizer, "payload_map", counting)
-    assert check(CFG).passed
+    assert check(BatteryRun(CFG)).passed
     assert len(built) == maps
 
 
@@ -121,10 +127,38 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
 def test_checks_alone_match_the_shared_run():
     """Each check with its own BatteryRun reports the same line as inside
     run_all_checks, where the checks share one."""
-    shared = run_all_checks(CFG)
+    shared = run_all_checks(BatteryRun(CFG))
     assert len(shared) == len(ALL_CHECKS) == 17
     for check, result in zip(ALL_CHECKS, shared):
-        assert check(CFG).line() == result.line()
+        assert check(BatteryRun(CFG)).line() == result.line()
+
+
+def test_conditioning_checks_see_every_bound_candidate():
+    """The conditioning checks take every feasible candidate at 5..45 m, not
+    only the winners (none of which binds the reliability floor), and both
+    report where their worst residual is."""
+    run = BatteryRun(CFG)
+    bindings = Counter(point.binding for _, _, point in run.conditioned_points())
+    assert bindings[Binding.SNR_MIN_BOUND] == 48
+    assert bindings[Binding.SNR_MAX_BOUND] + bindings[Binding.PAYLOAD_MAX_BOUND] == 43
+    for check in (check_conditioning_snr_min, check_conditioning_snr_max):
+        result = check(run)
+        assert result.passed and result.residual > 0.0
+        assert result.detail.endswith("/d=25.0")
+
+
+def test_worst_keeps_the_first_largest_residual():
+    assert _worst("x", 1.0, iter([(0.5, "a"), (2.0, "b"), (2.0, "c")])).line() == (
+        "x,FAIL,residual=2.000e+00,threshold=1.000e+00,b"
+    )
+    assert _worst("x", 1.0, iter([])).detail == "no instances"
+
+    def failing():
+        yield 0.5, "a"
+        raise ArithmeticError("overflow")
+    assert _worst("x", 1.0, failing()).line() == (
+        "x,FAIL,residual=inf,threshold=1.000e+00,ArithmeticError: overflow"
+    )
 
 
 @pytest.mark.parametrize("forced", [0, 1])
@@ -151,7 +185,7 @@ def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
         seen.append(again)
 
     monkeypatch.setattr(optimizer, "candidate_tables", force_infeasible)
-    result = check_feasibility_prefix(CFG)
+    result = check_feasibility_prefix(BatteryRun(CFG))
     assert result.residual == (seen[0] if forced else 0.0)
     assert result.passed == (not forced)
     assert seen[0] > 0
