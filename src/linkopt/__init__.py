@@ -41,15 +41,11 @@ from .per import (
     CircuitClass,
     ModulationScheme,
     QosSpec,
-    awgn_per,
-    ber,
     default_modulations,
     payload_max,
     per_rayleigh,
-    per_rayleigh_exact,
     snr_min,
     waterfall_threshold,
-    waterfall_threshold_numeric,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +69,6 @@ __all__ = [
     "QuadratureError",
     "ScenarioConfig",
     "avg_transmissions",
-    "awgn_per",
-    "ber",
     "default_config",
     "default_modulations",
     "e0",
@@ -91,10 +85,8 @@ __all__ = [
     "payload_map",
     "payload_max",
     "per_rayleigh",
-    "per_rayleigh_exact",
     "snr_max",
     "snr_min",
     "transmit_power",
     "waterfall_threshold",
-    "waterfall_threshold_numeric",
 ]

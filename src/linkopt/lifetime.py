@@ -33,6 +33,11 @@ class DutyProfile:
         ):
             if getattr(self, field) <= 0.0:
                 raise ValueError(f"{field} must be > 0")
+        if not math.isfinite(self.energy_budget_j):
+            raise ValueError(
+                "the energy budget battery_charge_ah * 3600 * battery_voltage "
+                f"is outside the range of a double ({self.energy_budget_j:g} J)"
+            )
 
     @property
     def energy_budget_j(self) -> float:

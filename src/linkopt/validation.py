@@ -1,8 +1,9 @@
 """Self-validation battery: every closed form checked against its oracle.
 
 Each check pairs an analytic route with an independent numeric one
-(quadrature, golden-section search, brute-force grids) and reports the
-measured residual against a fixed threshold.  Every check is called as
+(quadrature, golden-section search and bisection from :mod:`linkopt.oracles`,
+or a brute-force grid here) and reports the measured residual against a
+fixed threshold.  Every check is called as
 ``check(run)`` with one :class:`BatteryRun`, whose ``config`` is the
 scenario; it yields the ``(residual, where)`` of each instance it checks,
 and :func:`_worst` reduces them to its result within the call.  The CLI
@@ -17,12 +18,11 @@ import functools
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from . import optimizer as opt
+from . import oracles
 from .config import ScenarioConfig
 from .energy import (
-    EnergyCoefficients,
     PaModel,
     PaVariant,
     avg_transmissions,
@@ -35,17 +35,12 @@ from .per import (
     QosSpec,
     payload_max,
     per_rayleigh,
-    per_rayleigh_exact,
     snr_min,
     waterfall_threshold,
-    waterfall_threshold_numeric,
 )
 
 PACKET_SIZES = (120, 512, 1024, 10048)
 ERROR_TABLE_SIZES = (120, 1024, 10048)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,15 @@ class CheckResult:
 def _worst(name, threshold, gaps, floor=0.0) -> CheckResult:
     """A check's result from the ``(residual, where)`` of each instance: the
     first largest residual above ``floor`` and its place, or ``no instances``.
-    A ValueError or ArithmeticError raised while the pairs are made (a
-    scenario the oracle cannot evaluate) fails the check with residual inf
-    and the error as its detail."""
+    A nan residual ranks above every number, so the first one fails the
+    check with residual nan.  A ValueError or ArithmeticError raised while
+    the pairs are made (a scenario the oracle cannot evaluate) fails the
+    check with residual inf and the error as its detail."""
     worst, where, seen = floor, "", False
     try:
         for residual, at in gaps:
             seen = True
-            if residual > worst:
+            if residual > worst or (math.isnan(residual) and not math.isnan(worst)):
                 worst, where = residual, at
     except (ValueError, ArithmeticError) as exc:
         worst, where = math.inf, f"{type(exc).__name__}: {exc}"
@@ -146,7 +142,7 @@ def check_waterfall_closed_vs_numeric(run: BatteryRun):
     """Gumbel-mean threshold against adaptive quadrature, all schemes."""
     for scheme in run.config.modulations:
         for n in PACKET_SIZES:
-            numeric = run.quad(waterfall_threshold_numeric, scheme, n)
+            numeric = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
             closed = waterfall_threshold(scheme, n)
             yield abs(closed - numeric) / numeric, f"{scheme.name}/N={n}"
 
@@ -177,10 +173,10 @@ def _per_errors(run: BatteryRun, snr_step: int):
     scheme = _scheme_like_16qam(run.config)
     for n in ERROR_TABLE_SIZES:
         w_closed = waterfall_threshold(scheme, n)
-        w_num = run.quad(waterfall_threshold_numeric, scheme, n)
+        w_num = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
         for snr_db in range(10, 41, snr_step):
             g = 10.0 ** (snr_db / 10.0)
-            exact = run.quad(per_rayleigh_exact, scheme, n, g)
+            exact = run.quad(oracles.per_rayleigh_exact, scheme, n, g)
             yield (n, snr_db, exact, abs(-math.expm1(-w_closed / g) - exact),
                    abs(-math.expm1(-w_num / g) - exact))
 
@@ -206,10 +202,10 @@ def check_exact_below_bound(run: BatteryRun):
     """Exact Rayleigh PER never exceeds the numeric-threshold bound."""
     for scheme in run.config.modulations:
         for n in (120, 1024):
-            w_num = run.quad(waterfall_threshold_numeric, scheme, n)
+            w_num = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
             for snr_db in (5, 15, 25, 35):
                 g = 10.0 ** (snr_db / 10.0)
-                exact = run.quad(per_rayleigh_exact, scheme, n, g)
+                exact = run.quad(oracles.per_rayleigh_exact, scheme, n, g)
                 bound = -math.expm1(-w_num / g)
                 yield exact - bound, f"{scheme.name}/N={n}/snr={snr_db}dB"
 
@@ -243,111 +239,6 @@ def check_payload_max_roundtrip(run: BatteryRun):
             yield max(excess, 1.0 if above <= bound else 0.0), ""
 
 
-def _exp_or_inf(x: float) -> float:
-    """exp(x) saturating to +inf instead of raising on overflow."""
-    if x > 700.0:
-        return math.inf
-    return math.exp(x)
-
-
-def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Argmin of a unimodal scalar function by golden-section search.
-
-    Returns a point within absolute distance `tol` of the minimizer; when
-    the minimum sits on the bracket edge the edge itself is returned.
-    Raises ValueError on bracket inconsistency: a non-finite comparison or a
-    search that stalls in the interior above both endpoint values, either of
-    which means the function was not unimodal on [lo, hi].
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    y_lo, y_hi = f(lo), f(hi)
-    a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if math.isnan(yc) or math.isnan(yd):
-            raise ValueError(
-                f"golden section saw a non-finite value near [{a:.6g}, {b:.6g}]"
-            )
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INVPHI * h
-            yd = f(d)
-    x, y = (c, yc) if yc < yd else (d, yd)
-    best_y, best_x = min((y, x), (y_lo, lo), (y_hi, hi), key=lambda t: t[0])
-    if best_y < y and a - lo > tol and hi - b > tol:
-        raise ValueError(
-            f"golden section stalled at f({x:.6g}) = {y:.6g}, above both "
-            f"endpoints; function does not look unimodal on [{lo:.6g}, {hi:.6g}]"
-        )
-    return best_x
-
-
-def golden_section_min_relative(
-    f: Callable[[float], float], lo: float, hi: float, rel_tol: float
-) -> float:
-    """Golden-section argmin to a relative tolerance via log reparameterization.
-
-    Searching over ln(x) makes the absolute tolerance of the inner search a
-    relative tolerance on x and keeps a positive unimodal problem unimodal,
-    so wide brackets spanning many decades stay cheap.
-    """
-    if lo <= 0.0:
-        raise ValueError(f"need lo > 0 for relative search, got {lo}")
-    u = golden_section_min(
-        lambda t: f(math.exp(t)), math.log(lo), math.log(hi), rel_tol
-    )
-    return math.exp(u)
-
-
-def _packet_energy_unbounded(
-    coeffs: EnergyCoefficients,
-    scheme: ModulationScheme,
-    n_h: int,
-    gamma_bar: float,
-    n_p: float,
-) -> float:
-    """Unbounded-retransmission energy per bit at a real-valued payload."""
-    n = n_h + n_p
-    w0 = waterfall_threshold(scheme, n)
-    overhead = n / n_p
-    if coeffs.pa_variant is PaVariant.TPA:
-        attempt = overhead * coeffs.a_coeff * math.sqrt(gamma_bar) + coeffs.b_coeff
-    else:
-        attempt = overhead * coeffs.a_coeff * gamma_bar + coeffs.b_coeff
-    return _exp_or_inf(w0 / gamma_bar) * attempt
-
-
-def golden_payload(
-    coeffs: EnergyCoefficients, scheme: ModulationScheme, n_h: int, gamma_bar: float
-) -> float:
-    """Real-valued payload minimizing the unbounded-retransmission energy.
-
-    Golden-section search to 1e-4 bits over [1, hi], where ``hi`` doubles
-    from 16 bits until the energy curve turns upward or reaches 1e9 bits.
-    """
-    curve = lambda n_p: _packet_energy_unbounded(
-        coeffs, scheme, n_h, gamma_bar, n_p
-    )
-    hi = 16.0
-    while curve(hi) <= curve(hi / 2.0) and hi < 1e9:
-        hi *= 2.0
-    return golden_section_min(curve, 1.0, hi, 1e-4)
-
-
 def _random_instances(config: ScenarioConfig, count: int, seed: int):
     rng = random.Random(seed)
     schemes = config.modulations
@@ -361,27 +252,10 @@ def _random_instances(config: ScenarioConfig, count: int, seed: int):
         yield scheme, pa, link, n_p
 
 
-def _energy_curve_snr(coeffs, scheme, n_p, n_h):
-    w0 = waterfall_threshold(scheme, n_h + n_p)
-
-    def f(g):
-        if coeffs.pa_variant is PaVariant.TPA:
-            attempt = coeffs.a_coeff * math.sqrt(g) + coeffs.b_coeff * n_p / (
-                n_h + n_p
-            )
-        else:
-            attempt = coeffs.a_coeff * g + coeffs.b_coeff * n_p / (n_h + n_p)
-        return _exp_or_inf(w0 / g) * attempt
-
-    return f, w0
-
-
 def _snr_optimum(coeffs, scheme, n_p, n_h):
     """The solver's unconstrained SNR optimum: one step of its payload map
     with no power cap and no reliability floor (``log_keep = -inf``)."""
     return opt.payload_map(coeffs, scheme, n_h, math.inf)(n_p, -math.inf)[0]
-
-
 
 
 @_check("snr_optima_vs_golden", 1e-6)
@@ -392,9 +266,9 @@ def check_snr_optima_vs_golden(run: BatteryRun):
     for scheme, pa, link, n_p in _random_instances(config, 60, 20240):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
-        f, w0 = _energy_curve_snr(coeffs, scheme, n_p, config.n_h)
+        f, w0 = oracles._energy_curve_snr(coeffs, scheme, n_p, config.n_h)
         star = _snr_optimum(coeffs, scheme, n_p, config.n_h)
-        numeric = golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
+        numeric = oracles.golden_section_min_relative(f, w0 * 1e-3, star * 1e3, 1e-9)
         where = f"{scheme.name}/{pa.variant.value}/d={link.distance_m:.1f}"
         yield abs(star - numeric) / numeric, where
 
@@ -417,31 +291,10 @@ def check_payload_optima_vs_golden(run: BatteryRun):
         g, _, wanted = opt.payload_map(coeffs, scheme, config.n_h, cap)(
             n_p, -math.inf
         )
-        numeric = math.floor(golden_payload(coeffs, scheme, config.n_h, g))
+        numeric = math.floor(oracles.golden_payload(coeffs, scheme, config.n_h, g))
         # Floored like the numeric side: the solver's floor at convergence.
         gap = abs(max(1, math.floor(wanted)) - numeric)
         yield gap, f"{scheme.name}/{pa.variant.value}"
-
-
-def cubic_root_bisection(p: float, q: float) -> float:
-    """Positive root of ``x^3 + p x + q`` (p < 0, q <= 0) by plain bisection.
-
-    The root lies in ``[sqrt(-p), 2 (sqrt(-p) + cbrt(-q))]``, where the cubic
-    changes sign once; halving runs until the bracket is two adjacent floats.
-    """
-    f = lambda x: x * (x * x + p) + q
-    lo = math.sqrt(-p)
-    hi = 2.0 * (lo + (-q) ** (1.0 / 3.0))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-
 
 
 @_check("tpa_root_crosscheck", 1e-9)
@@ -458,7 +311,7 @@ def check_tpa_root_crosscheck(run: BatteryRun):
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         n = config.n_h + n_p
         p = -2.0 * waterfall_threshold(scheme, n)
-        numeric = cubic_root_bisection(
+        numeric = oracles.cubic_root_bisection(
             p, p * (coeffs.b_coeff / coeffs.a_coeff * (n_p / n))
         ) ** 2
         root = _snr_optimum(coeffs, scheme, n_p, config.n_h)

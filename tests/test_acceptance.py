@@ -14,21 +14,19 @@ import pytest
 from linkopt.config import default_config
 from linkopt.energy import PaVariant, energy_coefficients
 from linkopt.optimizer import Binding, joint_optimize, payload_map, snr_max
-from linkopt.per import (
-    per_rayleigh_exact,
-    waterfall_threshold,
-    waterfall_threshold_numeric,
-)
-from linkopt.validation import (
-    BatteryRun,
-    _snr_optimum,
+from linkopt.oracles import (
     golden_payload,
     golden_section_min_relative,
-    run_all_checks,
+    per_rayleigh_exact,
+    waterfall_threshold_numeric,
 )
+from linkopt.per import waterfall_threshold
+from linkopt.validation import BatteryRun, _snr_optimum, run_all_checks
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
+# The quadrature tolerances the battery passes to the oracles.
+EPSREL, EPSABS = CFG.quad_epsrel, CFG.quad_epsabs
 
 
 def report(number, name, ok, detail):
@@ -93,7 +91,7 @@ class TestCriterion1:
         where = ""
         for scheme in CFG.modulations:
             for n in (120, 512, 1024, 10048):
-                numeric = waterfall_threshold_numeric(scheme, n)
+                numeric = waterfall_threshold_numeric(scheme, n, EPSREL, EPSABS)
                 closed = waterfall_threshold(scheme, n)
                 rel = abs(closed - numeric) / numeric
                 if rel > worst:
@@ -117,10 +115,10 @@ class TestCriterion2:
         where = ""
         for n in (120, 1024, 10048):
             w_closed = waterfall_threshold(scheme, n)
-            w_num = waterfall_threshold_numeric(scheme, n)
+            w_num = waterfall_threshold_numeric(scheme, n, EPSREL, EPSABS)
             for snr_db in range(10, 41, 2):
                 g = 10.0 ** (snr_db / 10.0)
-                exact = per_rayleigh_exact(scheme, n, g)
+                exact = per_rayleigh_exact(scheme, n, g, EPSREL, EPSABS)
                 re_closed = abs(-math.expm1(-w_closed / g) - exact) / exact
                 re_bound = abs(-math.expm1(-w_num / g) - exact) / exact
                 gap = abs(re_closed - re_bound)

@@ -538,8 +538,8 @@ class TestEntryPoint:
 
     def test_solver_path_imports_no_scipy_or_numpy(self, tmp_path):
         """optimize and validate, PER table included, load neither scipy
-        nor numpy, optimize leaves the oracle battery and configparser
-        unloaded, and validate still passes."""
+        nor numpy, optimize leaves the oracle battery, the oracles and
+        configparser unloaded, and validate still passes."""
         table = tmp_path / "table.csv"
         script = (
             "import sys\n"
@@ -550,6 +550,7 @@ class TestEntryPoint:
             "code = main(['optimize', '--distance', '10', '--pa', 'tpa'])\n"
             "print('optimize exit', code, 'heavy modules', heavy())\n"
             "print('battery loaded', 'linkopt.validation' in sys.modules)\n"
+            "print('oracles loaded', 'linkopt.oracles' in sys.modules)\n"
             "print('configparser loaded', 'configparser' in sys.modules)\n"
             "code = main(['validate', '--out', sys.argv[1]])\n"
             "print('validate exit', code, 'heavy modules', heavy())\n"
@@ -562,6 +563,7 @@ class TestEntryPoint:
         lines = proc.stdout.splitlines()
         assert "optimize exit 0 heavy modules []" in lines
         assert "battery loaded False" in lines
+        assert "oracles loaded False" in lines
         assert "configparser loaded False" in lines
         assert lines[-2:] == [
             "checks: 17/17 passed", "validate exit 0 heavy modules []",
@@ -631,7 +633,7 @@ class TestOutOfRangeConfig:
     @pytest.mark.parametrize("text, message", [
         ("[link]\np0_mw = 1e-322\n", "link: p0_w must be > 0"),
         ("[duty]\nbattery_ah = 1e300\nbattery_v = 1e300\n",
-         "duty: the lifetime at"),
+         "duty: the energy budget"),
         ("[duty]\nperiod_s = 1e-320\npayload_kbit = 1e10\n",
          "duty: the lifetime at"),
         ("[duty]\npayload_kbit = 1e-322\n", "duty: the lifetime at"),
@@ -646,3 +648,18 @@ class TestOutOfRangeConfig:
         assert code == cli.EXIT_USAGE
         assert captured.err.startswith(f"error: {message}")
         assert "inf" not in captured.out and "nan" not in captured.out
+
+    def test_battery_energy_overflow_leaves_no_output_file(self, tmp_path,
+                                                           capsys):
+        """The budget is checked with the config, before --out is opened."""
+        path = tmp_path / "range.ini"
+        path.write_text("[duty]\nbattery_ah = 1e300\nbattery_v = 1e300\n",
+                        encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = run_cli(["--config", str(path), "lifetime", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: duty: the energy budget battery_charge_ah * 3600 * "
+            "battery_voltage is outside the range of a double (inf J)"
+        )
+        assert not out.exists()

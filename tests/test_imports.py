@@ -1,5 +1,6 @@
-"""Every module of the package reads every name it imports, and imports
-nothing from outside the standard library.
+"""Every module of the package reads every name it imports, imports
+nothing from outside the standard library, and the numeric oracles live in
+``linkopt.oracles`` alone.
 
 No linter ships with the project, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the first check: its imports are the
@@ -11,6 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import linkopt
+from linkopt import oracles, per, validation
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "linkopt"
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
@@ -77,3 +81,28 @@ def test_stdlib_checker_reports_third_party_modules():
 def test_module_imports_only_the_standard_library(path):
     """Guards ``dependencies = []`` in pyproject.toml."""
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+ORACLE_NAMES = (
+    "_q_function", "ber", "awgn_per", "_awgn_per_curve", "_awgn_cutoff",
+    "CUTOFF_FLOOR", "_XGK", "_WGK", "_WGK_CENTRE", "_WG", "_NODES",
+    "_KRONROD", "_GAUSS", "_ROUNDOFF", "QUAD_PANELS", "_qk21",
+    "_gauss_kronrod", "_checked_quad", "waterfall_threshold_numeric",
+    "per_rayleigh_exact", "_INVPHI", "_INVPHI2", "golden_section_min",
+    "golden_section_min_relative", "_exp_or_inf", "_packet_energy_unbounded",
+    "golden_payload", "_energy_curve_snr", "cubic_root_bisection",
+)
+
+
+def test_oracles_live_only_in_their_module():
+    """Neither the closed forms nor the battery carries an oracle or an
+    alias of one, and the package exports none of the AWGN or quadrature
+    routes."""
+    assert [n for n in ORACLE_NAMES if not hasattr(oracles, n)] == []
+    for module in (per, validation):
+        assert [n for n in ORACLE_NAMES if hasattr(module, n)] == []
+    assert not {"QUAD_EPSREL", "QUAD_EPSABS"} & set(vars(per))
+    dropped = {"ber", "awgn_per", "per_rayleigh_exact",
+               "waterfall_threshold_numeric"}
+    assert dropped.isdisjoint(linkopt.__all__)
+    assert [n for n in sorted(dropped) if hasattr(linkopt, n)] == []

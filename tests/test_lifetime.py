@@ -61,6 +61,8 @@ class TestLifetime:
             DutyProfile(0.0, 3.0, 5e3, 300.0)
         with pytest.raises(ValueError):
             DutyProfile(2.0, 3.0, 5e3, -1.0)
+        with pytest.raises(ValueError, match="outside the range of a double"):
+            DutyProfile(1e300, 1e300, 5e3, 300.0)
 
 
 class TestLifetimeGain:

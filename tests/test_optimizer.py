@@ -34,14 +34,14 @@ from linkopt.per import (
     snr_min,
     waterfall_threshold,
 )
-from linkopt.validation import (
+from linkopt.oracles import (
     _packet_energy_unbounded,
-    _snr_optimum as snr_optimum,
     cubic_root_bisection,
     golden_payload,
     golden_section_min,
     golden_section_min_relative,
 )
+from linkopt.validation import _snr_optimum as snr_optimum
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}

@@ -4,27 +4,28 @@ import math
 
 import pytest
 
-from linkopt import per
+from linkopt import oracles
+from linkopt.config import default_config
 from linkopt.errors import OutOfRegimeError
+from linkopt.oracles import (
+    awgn_per,
+    ber,
+    per_rayleigh_exact,
+    waterfall_threshold_numeric,
+)
 from linkopt.per import (
     EULER_GAMMA,
-    QUAD_EPSABS,
-    QUAD_EPSREL,
     BerForm,
     CircuitClass,
     ModulationScheme,
     QosSpec,
-    awgn_per,
-    ber,
     default_modulations,
     papr_mqam_bounded,
     papr_mqam_growing,
     payload_max,
     per_rayleigh,
-    per_rayleigh_exact,
     snr_min,
     waterfall_threshold,
-    waterfall_threshold_numeric,
 )
 
 BPSK = ModulationScheme("BPSK", 1, BerForm.GAUSSIAN_Q, 1.0, 2.0, 1.0,
@@ -38,6 +39,10 @@ QAM16 = ModulationScheme("16QAM", 4, BerForm.GAUSSIAN_Q, 0.75, 0.8, 1.8,
                          CircuitClass.MQAM)
 
 QOS = QosSpec(target_per=0.001, max_retransmissions=3)
+
+# The quadrature tolerances the battery passes to the oracles.
+EPSREL = default_config().quad_epsrel
+EPSABS = default_config().quad_epsabs
 
 
 class TestModulationScheme:
@@ -183,9 +188,9 @@ class TestWaterfallThreshold:
 
     def test_numeric_integral_of_unit_exponential_is_one(self):
         """For a single bit with unit exponential BER the integral is exact."""
-        assert waterfall_threshold_numeric(UNIT_EXP, 1) == pytest.approx(
-            1.0, rel=1e-9
-        )
+        assert waterfall_threshold_numeric(
+            UNIT_EXP, 1, EPSREL, EPSABS
+        ) == pytest.approx(1.0, rel=1e-9)
 
     def test_non_decaying_integrand_raises(self):
         """A BER law that never decays cannot reach the cutoff floor."""
@@ -196,17 +201,17 @@ class TestWaterfallThreshold:
             CircuitClass.MFSK,
         )
         with pytest.raises(QuadratureError, match="does not decay"):
-            waterfall_threshold_numeric(stuck, 1000)
+            waterfall_threshold_numeric(stuck, 1000, EPSREL, EPSABS)
 
     def test_numeric_value_16qam_small_packet(self):
-        assert waterfall_threshold_numeric(QAM16, 120) == pytest.approx(
+        assert waterfall_threshold_numeric(QAM16, 120, EPSREL, EPSABS) == pytest.approx(
             7.857082729931548, rel=1e-8
         )
 
     @pytest.mark.parametrize("scheme", default_modulations())
     @pytest.mark.parametrize("n_bits", [120, 1024])
     def test_closed_form_tracks_numeric(self, scheme, n_bits):
-        numeric = waterfall_threshold_numeric(scheme, n_bits)
+        numeric = waterfall_threshold_numeric(scheme, n_bits, EPSREL, EPSABS)
         closed = waterfall_threshold(scheme, n_bits)
         assert abs(closed - numeric) / numeric <= 0.03
 
@@ -224,7 +229,8 @@ class TestPerRayleigh:
     def test_matches_numeric_threshold_route(self):
         g = 10.0 ** 2.5
         approx = per_rayleigh(QAM16, 1024, g)
-        bound = -math.expm1(-waterfall_threshold_numeric(QAM16, 1024) / g)
+        w_num = waterfall_threshold_numeric(QAM16, 1024, EPSREL, EPSABS)
+        bound = -math.expm1(-w_num / g)
         assert abs(approx - bound) / bound <= 0.03
 
     def test_strictly_decreasing_in_snr(self):
@@ -256,26 +262,31 @@ class TestPerRayleighExact:
     def test_single_bit_exponential_closed_form(self):
         """One exponential-law bit integrates to c / (1 + k gamma_bar)."""
         for g in (0.5, 3.0, 40.0):
-            assert per_rayleigh_exact(UNIT_EXP, 1, g) == pytest.approx(
+            assert per_rayleigh_exact(UNIT_EXP, 1, g, EPSREL, EPSABS) == pytest.approx(
                 1.0 / (1.0 + g), rel=1e-8
             )
 
     def test_deep_fade_limit_is_one(self):
-        assert per_rayleigh_exact(BPSK, 1000, 1e-4) == pytest.approx(1.0, rel=1e-6)
-        assert per_rayleigh_exact(BPSK, 1000, 0.05) == pytest.approx(1.0, rel=1e-6)
+        assert per_rayleigh_exact(BPSK, 1000, 1e-4, EPSREL, EPSABS) == (
+            pytest.approx(1.0, rel=1e-6)
+        )
+        assert per_rayleigh_exact(BPSK, 1000, 0.05, EPSREL, EPSABS) == (
+            pytest.approx(1.0, rel=1e-6)
+        )
 
     @pytest.mark.parametrize("n_bits", [120, 1024])
     @pytest.mark.parametrize("snr_db", [10, 20, 30])
     def test_upper_bound_property(self, n_bits, snr_db):
         """The numeric-threshold expression upper-bounds the exact average."""
         g = 10.0 ** (snr_db / 10.0)
-        exact = per_rayleigh_exact(QAM16, n_bits, g)
-        bound = -math.expm1(-waterfall_threshold_numeric(QAM16, n_bits) / g)
+        exact = per_rayleigh_exact(QAM16, n_bits, g, EPSREL, EPSABS)
+        w_num = waterfall_threshold_numeric(QAM16, n_bits, EPSREL, EPSABS)
+        bound = -math.expm1(-w_num / g)
         assert exact <= bound * (1.0 + 1e-9)
 
     def test_approximation_close_to_bound_at_20db(self):
         g = 10.0 ** 2.0
-        exact = per_rayleigh_exact(QAM16, 1024, g)
+        exact = per_rayleigh_exact(QAM16, 1024, g, EPSREL, EPSABS)
         approx = per_rayleigh(QAM16, 1024, g)
         assert abs(approx - exact) / exact <= 0.05
 
@@ -286,10 +297,10 @@ class TestGaussKronrod:
     def test_rule_is_exact_to_its_degree(self):
         """Over [-1, 1], the Gauss weights integrate x^d exactly up to
         degree 19 and the Kronrod weights up to degree 31."""
-        for weights, degree in ((per._GAUSS, 19), (per._KRONROD, 31)):
+        for weights, degree in ((oracles._GAUSS, 19), (oracles._KRONROD, 31)):
             for d in range(degree + 1):
                 exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-                got = math.fsum(w * x ** d for w, x in zip(weights, per._NODES))
+                got = math.fsum(w * x ** d for w, x in zip(weights, oracles._NODES))
                 assert abs(got - exact) <= 2e-16
 
     @pytest.mark.parametrize("f,lo,hi,expected", [
@@ -301,8 +312,8 @@ class TestGaussKronrod:
     def test_known_integrals(self, f, lo, hi, expected):
         """Each meets the default tolerance, and its error estimate covers
         the true error."""
-        value, abserr = per._gauss_kronrod(f, lo, hi, QUAD_EPSREL, QUAD_EPSABS)
-        assert abserr <= QUAD_EPSREL * abs(value)
+        value, abserr = oracles._gauss_kronrod(f, lo, hi, EPSREL, EPSABS)
+        assert abserr <= EPSREL * abs(value)
         assert abs(value - expected) <= abserr
 
     @pytest.mark.parametrize("scheme", [NCFSK, UNIT_EXP])
@@ -311,7 +322,7 @@ class TestGaussKronrod:
         truncated tail beyond the AWGN cutoff is below 1e-13 of it."""
         for g in (0.05, 0.5, 3.0, 40.0, 1e4):
             expected = scheme.c_m / (1.0 + scheme.k_m * g)
-            assert per_rayleigh_exact(scheme, 1, g) == pytest.approx(
+            assert per_rayleigh_exact(scheme, 1, g, EPSREL, EPSABS) == pytest.approx(
                 expected, rel=1e-12
             )
 
@@ -326,16 +337,17 @@ class TestGaussKronrod:
             calls.append(x)
             return float(math.floor(x * 1e9) % 2)
 
-        value, abserr = per._gauss_kronrod(square_wave, 0.0, 1.0, 1e-10, 1e-14)
-        assert len(calls) == 21 * (2 * per.QUAD_PANELS - 1)
+        value, abserr = oracles._gauss_kronrod(square_wave, 0.0, 1.0, 1e-10, 1e-14)
+        assert len(calls) == 21 * (2 * oracles.QUAD_PANELS - 1)
         assert abserr > 1e-6 * abs(value)
         with pytest.raises(QuadratureError, match="error estimate"):
-            per._checked_quad(square_wave, 0.0, 1.0, "square wave")
+            oracles._checked_quad(square_wave, 0.0, 1.0, "square wave",
+                                  EPSREL, EPSABS)
 
     @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
     @pytest.mark.parametrize("n_bits", [1, 120, 10048])
     def test_curve_is_awgn_per_bit_for_bit(self, scheme, n_bits):
-        curve = per._awgn_per_curve(scheme, n_bits)
+        curve = oracles._awgn_per_curve(scheme, n_bits)
         for i in range(400):
             g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
             assert curve(g) == awgn_per(scheme, n_bits, g)
@@ -345,9 +357,9 @@ class TestGaussKronrod:
     def test_rayleigh_integrand_is_weighted_curve_bit_for_bit(self, scheme, n_bits):
         """The one-call integrand of per_rayleigh_exact equals the curve
         times the Rayleigh density, bit for bit."""
-        curve = per._awgn_per_curve(scheme, n_bits)
+        curve = oracles._awgn_per_curve(scheme, n_bits)
         for gamma_bar in (0.3, 10.0, 3162.2776601683795):
-            integrand = per._awgn_per_curve(scheme, n_bits, gamma_bar)
+            integrand = oracles._awgn_per_curve(scheme, n_bits, gamma_bar)
             for i in range(400):
                 g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
                 expected = curve(g) * math.exp(-g / gamma_bar) / gamma_bar
@@ -360,7 +372,7 @@ class TestGaussKronrod:
         from linkopt import validation
         from linkopt.config import default_config
 
-        quadrature = per._gauss_kronrod
+        quadrature = oracles._gauss_kronrod
         seen = []
 
         def recording(f, lo, hi, epsrel, epsabs):
@@ -368,7 +380,7 @@ class TestGaussKronrod:
             seen.append((f, lo, hi, epsrel, epsabs, value))
             return value, abserr
 
-        monkeypatch.setattr(per, "_gauss_kronrod", recording)
+        monkeypatch.setattr(oracles, "_gauss_kronrod", recording)
         cfg = default_config()
         validation.check_waterfall_closed_vs_numeric(validation.BatteryRun(cfg))
         validation.check_per_error_vs_bound(validation.BatteryRun(cfg))
@@ -400,7 +412,7 @@ class TestMonteCarloCrossCheck:
                 g = rng.expovariate(1.0 / gamma_bar)
                 total += awgn_per(QAM16, 1024, g)
             simulated = total / draws
-            integrated = per_rayleigh_exact(QAM16, 1024, gamma_bar)
+            integrated = per_rayleigh_exact(QAM16, 1024, gamma_bar, EPSREL, EPSABS)
             sigma = math.sqrt(integrated * (1.0 - integrated) / draws)
             assert abs(simulated - integrated) <= 5.0 * sigma + 1e-6
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from linkopt import cli, optimizer, per
+from linkopt import cli, optimizer, oracles
 from linkopt.config import default_config
 from linkopt.energy import PaVariant
 from linkopt.optimizer import Binding
@@ -107,8 +107,8 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
             return func(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(per, "_checked_quad",
-                        counting("quad", per._checked_quad))
+    monkeypatch.setattr(oracles, "_checked_quad",
+                        counting("quad", oracles._checked_quad))
     tables = optimizer.candidate_tables
 
     def counting_tables(*args, **kwargs):
@@ -152,6 +152,11 @@ def test_worst_keeps_the_first_largest_residual():
         "x,FAIL,residual=2.000e+00,threshold=1.000e+00,b"
     )
     assert _worst("x", 1.0, iter([])).detail == "no instances"
+    for gaps in ([(math.nan, "a")], [(0.5, "b"), (math.nan, "a")],
+                 [(math.nan, "a"), (2.0, "b"), (math.nan, "c")]):
+        assert _worst("x", 1.0, iter(gaps)).line() == (
+            "x,FAIL,residual=nan,threshold=1.000e+00,a"
+        )
 
     def failing():
         yield 0.5, "a"
