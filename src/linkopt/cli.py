@@ -63,13 +63,25 @@ def _parse_pa_list(text: str) -> list[PaVariant]:
             ) from None
     if not variants:
         raise ConfigError("--pa: no amplifier model given")
+    if len(set(variants)) < len(variants):
+        twice = sorted({v.value for v in variants if variants.count(v) > 1})
+        raise ConfigError(f"--pa: listed more than once: {twice}")
     return variants
+
+
+def _open_path(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(
+            f"--out: cannot write {path!r} ({exc.strerror or exc})"
+        ) from None
 
 
 def _open_out(path: str | None) -> TextIO:
     if path is None or path == "-":
         return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
+    return _open_path(path)
 
 
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
@@ -188,6 +200,9 @@ def cmd_validate(config: ScenarioConfig, out: TextIO,
     # The solve commands never load the battery.
     from .validation import BatteryRun, run_all_checks, write_per_error_table
 
+    if table_path is not None:
+        # An --out that cannot be written fails before the battery runs.
+        _open_path(table_path).close()
     run = BatteryRun(config)
     results = run_all_checks(run)
     for result in results:

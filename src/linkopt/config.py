@@ -100,7 +100,8 @@ period_s = 300.0
 # delta: relative payload tolerance of the fixed-point solve, which stops once
 # a map evaluation moves the payload by at most delta times the new payload.
 # Each candidate gets at most 100 map evaluations (optimizer.MAX_ITER), and
-# each retransmission cap starts from the previous cap's payload.
+# starts from its own payload at the previous distance of a sweep, else from
+# the previous retransmission cap's payload.
 delta = 1e-10
 quad_epsrel = 1e-10
 quad_epsabs = 1e-14

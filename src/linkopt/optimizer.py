@@ -400,10 +400,18 @@ def candidate_tables(
     ``max_retransmissions``, or 0 alone); :func:`select_best` relies on that
     order for ties.  The inputs are checked once, when the first table is
     asked for; a distance <= 0 raises ValueError when the sweep reaches it.
-    :func:`_scheme_setup` runs once per scheme and table.  Each cap's solve
-    starts at the previous cap's converged payload, or 0: the map depends on
-    the cap only through the SNR floor and the payload ceiling, which grows
-    with the cap.  No table depends on which distances are swept.
+    :func:`_scheme_setup` runs once per scheme and table.  Each candidate's
+    solve starts at its own converged payload from the previous distance of
+    the sweep; without one (the first distance, or no convergence there), at
+    the previous cap's converged payload at this distance, or 0: the map
+    depends on the cap only through the SNR floor and the payload ceiling,
+    which grows with the cap.  Where each candidate has one fixed point, as
+    ``check_multistart_agreement`` checks, the start does not change the
+    outcome, so no table depends on which distances are swept: a sweep's
+    tables equal the single-distance tables, as the equality tests in
+    ``tests/test_solver_reference.py`` check on the default grid, on random
+    grids and across a distance where 16QAM/TPA has a second, unstable fixed
+    point.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -416,10 +424,15 @@ def candidate_tables(
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
     specs = [QosSpec(qos.target_per, tau) for tau in range(min(top, 1), top + 1)]
+    # The converged payload of each table entry of each amplifier at the
+    # previous distance, in yield order; 0.0 (no convergence, or no previous
+    # distance) marks no start.
+    starts = [0.0] * (len(pas) * len(mods) * len(specs))
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         link = replace(link_template, distance_m=d)
+        k = 0
         for pa in pas:
             table = []
             for scheme in mods:
@@ -428,8 +441,11 @@ def candidate_tables(
                 n_p = 0.0
                 for spec in specs:
                     point, reason, n_p = _solve_candidate(
-                        link, spec, pa, scheme, setup, n_h, delta, n_p
+                        link, spec, pa, scheme, setup, n_h, delta,
+                        starts[k] or n_p,
                     )
+                    starts[k] = n_p
+                    k += 1
                     table.append(
                         Candidate(scheme, spec.max_retransmissions, point, reason)
                     )

@@ -422,9 +422,10 @@ def check_multistart_agreement(run: BatteryRun):
     Covers every amplifier at 8 m and 20 m, ten starts each, every start
     solved by the per-candidate solve of ``candidate_tables``:
     ``optimizer._solve_candidate`` on the scheme's ``_scheme_setup``.
-    ``candidate_tables`` starts each retransmission cap's solve from the
-    previous cap's payload, which is only sound while each candidate has a
-    single fixed point.  A rejected start fails the check with its reason.
+    ``candidate_tables`` starts each candidate's solve from its payload at
+    the previous distance of a sweep, else from the previous retransmission
+    cap's payload, which is only sound while each candidate has a single
+    fixed point.  A rejected start fails the check with its reason.
     """
     config = run.config
     scheme = _scheme_like_16qam(config)

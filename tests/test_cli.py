@@ -518,6 +518,48 @@ class TestValidate:
         assert {int(r["snr_db"]) for r in rows} == set(range(10, 41))
 
 
+class TestUnusableArguments:
+    """An --out that cannot be written and a repeated --pa model are config
+    errors: exit 1, one line on stderr, nothing solved or written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--distance", "10"],
+        ["sweep"],
+        ["lifetime"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, argv, where):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before --out was opened")
+
+        monkeypatch.setattr(cli, "candidate_tables", never)
+        monkeypatch.setattr(cli, "joint_optimize", never)
+        monkeypatch.setattr(validation, "BatteryRun", never)
+        path = tmp_path / "missing" / "x.csv" if where == "missing_directory" \
+            else tmp_path
+        code = run_cli(argv + ["--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out: cannot write {str(path)!r} (")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,models,twice", [
+        ("sweep", "cpa,cpa", "['cpa']"),
+        ("lifetime", "tpa,TPA", "['tpa']"),
+        ("sweep", "etpa,cpa,tpa, CPA,etpa", "['cpa', 'etpa']"),
+    ])
+    def test_repeated_pa_model(self, tmp_path, capsys, command, models, twice):
+        out_path = tmp_path / "out.csv"
+        code = run_cli([command, "--pa", models, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: --pa: listed more than once: {twice}\n"
+        assert not out_path.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

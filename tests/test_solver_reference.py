@@ -7,7 +7,11 @@ the outcome oracle: where both converge, the two must return the same
 ``(point, reason)`` or raise the same error.  A rejection inside the loop
 quotes the packet size of the iterate it came at, which the two iterations
 need not share.  ``candidate_tables`` starts each retransmission cap at the
-previous cap's payload; every entry must equal a cold solve.
+previous cap's payload, and each candidate of a sweep at its payload from
+the previous distance: every entry of a single-distance table must equal a
+cold solve, and every table of a sweep must equal the single-distance table
+at its distance, on the default grid, on random grids of random configs,
+and across a distance where 16QAM/TPA has a second fixed point.
 The closed forms inside the map are checked by the oracle battery in
 ``linkopt.validation``.
 """
@@ -125,16 +129,23 @@ def outcome(solve, *args, **kwargs):
         return f"raises {type(exc).__name__}: {exc}"
 
 
-def scenario(p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
-             distance, variant):
-    """Config, link and amplifier of one point query."""
-    cfg = parse_config(
+def query_config(p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
+                 sweep=""):
+    """The config of one query, with ``sweep`` appended to its INI text."""
+    return parse_config(
         f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
         f"bandwidth_khz = {bandwidth_khz!r}\n"
         f"[packet]\nn_h_bits = {n_h_bits}\n"
         f"[qos]\ntarget_per = {target_per!r}\n"
-        f"max_retransmissions = {max_retx}\n"
+        f"max_retransmissions = {max_retx}\n" + sweep
     )
+
+
+def scenario(p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
+             distance, variant):
+    """Config, link and amplifier of one point query."""
+    cfg = query_config(p0_mw, kappa, bandwidth_khz, n_h_bits, target_per,
+                       max_retx)
     return cfg, replace(cfg.link_template, distance_m=distance), cfg.pa_models[variant]
 
 
@@ -223,6 +234,65 @@ def test_warm_started_table_matches_cold_solves(
         cold = solve_one(*candidate_args(cfg, link, pa, scheme, tau),
                          delta=cfg.delta, n_p_init=0.0)
         assert repr((point, reason)) == repr(cold)
+
+
+def assert_sweep_matches_point_tables(cfg, pas):
+    """Every table of a sweep over ``cfg.distances()`` equals, candidate for
+    candidate by ``repr``, the table a single-distance call builds there.
+    Returns the number of tables compared."""
+    compared = 0
+    for d, pa, table in candidate_tables(
+        cfg.link_template, cfg.distances(), cfg.qos, pas, cfg.modulations,
+        cfg.n_h, delta=cfg.delta, circuit_power=cfg.circuit_power,
+    ):
+        point_table = table_of(cfg, replace(cfg.link_template, distance_m=d), pa)
+        assert len(table) == len(point_table)
+        for swept, single in zip(table, point_table):
+            assert repr(swept) == repr(single), (d, pa.variant)
+        compared += 1
+    return compared
+
+
+def test_default_sweep_tables_match_point_tables():
+    """Starting each candidate at its payload from the previous distance
+    changes no entry of the 237 default sweep tables."""
+    cfg = default_config()
+    assert assert_sweep_matches_point_tables(
+        cfg, tuple(cfg.pa_models.values())) == 237
+
+
+SWEEP_SPACE = {k: v for k, v in QUERY_SPACE.items() if k != "distance"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SWEEP_SPACE, d_min=st.floats(2.0, 80.0), span=st.floats(0.0, 30.0),
+       step=st.floats(0.25, 7.0))
+@example(10.0, 3.5, 10.0, 48, 1e-3, 3, PaVariant.TPA, 2.0, 30.0, 0.5)
+def test_swept_tables_match_point_tables(
+        p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx, variant,
+        d_min, span, step):
+    """The same on a random grid of a random query config."""
+    cfg = query_config(
+        p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
+        f"[sweep]\nd_min_m = {d_min!r}\nd_max_m = {d_min + span!r}\n"
+        f"d_step_m = {step!r}\n",
+    )
+    assert assert_sweep_matches_point_tables(
+        cfg, (cfg.pa_models[variant],)) == len(cfg.distances())
+
+
+def test_sweep_across_a_second_fixed_point_matches_point_tables():
+    """16QAM/TPA at this config has an unstable fixed point near 6 bits at
+    73.125 m, from which a start at 6 bits drifts without converging.  A
+    0.125 m sweep from 60 to 80 m passes that distance, and every table
+    still equals the single-distance one."""
+    cfg = query_config(
+        1.0, 2.60546875, 3.0, 2, 0.003066017267510455, 2,
+        "[sweep]\nd_min_m = 60.0\nd_max_m = 80.0\nd_step_m = 0.125\n",
+    )
+    assert 73.125 in cfg.distances()
+    assert assert_sweep_matches_point_tables(
+        cfg, (cfg.pa_models[PaVariant.TPA],)) == 161
 
 
 def test_default_grid_builds_one_map_per_table_and_scheme():
