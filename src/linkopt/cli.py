@@ -19,7 +19,7 @@ from typing import Sequence, TextIO
 from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
-from .lifetime import lifetime, lifetime_gain
+from .lifetime import lifetime
 from .optimizer import candidate_tables, joint_optimize, select_best
 
 EXIT_OK = 0
@@ -69,19 +69,16 @@ def _parse_pa_list(text: str) -> list[PaVariant]:
     return variants
 
 
-def _open_path(path: str) -> TextIO:
+def _open_out(path: str | None) -> TextIO:
+    """The ``--out`` stream of every command: stdout for ``-`` or no path."""
+    if path is None or path == "-":
+        return sys.stdout
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(
             f"--out: cannot write {path!r} ({exc.strerror or exc})"
         ) from None
-
-
-def _open_out(path: str | None) -> TextIO:
-    if path is None or path == "-":
-        return sys.stdout
-    return _open_path(path)
 
 
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
@@ -118,18 +115,24 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _sweep_tables(config: ScenarioConfig, variants: Sequence[PaVariant]):
+    """:func:`candidate_tables` at the config's sweep distances, amplifiers
+    by name."""
+    return candidate_tables(
+        config.link_template, config.distances(), config.qos,
+        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
+        config.modulations, config.n_h, delta=config.delta,
+        circuit_power=config.circuit_power,
+    )
+
+
 def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
               out: TextIO) -> int:
     """Emit the distance-sweep dataset for the selected amplifier models."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, pa, table in candidate_tables(
-        config.link_template, config.distances(), config.qos,
-        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
-        config.modulations, config.n_h, delta=config.delta,
-        circuit_power=config.circuit_power,
-    ):
+    for d, pa, table in _sweep_tables(config, variants):
         point = select_best(table)
         any_feasible = any_feasible or point.feasible
         writer.writerow([
@@ -161,12 +164,7 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     is selected by identity from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d, pa, table in candidate_tables(
-        config.link_template, config.distances(), config.qos,
-        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
-        config.modulations, config.n_h, delta=config.delta,
-        circuit_power=config.circuit_power,
-    ):
+    for d, pa, table in _sweep_tables(config, variants):
         base = select_best(c for c in table if c.scheme is baseline)
         yield d, pa.variant, select_best(table), base
 
@@ -181,8 +179,9 @@ def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
         life = lifetime(best, config.duty) if best.feasible else None
         base_life = lifetime(base, config.duty) if base.feasible else None
         gain = None
-        if best.feasible and base.feasible:
-            gain = lifetime_gain(best, base, config.duty)
+        if life is not None and base_life is not None:
+            # lifetime_gain's own expression, on the two lifetimes above.
+            gain = 100.0 * (life - base_life) / base_life
         any_feasible = any_feasible or life is not None
         writer.writerow([
             _fmt(d),
@@ -195,20 +194,18 @@ def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
 
 
 def cmd_validate(config: ScenarioConfig, out: TextIO,
-                 table_path: str | None) -> int:
-    """Run the oracle cross-check battery; nonzero exit on any failure."""
+                 table: TextIO | None) -> int:
+    """Run the oracle cross-check battery, writing the PER error table to
+    ``table`` (if any) before the summary; nonzero exit on any failure."""
     # The solve commands never load the battery.
     from .validation import BatteryRun, run_all_checks, write_per_error_table
 
-    if table_path is not None:
-        # An --out that cannot be written fails before the battery runs.
-        _open_path(table_path).close()
     run = BatteryRun(config)
     results = run_all_checks(run)
     for result in results:
         out.write(result.line() + "\n")
-    if table_path is not None:
-        write_per_error_table(run, table_path)
+    if table is not None:
+        write_per_error_table(run, table)
     failed = [r for r in results if not r.passed]
     out.write(f"checks: {len(results) - len(failed)}/{len(results)} passed\n")
     return EXIT_VALIDATION if failed else EXIT_OK
@@ -253,15 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else default_config()
     if args.command == "validate":
-        return cmd_validate(config, sys.stdout, args.out)
-    variants = _parse_pa_list(args.pa)
-    if args.command == "optimize":
+        command = lambda out: cmd_validate(
+            config, sys.stdout, None if args.out is None else out)
+    elif args.command == "optimize":
+        variants = _parse_pa_list(args.pa)
         if len(variants) != 1:
             raise ConfigError("optimize takes exactly one --pa model")
         check_distance(config.link_template, args.distance, "--distance")
         command = lambda out: cmd_optimize(
             config, args.distance, variants[0], out)
     else:
+        variants = _parse_pa_list(args.pa)
         dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
         command = lambda out: dataset(config, variants, out)
     out = _open_out(args.out)

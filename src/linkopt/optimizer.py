@@ -122,8 +122,7 @@ def payload_map(
     wanted)``: the unconstrained SNR optimum at payload ``n_p`` conditioned
     against the reliability floor and ``gamma_cap``, the constraint that
     bound it, and the real-valued payload optimum at that SNR.  When the map
-    rejects ``n_p`` it returns the reason instead, without the
-    ``scheme/tau=`` prefix.
+    rejects ``n_p`` it returns the reason instead, which names no candidate.
 
     With ``w0`` the waterfall threshold at ``N = n_h + n_p`` bits and
     ``rho = n_p / N``, the SNR optimum is the positive root of
@@ -159,11 +158,9 @@ def payload_map(
             p = -2.0 * w0
             try:
                 x = _depressed_cubic_root(p, p * (ratio * rho))
-            except OverflowError:
-                return (
-                    "payload map outside the range of a double "
-                    "(the TPA cubic overflowed)"
-                )
+            except ArithmeticError as exc:  # overflow, underflow or a lost root
+                return ("payload map outside the range of a double "
+                        f"(the TPA cubic raised {type(exc).__name__})")
             gamma_star = x * x
         else:
             gamma_star = w0 / 2.0 + sqrt(w0 * (w0 / 4.0 + ratio * rho))
@@ -194,32 +191,48 @@ def payload_map(
     return step
 
 
+class Candidate(NamedTuple):
+    """One (modulation, retransmission cap) entry of the candidate table.
+
+    Exactly one of ``point`` (a feasible operating point) and ``reason``
+    (why the candidate was rejected) is set.
+    """
+
+    scheme: ModulationScheme
+    tau: int
+    point: OperatingPoint | None
+    reason: str | None
+
+
+def _rejected(scheme: ModulationScheme, qos: QosSpec, reason: str) -> Candidate:
+    """The table entry of a rejected candidate, its reason prefixed with the
+    scheme and cap: every rejection of a solve is made here."""
+    tau = qos.max_retransmissions
+    return Candidate(scheme, tau, None, f"{scheme.name}/tau={tau}: {reason}")
+
+
 def _scheme_setup(
     link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float, n_h: int
-) -> tuple[EnergyCoefficients, float, Callable] | str:
-    """The energy coefficients, SNR cap and payload map of one scheme, none
-    of which depends on the retransmission cap, or the reason (without the
-    ``scheme/tau=`` prefix) why they leave the range of a double."""
+) -> tuple:
+    """``(scheme, link, pa, n_h, coeffs, gamma_cap, step)``: what every solve
+    of one scheme shares and no retransmission cap changes, or ``(scheme,
+    reason)`` when the coefficients or the SNR cap leave the doubles."""
     try:
         coeffs = energy_coefficients(pa, scheme, link, p_c)
     except (ValueError, ArithmeticError) as exc:
-        return f"energy coefficients outside the range of a double ({exc})"
+        return scheme, f"energy coefficients outside the range of a double ({exc})"
     gamma_cap = snr_max(link, scheme, pa)
     if gamma_cap == 0.0:
-        return "SNR cap outside the range of a double (snr_max underflows to 0)"
-    return coeffs, gamma_cap, payload_map(coeffs, scheme, n_h, gamma_cap)
+        return scheme, (
+            "SNR cap outside the range of a double (snr_max underflows to 0)"
+        )
+    step = payload_map(coeffs, scheme, n_h, gamma_cap)
+    return scheme, link, pa, n_h, coeffs, gamma_cap, step
 
 
 def _solve_candidate(
-    link: LinkBudget,
-    qos: QosSpec,
-    pa: PaModel,
-    scheme: ModulationScheme,
-    setup: tuple[EnergyCoefficients, float, Callable] | str,
-    n_h: int,
-    delta: float,
-    n_p_init: float,
-) -> tuple[OperatingPoint | None, str | None, float]:
+    setup: tuple, qos: QosSpec, delta: float, n_p_init: float
+) -> tuple[Candidate, float]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair
     on the scheme's :func:`_scheme_setup`: the fixed point of the payload
     map, capped at the largest payload the link carries at full power.
@@ -228,19 +241,17 @@ def _solve_candidate(
     step moves the payload by at most ``delta`` relative, within
     ``MAX_ITER`` map evaluations (read when called); one more step at the
     floored payload gives the point's SNR, binding and payload optimum.
-    Returns ``(point, None, n_p)``, or ``(None, reason, n_p)`` when the
-    candidate is infeasible, leaves the range of a double or fails to
-    converge; ``n_p`` is the converged payload, 0.0 without convergence.
+    Returns ``(candidate, n_p)``: the table entry, a rejection when the set-up
+    was rejected or the candidate is infeasible, leaves the range of a double
+    or fails to converge, and the converged payload, 0.0 without convergence.
     """
-    if setup.__class__ is str:
-        return None, f"{scheme.name}/tau={qos.max_retransmissions}: {setup}", 0.0
-    coeffs, gamma_cap, step = setup
+    if len(setup) == 2:
+        return _rejected(setup[0], qos, setup[1]), 0.0
+    scheme, link, pa, n_h, coeffs, gamma_cap, step = setup
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
-        return None, (
-            f"{scheme.name}/tau={qos.max_retransmissions}: no payload meets the "
-            f"PER bound at full power (snr_max={gamma_cap:.4g})"
-        ), 0.0
+        return _rejected(scheme, qos, "no payload meets the PER bound at full "
+                         f"power (snr_max={gamma_cap:.4g})"), 0.0
 
     log_keep = math.log1p(-qos.per_attempt_bound)
     cap = float(ceiling)
@@ -262,9 +273,7 @@ def _solve_candidate(
             if fallback is not None:
                 n_p, fallback = fallback, None
                 continue
-            return None, (
-                f"{scheme.name}/tau={qos.max_retransmissions}: {result}"
-            ), 0.0
+            return _rejected(scheme, qos, result), 0.0
         nxt = result[2]
         nxt = 1.0 if nxt < 1.0 else cap if nxt > cap else nxt
         residual = nxt - n_p if nxt >= n_p else n_p - nxt
@@ -283,46 +292,30 @@ def _solve_candidate(
         else:
             p0, n_p = None, nxt
     else:
-        if math.isnan(residual):
-            # Finite inputs give nan only through an overflow to infinity.
-            return None, (
-                f"{scheme.name}/tau={qos.max_retransmissions}: payload map "
-                f"outside the range of a double (a step overflowed to an "
-                f"undefined value)"
-            ), 0.0
-        return None, (
-            f"{scheme.name}/tau={qos.max_retransmissions}: no convergence "
-            f"within {MAX_ITER} iterations (last residual {residual:.3g})"
-        ), 0.0
+        # Finite inputs give nan only through an overflow to infinity.
+        return _rejected(scheme, qos, (
+            "payload map outside the range of a double (a step overflowed to "
+            "an undefined value)" if math.isnan(residual) else
+            f"no convergence within {MAX_ITER} iterations "
+            f"(last residual {residual:.3g})"
+        )), 0.0
 
     # Freeze the payload to bits (n_p is in [1, ceiling]) and take one more
     # pass at the integer point.
     n_p_int = math.floor(n_p)
     result = step(n_p_int, log_keep)
     if result.__class__ is str:
-        return None, f"{scheme.name}/tau={qos.max_retransmissions}: {result}", n_p
+        return _rejected(scheme, qos, result), n_p
     selected, binding, wanted = result
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
+    tau = qos.max_retransmissions
     p_t = transmit_power(selected, link)
-    return OperatingPoint(
-        scheme, selected, n_p_int, qos.max_retransmissions,
+    return Candidate(scheme, tau, OperatingPoint(
+        scheme, selected, n_p_int, tau,
         energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos), p_t,
         pa_power(pa, scheme, p_t), True, binding,
-    ), None, n_p
-
-
-class Candidate(NamedTuple):
-    """One (modulation, retransmission cap) entry of the candidate table.
-
-    Exactly one of ``point`` (a feasible operating point) and ``reason``
-    (why the candidate was rejected) is set.
-    """
-
-    scheme: ModulationScheme
-    tau: int
-    point: OperatingPoint | None
-    reason: str | None
+    ), None), n_p
 
 
 def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
@@ -440,13 +433,10 @@ def candidate_tables(
                 setup = _scheme_setup(link, pa, scheme, p_c, n_h)
                 n_p = 0.0
                 for spec in specs:
-                    point, reason, n_p = _solve_candidate(
-                        link, spec, pa, scheme, setup, n_h, delta,
-                        starts[k] or n_p,
+                    candidate, n_p = _solve_candidate(
+                        setup, spec, delta, starts[k] or n_p
                     )
                     starts[k] = n_p
                     k += 1
-                    table.append(
-                        Candidate(scheme, spec.max_retransmissions, point, reason)
-                    )
+                    table.append(candidate)
             yield d, pa, table

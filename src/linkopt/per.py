@@ -75,6 +75,8 @@ class ModulationScheme:
             raise ValueError(f"{self.name}: papr must be >= 1, got {self.papr}")
         if self.bits_per_symbol < 1:
             raise ValueError(f"{self.name}: bits_per_symbol must be >= 1")
+        if self.c_eff == 0.0:  # Q_DECAY_FIT > 1/2 keeps k_eff above 0.
+            raise ValueError(f"{self.name}: the fit of c_m={self.c_m} underflows to 0")
 
     # The fitted constants are cached in the instance dict on first use; the
     # solver reads them on every fixed-point iteration.  Equality and hash

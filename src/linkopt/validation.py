@@ -18,6 +18,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 from . import optimizer as opt
 from . import oracles
@@ -252,10 +253,19 @@ def _random_instances(config: ScenarioConfig, count: int, seed: int):
         yield scheme, pa, link, n_p
 
 
+def _step(coeffs, scheme, n_h, gamma_cap, n_p):
+    """One step of the solver's payload map capped at ``gamma_cap``, with no
+    reliability floor (``log_keep = -inf``); an ArithmeticError carrying the
+    map's reason when it rejects ``n_p``."""
+    result = opt.payload_map(coeffs, scheme, n_h, gamma_cap)(n_p, -math.inf)
+    if result.__class__ is str:
+        raise ArithmeticError(f"n_p={n_p}: {result}")
+    return result
+
+
 def _snr_optimum(coeffs, scheme, n_p, n_h):
-    """The solver's unconstrained SNR optimum: one step of its payload map
-    with no power cap and no reliability floor (``log_keep = -inf``)."""
-    return opt.payload_map(coeffs, scheme, n_h, math.inf)(n_p, -math.inf)[0]
+    """The solver's unconstrained SNR optimum: :func:`_step` with no cap."""
+    return _step(coeffs, scheme, n_h, math.inf, n_p)[0]
 
 
 @_check("snr_optima_vs_golden", 1e-6)
@@ -288,9 +298,7 @@ def check_payload_optima_vs_golden(run: BatteryRun):
         p_c = config.circuit_power[scheme.circuit_power_class]
         coeffs = energy_coefficients(pa, scheme, link, p_c)
         cap = 10.0 ** rng.uniform(1.2, 3.2)
-        g, _, wanted = opt.payload_map(coeffs, scheme, config.n_h, cap)(
-            n_p, -math.inf
-        )
+        g, _, wanted = _step(coeffs, scheme, config.n_h, cap, n_p)
         numeric = math.floor(oracles.golden_payload(coeffs, scheme, config.n_h, g))
         # Floored like the numeric side: the solver's floor at convergence.
         gap = abs(max(1, math.floor(wanted)) - numeric)
@@ -437,14 +445,13 @@ def check_multistart_agreement(run: BatteryRun):
             setup = opt._scheme_setup(link, pa, scheme, p_c, config.n_h)
             energies = []
             for _ in range(10):
-                point, reason, _ = opt._solve_candidate(
-                    link, config.qos, pa, scheme, setup, config.n_h, config.delta,
-                    rng.uniform(1.0, 5000.0),
+                candidate, _ = opt._solve_candidate(
+                    setup, config.qos, config.delta, rng.uniform(1.0, 5000.0)
                 )
-                if point is None:
-                    yield math.inf, f"{variant.value}/d={d}: {reason}"
+                if candidate.point is None:
+                    yield math.inf, f"{variant.value}/d={d}: {candidate.reason}"
                     return
-                energies.append(point.energy)
+                energies.append(candidate.point.energy)
             spread = (max(energies) - min(energies)) / min(energies)
             yield spread, f"{variant.value}/d={d}"
 
@@ -523,22 +530,18 @@ def run_all_checks(run: BatteryRun) -> list[CheckResult]:
     return [check(run) for check in ALL_CHECKS]
 
 
-def write_per_error_table(run: BatteryRun, path: str) -> None:
-    """CSV of PER relative-error curves for 16QAM at three packet sizes.
+def write_per_error_table(run: BatteryRun, out: TextIO) -> None:
+    """CSV of PER relative-error curves for 16QAM at three packet sizes,
+    written to the text stream ``out``.
 
     Columns: packet size, SNR, and the relative errors of the closed-form
     approximation and of the numeric-threshold bound against the exact
     Rayleigh-average PER.
     """
     name = _scheme_like_16qam(run.config).name
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["modulation", "n_bits", "snr_db", "re_closed_pct", "re_bound_pct"]
-        )
-        for n, snr_db, exact, err_closed, err_bound in _per_errors(run, 1):
-            re_closed = 100.0 * err_closed / exact
-            re_bound = 100.0 * err_bound / exact
-            writer.writerow(
-                [name, n, snr_db, f"{re_closed:.10g}", f"{re_bound:.10g}"]
-            )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["modulation", "n_bits", "snr_db", "re_closed_pct", "re_bound_pct"])
+    for n, snr_db, exact, err_closed, err_bound in _per_errors(run, 1):
+        re_closed = 100.0 * err_closed / exact
+        re_bound = 100.0 * err_bound / exact
+        writer.writerow([name, n, snr_db, f"{re_closed:.10g}", f"{re_bound:.10g}"])

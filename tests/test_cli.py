@@ -1,8 +1,10 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +26,21 @@ SMALL_SWEEP = """\
 d_min_m = 4
 d_max_m = 20
 d_step_m = 4
+"""
+
+# One custom scheme next to OQPSK.  With k_m = 1e200 the TPA cubic's root
+# misses the cubic by more than its tolerance, with 1e300 its cube underflows
+# to 0, and with 1e-300 the payload map rejects every unconstrained step.
+ONE_CUSTOM_SCHEME = """\
+[modulation.X]
+bits_per_symbol = 2
+ber_form = exponential
+c_m = 1
+k_m = {k_m}
+papr = 1
+circuit_class = mqam
+[modulations]
+enabled = X, OQPSK
 """
 
 
@@ -123,6 +140,35 @@ class TestOptimize:
                    if line.startswith("reason: ")]
         assert len(reasons) == 6 * 3
         assert all("outside the range of a double" in r for r in reasons)
+
+    @pytest.mark.parametrize("k_m, raised", [
+        ("1e200", "ArithmeticError"), ("1e300", "ZeroDivisionError"),
+    ], ids=["residual_above_tolerance", "cube_underflows"])
+    def test_tpa_cubic_outside_double_range_is_a_rejection(
+            self, tmp_path, capsys, k_m, raised):
+        """A scheme whose TPA cubic has no root in doubles is rejected with
+        a reason that says so; optimize, sweep and lifetime pick the other
+        scheme without a traceback."""
+        text = ONE_CUSTOM_SCHEME.format(k_m=k_m)
+        cfg = parse_config(text)
+        [scheme] = [m for m in cfg.modulations if m.name == "X"]
+        point = optimizer.joint_optimize(
+            replace(cfg.link_template, distance_m=10.0), cfg.qos,
+            cfg.pa_models[PaVariant.TPA], (scheme,), cfg.n_h,
+            delta=cfg.delta, circuit_power=cfg.circuit_power,
+        )
+        assert point.failure_reasons == tuple(
+            f"X/tau={tau}: payload map outside the range of a double "
+            f"(the TPA cubic raised {raised})" for tau in (1, 2, 3)
+        )
+        path = tmp_path / "x.ini"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["optimize", "--distance", "10"], ["sweep"], ["lifetime"]):
+            assert run_cli(["--config", str(path), *argv, "--pa", "tpa"]) == (
+                cli.EXIT_OK
+            )
+            captured = capsys.readouterr()
+            assert captured.err == "" and "nan" not in captured.out
 
     def test_malformed_config_exit_and_message(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -378,10 +424,11 @@ class TestLifetimeSharedTable:
         calls = []
         solve = optimizer._solve_candidate
 
-        def counting(link, qos, pa, scheme, *args, **kwargs):
+        def counting(setup, qos, *args):
+            scheme, link, pa = setup[:3]
             calls.append((link.distance_m, pa.variant, scheme.name,
                           qos.max_retransmissions))
-            return solve(link, qos, pa, scheme, *args, **kwargs)
+            return solve(setup, qos, *args)
 
         # candidate_tables hands each candidate, with its scheme's set-up, to
         # the per-candidate solve.
@@ -500,6 +547,45 @@ class TestValidate:
         assert vacuous == [
             "conditioning_snr_min", "conditioning_snr_max", "feasibility_prefix",
         ]
+
+    def test_payload_map_rejection_fails_the_checks_that_step_it(
+            self, tmp_path, capsys):
+        """A sampled instance the payload map rejects fails each check that
+        steps the map under its own name, with residual inf and the map's
+        reason, and the battery still reports all 17 checks."""
+        path = tmp_path / "x.ini"
+        path.write_text(ONE_CUSTOM_SCHEME.format(k_m="1e-300"), encoding="utf-8")
+        code = run_cli(["--config", str(path), "validate"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_VALIDATION
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 18 and lines[-1] == "checks: 11/17 passed"
+        stepping = [line for line in lines if line.split(",")[0] in (
+            "snr_optima_vs_golden", "payload_optima_vs_golden",
+            "tpa_root_crosscheck", "argmin_scale_invariance",
+        )]
+        assert len(stepping) == 4
+        for line in stepping:
+            assert ",FAIL,residual=inf," in line
+            assert ",ArithmeticError: n_p=" in line
+            assert line.endswith(": payload map outside the range of a double "
+                                 "(the TPA cubic raised OverflowError)")
+
+    def test_error_table_to_stdout(self, tmp_path, capsys, monkeypatch):
+        """``--out -`` writes the table to stdout between the check lines
+        and the summary, byte for byte the table ``--out PATH`` writes, and
+        makes no file named ``-``."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["validate", "--out", "table.csv"]) == cli.EXIT_OK
+        checks = capsys.readouterr().out.splitlines()
+        assert run_cli(["validate", "--out", "-"]) == cli.EXIT_OK
+        table = (tmp_path / "table.csv").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == "".join(
+            line + "\n" for line in checks[:-1]) + table + checks[-1] + "\n"
+        assert checks[-1] == "checks: 17/17 passed"
+        assert len(table.splitlines()) == 1 + 93
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
     def test_error_table_csv(self, tmp_path, capsys):
         out_path = tmp_path / "re.csv"
@@ -705,3 +791,73 @@ class TestOutOfRangeConfig:
             "battery_voltage is outside the range of a double (inf J)"
         )
         assert not out.exists()
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+CUSTOM_SCHEME_SPACE = dict(
+    bits_per_symbol=st.integers(1, 8),
+    ber_form=st.sampled_from(["exponential", "gaussian_q"]),
+    c_m=st.floats(0.0, 1.0, exclude_min=True),
+    k_m=_log_uniform(-300.0, 300.0),
+    papr=_log_uniform(0.0, 6.0),
+    circuit_class=st.sampled_from(["mqam", "mfsk"]),
+    p0_mw=_log_uniform(0.0, 2.0),
+    kappa=st.floats(2.5, 4.0),
+    bandwidth_khz=_log_uniform(math.log10(3.0), 2.0),
+    n_h_bits=st.integers(16, 128),
+    target_per=_log_uniform(-4.0, -2.0),
+    max_retx=st.integers(0, 5),
+    distance=st.floats(2.0, 80.0),
+    pa=st.sampled_from(["cpa", "tpa", "etpa"]),
+)
+
+
+class TestAnyCustomModulationEndsCleanly:
+    """Every command on a config with one custom modulation, drawn over
+    many orders of magnitude, ends in exit 0, 2 or 3, or in exit 1 with one
+    ``error:`` line: never in a traceback, and never with nan in a CSV."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(**CUSTOM_SCHEME_SPACE)
+    def test_every_command(self, tmp_path_factory, bits_per_symbol, ber_form,
+                           c_m, k_m, papr, circuit_class, p0_mw, kappa,
+                           bandwidth_khz, n_h_bits, target_per, max_retx,
+                           distance, pa):
+        path = tmp_path_factory.mktemp("custom") / "custom.ini"
+        path.write_text(
+            f"[modulation.X]\nbits_per_symbol = {bits_per_symbol}\n"
+            f"ber_form = {ber_form}\nc_m = {c_m!r}\nk_m = {k_m!r}\n"
+            f"papr = {papr!r}\ncircuit_class = {circuit_class}\n"
+            f"[modulations]\nenabled = X, OQPSK\n"
+            f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
+            f"bandwidth_khz = {bandwidth_khz!r}\n"
+            f"[packet]\nn_h_bits = {n_h_bits}\n"
+            f"[qos]\ntarget_per = {target_per!r}\n"
+            f"max_retransmissions = {max_retx}\n"
+            f"[sweep]\nd_min_m = {distance!r}\nd_max_m = {distance + 6.0!r}\n"
+            f"d_step_m = 3\n",
+            encoding="utf-8",
+        )
+        for argv in (["optimize", "--distance", repr(distance), "--pa", pa],
+                     ["sweep", "--out", "-"], ["lifetime", "--out", "-"],
+                     ["validate", "--out", "-"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(["--config", str(path), *argv])
+            lines = out.getvalue().splitlines()
+            if code == cli.EXIT_USAGE:
+                assert len(err.getvalue().splitlines()) == 1
+                assert err.getvalue().startswith("error: ")
+                continue
+            assert err.getvalue() == ""
+            if argv[0] == "validate":
+                assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+                assert lines[-1].startswith("checks: ")
+                # The check lines come first; the rest is the PER table.
+                lines = lines[len(validation.ALL_CHECKS):-1]
+            else:
+                assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+            assert not any("nan" in line for line in lines), argv

@@ -327,6 +327,17 @@ class TestOverrides:
         assert mod.circuit_power_class is CircuitClass.MQAM
         assert mod.k_eff == pytest.approx(0.5598 * 1.0548)
 
+    def test_custom_modulation_fit_underflow_rejected(self):
+        """A Gaussian-Q amplitude in range whose fitted constant rounds to 0
+        is a config error, not a domain error in the solve."""
+        with pytest.raises(ConfigError, match=(
+            "modulation.X: X: the fit of c_m=5e-324 underflows to 0"
+        )):
+            parse_config(
+                "[modulation.X]\nbits_per_symbol = 1\nber_form = gaussian_q\n"
+                "c_m = 5e-324\nk_m = 1\npapr = 1\ncircuit_class = mqam\n"
+            )
+
     def test_pa_overrides(self):
         cfg = parse_config("[pa.tpa]\neta_max_pct = 65\np_t_max_mw = 120\n")
         pa = cfg.pa_models[PaVariant.TPA]

@@ -1,6 +1,6 @@
 """Every module of the package reads every name it imports, imports
-nothing from outside the standard library, and the numeric oracles live in
-``linkopt.oracles`` alone.
+nothing from outside the standard library, opens files in two places only,
+and the numeric oracles live in ``linkopt.oracles`` alone.
 
 No linter ships with the project, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the first check: its imports are the
@@ -81,6 +81,41 @@ def test_stdlib_checker_reports_third_party_modules():
 def test_module_imports_only_the_standard_library(path):
     """Guards ``dependencies = []`` in pyproject.toml."""
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def open_callers(source: str) -> set[str]:
+    """Names of the functions in ``source`` that call the builtin ``open``,
+    ``<module>`` for a call outside any function; ``os.open`` is not it."""
+    callers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open"):
+            callers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_open_checker_names_the_enclosing_function():
+    source = (
+        "import os\nopen('a')\ndef f():\n    def g():\n        open('b')\n"
+        "    return os.open('c', 0)\nclass C:\n    def h(self):\n"
+        "        return open\n"
+    )
+    assert open_callers(source) == {"<module>", "g"}
+
+
+def test_only_the_out_stream_and_the_config_loader_open_files():
+    """``cli._open_out`` opens every ``--out``; outside ``cli`` only
+    ``config.load_config`` calls ``open``."""
+    callers = {(path.name, name) for path in ALL_MODULES
+               for name in open_callers(path.read_text(encoding="utf-8"))}
+    assert callers == {("cli.py", "_open_out"), ("config.py", "load_config")}
 
 
 ORACLE_NAMES = (

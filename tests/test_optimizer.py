@@ -57,9 +57,9 @@ def link_at(d):
 def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     """``(point, reason)`` of the per-candidate solve that candidate_tables
     runs, on the scheme's set-up."""
-    setup = optimizer._scheme_setup(link, pa, scheme, p_c, n_h)
     return optimizer._solve_candidate(
-        link, qos, pa, scheme, setup, n_h, delta, n_p_init)[:2]
+        optimizer._scheme_setup(link, pa, scheme, p_c, n_h), qos, delta,
+        n_p_init)[0][2:]
 
 
 def payload_step(coeffs, scheme, n_h, g, n_p=976):

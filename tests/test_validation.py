@@ -34,9 +34,10 @@ def test_multistart_covers_every_amplifier_at_8_and_20_m(monkeypatch):
     seen = []
     solve = optimizer._solve_candidate
 
-    def recording(link, qos, pa, *args):
+    def recording(setup, *args):
+        _, link, pa = setup[:3]
         seen.append((pa.variant, link.distance_m))
-        return solve(link, qos, pa, *args)
+        return solve(setup, *args)
 
     monkeypatch.setattr(optimizer, "_solve_candidate", recording)
     result = check_multistart_agreement(BatteryRun(CFG))
@@ -96,7 +97,7 @@ def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
     assert len(built) == maps
 
 
-def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
+def test_validate_does_each_oracle_once_per_call(monkeypatch):
     """One validate call makes 161 distinct integrals and 165 candidate
     tables, and a second call redoes all of them: nothing persists."""
     calls = Counter()
@@ -119,7 +120,7 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch, tmp_path):
     monkeypatch.setattr(optimizer, "candidate_tables", counting_tables)
     for _ in range(2):
         calls.clear()
-        code = cli.cmd_validate(CFG, io.StringIO(), str(tmp_path / "t.csv"))
+        code = cli.cmd_validate(CFG, io.StringIO(), io.StringIO())
         assert code == cli.EXIT_OK
         assert calls == {"quad": 161, "table": 165}
 
