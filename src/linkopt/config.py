@@ -172,6 +172,7 @@ def _syntax_error(lineno: int, problem: str) -> ConfigError:
 
 # Parsed once: every default, and the schema of the fixed sections.
 _DEFAULTS = _read_sections(DEFAULT_CONFIG_TEXT)
+_Sections = dict[str, dict[str, str]]
 
 # Built once: the built-in schemes by name for each MQAM PAPR formula.  The
 # schemes are immutable, so every config shares them (and their cached
@@ -238,11 +239,11 @@ class ScenarioConfig:
 
 
 class _Reader:
-    """Typed key lookup over one parsed section with field-path errors."""
+    """Typed key lookup over one section with field-path errors."""
 
-    def __init__(self, section: str, values: dict[str, str]):
+    def __init__(self, sections: _Sections, section: str):
         self.section = section
-        self.values = values
+        self.values = sections[section]
 
     def number(self, key: str) -> float:
         raw = self.values[key]
@@ -330,25 +331,8 @@ def check_distance(link_template: LinkBudget, distance_m: float, field: str) -> 
         )
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario config from INI text."""
-    sections = {name: dict(values) for name, values in _DEFAULTS.items()}
-    for name, values in _read_sections(text).items():
-        if name in _DEFAULTS:
-            allowed = _DEFAULTS[name]
-        elif name.startswith("modulation."):
-            allowed = _MODULATION_KEYS
-        else:
-            raise ConfigError(f"{name}: unknown section")
-        for key in values:
-            if key not in allowed:
-                raise ConfigError(f"{name}: unknown key {key!r}")
-        sections.setdefault(name, {}).update(values)
-
-    def reader(name: str) -> _Reader:
-        return _Reader(name, sections[name])
-
-    link = reader("link")
+def _link(sections: _Sections, fields: dict) -> dict:
+    link = _Reader(sections, "link")
     noise_half_dbm = link.decibels("noise_half_psd_dbm_hz")
     try:
         link_template = LinkBudget(
@@ -363,29 +347,39 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:
         # A positive value can underflow to 0 in the unit conversion.
         raise ConfigError(f"link: {exc}") from None
+    return {"link_template": link_template}
 
-    qos_r = reader("qos")
+
+def _qos(sections: _Sections, fields: dict) -> dict:
+    qos_r = _Reader(sections, "qos")
     target_per = qos_r.number("target_per")
     max_retransmissions = qos_r.integer("max_retransmissions")
     try:
-        qos = QosSpec(target_per, max_retransmissions)
+        return {"qos": QosSpec(target_per, max_retransmissions)}
     except ValueError as exc:
         # QosSpec names the field first, as in "target_per: ...".
         raise ConfigError(f"qos.{exc}") from None
 
-    n_h = reader("packet").integer("n_h_bits")
+
+def _packet(sections: _Sections, fields: dict) -> dict:
+    n_h = _Reader(sections, "packet").integer("n_h_bits")
     if n_h < 1:
         raise ConfigError("packet.n_h_bits: must be >= 1")
+    return {"n_h": n_h}
 
-    circuit = reader("circuit")
-    circuit_power = {
+
+def _circuit(sections: _Sections, fields: dict) -> dict:
+    circuit = _Reader(sections, "circuit")
+    return {"circuit_power": {
         CircuitClass.MQAM: circuit.positive("pc_mqam_mw") * 1e-3,
         CircuitClass.MFSK: circuit.positive("pc_mfsk_mw") * 1e-3,
-    }
+    }}
 
+
+def _pa(sections: _Sections, fields: dict) -> dict:
     pa_models = {}
     for variant in PaVariant:
-        pa_r = reader(f"pa.{variant.value}")
+        pa_r = _Reader(sections, f"pa.{variant.value}")
         kwargs = dict(
             variant=variant,
             eta_max=pa_r.number("eta_max_pct") / 100.0,
@@ -397,8 +391,11 @@ def parse_config(text: str) -> ScenarioConfig:
             pa_models[variant] = PaModel(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"pa.{variant.value}: {exc}") from None
+    return {"pa_models": pa_models}
 
-    mods_r = reader("modulations")
+
+def _modulations(sections: _Sections, fields: dict) -> dict:
+    mods_r = _Reader(sections, "modulations")
     papr_formula = mods_r.text("mqam_papr_formula")
     if papr_formula not in _BUILTIN_SCHEMES:
         raise ConfigError(
@@ -411,7 +408,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if not name.startswith("modulation."):
             continue
         mod_name = name[len("modulation."):]
-        r = _Reader(name, values)
+        r = _Reader(sections, name)
         missing = _MODULATION_KEYS - set(values)
         if missing:
             raise ConfigError(f"{name}: missing keys {sorted(missing)}")
@@ -456,8 +453,11 @@ def parse_config(text: str) -> ScenarioConfig:
             f"modulations.baseline: {baseline_name!r} is not in "
             f"modulations.enabled ({', '.join(enabled)})"
         )
+    return {"modulations": tuple(modulations), "baseline_name": baseline_name}
 
-    sweep = reader("sweep")
+
+def _sweep(sections: _Sections, fields: dict) -> dict:
+    sweep = _Reader(sections, "sweep")
     d_min = sweep.number("d_min_m")
     d_max = sweep.number("d_max_m")
     d_step = sweep.number("d_step_m")
@@ -474,6 +474,7 @@ def parse_config(text: str) -> ScenarioConfig:
     # The path gain grows with distance, so the two ends bound the grid;
     # distances() rounds them, which can move them (d_min_m = 1e-12 to 0).
     last = _grid_steps(d_min, d_max, d_step)
+    link_template = fields["link_template"]
     for field, end, point in (
         ("sweep.d_min_m", d_min, _grid_point(d_min, d_step, 0)),
         ("sweep.d_max_m", d_max, _grid_point(d_min, d_step, last)),
@@ -483,23 +484,28 @@ def parse_config(text: str) -> ScenarioConfig:
             check_distance(
                 link_template, point, f"{field} as rounded to the 1e-9 m grid"
             )
+    return {"d_min_m": d_min, "d_max_m": d_max, "d_step_m": d_step}
 
-    duty_r = reader("duty")
+
+def _duty(sections: _Sections, fields: dict) -> dict:
+    duty_r = _Reader(sections, "duty")
     battery_ah = duty_r.number("battery_ah")
     battery_v = duty_r.number("battery_v")
     payload_kbit = duty_r.number("payload_kbit")
     period_s = duty_r.number("period_s")
     try:
-        duty = DutyProfile(
+        return {"duty": DutyProfile(
             battery_charge_ah=battery_ah,
             battery_voltage=battery_v,
             payload_per_period_bits=payload_kbit * 1e3,
             period_s=period_s,
-        )
+        )}
     except ValueError as exc:
         raise ConfigError(f"duty: {exc}") from None
 
-    tol = reader("tolerance")
+
+def _tolerance(sections: _Sections, fields: dict) -> dict:
+    tol = _Reader(sections, "tolerance")
     delta = tol.positive("delta")
     epsrel = tol.non_negative("quad_epsrel")
     epsabs = tol.non_negative("quad_epsabs")
@@ -510,23 +516,62 @@ def parse_config(text: str) -> ScenarioConfig:
             f"tolerance.quad_epsrel: must be >= 50 machine epsilons "
             f"(1.1e-14) when quad_epsabs = 0, got {epsrel!r}"
         )
+    return {"delta": delta, "quad_epsrel": epsrel, "quad_epsabs": epsabs}
 
-    return ScenarioConfig(
-        link_template=link_template,
-        n_h=n_h,
-        qos=qos,
-        circuit_power=circuit_power,
-        pa_models=pa_models,
-        modulations=tuple(modulations),
-        baseline_name=baseline_name,
-        d_min_m=d_min,
-        d_max_m=d_max,
-        d_step_m=d_step,
-        duty=duty,
-        delta=delta,
-        quad_epsrel=epsrel,
-        quad_epsabs=epsabs,
-    )
+
+# The builders of the config's fields, in the order they run (and raise),
+# each with the section groups (a section name up to its first dot) that
+# make it run again: the sweep ends are checked against the link.
+_BUILDERS = (
+    (_link, {"link"}), (_qos, {"qos"}), (_packet, {"packet"}),
+    (_circuit, {"circuit"}), (_pa, {"pa"}),
+    (_modulations, {"modulations", "modulation"}),
+    (_sweep, {"sweep", "link"}), (_duty, {"duty"}), (_tolerance, {"tolerance"}),
+)
+
+
+def _build(named: _Sections, base: dict) -> dict:
+    """The fields of `named` laid over the defaults: those of the groups it
+    names built again, every other one taken from `base`."""
+    sections = {**_DEFAULTS, **{
+        name: {**_DEFAULTS.get(name, {}), **values} for name, values in named.items()
+    }}
+    groups = {name.partition(".")[0] for name in named}
+    fields = dict(base)
+    for build, triggers in _BUILDERS:
+        if not triggers.isdisjoint(groups):
+            fields.update(build(sections, fields))
+    return fields
+
+
+# Built once: every field of the default config, each default validated.
+_DEFAULT_FIELDS = _build(_DEFAULTS, {})
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and validate a scenario config from INI text.
+
+    Every section and key of the text is checked against the schema.  The
+    defaults were validated once, at import; only the section groups the
+    text names (and the sweep, when it names ``[link]``) are read again,
+    and every other field is the import-time one.  Each config gets its own
+    ``circuit_power`` and ``pa_models`` dicts.
+    """
+    named = _read_sections(text)
+    for name, values in named.items():
+        if name in _DEFAULTS:
+            allowed = _DEFAULTS[name]
+        elif name.startswith("modulation."):
+            allowed = _MODULATION_KEYS
+        else:
+            raise ConfigError(f"{name}: unknown section")
+        for key in values:
+            if key not in allowed:
+                raise ConfigError(f"{name}: unknown key {key!r}")
+    fields = _build(named, _DEFAULT_FIELDS)
+    fields["circuit_power"] = dict(fields["circuit_power"])
+    fields["pa_models"] = dict(fields["pa_models"])
+    return ScenarioConfig(**fields)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -424,7 +424,8 @@ def candidate_tables(
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
-        link = replace(link_template, distance_m=d)
+        link = (link_template if d == link_template.distance_m
+                else replace(link_template, distance_m=d))
         k = 0
         for pa in pas:
             table = []

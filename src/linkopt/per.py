@@ -96,15 +96,21 @@ class ModulationScheme:
         return self.k_m
 
 
+# Largest retransmission cap accepted.  A table solves one candidate per cap
+# and scheme, so the cap bounds its work; the reference cap is 3.
+MAX_RETRANSMISSIONS = 100
+
+
 @dataclass(frozen=True)
 class QosSpec:
     """Probabilistic reliability target with a truncated retransmission cap.
 
-    A packet may be sent at most ``max_retransmissions + 1`` times; the
-    residual failure probability after the last attempt must not exceed
-    ``target_per``.  The implied per-attempt PER bound is cached in
-    ``per_attempt_bound``; a bound that rounds to 1 is rejected, because the
-    payload ceiling takes ``log(1 - bound)``.
+    A packet may be sent at most ``max_retransmissions + 1`` times, with a
+    cap of at most ``MAX_RETRANSMISSIONS``; the residual failure probability
+    after the last attempt must not exceed ``target_per``.  The implied
+    per-attempt PER bound is cached in ``per_attempt_bound``; a bound that
+    rounds to 1 is rejected, because the payload ceiling takes
+    ``log(1 - bound)``.
     """
 
     target_per: float
@@ -116,6 +122,11 @@ class QosSpec:
             raise ValueError(f"target_per: must be in (0, 1), got {self.target_per}")
         if self.max_retransmissions < 0:
             raise ValueError("max_retransmissions: must be >= 0")
+        if self.max_retransmissions > MAX_RETRANSMISSIONS:
+            raise ValueError(
+                f"max_retransmissions: must be <= {MAX_RETRANSMISSIONS}, "
+                f"got {self.max_retransmissions}"
+            )
         bound = self.target_per ** (1.0 / (self.max_retransmissions + 1))
         if bound >= 1.0:
             raise ValueError(

@@ -20,6 +20,7 @@ from linkopt import optimizer
 from linkopt import validation
 from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant
+from linkopt.per import MAX_RETRANSMISSIONS
 
 SMALL_SWEEP = """\
 [sweep]
@@ -221,6 +222,28 @@ class TestOptimize:
         assert proc.returncode == cli.EXIT_USAGE
         assert proc.stderr.startswith("error: qos.target_per: ")
         assert "Traceback" not in proc.stderr
+
+    def test_retransmission_cap_bounded(self, tmp_path, capsys):
+        """A cap of 10**12 used to be accepted, and the table built one QoS
+        spec per cap before its first solve."""
+        path = tmp_path / "qos.ini"
+        for cap, expected in ((MAX_RETRANSMISSIONS, cli.EXIT_OK),
+                              (MAX_RETRANSMISSIONS + 1, cli.EXIT_USAGE)):
+            path.write_text(f"[qos]\nmax_retransmissions = {cap}\n",
+                            encoding="utf-8")
+            code = run_cli([
+                "--config", str(path), "optimize", "--distance", "10",
+                "--pa", "cpa",
+            ])
+            out, err = capsys.readouterr()
+            assert code == expected
+            if expected == cli.EXIT_OK:
+                assert "feasible: true" in out and err == ""
+            else:
+                assert err.splitlines() == [
+                    f"error: qos.max_retransmissions: must be <= "
+                    f"{MAX_RETRANSMISSIONS}, got {cap}"
+                ]
 
 
 class TestSweep:

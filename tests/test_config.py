@@ -3,6 +3,7 @@
 import ast
 import configparser
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -273,8 +274,11 @@ class TestDefaultSource:
     """Every default comes from DEFAULT_CONFIG_TEXT, parsed once at import."""
 
     def test_missing_key_reads_the_parsed_default_table(self, monkeypatch):
+        """A named section's missing key reads the table; a section the text
+        does not name keeps the default built at import."""
         monkeypatch.setitem(config._DEFAULTS["packet"], "n_h_bits", "64")
-        assert parse_config("").n_h == 64
+        assert parse_config("[packet]\n").n_h == 64
+        assert parse_config("").n_h == 48
 
     def test_default_text_not_parsed_per_call(self, monkeypatch):
         texts = []
@@ -465,3 +469,118 @@ class TestReaderOracle:
     def test_examples(self, text, expected):
         assert config._read_sections(text) == expected
         assert reference_sections(text) == expected
+
+
+# Values per key: valid ones first, then ones its builder rejects.  Among
+# the valid [link] values, kappa = 400 and g1_db = link_margin_db = 3000 put
+# the path gain at a sweep end outside the doubles, which only the sweep
+# builder sees.
+_VALID = {
+    "p0_mw": ["10", "22.1", "1e-300"], "kappa": ["3.5", "2.9", "400"],
+    "g1_db": ["30", "3000", "-20"], "link_margin_db": ["40", "3000", "0"],
+    "noise_half_psd_dbm_hz": ["-174", "-3000"], "bandwidth_khz": ["10", "8.2"],
+    "n_h_bits": ["48", "1", "126"], "target_per": ["0.001", "0.02"],
+    "max_retransmissions": ["3", "0", "5", "100"],
+    "pc_mqam_mw": ["310", "1"], "pc_mfsk_mw": ["265", "12"],
+    "eta_max_pct": ["80", "35"], "p_t_max_mw": ["1000", "40"], "c": ["0.0082"],
+    "enabled": ["NCFSK, BPSK, OQPSK, 4QAM, 16QAM, 64QAM", "OQPSK, X", "OQPSK"],
+    "baseline": ["OQPSK", "X"], "mqam_papr_formula": ["growing", "bounded"],
+    "d_min_m": ["2", "1", "1e-200"], "d_max_m": ["80", "3", "1e90"],
+    "d_step_m": ["1", "0.25", "1e86"], "battery_ah": ["2", "1e3"],
+    "battery_v": ["3", "1.5"], "payload_kbit": ["5", "40"],
+    "period_s": ["300", "1"], "delta": ["1e-10", "1e-6"],
+    "quad_epsrel": ["1e-10", "0"], "quad_epsabs": ["1e-14", "0"],
+    "bits_per_symbol": ["3", "1"], "ber_form": ["gaussian_q", "exponential"],
+    "c_m": ["0.6667", "1"], "k_m": ["1.0548", "0.3"], "papr": ["1", "4.5"],
+    "circuit_class": ["mqam", "mfsk"],
+}
+_INVALID = ["0", "-1", "inf", "nan", "x", "1e-320", "101", "1.5", "5e-324"]
+_SECTIONS = {**config._DEFAULTS, "modulation.X": dict.fromkeys(
+    sorted(config._MODULATION_KEYS))}
+
+
+@st.composite
+def named_sections(draw):
+    """Some sections in some order, each with some keys and values."""
+    names = draw(st.lists(st.sampled_from(sorted(_SECTIONS)), unique=True))
+    sections = {}
+    for name in names:
+        keys = draw(st.lists(st.sampled_from(list(_SECTIONS[name])),
+                             unique=True))
+        sections[name] = {
+            key: draw(st.sampled_from(_INVALID))
+            if draw(st.integers(0, 11)) == 0
+            else draw(st.sampled_from(_VALID[key]))
+            for key in keys
+        }
+    return sections
+
+
+def ini(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def parsed(text):
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestParseEquivalence:
+    """Only the named sections are read again, and nothing else changes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sections=named_sections())
+    @example(sections={"link": {"kappa": "400"}})
+    @example(sections={"link": {"g1_db": "3000", "link_margin_db": "3000"}})
+    def test_same_as_every_default_written_out(self, sections):
+        """A text parses as the same text with every default section and key
+        written out, which runs every builder, or both raise one message."""
+        full = {name: {**config._DEFAULTS.get(name, {}), **keys}
+                for name, keys in sections.items()}
+        full.update((name, keys) for name, keys in config._DEFAULTS.items()
+                    if name not in sections)
+        assert parsed(ini(sections)) == parsed(ini(full))
+
+
+class TestParseWork:
+    """What a parse builds; pins the regression, not the speed."""
+
+    BUILT = ("LinkBudget", "QosSpec", "PaModel", "DutyProfile",
+             "ModulationScheme")
+
+    def builds(self, monkeypatch, texts):
+        calls = Counter()
+        for name in self.BUILT:
+            def counting(*args, _build=getattr(config, name), _name=name,
+                         **kwargs):
+                calls[_name] += 1
+                return _build(*args, **kwargs)
+            monkeypatch.setattr(config, name, counting)
+        for text in texts:
+            parse_config(text)
+        return calls
+
+    def test_point_query_builds_its_link_and_qos(self, monkeypatch):
+        """A query naming [link], [packet] and [qos] builds one LinkBudget
+        and one QosSpec; the amplifiers, duty and schemes are the defaults."""
+        texts = [query.ini for query in WORKLOADS.generate_queries(0, 0, 30)]
+        assert self.builds(monkeypatch, texts) == {
+            "LinkBudget": 30, "QosSpec": 30,
+        }
+
+    def test_default_config_builds_nothing(self, monkeypatch):
+        assert self.builds(monkeypatch, [""]) == {}
+
+    @pytest.mark.parametrize("text", ["", "[link]\nkappa = 3\n"])
+    def test_configs_share_no_mutable_state(self, text):
+        changed = parse_config(text)
+        changed.pa_models.clear()
+        changed.circuit_power.clear()
+        fresh = parse_config(DEFAULT_CONFIG_TEXT)
+        assert parse_config(text).pa_models == fresh.pa_models
+        assert parse_config(text).circuit_power == fresh.circuit_power

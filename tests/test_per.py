@@ -16,6 +16,7 @@ from linkopt.oracles import (
 )
 from linkopt.per import (
     EULER_GAMMA,
+    MAX_RETRANSMISSIONS,
     BerForm,
     CircuitClass,
     ModulationScheme,
@@ -117,6 +118,15 @@ class TestQosSpec:
             QosSpec(1.0, 3)
         with pytest.raises(ValueError):
             QosSpec(0.001, -1)
+
+    def test_retransmission_cap_bounded(self):
+        """A table solves one candidate per cap, so the cap is bounded."""
+        assert QosSpec(0.001, MAX_RETRANSMISSIONS).per_attempt_bound < 1.0
+        with pytest.raises(ValueError, match=(
+            f"^max_retransmissions: must be <= {MAX_RETRANSMISSIONS}, "
+            f"got {MAX_RETRANSMISSIONS + 1}$"
+        )):
+            QosSpec(0.001, MAX_RETRANSMISSIONS + 1)
 
 
 class TestBer:
