@@ -32,10 +32,10 @@ twice that value; misreading it would shift every SNR by 3 dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .energy import LinkBudget, PaModel, PaVariant, path_gain
+from .energy import LinkBudget, PaModel, PaVariant
 from .errors import ConfigError
 from .lifetime import DutyProfile
 from .per import (
@@ -305,10 +305,11 @@ def _dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def check_distance(link_template: LinkBudget, distance_m: float, field: str) -> None:
+def check_distance(link: LinkBudget, distance_m: float, field: str) -> None:
     """Reject a link distance the model cannot be evaluated at.
 
-    The distance must be positive and finite.  The path gain there, and the
+    The distance must be positive and finite.  The path gain of ``link``'s
+    law there (its own distance is not read), and the
     noise power referred to the transmitter (bandwidth x N0 x path gain)
     that every SNR is measured against, must be positive finite doubles.
 
@@ -317,9 +318,8 @@ def check_distance(link_template: LinkBudget, distance_m: float, field: str) -> 
     """
     if not (math.isfinite(distance_m) and distance_m > 0.0):
         raise ConfigError(f"{field}: must be positive and finite, got {distance_m}")
-    link = replace(link_template, distance_m=distance_m)
     try:
-        gain = path_gain(link)
+        gain = link.gain_at(distance_m)
     except OverflowError:
         gain = math.inf
     noise = link.bandwidth_hz * link.n0 * gain

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import PeakPowerError
 from .per import ModulationScheme, QosSpec, per_rayleigh
@@ -83,6 +84,21 @@ class LinkBudget:
         if self.n0 <= 0.0:
             raise ValueError("n0 must be > 0")
 
+    def gain_at(self, distance_m: float) -> float:
+        """Linear path-loss gain G1 * d^kappa * margin (a loss factor > 1) at
+        ``distance_m``, the link's own law at any distance."""
+        return (
+            10.0 ** (self.g1_db / 10.0)
+            * distance_m ** self.kappa
+            * 10.0 ** (self.link_margin_db / 10.0)
+        )
+
+    # Cached on first use, as ModulationScheme's fitted constants are.
+    @cached_property
+    def path_gain(self) -> float:
+        """The path-loss gain at the link's own distance."""
+        return self.gain_at(self.distance_m)
+
 
 @dataclass(frozen=True)
 class EnergyCoefficients:
@@ -105,12 +121,9 @@ class EnergyCoefficients:
 
 
 def path_gain(link: LinkBudget) -> float:
-    """Linear path-loss gain G1 * d^kappa * margin (a loss factor > 1)."""
-    return (
-        10.0 ** (link.g1_db / 10.0)
-        * link.distance_m ** link.kappa
-        * 10.0 ** (link.link_margin_db / 10.0)
-    )
+    """Linear path-loss gain G1 * d^kappa * margin (a loss factor > 1),
+    computed once per link."""
+    return link.path_gain
 
 
 def pa_efficiency(pa: PaModel, p_t: float) -> float:
@@ -138,7 +151,7 @@ def transmit_power(gamma_bar: float, link: LinkBudget) -> float:
     """Average transmit power sustaining `gamma_bar` over this link."""
     if gamma_bar <= 0.0:
         raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    return gamma_bar * link.bandwidth_hz * link.n0 * path_gain(link)
+    return gamma_bar * link.bandwidth_hz * link.n0 * link.path_gain
 
 
 def pa_power(pa: PaModel, scheme: ModulationScheme, p_t: float) -> float:
@@ -173,7 +186,7 @@ def energy_coefficients(
     """
     if p_c <= 0.0:
         raise ValueError(f"p_c must be > 0, got {p_c}")
-    g_d = path_gain(link)
+    g_d = link.path_gain
     r_b = bit_rate(scheme, link)
     xi = scheme.papr
     n0 = link.n0

@@ -31,7 +31,6 @@ from .energy import (
     energy_coefficients,
     energy_per_bit,
     pa_power,
-    path_gain,
     transmit_power,
 )
 from .per import EULER_GAMMA, CircuitClass, ModulationScheme, QosSpec, payload_max
@@ -77,7 +76,7 @@ def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
     limit and the amplifier peak-power headroom for the active waveform.
     """
     cap = min(link.p0_w, pa.p_t_max / scheme.papr)
-    return cap / (link.bandwidth_hz * link.n0 * path_gain(link))
+    return cap / (link.bandwidth_hz * link.n0 * link.path_gain)
 
 
 def _depressed_cubic_root(p: float, q: float) -> float:
@@ -117,12 +116,13 @@ def payload_map(
 ) -> Callable[[float, float], tuple[float, Binding, float] | str]:
     """One pass of the alternation for one scheme, as ``step(n_p, log_keep)``.
 
-    ``log_keep`` is ``log1p(-per_attempt_bound)``, through which alone the
-    retransmission cap enters.  ``step`` returns ``(gamma, binding,
-    wanted)``: the unconstrained SNR optimum at payload ``n_p`` conditioned
-    against the reliability floor and ``gamma_cap``, the constraint that
-    bound it, and the real-valued payload optimum at that SNR.  When the map
-    rejects ``n_p`` it returns the reason instead, which names no candidate.
+    ``log_keep`` is ``QosSpec.log_keep``, ``log1p(-per_attempt_bound)``,
+    through which alone the retransmission cap enters.  ``step`` returns
+    ``(gamma, binding, wanted)``: the unconstrained SNR optimum at payload
+    ``n_p`` conditioned against the reliability floor and ``gamma_cap``, the
+    constraint that bound it, and the real-valued payload optimum at that
+    SNR.  When the map rejects ``n_p`` it returns the reason instead, which
+    names no candidate.
 
     With ``w0`` the waterfall threshold at ``N = n_h + n_p`` bits and
     ``rho = n_p / N``, the SNR optimum is the positive root of
@@ -204,11 +204,19 @@ class Candidate(NamedTuple):
     reason: str | None
 
 
+# Table entries are built as ``namedtuple._make`` builds them, skipping the
+# generated Python-level ``__new__``.  ``tuple.__new__`` does not check the
+# field count, so each call gives every field in order; TestTableEntries in
+# tests/test_optimizer.py checks the entries.
+_new = tuple.__new__
+
+
 def _rejected(scheme: ModulationScheme, qos: QosSpec, reason: str) -> Candidate:
     """The table entry of a rejected candidate, its reason prefixed with the
     scheme and cap: every rejection of a solve is made here."""
     tau = qos.max_retransmissions
-    return Candidate(scheme, tau, None, f"{scheme.name}/tau={tau}: {reason}")
+    reason = f"{scheme.name}/tau={tau}: {reason}"
+    return _new(Candidate, (scheme, tau, None, reason))
 
 
 def _scheme_setup(
@@ -237,10 +245,12 @@ def _solve_candidate(
     on the scheme's :func:`_scheme_setup`: the fixed point of the payload
     map, capped at the largest payload the link carries at full power.
 
-    Steffensen's method runs from ``n_p_init`` (lowered to that cap) until a
-    step moves the payload by at most ``delta`` relative, within
-    ``MAX_ITER`` map evaluations (read when called); one more step at the
-    floored payload gives the point's SNR, binding and payload optimum.
+    The iteration runs from ``n_p_init`` (lowered to that cap), taking a
+    secant step on ``map(n) - n`` through its last two evaluations while the
+    steps contract and a plain step otherwise, until a step moves the
+    payload by at most ``delta`` relative, within ``MAX_ITER`` map
+    evaluations (read when called); one more step at the floored payload
+    gives the point's SNR, binding and payload optimum.
     Returns ``(candidate, n_p)``: the table entry, a rejection when the set-up
     was rejected or the candidate is infeasible, leaves the range of a double
     or fails to converge, and the converged payload, 0.0 without convergence.
@@ -253,18 +263,22 @@ def _solve_candidate(
         return _rejected(scheme, qos, "no payload meets the PER bound at full "
                          f"power (snr_max={gamma_cap:.4g})"), 0.0
 
-    log_keep = math.log1p(-qos.per_attempt_bound)
+    log_keep = qos.log_keep
     cap = float(ceiling)
 
-    # Steffensen's method on the map n_p -> n_p' (>= 1) of one loop pass: after
-    # plain steps p0 -> p1 -> p2 the next pass is at their Aitken point clamped
-    # to [1, ceiling], or at p2 if the steps grow or the map rejects that point.
-    # The clamps and distances are written as comparisons that give what
+    # The secant method on h(n) = map(n) - n, the map n_p -> n_p' (>= 1) of one
+    # loop pass: after the first, each pass runs at the secant point of the
+    # last two evaluations clamped to [1, ceiling], or at the last map value
+    # (the plain iterate) if the steps grow or the map rejects that point.
+    # After plain steps p0 -> p1 -> p2 the secant point is their Aitken point;
+    # it is written from p0 so that it is Aitken's expression then.  The
+    # clamps and distances are written as comparisons that give what
     # min/max/abs give for every float, nan included (max(nan, 1.0) is nan).
     n_p = float(n_p_init)
     if n_p > cap:
         n_p = cap
-    p0: float | None = None
+    last: float | None = None  # the previous evaluated payload
+    last_move = 0.0  # and its step map(last) - last, clamped as nxt is
     fallback: float | None = None
     residual = math.inf
     for _ in range(MAX_ITER):
@@ -276,21 +290,21 @@ def _solve_candidate(
             return _rejected(scheme, qos, result), 0.0
         nxt = result[2]
         nxt = 1.0 if nxt < 1.0 else cap if nxt > cap else nxt
-        residual = nxt - n_p if nxt >= n_p else n_p - nxt
+        move = nxt - n_p
+        residual = move if move >= 0.0 else -move
         if residual <= delta * nxt:
             n_p = nxt
             break
-        if p0 is None:
-            p0, n_p, fallback = n_p, nxt, None
-        elif residual < (n_p - p0 if n_p >= p0 else p0 - n_p):
+        if last is not None and residual < (
+            last_move if last_move >= 0.0 else -last_move
+        ):
             # Contracting steps make the denominator non-zero and the point
             # finite; growing ones would extrapolate away from the root.
-            move = n_p - p0
-            aitken = p0 - move * move / (nxt - n_p - move)
-            aitken = 1.0 if aitken < 1.0 else cap if aitken > cap else aitken
-            p0, n_p, fallback = None, aitken, nxt
+            secant = last - last_move * (n_p - last) / (move - last_move)
+            secant = 1.0 if secant < 1.0 else cap if secant > cap else secant
+            last, last_move, n_p, fallback = n_p, move, secant, nxt
         else:
-            p0, n_p = None, nxt
+            last, last_move, n_p, fallback = n_p, move, nxt, None
     else:
         # Finite inputs give nan only through an overflow to infinity.
         return _rejected(scheme, qos, (
@@ -311,11 +325,11 @@ def _solve_candidate(
         binding = Binding.PAYLOAD_MAX_BOUND
     tau = qos.max_retransmissions
     p_t = transmit_power(selected, link)
-    return Candidate(scheme, tau, OperatingPoint(
+    return _new(Candidate, (scheme, tau, _new(OperatingPoint, (
         scheme, selected, n_p_int, tau,
         energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos), p_t,
-        pa_power(pa, scheme, p_t), True, binding,
-    ), None), n_p
+        pa_power(pa, scheme, p_t), True, binding, (),
+    )), None)), n_p
 
 
 def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:

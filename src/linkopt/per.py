@@ -95,6 +95,11 @@ class ModulationScheme:
             return Q_DECAY_FIT * self.k_m
         return self.k_m
 
+    @cached_property
+    def log_c_eff(self) -> float:
+        """``log(c_eff)``, which every payload ceiling takes."""
+        return math.log(self.c_eff)
+
 
 # Largest retransmission cap accepted.  A table solves one candidate per cap
 # and scheme, so the cap bounds its work; the reference cap is 3.
@@ -110,7 +115,7 @@ class QosSpec:
     after the last attempt must not exceed ``target_per``.  The implied
     per-attempt PER bound is cached in ``per_attempt_bound``; a bound that
     rounds to 1 is rejected, because the payload ceiling takes
-    ``log(1 - bound)``.
+    ``log(1 - bound)`` (``log_keep``).
     """
 
     target_per: float
@@ -135,6 +140,14 @@ class QosSpec:
                 f"that rounds to 1"
             )
         object.__setattr__(self, "per_attempt_bound", bound)
+
+    # Cached on first use, as ModulationScheme's fitted constants are.
+    @cached_property
+    def log_keep(self) -> float:
+        """``log1p(-per_attempt_bound)``: the log of the probability that an
+        attempt at the PER bound succeeds, through which alone the
+        retransmission cap enters the SNR floor and the payload ceiling."""
+        return math.log1p(-self.per_attempt_bound)
 
 
 def waterfall_threshold(scheme: ModulationScheme, n_bits: int) -> float:
@@ -181,7 +194,7 @@ def snr_min(
     ``n_h + n_p``.
     """
     w0 = waterfall_threshold(scheme, n_h + n_p)
-    return -w0 / math.log1p(-qos.per_attempt_bound)
+    return -w0 / qos.log_keep
 
 
 # Payload sizes above this are reported as "effectively unlimited"; the
@@ -202,8 +215,7 @@ def payload_max(
     if gamma_bar <= 0.0:
         raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
     exponent = (
-        -(EULER_GAMMA + gamma_bar * scheme.k_eff * math.log1p(-qos.per_attempt_bound))
-        - math.log(scheme.c_eff)
+        -(EULER_GAMMA + gamma_bar * scheme.k_eff * qos.log_keep) - scheme.log_c_eff
     )
     if exponent > 40.0:
         return PAYLOAD_CEILING

@@ -18,7 +18,7 @@ from linkopt.config import (
     load_config,
     parse_config,
 )
-from linkopt.energy import PaVariant
+from linkopt.energy import LinkBudget, PaVariant
 from linkopt.errors import ConfigError
 from linkopt.per import BerForm, CircuitClass
 from test_query_digests import WORKLOADS
@@ -572,6 +572,21 @@ class TestParseWork:
         assert self.builds(monkeypatch, texts) == {
             "LinkBudget": 30, "QosSpec": 30,
         }
+
+    def test_point_query_copies_no_link(self, monkeypatch):
+        """The sweep ends' path gains are taken from the parsed link itself:
+        a query's one LinkBudget is the only one made."""
+        made = Counter()
+        init = LinkBudget.__init__
+
+        def counting(self, *args, **kwargs):
+            made["LinkBudget"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinkBudget, "__init__", counting)
+        for query in WORKLOADS.generate_queries(0, 0, 30):
+            parse_config(query.ini)
+        assert made == {"LinkBudget": 30}
 
     def test_default_config_builds_nothing(self, monkeypatch):
         assert self.builds(monkeypatch, [""]) == {}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from linkopt import optimizer
 from linkopt.config import default_config, parse_config
 from linkopt.energy import (
+    LinkBudget,
     PaModel,
     PaVariant,
     energy_coefficients,
@@ -20,6 +21,8 @@ from linkopt.energy import (
 )
 from linkopt.optimizer import (
     Binding,
+    Candidate,
+    OperatingPoint,
     _depressed_cubic_root,
     candidate_tables,
     joint_optimize,
@@ -42,6 +45,7 @@ from linkopt.oracles import (
     golden_section_min_relative,
 )
 from linkopt.validation import _snr_optimum as snr_optimum
+from test_query_digests import WORKLOADS
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
@@ -809,12 +813,15 @@ class TestCandidateTables:
 
 class TestDefaultPassWork:
     def test_solves_maps_evaluations_and_specs(self, monkeypatch):
-        """One default pass solves 4,266 candidates with 1,422 maps, 4,777
-        loop evaluations (9,424 when every distance starts from 0) and 1,824
-        integer passes, and builds the QoS spec of each of the 3 caps once."""
+        """One default pass solves 4,266 candidates with 1,422 maps, 4,317
+        loop evaluations (8,433 when every distance starts from 0) and 1,824
+        integer passes, and builds the QoS spec of each of the 3 caps once.
+        It evaluates the path gain once per distance, 79 times, and
+        ``log1p(-per_attempt_bound)`` once per spec, 3 times."""
         calls = Counter()
         solve, build, spec = (optimizer._solve_candidate,
                               optimizer.payload_map, optimizer.QosSpec)
+        gain_at, log1p = LinkBudget.gain_at, math.log1p
 
         def counting_solve(*args):
             calls["solve"] += 1
@@ -833,17 +840,70 @@ class TestDefaultPassWork:
             calls["spec"] += 1
             return spec(*args)
 
+        def counting_gain(*args):
+            calls["gain"] += 1
+            return gain_at(*args)
+
+        def counting_log1p(x):
+            calls["log1p"] += 1
+            return log1p(x)
+
         monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
         monkeypatch.setattr(optimizer, "payload_map", counting_map)
         monkeypatch.setattr(optimizer, "QosSpec", counting_spec)
+        monkeypatch.setattr(LinkBudget, "gain_at", counting_gain)
+        monkeypatch.setattr(math, "log1p", counting_log1p)
         for _ in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
             CFG.pa_models.values(), CFG.modulations, CFG.n_h,
             delta=CFG.delta, circuit_power=CFG.circuit_power,
         ):
             pass
-        assert calls == {"solve": 4266, "map": 1422, "loop": 4777,
-                         "integer": 1824, "spec": 3}
+        assert calls == {"solve": 4266, "map": 1422, "loop": 4317,
+                         "integer": 1824, "spec": 3, "gain": 79, "log1p": 3}
+
+
+class TestTableEntries:
+    """The solve builds its entries with ``tuple.__new__``, which does not
+    check how many fields it is given; every entry must still be a whole
+    ``Candidate``, and every feasible point a whole ``OperatingPoint``."""
+
+    @staticmethod
+    def check(tables):
+        kinds = Counter()
+        for table in tables:
+            for entry in table:
+                assert type(entry) is Candidate
+                assert len(entry) == len(Candidate._fields)
+                point = entry.point
+                kinds[point is None] += 1
+                if point is not None:
+                    assert type(point) is OperatingPoint
+                    assert len(point) == len(OperatingPoint._fields) == 10
+                    assert point.failure_reasons == ()
+        assert kinds[True] and kinds[False]
+
+    def test_default_tables(self):
+        tables = [table for _, _, table in candidate_tables(
+            CFG.link_template, CFG.distances(), CFG.qos,
+            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
+            delta=CFG.delta, circuit_power=CFG.circuit_power,
+        )]
+        assert len(tables) == 237
+        self.check(tables)
+
+    def test_point_query_batch(self):
+        tables = []
+        for query in WORKLOADS.generate_queries(0, 0, 300):
+            config = parse_config(query.ini)
+            [(_, _, table)] = candidate_tables(
+                config.link_template, (query.distance_m,), config.qos,
+                (config.pa_models[PaVariant(query.pa)],), config.modulations,
+                config.n_h, delta=config.delta,
+                circuit_power=config.circuit_power,
+            )
+            tables.append(table)
+        self.check(tables)
 
 
 class TestOperatingPoint:

@@ -1,7 +1,8 @@
 """The solver's accelerated fixed-point loop against a plain iteration.
 
 ``optimizer._solve_candidate`` finds the fixed point of the payload map
-``optimizer.payload_map`` with Steffensen's method.
+``optimizer.payload_map`` with secant steps on ``map(n) - n`` while the
+steps contract.
 ``reference_solve_candidate`` below iterates the same map plainly, and is
 the outcome oracle: where both converge, the two must return the same
 ``(point, reason)`` or raise the same error.  A rejection inside the loop
