@@ -7,7 +7,10 @@ The search oracles find the SNR and payload optima of the energy curves by
 golden-section search, and the TPA stationarity root by bisection.
 
 Only the validation battery and the tests run these; the solver never
-imports this module.  All functions are pure and thread-safe.
+imports this module.  The functions are pure and thread-safe.  An
+:class:`AwgnPerCurve` holds a memo of the panels it has evaluated; it is
+owned by the one call or battery run that made it, and nothing is cached
+at module level.
 """
 
 from __future__ import annotations
@@ -56,52 +59,10 @@ def awgn_per(scheme: ModulationScheme, n_bits: int, gamma: float) -> float:
     return -math.expm1(n_bits * math.log1p(-b))
 
 
-def _awgn_per_curve(scheme: ModulationScheme, n_bits: int, gamma_bar=None):
-    """:func:`awgn_per` of one packet as a function of the SNR alone.
-
-    The scheme's constants and its BER branch are looked up once per curve.
-    Each value takes the same operations in the same order as
-    :func:`awgn_per`, so it is bit-identical; the clamp to [0, 1] is left
-    out because ``0 < c_m <= 1`` already keeps the BER there for
-    ``gamma >= 0``, the only SNRs the quadrature oracles evaluate.
-
-    With ``gamma_bar`` the curve is weighted by the Rayleigh density in the
-    same call: each value is bit-identical to
-    ``per(gamma) * exp(-gamma / gamma_bar) / gamma_bar``.
-    """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    c, k = scheme.c_m, scheme.k_m
-    exp, erfc, sqrt = math.exp, math.erfc, math.sqrt
-    expm1, log1p = math.expm1, math.log1p
-    root2 = math.sqrt(2.0)
-    if scheme.ber_form is BerForm.EXPONENTIAL:
-        if gamma_bar is None:
-            def per(gamma: float) -> float:
-                b = c * exp(-k * gamma)
-                return 1.0 if b >= 1.0 else -expm1(n_bits * log1p(-b))
-        else:
-            def per(gamma: float) -> float:
-                b = c * exp(-k * gamma)
-                p = 1.0 if b >= 1.0 else -expm1(n_bits * log1p(-b))
-                return p * exp(-gamma / gamma_bar) / gamma_bar
-    # The Q-function BER is at most c_m / 2, so it never reaches 1.
-    elif gamma_bar is None:
-        def per(gamma: float) -> float:
-            b = c * (0.5 * erfc(sqrt(k * gamma) / root2))
-            return -expm1(n_bits * log1p(-b))
-    else:
-        def per(gamma: float) -> float:
-            b = c * (0.5 * erfc(sqrt(k * gamma) / root2))
-            p = -expm1(n_bits * log1p(-b))
-            return p * exp(-gamma / gamma_bar) / gamma_bar
-    return per
-
-
-def _awgn_cutoff(scheme: ModulationScheme, per) -> float:
+def _awgn_cutoff(scheme: ModulationScheme, n_bits: int) -> float:
     """Upper integration limit: doubled until the AWGN PER is negligible."""
     hi = 1.0
-    while per(hi) > CUTOFF_FLOOR:
+    while awgn_per(scheme, n_bits, hi) > CUTOFF_FLOOR:
         hi *= 2.0
         if hi > 1e12:
             raise QuadratureError(
@@ -152,7 +113,7 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
     """QK21 on one panel: the Kronrod value and QUADPACK's error estimate."""
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    values = [f(centre + half * x) for x in _NODES]
+    values = f(centre, half)
     kronrod = sum(map(mul, _KRONROD, values))
     mean = 0.5 * kronrod
     width = abs(half)
@@ -167,11 +128,13 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
 def _gauss_kronrod(f, lo: float, hi: float, epsrel: float, epsabs: float):
     """Adaptive QK21 integral of `f` over [lo, hi]: (value, error estimate).
 
-    The panel with the largest error estimate is bisected until the summed
-    estimate is at most ``max(epsabs, epsrel * |value|)`` or there are
-    :data:`QUAD_PANELS` panels.  The value is the correctly rounded sum of
-    the panels.  This is QUADPACK's QAG scheme; the caller judges the
-    returned estimate.
+    The integrand works on whole panels: ``f(centre, half)`` returns its
+    values at the 21 nodes ``centre + half * x`` for ``x`` in
+    :data:`_NODES`, in that order.  The panel with the largest error
+    estimate is bisected until the summed estimate is at most
+    ``max(epsabs, epsrel * |value|)`` or there are :data:`QUAD_PANELS`
+    panels.  The value is the correctly rounded sum of the panels.  This is
+    QUADPACK's QAG scheme; the caller judges the returned estimate.
     """
     value, err = _qk21(f, lo, hi)
     panels = [(-err, lo, hi, value)]
@@ -195,13 +158,107 @@ def _checked_quad(
     epsrel: float,
     epsabs: float,
 ) -> float:
+    """:func:`_gauss_kronrod` of the panel integrand `f`, raising
+    QuadratureError unless the value is finite and the error estimate is
+    within ``max(10 epsabs, 1e-6 |value|)``."""
     value, abserr = _gauss_kronrod(f, lo, hi, epsrel, epsabs)
-    if abserr > max(10.0 * epsabs, 1e-6 * abs(value)):
+    bound = max(10.0 * epsabs, 1e-6 * abs(value))
+    # Written so that a nan value or estimate fails the test too.
+    if not (math.isfinite(value) and abserr <= bound):
         raise QuadratureError(
             f"{what}: quadrature error estimate {abserr:.3g} too large for "
             f"value {value:.6g} on [{lo:.3g}, {hi:.3g}]"
         )
     return value
+
+
+def _awgn_pers(scheme: ModulationScheme, n_bits: int, gammas: list) -> list:
+    """:func:`awgn_per` of one packet at each SNR of `gammas`.
+
+    Each value takes the same operations in the same order as
+    :func:`awgn_per`, so it is bit-identical; the clamp to [0, 1] is left
+    out because ``0 < c_m <= 1`` already keeps the BER there for
+    ``gamma >= 0``, the only SNRs the quadrature oracles evaluate.
+    """
+    c, k = scheme.c_m, scheme.k_m
+    expm1, log1p = math.expm1, math.log1p
+    if scheme.ber_form is BerForm.EXPONENTIAL:
+        exp = math.exp
+        return [
+            1.0 if (b := c * exp(-k * g)) >= 1.0 else -expm1(n_bits * log1p(-b))
+            for g in gammas
+        ]
+    # The Q-function BER is at most c_m / 2, so it never reaches 1.
+    erfc, sqrt = math.erfc, math.sqrt
+    root2 = math.sqrt(2.0)
+    return [
+        -expm1(n_bits * log1p(-(c * (0.5 * erfc(sqrt(k * g) / root2)))))
+        for g in gammas
+    ]
+
+
+class AwgnPerCurve:
+    """The exact AWGN PER of one packet over SNR, read one QK21 panel at a time.
+
+    The curve finds its integration cutoff once, when it is made.
+    :meth:`panel` evaluates the 21 nodes of a panel in one call and keeps
+    them keyed on the panel's ``(centre, half)``, the two numbers the nodes
+    are computed from.  Every integral of one packet size bisects the same
+    dyadic panels of ``[0, cutoff]``, so the integrals that share a curve
+    evaluate each node once.  The memo lives as long as the curve: a
+    standalone oracle call makes its own, and the validation battery holds
+    one per scheme and packet size for one run.
+    """
+
+    def __init__(self, scheme: ModulationScheme, n_bits: int):
+        self.scheme = scheme
+        self.n_bits = n_bits
+        self.cutoff = _awgn_cutoff(scheme, n_bits)
+        self._panels: dict = {}
+
+    def panel(self, centre: float, half: float) -> tuple[list, list]:
+        """The SNRs of the panel's 21 nodes and :func:`awgn_per` at each,
+        bit for bit."""
+        panel = self._panels.get((centre, half))
+        if panel is None:
+            gammas = [centre + half * x for x in _NODES]
+            panel = (gammas, _awgn_pers(self.scheme, self.n_bits, gammas))
+            self._panels[centre, half] = panel
+        return panel
+
+    def threshold(self, epsrel: float, epsabs: float) -> float:
+        """The curve integrated over ``[0, cutoff]``: the waterfall
+        threshold (see :func:`waterfall_threshold_numeric`)."""
+        return _checked_quad(
+            lambda centre, half: self.panel(centre, half)[1],
+            0.0, self.cutoff,
+            f"waterfall threshold {self.scheme.name} N={self.n_bits}",
+            epsrel, epsabs,
+        )
+
+    def rayleigh_average(
+        self, gamma_bar: float, epsrel: float, epsabs: float
+    ) -> float:
+        """The curve averaged over the Rayleigh SNR density of mean
+        `gamma_bar` (see :func:`per_rayleigh_exact`)."""
+        if not gamma_bar > 0.0:
+            raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
+        exp = math.exp
+
+        def integrand(centre: float, half: float) -> list:
+            gammas, pers = self.panel(centre, half)
+            return [p * exp(-g / gamma_bar) / gamma_bar
+                    for g, p in zip(gammas, pers)]
+
+        hi = self.cutoff
+        what = f"exact Rayleigh PER {self.scheme.name} N={self.n_bits}"
+        # Split where the Rayleigh density concentrates, so deep-fade averages
+        # (gamma_bar far below the AWGN cutoff) are not missed by the panels.
+        split = min(hi, 60.0 * gamma_bar)
+        value = _checked_quad(integrand, 0.0, split, what, epsrel, epsabs)
+        if split < hi:
+            value += _checked_quad(integrand, split, hi, what, epsrel, epsabs)
+        return value
 
 
 def waterfall_threshold_numeric(
@@ -215,12 +272,7 @@ def waterfall_threshold_numeric(
     This is the validation oracle for :func:`waterfall_threshold`; it
     integrates the exact (un-fitted) AWGN PER over SNR.
     """
-    per = _awgn_per_curve(scheme, n_bits)
-    return _checked_quad(
-        per, 0.0, _awgn_cutoff(scheme, per),
-        f"waterfall threshold {scheme.name} N={n_bits}",
-        epsrel, epsabs,
-    )
+    return AwgnPerCurve(scheme, n_bits).threshold(epsrel, epsabs)
 
 
 def per_rayleigh_exact(
@@ -237,18 +289,9 @@ def per_rayleigh_exact(
     where the AWGN PER falls below ``CUTOFF_FLOOR``; the discarded tail is
     bounded by that floor.
     """
-    if gamma_bar <= 0.0:
-        raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    hi = _awgn_cutoff(scheme, _awgn_per_curve(scheme, n_bits))
-    integrand = _awgn_per_curve(scheme, n_bits, gamma_bar)
-    what = f"exact Rayleigh PER {scheme.name} N={n_bits}"
-    # Split where the Rayleigh density concentrates, so deep-fade averages
-    # (gamma_bar far below the AWGN cutoff) are not missed by the panels.
-    split = min(hi, 60.0 * gamma_bar)
-    value = _checked_quad(integrand, 0.0, split, what, epsrel, epsabs)
-    if split < hi:
-        value += _checked_quad(integrand, split, hi, what, epsrel, epsabs)
-    return value
+    return AwgnPerCurve(scheme, n_bits).rayleigh_average(
+        gamma_bar, epsrel, epsabs
+    )
 
 
 # Golden-section step fractions of the bracket: 1/phi and 1/phi^2.

@@ -101,21 +101,33 @@ class BatteryRun:
     """Oracle work shared by the checks of one battery run.
 
     ``cmd_validate`` makes one per call, and every check reads its scenario
-    from ``config``.  :meth:`quad` memoizes the quadrature oracles, and the
+    from ``config``.  :meth:`quad` memoizes the quadrature oracles and runs
+    them all on one :class:`oracles.AwgnPerCurve` per scheme and packet
+    size, so each quadrature node is evaluated once per run; the
     conditioned points are solved once.  Nothing outlives the run, and no
     candidate table outlives the check that solves it.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        self._curves: dict = {}
         self._quad: dict = {}
         self._conditioned = None
 
-    def quad(self, oracle, *args) -> float:
-        """``oracle(*args, quad_epsrel, quad_epsabs)``, once per run."""
-        key = (oracle, *args, self.config.quad_epsrel, self.config.quad_epsabs)
+    def quad(self, integral, scheme: ModulationScheme, n_bits: int,
+             *args) -> float:
+        """``integral(curve, *args, quad_epsrel, quad_epsabs)`` on the run's
+        AWGN PER curve of ``scheme`` and ``n_bits``, once per run."""
+        key = (integral, scheme, n_bits, *args)
         if key not in self._quad:
-            self._quad[key] = oracle(*key[1:])
+            curve = self._curves.get((scheme, n_bits))
+            if curve is None:
+                curve = oracles.AwgnPerCurve(scheme, n_bits)
+                self._curves[scheme, n_bits] = curve
+            config = self.config
+            self._quad[key] = integral(
+                curve, *args, config.quad_epsrel, config.quad_epsabs
+            )
         return self._quad[key]
 
     def tables(self, distances):
@@ -143,7 +155,7 @@ def check_waterfall_closed_vs_numeric(run: BatteryRun):
     """Gumbel-mean threshold against adaptive quadrature, all schemes."""
     for scheme in run.config.modulations:
         for n in PACKET_SIZES:
-            numeric = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
+            numeric = run.quad(oracles.AwgnPerCurve.threshold, scheme, n)
             closed = waterfall_threshold(scheme, n)
             yield abs(closed - numeric) / numeric, f"{scheme.name}/N={n}"
 
@@ -174,10 +186,12 @@ def _per_errors(run: BatteryRun, snr_step: int):
     scheme = _scheme_like_16qam(run.config)
     for n in ERROR_TABLE_SIZES:
         w_closed = waterfall_threshold(scheme, n)
-        w_num = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
+        w_num = run.quad(oracles.AwgnPerCurve.threshold, scheme, n)
         for snr_db in range(10, 41, snr_step):
             g = 10.0 ** (snr_db / 10.0)
-            exact = run.quad(oracles.per_rayleigh_exact, scheme, n, g)
+            exact = run.quad(
+                oracles.AwgnPerCurve.rayleigh_average, scheme, n, g
+            )
             yield (n, snr_db, exact, abs(-math.expm1(-w_closed / g) - exact),
                    abs(-math.expm1(-w_num / g) - exact))
 
@@ -203,10 +217,12 @@ def check_exact_below_bound(run: BatteryRun):
     """Exact Rayleigh PER never exceeds the numeric-threshold bound."""
     for scheme in run.config.modulations:
         for n in (120, 1024):
-            w_num = run.quad(oracles.waterfall_threshold_numeric, scheme, n)
+            w_num = run.quad(oracles.AwgnPerCurve.threshold, scheme, n)
             for snr_db in (5, 15, 25, 35):
                 g = 10.0 ** (snr_db / 10.0)
-                exact = run.quad(oracles.per_rayleigh_exact, scheme, n, g)
+                exact = run.quad(
+                    oracles.AwgnPerCurve.rayleigh_average, scheme, n, g
+                )
                 bound = -math.expm1(-w_num / g)
                 yield exact - bound, f"{scheme.name}/N={n}/snr={snr_db}dB"
 

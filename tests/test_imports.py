@@ -119,10 +119,11 @@ def test_only_the_out_stream_and_the_config_loader_open_files():
 
 
 ORACLE_NAMES = (
-    "_q_function", "ber", "awgn_per", "_awgn_per_curve", "_awgn_cutoff",
+    "_q_function", "ber", "awgn_per", "_awgn_cutoff",
     "CUTOFF_FLOOR", "_XGK", "_WGK", "_WGK_CENTRE", "_WG", "_NODES",
     "_KRONROD", "_GAUSS", "_ROUNDOFF", "QUAD_PANELS", "_qk21",
-    "_gauss_kronrod", "_checked_quad", "waterfall_threshold_numeric",
+    "_gauss_kronrod", "_checked_quad", "_awgn_pers", "AwgnPerCurve",
+    "waterfall_threshold_numeric",
     "per_rayleigh_exact", "_INVPHI", "_INVPHI2", "golden_section_min",
     "golden_section_min_relative", "_exp_or_inf", "_packet_energy_unbounded",
     "golden_payload", "_energy_curve_snr", "cubic_root_bisection",

@@ -295,11 +295,23 @@ class TestPerRayleighExact:
         bound = -math.expm1(-w_num / g)
         assert exact <= bound * (1.0 + 1e-9)
 
+    def test_nan_mean_snr_rejected(self):
+        with pytest.raises(ValueError, match="gamma_bar"):
+            per_rayleigh_exact(QAM16, 120, math.nan, 1e-10, 1e-14)
+
+    def test_infinite_mean_snr_averages_to_zero(self):
+        assert per_rayleigh_exact(QAM16, 120, math.inf, EPSREL, EPSABS) == 0.0
+
     def test_approximation_close_to_bound_at_20db(self):
         g = 10.0 ** 2.0
         exact = per_rayleigh_exact(QAM16, 1024, g, EPSREL, EPSABS)
         approx = per_rayleigh(QAM16, 1024, g)
         assert abs(approx - exact) / exact <= 0.05
+
+
+def panel(f):
+    """The scalar integrand `f` as a panel integrand of the QK21 driver."""
+    return lambda centre, half: [f(centre + half * x) for x in oracles._NODES]
 
 
 class TestGaussKronrod:
@@ -323,7 +335,8 @@ class TestGaussKronrod:
     def test_known_integrals(self, f, lo, hi, expected):
         """Each meets the default tolerance, and its error estimate covers
         the true error."""
-        value, abserr = oracles._gauss_kronrod(f, lo, hi, EPSREL, EPSABS)
+        value, abserr = oracles._gauss_kronrod(panel(f), lo, hi, EPSREL,
+                                               EPSABS)
         assert abserr <= EPSREL * abs(value)
         assert abs(value - expected) <= abserr
 
@@ -348,33 +361,64 @@ class TestGaussKronrod:
             calls.append(x)
             return float(math.floor(x * 1e9) % 2)
 
-        value, abserr = oracles._gauss_kronrod(square_wave, 0.0, 1.0, 1e-10, 1e-14)
+        value, abserr = oracles._gauss_kronrod(panel(square_wave), 0.0, 1.0,
+                                               1e-10, 1e-14)
         assert len(calls) == 21 * (2 * oracles.QUAD_PANELS - 1)
         assert abserr > 1e-6 * abs(value)
         with pytest.raises(QuadratureError, match="error estimate"):
-            oracles._checked_quad(square_wave, 0.0, 1.0, "square wave",
+            oracles._checked_quad(panel(square_wave), 0.0, 1.0, "square wave",
+                                  EPSREL, EPSABS)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integral_raises(self, bad):
+        """A nan or infinite integral raises, although a nan value or
+        estimate compares False against every bound."""
+        from linkopt.errors import QuadratureError
+
+        with pytest.raises(QuadratureError, match="error estimate"):
+            oracles._checked_quad(panel(lambda x: bad), 0.0, 1.0, "constant",
                                   EPSREL, EPSABS)
 
     @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
     @pytest.mark.parametrize("n_bits", [1, 120, 10048])
     def test_curve_is_awgn_per_bit_for_bit(self, scheme, n_bits):
-        curve = oracles._awgn_per_curve(scheme, n_bits)
-        for i in range(400):
-            g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
-            assert curve(g) == awgn_per(scheme, n_bits, g)
+        """A panel of the curve holds its 21 QK21 nodes and awgn_per at
+        each, bit for bit."""
+        curve = oracles.AwgnPerCurve(scheme, n_bits)
+        for i in range(40):
+            centre, half = 10.0 ** (i / 5.0 - 4.0), 10.0 ** (i / 5.0 - 4.5)
+            gammas, pers = curve.panel(centre, half)
+            assert gammas == [centre + half * x for x in oracles._NODES]
+            assert pers == [awgn_per(scheme, n_bits, g) for g in gammas]
+            assert curve.panel(centre, half) == (gammas, pers)
 
     @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
     @pytest.mark.parametrize("n_bits", [1, 120, 10048])
-    def test_rayleigh_integrand_is_weighted_curve_bit_for_bit(self, scheme, n_bits):
-        """The one-call integrand of per_rayleigh_exact equals the curve
-        times the Rayleigh density, bit for bit."""
-        curve = oracles._awgn_per_curve(scheme, n_bits)
+    def test_rayleigh_integrand_is_weighted_curve_bit_for_bit(
+        self, monkeypatch, scheme, n_bits
+    ):
+        """Every panel the Rayleigh average integrates equals the curve
+        times the Rayleigh density at each node, bit for bit."""
+        integrands = []
+        quad = oracles._checked_quad
+
+        def recording(f, *args):
+            integrands.append(f)
+            return quad(f, *args)
+
+        monkeypatch.setattr(oracles, "_checked_quad", recording)
         for gamma_bar in (0.3, 10.0, 3162.2776601683795):
-            integrand = oracles._awgn_per_curve(scheme, n_bits, gamma_bar)
-            for i in range(400):
-                g = 0.0 if i == 0 else 10.0 ** (i / 50.0 - 4.0)
-                expected = curve(g) * math.exp(-g / gamma_bar) / gamma_bar
-                assert integrand(g) == expected
+            integrands.clear()
+            per_rayleigh_exact(scheme, n_bits, gamma_bar, EPSREL, EPSABS)
+            assert integrands
+            for f in integrands:
+                for i in range(40):
+                    centre = 10.0 ** (i / 10.0 - 2.0)
+                    gammas = [centre + 0.5 * centre * x for x in oracles._NODES]
+                    assert f(centre, 0.5 * centre) == [
+                        awgn_per(scheme, n_bits, g) * math.exp(-g / gamma_bar)
+                        / gamma_bar for g in gammas
+                    ]
 
     def test_battery_integrals_match_scipy(self, monkeypatch):
         """Every integral of the threshold and PER-table oracles agrees with
@@ -400,8 +444,11 @@ class TestGaussKronrod:
                                          io.StringIO())
         assert len(seen) == 233
         for f, lo, hi, epsrel, epsabs, value in seen:
+            # The scalar view of a panel integrand: a panel of zero width
+            # holds its centre 21 times.
             reference = integrate.quad(
-                f, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=400
+                lambda x: f(x, 0.0)[10], lo, hi,
+                epsabs=epsabs, epsrel=epsrel, limit=400,
             )[0]
             if abs(reference) > epsabs:
                 assert value == pytest.approx(reference, rel=1e-12, abs=0.0)

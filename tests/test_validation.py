@@ -1,7 +1,9 @@
 """Tests of what the oracle battery checks, beyond its pass/fail summary."""
 
+import gc
 import io
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -10,8 +12,10 @@ from linkopt import cli, optimizer, oracles
 from linkopt.config import default_config
 from linkopt.energy import PaVariant
 from linkopt.optimizer import Binding
+from linkopt.per import BerForm, CircuitClass, ModulationScheme
 from linkopt.validation import (
     ALL_CHECKS,
+    PACKET_SIZES,
     BatteryRun,
     _worst,
     check_conditioning_snr_max,
@@ -23,9 +27,12 @@ from linkopt.validation import (
     check_snr_optima_vs_golden,
     check_tpa_root_crosscheck,
     run_all_checks,
+    write_per_error_table,
 )
 
 CFG = default_config()
+# The quadrature tolerances the battery passes to the oracles.
+EPSREL, EPSABS = CFG.quad_epsrel, CFG.quad_epsabs
 
 
 def test_multistart_covers_every_amplifier_at_8_and_20_m(monkeypatch):
@@ -99,7 +106,10 @@ def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
 
 def test_validate_does_each_oracle_once_per_call(monkeypatch):
     """One validate call makes 161 distinct integrals and 165 candidate
-    tables, and a second call redoes all of them: nothing persists."""
+    tables, and evaluates the AWGN PER 5,760 times: once at each of the
+    5,586 nodes of the 266 distinct panels of its 24 curves, and 174 times
+    in their cutoff searches.  A second call redoes all of it: nothing
+    persists."""
     calls = Counter()
 
     def counting(name, func):
@@ -110,6 +120,15 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch):
 
     monkeypatch.setattr(oracles, "_checked_quad",
                         counting("quad", oracles._checked_quad))
+    monkeypatch.setattr(oracles, "awgn_per",
+                        counting("awgn_per", oracles.awgn_per))
+    pers = oracles._awgn_pers
+
+    def counting_pers(scheme, n_bits, gammas):
+        calls["awgn_per"] += len(gammas)
+        return pers(scheme, n_bits, gammas)
+
+    monkeypatch.setattr(oracles, "_awgn_pers", counting_pers)
     tables = optimizer.candidate_tables
 
     def counting_tables(*args, **kwargs):
@@ -122,7 +141,64 @@ def test_validate_does_each_oracle_once_per_call(monkeypatch):
         calls.clear()
         code = cli.cmd_validate(CFG, io.StringIO(), io.StringIO())
         assert code == cli.EXIT_OK
-        assert calls == {"quad": 161, "table": 165}
+        assert calls == {"quad": 161, "table": 165, "awgn_per": 5760}
+
+
+def test_battery_memo_holds_each_panel_once_and_dies_with_the_run():
+    """The quadrature checks and the PER table share 24 curves holding 266
+    panels, and only the run refers to them."""
+    run = BatteryRun(CFG)
+    run_all_checks(run)
+    write_per_error_table(run, io.StringIO())
+    curves = list(run._curves.values())
+    assert len(curves) == 24
+    assert sum(len(curve._panels) for curve in curves) == 266
+    ref = weakref.ref(curves[0])
+    del run, curves
+    gc.collect()
+    assert ref() is None
+
+
+def _shared_and_standalone(scheme, n_bits, snrs):
+    """Each oracle value of one packet from one run's shared curve, and the
+    same value from a standalone call, threshold first."""
+    run = BatteryRun(CFG)
+    threshold = oracles.AwgnPerCurve.threshold
+    average = oracles.AwgnPerCurve.rayleigh_average
+    shared = [run.quad(threshold, scheme, n_bits)]
+    shared += [run.quad(average, scheme, n_bits, g) for g in snrs]
+    alone = [oracles.waterfall_threshold_numeric(scheme, n_bits, EPSREL,
+                                                 EPSABS)]
+    alone += [oracles.per_rayleigh_exact(scheme, n_bits, g, EPSREL, EPSABS)
+              for g in snrs]
+    return shared, alone
+
+
+TABLE_SNRS = [10.0 ** (db / 10.0) for db in range(10, 41)]
+
+
+@pytest.mark.parametrize("scheme", CFG.modulations, ids=lambda s: s.name)
+@pytest.mark.parametrize("n_bits", PACKET_SIZES)
+def test_shared_curve_values_equal_standalone_oracles(scheme, n_bits):
+    """The battery's shared-curve threshold and Rayleigh averages at the
+    PER table's SNRs are bit-identical to the standalone oracles."""
+    shared, alone = _shared_and_standalone(scheme, n_bits, TABLE_SNRS)
+    assert shared == alone
+
+
+@pytest.mark.parametrize("scheme, n_bits, snrs", [
+    # Deep fades: the Rayleigh integral splits below the cutoff.
+    (ModulationScheme("BPSK", 1, BerForm.GAUSSIAN_Q, 1.0, 2.0, 1.0,
+                      CircuitClass.MQAM), 1000, (1e-4, 0.05)),
+    # The exponential BER law at c_m = 1.
+    (ModulationScheme("UNIT", 1, BerForm.EXPONENTIAL, 1.0, 1.0, 1.0,
+                      CircuitClass.MFSK), 1, (0.05, 0.5, 3.0, 40.0, 1e4)),
+], ids=["split_below_cutoff", "unit_exponential"])
+def test_shared_curve_values_equal_standalone_off_the_battery(scheme, n_bits,
+                                                              snrs):
+    assert 60.0 * min(snrs) < oracles.AwgnPerCurve(scheme, n_bits).cutoff
+    shared, alone = _shared_and_standalone(scheme, n_bits, snrs)
+    assert shared == alone
 
 
 def test_checks_alone_match_the_shared_run():
