@@ -171,9 +171,11 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
 
 def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
                  out: TextIO) -> int:
-    """Emit lifetime and gain over the OQPSK-only baseline per distance."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LIFETIME_COLUMNS)
+    """Emit lifetime and gain over the OQPSK-only baseline per distance.
+
+    Every row is computed before the header is written, so a lifetime
+    outside the range of a double writes nothing."""
+    rows = []
     any_feasible = False
     for d, variant, best, base in _lifetime_rows(config, variants):
         life = lifetime(best, config.duty) if best.feasible else None
@@ -183,13 +185,16 @@ def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
             # lifetime_gain's own expression, on the two lifetimes above.
             gain = 100.0 * (life - base_life) / base_life
         any_feasible = any_feasible or life is not None
-        writer.writerow([
+        rows.append([
             _fmt(d),
             variant.value,
             _fmt(life),
             _fmt(base_life),
             _fmt(gain),
         ])
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LIFETIME_COLUMNS)
+    writer.writerows(rows)
     return EXIT_OK if any_feasible else EXIT_INFEASIBLE
 
 
@@ -263,9 +268,17 @@ def _run(args: argparse.Namespace) -> int:
         variants = _parse_pa_list(args.pa)
         dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
         command = lambda out: dataset(config, variants, out)
+    # --out is opened before anything is solved, so an unusable path fails
+    # first; a file it created is removed again if the command then fails.
+    created = args.out not in (None, "-") and not os.path.lexists(args.out)
     out = _open_out(args.out)
     try:
         return command(out)
+    except LinkoptError:
+        if created:
+            out.close()
+            os.remove(args.out)
+        raise
     finally:
         if out is not sys.stdout:
             out.close()

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 from .errors import PeakPowerError
 from .per import ModulationScheme, QosSpec, per_rayleigh
@@ -114,10 +115,17 @@ class EnergyCoefficients:
     pa_variant: PaVariant
 
     def __post_init__(self) -> None:
-        if self.a_coeff <= 0.0 or not math.isfinite(self.a_coeff):
-            raise ValueError(f"a_coeff must be positive finite, got {self.a_coeff}")
-        if self.b_coeff <= 0.0 or not math.isfinite(self.b_coeff):
-            raise ValueError(f"b_coeff must be positive finite, got {self.b_coeff}")
+        check_coefficients(self.a_coeff, self.b_coeff)
+
+
+def check_coefficients(a_coeff: float, b_coeff: float) -> None:
+    """Raise ValueError unless both coefficients are positive finite doubles:
+    the check of every :class:`EnergyCoefficients`, which the candidate
+    tables also run on a scheme they reject without building one."""
+    if a_coeff <= 0.0 or not math.isfinite(a_coeff):
+        raise ValueError(f"a_coeff must be positive finite, got {a_coeff}")
+    if b_coeff <= 0.0 or not math.isfinite(b_coeff):
+        raise ValueError(f"b_coeff must be positive finite, got {b_coeff}")
 
 
 def path_gain(link: LinkBudget) -> float:
@@ -176,35 +184,56 @@ def bit_rate(scheme: ModulationScheme, link: LinkBudget) -> float:
     return link.bandwidth_hz * scheme.bits_per_symbol
 
 
-def energy_coefficients(
+def coefficient_law(
     pa: PaModel, scheme: ModulationScheme, link: LinkBudget, p_c: float
-) -> EnergyCoefficients:
-    """Per-bit energy coefficients for one amplifier model.
+) -> tuple[Callable[[float], float], float]:
+    """``(a_at, b_coeff)``: the energy coefficients of one amplifier and
+    scheme on ``link``'s budget at any distance.
 
-    `p_c` is the combined transmit plus receive circuit power in watts
-    (everything in the RF chain except the amplifier).
+    Only ``a_coeff`` depends on the distance, through the path gain ``g_d``:
+    ``a_at(g_d)`` evaluates it.  The factors that do not depend on it are
+    computed here, once; each is the leading product of the left-to-right
+    expression it belongs to, so ``a_at(link.path_gain)`` is bit-identical
+    to the expression written out at that distance.  `p_c` is the combined
+    transmit plus receive circuit power in watts (everything in the RF chain
+    except the amplifier).
     """
     if p_c <= 0.0:
         raise ValueError(f"p_c must be > 0, got {p_c}")
-    g_d = link.path_gain
     r_b = bit_rate(scheme, link)
     xi = scheme.papr
     n0 = link.n0
+    xi_n0 = xi * n0
+    if pa.variant is PaVariant.TPA:
+        root_p_t_max = math.sqrt(pa.p_t_max)
+        eta_max = pa.eta_max
+        sqrt = math.sqrt
+
+        def a_at(g_d: float) -> float:
+            a = xi_n0 * g_d * root_p_t_max / (eta_max * sqrt(n0 * g_d * r_b))
+            if math.isnan(a):
+                raise OverflowError("TPA a_coeff overflows: inf / inf")
+            return a
+
+        return a_at, p_c / r_b
     if pa.variant is PaVariant.CPA:
-        a = xi * n0 * g_d / pa.eta_max
-        b = p_c / r_b
-    elif pa.variant is PaVariant.TPA:
-        a = xi * n0 * g_d * math.sqrt(pa.p_t_max) / (
-            pa.eta_max * math.sqrt(n0 * g_d * r_b)
-        )
-        if math.isnan(a):
-            raise OverflowError("TPA a_coeff overflows: inf / inf")
+        eta = pa.eta_max
         b = p_c / r_b
     else:
         c = pa.etpa_c
-        a = xi * n0 * g_d / (pa.eta_max * (c + 1.0))
-        b = (xi * c * pa.p_t_max / (pa.eta_max * (c + 1.0)) + p_c) / r_b
-    return EnergyCoefficients(a_coeff=a, b_coeff=b, pa_variant=pa.variant)
+        eta = pa.eta_max * (c + 1.0)
+        b = (xi * c * pa.p_t_max / eta + p_c) / r_b
+    return (lambda g_d: xi_n0 * g_d / eta), b
+
+
+def energy_coefficients(
+    pa: PaModel, scheme: ModulationScheme, link: LinkBudget, p_c: float
+) -> EnergyCoefficients:
+    """Per-bit energy coefficients for one amplifier model at the link's
+    distance: :func:`coefficient_law` evaluated at its path gain."""
+    a_at, b = coefficient_law(pa, scheme, link, p_c)
+    return EnergyCoefficients(a_coeff=a_at(link.path_gain), b_coeff=b,
+                              pa_variant=pa.variant)
 
 
 def e0(coeffs: EnergyCoefficients, n_p: int, n_h: int, gamma_bar: float) -> float:

@@ -28,7 +28,8 @@ from .energy import (
     LinkBudget,
     PaModel,
     PaVariant,
-    energy_coefficients,
+    check_coefficients,
+    coefficient_law,
     energy_per_bit,
     pa_power,
     transmit_power,
@@ -69,14 +70,24 @@ class OperatingPoint(NamedTuple):
     failure_reasons: tuple[str, ...] = ()
 
 
-def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
-    """Maximum achievable average SNR under the transmit-power limits.
+def snr_cap_law(
+    link: LinkBudget, scheme: ModulationScheme, pa: PaModel
+) -> Callable[[float], float]:
+    """The maximum achievable average SNR on ``link``'s budget as a function
+    of the path gain ``g_d``, its power cap and ``B * n0`` computed once.
 
     The effective power cap is ``min(p0, p_t_max / papr)``: the regulatory
     limit and the amplifier peak-power headroom for the active waveform.
     """
     cap = min(link.p0_w, pa.p_t_max / scheme.papr)
-    return cap / (link.bandwidth_hz * link.n0 * link.path_gain)
+    b_n0 = link.bandwidth_hz * link.n0
+    return lambda g_d: cap / (b_n0 * g_d)
+
+
+def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
+    """Maximum achievable average SNR under the transmit-power limits:
+    :func:`snr_cap_law` at the link's path gain."""
+    return snr_cap_law(link, scheme, pa)(link.path_gain)
 
 
 def _depressed_cubic_root(p: float, q: float) -> float:
@@ -219,23 +230,66 @@ def _rejected(scheme: ModulationScheme, qos: QosSpec, reason: str) -> Candidate:
     return _new(Candidate, (scheme, tau, None, reason))
 
 
+# The reason of a set-up whose energy coefficients raise or fail their check.
+_COEFFICIENTS_OUT_OF_RANGE = "energy coefficients outside the range of a double ({})"
+
+
+def _no_payload(gamma_cap: float) -> str:
+    """Why a cap is rejected when no payload meets its PER bound at the SNR
+    cap ``gamma_cap``."""
+    return f"no payload meets the PER bound at full power (snr_max={gamma_cap:.4g})"
+
+
+def _scheme_law(
+    link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float
+) -> tuple:
+    """``(scheme, pa, a_at, b_coeff, snr_at)``: what the set-ups of one
+    scheme share at every distance of ``link``'s budget, the coefficient and
+    SNR-cap laws of :func:`coefficient_law` and :func:`snr_cap_law`, or
+    ``(scheme, reason)`` when its coefficients cannot be formed at all."""
+    try:
+        a_at, b = coefficient_law(pa, scheme, link, p_c)
+    except (ValueError, ArithmeticError) as exc:
+        return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
+    return scheme, pa, a_at, b, snr_cap_law(link, scheme, pa)
+
+
+def _law_setup(
+    law: tuple, link: LinkBudget, n_h: int, top_spec: QosSpec | None = None
+) -> tuple:
+    """The :func:`_scheme_setup` of a :func:`_scheme_law` at ``link``'s
+    distance, or ``(scheme, reason)`` when the coefficients (checked first,
+    by the check :class:`EnergyCoefficients` runs) or the SNR cap leave the
+    doubles, or when ``top_spec`` is given and no payload meets its bound at
+    the SNR cap."""
+    if len(law) == 2:
+        return law
+    scheme, pa, a_at, b, snr_at = law
+    try:
+        g_d = link.path_gain
+        a = a_at(g_d)
+        check_coefficients(a, b)
+    except (ValueError, ArithmeticError) as exc:
+        return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
+    gamma_cap = snr_at(g_d)
+    if gamma_cap == 0.0:
+        return scheme, (
+            "SNR cap outside the range of a double (snr_max underflows to 0)"
+        )
+    if top_spec is not None and payload_max(scheme, n_h, gamma_cap, top_spec) < 1:
+        return scheme, _no_payload(gamma_cap)
+    coeffs = EnergyCoefficients(a, b, pa.variant)
+    step = payload_map(coeffs, scheme, n_h, gamma_cap)
+    return scheme, link, pa, n_h, coeffs, gamma_cap, step
+
+
 def _scheme_setup(
     link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float, n_h: int
 ) -> tuple:
     """``(scheme, link, pa, n_h, coeffs, gamma_cap, step)``: what every solve
     of one scheme shares and no retransmission cap changes, or ``(scheme,
     reason)`` when the coefficients or the SNR cap leave the doubles."""
-    try:
-        coeffs = energy_coefficients(pa, scheme, link, p_c)
-    except (ValueError, ArithmeticError) as exc:
-        return scheme, f"energy coefficients outside the range of a double ({exc})"
-    gamma_cap = snr_max(link, scheme, pa)
-    if gamma_cap == 0.0:
-        return scheme, (
-            "SNR cap outside the range of a double (snr_max underflows to 0)"
-        )
-    step = payload_map(coeffs, scheme, n_h, gamma_cap)
-    return scheme, link, pa, n_h, coeffs, gamma_cap, step
+    return _law_setup(_scheme_law(link, pa, scheme, p_c), link, n_h)
 
 
 def _solve_candidate(
@@ -260,8 +314,7 @@ def _solve_candidate(
     scheme, link, pa, n_h, coeffs, gamma_cap, step = setup
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
-        return _rejected(scheme, qos, "no payload meets the PER bound at full "
-                         f"power (snr_max={gamma_cap:.4g})"), 0.0
+        return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0
 
     log_keep = qos.log_keep
     cap = float(ceiling)
@@ -407,12 +460,16 @@ def candidate_tables(
     ``max_retransmissions``, or 0 alone); :func:`select_best` relies on that
     order for ties.  The inputs are checked once, when the first table is
     asked for; a distance <= 0 raises ValueError when the sweep reaches it.
-    :func:`_scheme_setup` runs once per scheme and table.  Each candidate's
-    solve starts at its own converged payload from the previous distance of
-    the sweep; without one (the first distance, or no convergence there), at
-    the previous cap's converged payload at this distance, or 0: the map
-    depends on the cap only through the SNR floor and the payload ceiling,
-    which grows with the cap.  Where each candidate has one fixed point, as
+    Each (amplifier, scheme)'s :func:`_scheme_law` is built once per call
+    and evaluated at each distance; a scheme whose coefficients or SNR cap
+    leave the doubles there, or whose largest cap carries no payload at full
+    power, has every cap rejected without a map or a solve.  Each
+    candidate's solve starts at its own converged payload from the previous
+    distance of the sweep; without one (the first distance, or no
+    convergence there), at the previous cap's converged payload at this
+    distance, or 0: the map depends on the cap only through the SNR floor
+    and the payload ceiling, which grows with the cap (so the largest cap's
+    ceiling is the largest).  Where each candidate has one fixed point, as
     ``check_multistart_agreement`` checks, the start does not change the
     outcome, so no table depends on which distances are swept: a sweep's
     tables equal the single-distance tables, as the equality tests in
@@ -435,17 +492,29 @@ def candidate_tables(
     # previous distance, in yield order; 0.0 (no convergence, or no previous
     # distance) marks no start.
     starts = [0.0] * (len(pas) * len(mods) * len(specs))
+    # The payload ceiling grows with the cap, so the largest cap's ceiling
+    # decides whether any cap of a scheme can carry a payload.
+    top_spec = specs[-1]
+    laws = [[_scheme_law(link_template, pa, scheme,
+                         circuit_power[scheme.circuit_power_class])
+             for scheme in mods] for pa in pas]
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         link = (link_template if d == link_template.distance_m
                 else replace(link_template, distance_m=d))
         k = 0
-        for pa in pas:
+        for pa, pa_laws in zip(pas, laws):
             table = []
-            for scheme in mods:
-                p_c = circuit_power[scheme.circuit_power_class]
-                setup = _scheme_setup(link, pa, scheme, p_c, n_h)
+            for law in pa_laws:
+                setup = _law_setup(law, link, n_h, top_spec)
+                if len(setup) == 2:
+                    scheme, reason = setup
+                    for spec in specs:
+                        table.append(_rejected(scheme, spec, reason))
+                        starts[k] = 0.0
+                        k += 1
+                    continue
                 n_p = 0.0
                 for spec in specs:
                     candidate, n_p = _solve_candidate(

@@ -20,7 +20,8 @@ from linkopt import optimizer
 from linkopt import validation
 from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant
-from linkopt.per import MAX_RETRANSMISSIONS
+from linkopt.errors import ConfigError
+from linkopt.per import MAX_RETRANSMISSIONS, QosSpec, per_rayleigh
 
 SMALL_SWEEP = """\
 [sweep]
@@ -444,8 +445,11 @@ class TestLifetimeSharedTable:
         assert base == baseline_only(cfg, link, pa)
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
-        calls = []
-        solve = optimizer._solve_candidate
+        """No candidate is solved twice: 2,259 solves, and 2,007 entries of
+        schemes that no cap can carry a payload on, built without a solve,
+        make up the 4,266 entries."""
+        calls, entries = [], {}
+        solve, tables = optimizer._solve_candidate, cli.candidate_tables
 
         def counting(setup, qos, *args):
             scheme, link, pa = setup[:3]
@@ -453,15 +457,26 @@ class TestLifetimeSharedTable:
                           qos.max_retransmissions))
             return solve(setup, qos, *args)
 
+        def recording(*args, **kwargs):
+            for d, pa, table in tables(*args, **kwargs):
+                for c in table:
+                    entries[d, pa.variant, c.scheme.name, c.tau] = c
+                yield d, pa, table
+
         # candidate_tables hands each candidate, with its scheme's set-up, to
         # the per-candidate solve.
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
+        monkeypatch.setattr(cli, "candidate_tables", recording)
         cfg = default_config()
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
         points = len(cfg.distances()) * len(PaVariant)
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
-        assert len(calls) == len(set(calls)) == points * per_point
+        assert len(entries) == points * per_point == 4266
+        assert len(calls) == len(set(calls)) == 2259
+        unsolved = set(entries) - set(calls)
+        assert len(unsolved) == 4266 - 2259 == 2007
+        assert all(entries[key].reason is not None for key in unsolved)
 
 
 class TestSolveRouting:
@@ -800,6 +815,41 @@ class TestOutOfRangeConfig:
         assert captured.err.startswith(f"error: {message}")
         assert "inf" not in captured.out and "nan" not in captured.out
 
+    @pytest.mark.parametrize("text", [
+        "[duty]\nperiod_s = 1e-320\npayload_kbit = 1e10\n",
+        "[duty]\npayload_kbit = 1e-322\n",
+    ], ids=["lifetime_underflow", "energy_per_period_underflow"])
+    def test_lifetime_out_of_range_leaves_no_output_file(self, tmp_path,
+                                                         capsys, text):
+        """A lifetime found outside the range of a double while solving
+        removes the --out file opened for it, which holds no partial CSV."""
+        path = tmp_path / "range.ini"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "u.csv"
+        code = run_cli(["--config", str(path), "lifetime", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: duty: the lifetime at")
+        assert not out.exists()
+
+    def test_lifetime_out_of_range_keeps_an_existing_output_file(
+            self, tmp_path):
+        """Only a file the command created is removed; one that existed is
+        left in place, truncated as every --out is, with no partial CSV."""
+        path = tmp_path / "range.ini"
+        path.write_text("[duty]\npayload_kbit = 1e-322\n", encoding="utf-8")
+        out = tmp_path / "u.csv"
+        out.write_text("old\n", encoding="utf-8")
+        code = run_cli(["--config", str(path), "lifetime", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert out.read_bytes() == b""
+
+    def test_lifetime_out_of_range_writes_nothing_to_stdout(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "range.ini"
+        path.write_text("[duty]\npayload_kbit = 1e-322\n", encoding="utf-8")
+        assert run_cli(["--config", str(path), "lifetime"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_battery_energy_overflow_leaves_no_output_file(self, tmp_path,
                                                            capsys):
         """The budget is checked with the config, before --out is opened."""
@@ -838,32 +888,65 @@ CUSTOM_SCHEME_SPACE = dict(
 )
 
 
+def custom_scheme_ini(bits_per_symbol, ber_form, c_m, k_m, papr,
+                      circuit_class, p0_mw, kappa, bandwidth_khz, n_h_bits,
+                      target_per, max_retx):
+    """A config enabling one custom modulation X next to OQPSK, from a draw
+    of ``CUSTOM_SCHEME_SPACE`` (without its distance and amplifier)."""
+    return (
+        f"[modulation.X]\nbits_per_symbol = {bits_per_symbol}\n"
+        f"ber_form = {ber_form}\nc_m = {c_m!r}\nk_m = {k_m!r}\n"
+        f"papr = {papr!r}\ncircuit_class = {circuit_class}\n"
+        f"[modulations]\nenabled = X, OQPSK\n"
+        f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
+        f"bandwidth_khz = {bandwidth_khz!r}\n"
+        f"[packet]\nn_h_bits = {n_h_bits}\n"
+        f"[qos]\ntarget_per = {target_per!r}\n"
+        f"max_retransmissions = {max_retx}\n"
+    )
+
+
+def assert_point_invariants(config, link, pa, point):
+    """A feasible point has a positive finite energy, meets the PER bound of
+    its cap and keeps its transmit power under the amplifier's cap, each to
+    1e-9 relative."""
+    if not point.feasible:
+        return
+    assert math.isfinite(point.energy) and point.energy > 0.0
+    bound = QosSpec(config.qos.target_per, point.tau_r).per_attempt_bound
+    per = per_rayleigh(point.scheme, config.n_h + point.n_p, point.gamma_bar)
+    assert per <= bound * (1.0 + 1e-9)
+    cap = min(link.p0_w, pa.p_t_max / point.scheme.papr)
+    assert point.p_t <= cap * (1.0 + 1e-9)
+
+
 class TestAnyCustomModulationEndsCleanly:
     """Every command on a config with one custom modulation, drawn over
     many orders of magnitude, ends in exit 0, 2 or 3, or in exit 1 with one
-    ``error:`` line: never in a traceback, and never with nan in a CSV."""
+    ``error:`` line: never in a traceback, and never with nan in a CSV.  A
+    config that parses solves through ``joint_optimize`` to a point that
+    meets the invariants the benchmark's point queries check."""
 
     @settings(max_examples=25, deadline=None)
     @given(**CUSTOM_SCHEME_SPACE)
-    def test_every_command(self, tmp_path_factory, bits_per_symbol, ber_form,
-                           c_m, k_m, papr, circuit_class, p0_mw, kappa,
-                           bandwidth_khz, n_h_bits, target_per, max_retx,
-                           distance, pa):
-        path = tmp_path_factory.mktemp("custom") / "custom.ini"
-        path.write_text(
-            f"[modulation.X]\nbits_per_symbol = {bits_per_symbol}\n"
-            f"ber_form = {ber_form}\nc_m = {c_m!r}\nk_m = {k_m!r}\n"
-            f"papr = {papr!r}\ncircuit_class = {circuit_class}\n"
-            f"[modulations]\nenabled = X, OQPSK\n"
-            f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
-            f"bandwidth_khz = {bandwidth_khz!r}\n"
-            f"[packet]\nn_h_bits = {n_h_bits}\n"
-            f"[qos]\ntarget_per = {target_per!r}\n"
-            f"max_retransmissions = {max_retx}\n"
+    def test_every_command(self, tmp_path_factory, distance, pa, **draw):
+        text = custom_scheme_ini(**draw) + (
             f"[sweep]\nd_min_m = {distance!r}\nd_max_m = {distance + 6.0!r}\n"
-            f"d_step_m = 3\n",
-            encoding="utf-8",
+            f"d_step_m = 3\n"
         )
+        path = tmp_path_factory.mktemp("custom") / "custom.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = parse_config(text)
+        except ConfigError:
+            pass
+        else:
+            link = replace(config.link_template, distance_m=distance)
+            model = config.pa_models[PaVariant(pa)]
+            assert_point_invariants(config, link, model, optimizer.joint_optimize(
+                link, config.qos, model, config.modulations, config.n_h,
+                delta=config.delta, circuit_power=config.circuit_power,
+            ))
         for argv in (["optimize", "--distance", repr(distance), "--pa", pa],
                      ["sweep", "--out", "-"], ["lifetime", "--out", "-"],
                      ["validate", "--out", "-"]):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from linkopt import optimizer
 from linkopt.config import default_config, parse_config
+from linkopt.errors import ConfigError
 from linkopt.energy import (
     LinkBudget,
     PaModel,
@@ -45,6 +46,7 @@ from linkopt.oracles import (
     golden_section_min_relative,
 )
 from linkopt.validation import _snr_optimum as snr_optimum
+from test_cli import CUSTOM_SCHEME_SPACE, custom_scheme_ini
 from test_query_digests import WORKLOADS
 
 CFG = default_config()
@@ -64,6 +66,56 @@ def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     return optimizer._solve_candidate(
         optimizer._scheme_setup(link, pa, scheme, p_c, n_h), qos, delta,
         n_p_init)[0][2:]
+
+
+def rejections_matching_solves(cfg, distances, pas):
+    """The reasons of the rejected entries of ``cfg``'s candidate tables at
+    ``distances``, each asserted equal to the reason :func:`solve_one` gives
+    for that candidate on its own."""
+    reasons = []
+    for d, pa, table in candidate_tables(
+        cfg.link_template, distances, cfg.qos, pas, cfg.modulations, cfg.n_h,
+        delta=cfg.delta, circuit_power=cfg.circuit_power,
+    ):
+        link = replace(cfg.link_template, distance_m=d)
+        for scheme, tau, _, reason in table:
+            if reason is not None:
+                assert solve_one(
+                    link, QosSpec(cfg.qos.target_per, tau), pa, scheme,
+                    cfg.circuit_power[scheme.circuit_power_class], cfg.n_h,
+                    delta=cfg.delta,
+                )[1] == reason
+                reasons.append(reason)
+    return reasons
+
+
+# Configs whose tables reject candidates for each reason a set-up or a solve
+# gives: ``(config text, distances or None for the config's sweep, amplifier
+# variants, a reason fragment some entry must carry)``.  A circuit power of
+# 1e-322 mW converts to 0 W; the other extreme configs are those of
+# tests/test_cli.py with the same ids, whose b_coeff_underflow is
+# test_coefficients_outside_double_range_match_the_table.
+REJECTION_TABLES = {
+    "default_grid": ("", None, tuple(PaVariant),
+                     "no payload meets the PER bound"),
+    "tpa_a_coeff_division_by_zero": (
+        "[link]\nlink_margin_db = -3000\n", (1e-3,), (PaVariant.TPA,),
+        "(float division by zero)"),
+    "snr_cap_underflow": (
+        "[link]\np0_mw = 1e-300\nnoise_half_psd_dbm_hz = 2900\n", (10.0,),
+        (PaVariant.CPA,), "(snr_max underflows to 0)"),
+    "tpa_a_coeff_inf_over_inf": (
+        "[link]\nbandwidth_khz = 4.661332057150907e-187\n"
+        "noise_half_psd_dbm_hz = 1428.4039761280337\n"
+        "link_margin_db = 2172.6444256628347\n", (1809.9699226692878,),
+        (PaVariant.TPA,), "(TPA a_coeff overflows: inf / inf)"),
+    "circuit_power_underflow": (
+        "[circuit]\npc_mqam_mw = 1e-322\n", (10.0, 40.0), tuple(PaVariant),
+        "(p_c must be > 0, got 0.0)"),
+    "cpa_ratio_inf": (
+        "[link]\nlink_margin_db = -3000\n", (0.1,), (PaVariant.CPA,),
+        "(a step overflowed to an undefined value)"),
+}
 
 
 def payload_step(coeffs, scheme, n_h, g, n_p=976):
@@ -591,27 +643,50 @@ class TestSolveCandidate:
     def test_coefficients_outside_double_range_match_the_table(self):
         """A scheme whose coefficients leave the range of a double is a
         rejection with the same reason from a solve on its own as in its
-        candidate table."""
+        candidate table, although the SNR cap there carries no payload
+        either: the coefficients are checked before the payload ceiling."""
         cfg = parse_config(
             "[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n"
         )
-        pa = cfg.pa_models[PaVariant.CPA]
-        link = replace(cfg.link_template, distance_m=20.0)
-        [(_, _, table)] = candidate_tables(
-            link, (20.0,), cfg.qos, (pa,), cfg.modulations, cfg.n_h,
-            delta=cfg.delta, circuit_power=cfg.circuit_power,
-        )
-        reasons = {c.reason for c in table if c.scheme.name == "16QAM"}
-        assert {r.split(":", 1)[1] for r in reasons} == {
+        rejected = rejections_matching_solves(
+            cfg, (10.0, 20.0), (cfg.pa_models[PaVariant.CPA],))
+        reasons = {r.split(":", 1)[1] for r in rejected}
+        assert reasons == {
             " energy coefficients outside the range of a double "
-            "(b_coeff must be positive finite, got 0.0)"
+            "(b_coeff must be positive finite, got 0.0)",
+            " no payload meets the PER bound at full power "
+            "(snr_max=1.018e-247)",
+            " no payload meets the PER bound at full power "
+            "(snr_max=9.001e-249)",
         }
-        for scheme, tau, point, reason in table:
-            assert solve_one(
-                link, QosSpec(cfg.qos.target_per, tau), pa, scheme,
-                cfg.circuit_power[scheme.circuit_power_class], cfg.n_h,
-                delta=cfg.delta,
-            ) == (point, reason)
+
+    @pytest.mark.parametrize("text, distances, variants, reason",
+                             REJECTION_TABLES.values(), ids=REJECTION_TABLES)
+    def test_rejections_match_solves_on_their_own(self, text, distances,
+                                                  variants, reason):
+        """Each rejected table entry has the reason a solve of its candidate
+        on its own gives: whether the set-up, the largest cap's payload
+        ceiling or the solve rejected it."""
+        cfg = parse_config(text)
+        rejected = rejections_matching_solves(
+            cfg, distances or cfg.distances(),
+            [cfg.pa_models[v] for v in variants])
+        assert any(reason in r for r in rejected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**CUSTOM_SCHEME_SPACE)
+    def test_custom_scheme_rejections_match_the_table(self, distance, pa,
+                                                      **draw):
+        """The same on short sweeps of a custom scheme's config, each
+        spanning a factor of 11 in distance and so, often, the distance
+        beyond which a scheme carries no payload."""
+        try:
+            cfg = parse_config(custom_scheme_ini(**draw))
+        except ConfigError:
+            return
+        rejections_matching_solves(
+            cfg, [distance * 2.0 ** (i / 2) for i in range(8)],
+            [cfg.pa_models[PaVariant(pa)]])
 
     def test_reliability_floor_point_sits_on_bound(self):
         """Where the floor binds the realized PER equals the bound."""
@@ -813,19 +888,27 @@ class TestCandidateTables:
 
 class TestDefaultPassWork:
     def test_solves_maps_evaluations_and_specs(self, monkeypatch):
-        """One default pass solves 4,266 candidates with 1,422 maps, 4,317
-        loop evaluations (8,433 when every distance starts from 0) and 1,824
-        integer passes, and builds the QoS spec of each of the 3 caps once.
-        It evaluates the path gain once per distance, 79 times, and
+        """One default pass sets up 1,422 (distance, amplifier, scheme)
+        triples.  669 of them carry no payload at full power under the
+        largest cap, so every cap is rejected with no coefficients, map or
+        solve; the other 753 build one ``EnergyCoefficients`` and one map
+        each and solve 2,259 candidates with 4,317 loop evaluations (8,433
+        when every distance starts from 0) and 1,824 integer passes.  The
+        QoS spec of each of the 3 caps is built once, the path gain is
+        evaluated once per distance, 79 times, and
         ``log1p(-per_attempt_bound)`` once per spec, 3 times."""
         calls = Counter()
-        solve, build, spec = (optimizer._solve_candidate,
-                              optimizer.payload_map, optimizer.QosSpec)
+        solved = set()
+        solve, build, spec, coefficients = (
+            optimizer._solve_candidate, optimizer.payload_map,
+            optimizer.QosSpec, optimizer.EnergyCoefficients)
         gain_at, log1p = LinkBudget.gain_at, math.log1p
 
-        def counting_solve(*args):
+        def counting_solve(setup, *args):
             calls["solve"] += 1
-            return solve(*args)
+            scheme, link, pa = setup[:3]
+            solved.add((link.distance_m, pa.variant, scheme.name))
+            return solve(setup, *args)
 
         def counting_map(*inputs):
             calls["map"] += 1
@@ -840,6 +923,10 @@ class TestDefaultPassWork:
             calls["spec"] += 1
             return spec(*args)
 
+        def counting_coefficients(*args):
+            calls["coefficients"] += 1
+            return coefficients(*args)
+
         def counting_gain(*args):
             calls["gain"] += 1
             return gain_at(*args)
@@ -851,16 +938,21 @@ class TestDefaultPassWork:
         monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
         monkeypatch.setattr(optimizer, "payload_map", counting_map)
         monkeypatch.setattr(optimizer, "QosSpec", counting_spec)
+        monkeypatch.setattr(optimizer, "EnergyCoefficients",
+                            counting_coefficients)
         monkeypatch.setattr(LinkBudget, "gain_at", counting_gain)
         monkeypatch.setattr(math, "log1p", counting_log1p)
-        for _ in candidate_tables(
+        entries = sum(len(table) for _, _, table in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
             CFG.pa_models.values(), CFG.modulations, CFG.n_h,
             delta=CFG.delta, circuit_power=CFG.circuit_power,
-        ):
-            pass
-        assert calls == {"solve": 4266, "map": 1422, "loop": 4317,
-                         "integer": 1824, "spec": 3, "gain": 79, "log1p": 3}
+        ))
+        assert calls == {"solve": 2259, "map": 753, "coefficients": 753,
+                         "loop": 4317, "integer": 1824, "spec": 3, "gain": 79,
+                         "log1p": 3}
+        set_ups = entries // CFG.qos.max_retransmissions
+        assert (entries, set_ups) == (4266, 1422)
+        assert set_ups - len(solved) == 669
 
 
 class TestTableEntries:
