@@ -18,7 +18,6 @@ from .energy import (
     energy_per_bit,
     pa_efficiency,
     pa_power,
-    path_gain,
     transmit_power,
 )
 from .errors import (
@@ -81,7 +80,6 @@ __all__ = [
     "pa_efficiency",
     "pa_power",
     "parse_config",
-    "path_gain",
     "payload_map",
     "payload_max",
     "per_rayleigh",

@@ -13,14 +13,13 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence, TextIO
 
 from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime
-from .optimizer import candidate_tables, joint_optimize, select_best
+from .optimizer import candidate_tables, select_best
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,12 +83,8 @@ def _open_out(path: str | None) -> TextIO:
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
                  out: TextIO) -> int:
     """Solve one distance and print the operating point."""
-    link = replace(config.link_template, distance_m=distance)
-    pa = config.pa_models[variant]
-    point = joint_optimize(
-        link, config.qos, pa, config.modulations, config.n_h,
-        delta=config.delta, circuit_power=config.circuit_power,
-    )
+    [(_, _, table)] = _tables(config, (variant,), (distance,))
+    point = select_best(table)
     out.write(f"distance_m: {_fmt(distance)}\n")
     out.write(f"pa_model: {variant.value}\n")
     out.write(f"feasible: {str(point.feasible).lower()}\n")
@@ -115,11 +110,12 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_tables(config: ScenarioConfig, variants: Sequence[PaVariant]):
-    """:func:`candidate_tables` at the config's sweep distances, amplifiers
+def _tables(config: ScenarioConfig, variants: Sequence[PaVariant],
+            distances: Sequence[float]):
+    """:func:`candidate_tables` of the config at ``distances``, amplifiers
     by name."""
     return candidate_tables(
-        config.link_template, config.distances(), config.qos,
+        config.link_template, distances, config.qos,
         [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
         config.modulations, config.n_h, delta=config.delta,
         circuit_power=config.circuit_power,
@@ -132,7 +128,7 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, pa, table in _sweep_tables(config, variants):
+    for d, pa, table in _tables(config, variants, config.distances()):
         point = select_best(table)
         any_feasible = any_feasible or point.feasible
         writer.writerow([
@@ -164,7 +160,7 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     is selected by identity from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d, pa, table in _sweep_tables(config, variants):
+    for d, pa, table in _tables(config, variants, config.distances()):
         base = select_best(c for c in table if c.scheme is baseline)
         yield d, pa.variant, select_best(table), base
 

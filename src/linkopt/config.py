@@ -318,10 +318,7 @@ def check_distance(link: LinkBudget, distance_m: float, field: str) -> None:
     """
     if not (math.isfinite(distance_m) and distance_m > 0.0):
         raise ConfigError(f"{field}: must be positive and finite, got {distance_m}")
-    try:
-        gain = link.gain_at(distance_m)
-    except OverflowError:
-        gain = math.inf
+    gain = link.gain_at(distance_m)
     noise = link.bandwidth_hz * link.n0 * gain
     if not (0.0 < gain < math.inf and 0.0 < noise < math.inf):
         raise ConfigError(
@@ -370,10 +367,15 @@ def _packet(sections: _Sections, fields: dict) -> dict:
 
 def _circuit(sections: _Sections, fields: dict) -> dict:
     circuit = _Reader(sections, "circuit")
-    return {"circuit_power": {
-        CircuitClass.MQAM: circuit.positive("pc_mqam_mw") * 1e-3,
-        CircuitClass.MFSK: circuit.positive("pc_mfsk_mw") * 1e-3,
-    }}
+    circuit_power = {}
+    for kind, key in ((CircuitClass.MQAM, "pc_mqam_mw"),
+                      (CircuitClass.MFSK, "pc_mfsk_mw")):
+        milliwatts = circuit.positive(key)
+        circuit_power[kind] = watts = milliwatts * 1e-3
+        if watts == 0.0:
+            raise ConfigError(
+                f"circuit.{key}: {milliwatts!r} mW underflows to 0 W")
+    return {"circuit_power": circuit_power}
 
 
 def _pa(sections: _Sections, fields: dict) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 from .errors import PeakPowerError
@@ -87,18 +86,16 @@ class LinkBudget:
 
     def gain_at(self, distance_m: float) -> float:
         """Linear path-loss gain G1 * d^kappa * margin (a loss factor > 1) at
-        ``distance_m``, the link's own law at any distance."""
-        return (
-            10.0 ** (self.g1_db / 10.0)
-            * distance_m ** self.kappa
-            * 10.0 ** (self.link_margin_db / 10.0)
-        )
-
-    # Cached on first use, as ModulationScheme's fitted constants are.
-    @cached_property
-    def path_gain(self) -> float:
-        """The path-loss gain at the link's own distance."""
-        return self.gain_at(self.distance_m)
+        ``distance_m``, the link's own law at any distance; inf where a power
+        overflows, as a product that overflows gives."""
+        try:
+            return (
+                10.0 ** (self.g1_db / 10.0)
+                * distance_m ** self.kappa
+                * 10.0 ** (self.link_margin_db / 10.0)
+            )
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,6 @@ def check_coefficients(a_coeff: float, b_coeff: float) -> None:
         raise ValueError(f"b_coeff must be positive finite, got {b_coeff}")
 
 
-def path_gain(link: LinkBudget) -> float:
-    """Linear path-loss gain G1 * d^kappa * margin (a loss factor > 1),
-    computed once per link."""
-    return link.path_gain
-
-
 def pa_efficiency(pa: PaModel, p_t: float) -> float:
     """Drain efficiency at average output power `p_t`.
 
@@ -159,7 +150,7 @@ def transmit_power(gamma_bar: float, link: LinkBudget) -> float:
     """Average transmit power sustaining `gamma_bar` over this link."""
     if gamma_bar <= 0.0:
         raise ValueError(f"gamma_bar must be > 0, got {gamma_bar}")
-    return gamma_bar * link.bandwidth_hz * link.n0 * link.path_gain
+    return gamma_bar * link.bandwidth_hz * link.n0 * link.gain_at(link.distance_m)
 
 
 def pa_power(pa: PaModel, scheme: ModulationScheme, p_t: float) -> float:
@@ -193,8 +184,8 @@ def coefficient_law(
     Only ``a_coeff`` depends on the distance, through the path gain ``g_d``:
     ``a_at(g_d)`` evaluates it.  The factors that do not depend on it are
     computed here, once; each is the leading product of the left-to-right
-    expression it belongs to, so ``a_at(link.path_gain)`` is bit-identical
-    to the expression written out at that distance.  `p_c` is the combined
+    expression it belongs to, so ``a_at(link.gain_at(d))`` is bit-identical
+    to the expression written out at distance ``d``.  `p_c` is the combined
     transmit plus receive circuit power in watts (everything in the RF chain
     except the amplifier).
     """
@@ -232,8 +223,8 @@ def energy_coefficients(
     """Per-bit energy coefficients for one amplifier model at the link's
     distance: :func:`coefficient_law` evaluated at its path gain."""
     a_at, b = coefficient_law(pa, scheme, link, p_c)
-    return EnergyCoefficients(a_coeff=a_at(link.path_gain), b_coeff=b,
-                              pa_variant=pa.variant)
+    return EnergyCoefficients(a_coeff=a_at(link.gain_at(link.distance_m)),
+                              b_coeff=b, pa_variant=pa.variant)
 
 
 def e0(coeffs: EnergyCoefficients, n_p: int, n_h: int, gamma_bar: float) -> float:

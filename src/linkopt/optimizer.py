@@ -19,7 +19,6 @@ point of the TPA energy curve, which the numeric oracle in
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -32,7 +31,6 @@ from .energy import (
     coefficient_law,
     energy_per_bit,
     pa_power,
-    transmit_power,
 )
 from .per import EULER_GAMMA, CircuitClass, ModulationScheme, QosSpec, payload_max
 
@@ -87,7 +85,7 @@ def snr_cap_law(
 def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
     """Maximum achievable average SNR under the transmit-power limits:
     :func:`snr_cap_law` at the link's path gain."""
-    return snr_cap_law(link, scheme, pa)(link.path_gain)
+    return snr_cap_law(link, scheme, pa)(link.gain_at(link.distance_m))
 
 
 def _depressed_cubic_root(p: float, q: float) -> float:
@@ -243,30 +241,31 @@ def _no_payload(gamma_cap: float) -> str:
 def _scheme_law(
     link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float
 ) -> tuple:
-    """``(scheme, pa, a_at, b_coeff, snr_at)``: what the set-ups of one
-    scheme share at every distance of ``link``'s budget, the coefficient and
-    SNR-cap laws of :func:`coefficient_law` and :func:`snr_cap_law`, or
+    """``(scheme, link, pa, a_at, b_coeff, snr_at)``: what the set-ups of
+    one scheme share at every distance of ``link``'s budget, the coefficient
+    and SNR-cap laws of :func:`coefficient_law` and :func:`snr_cap_law`, or
     ``(scheme, reason)`` when its coefficients cannot be formed at all."""
     try:
         a_at, b = coefficient_law(pa, scheme, link, p_c)
     except (ValueError, ArithmeticError) as exc:
         return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
-    return scheme, pa, a_at, b, snr_cap_law(link, scheme, pa)
+    return scheme, link, pa, a_at, b, snr_cap_law(link, scheme, pa)
 
 
 def _law_setup(
-    law: tuple, link: LinkBudget, n_h: int, top_spec: QosSpec | None = None
+    law: tuple, g_d: float, n_h: int, top_spec: QosSpec | None = None
 ) -> tuple:
-    """The :func:`_scheme_setup` of a :func:`_scheme_law` at ``link``'s
-    distance, or ``(scheme, reason)`` when the coefficients (checked first,
-    by the check :class:`EnergyCoefficients` runs) or the SNR cap leave the
-    doubles, or when ``top_spec`` is given and no payload meets its bound at
-    the SNR cap."""
+    """``(scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step)``: what every
+    solve of one scheme at path gain ``g_d`` shares and no retransmission
+    cap changes, a :func:`_scheme_law` evaluated there.  Or ``(scheme,
+    reason)`` when the coefficients (checked first, by the check
+    :class:`EnergyCoefficients` runs) or the SNR cap leave the doubles, or
+    when ``top_spec`` is given and no payload meets its bound at the SNR
+    cap."""
     if len(law) == 2:
         return law
-    scheme, pa, a_at, b, snr_at = law
+    scheme, link, pa, a_at, b, snr_at = law
     try:
-        g_d = link.path_gain
         a = a_at(g_d)
         check_coefficients(a, b)
     except (ValueError, ArithmeticError) as exc:
@@ -280,23 +279,14 @@ def _law_setup(
         return scheme, _no_payload(gamma_cap)
     coeffs = EnergyCoefficients(a, b, pa.variant)
     step = payload_map(coeffs, scheme, n_h, gamma_cap)
-    return scheme, link, pa, n_h, coeffs, gamma_cap, step
-
-
-def _scheme_setup(
-    link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float, n_h: int
-) -> tuple:
-    """``(scheme, link, pa, n_h, coeffs, gamma_cap, step)``: what every solve
-    of one scheme shares and no retransmission cap changes, or ``(scheme,
-    reason)`` when the coefficients or the SNR cap leave the doubles."""
-    return _law_setup(_scheme_law(link, pa, scheme, p_c), link, n_h)
+    return scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step
 
 
 def _solve_candidate(
     setup: tuple, qos: QosSpec, delta: float, n_p_init: float
 ) -> tuple[Candidate, float]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair
-    on the scheme's :func:`_scheme_setup`: the fixed point of the payload
+    on the scheme's :func:`_law_setup`: the fixed point of the payload
     map, capped at the largest payload the link carries at full power.
 
     The iteration runs from ``n_p_init`` (lowered to that cap), taking a
@@ -311,7 +301,7 @@ def _solve_candidate(
     """
     if len(setup) == 2:
         return _rejected(setup[0], qos, setup[1]), 0.0
-    scheme, link, pa, n_h, coeffs, gamma_cap, step = setup
+    scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step = setup
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
         return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0
@@ -377,11 +367,19 @@ def _solve_candidate(
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
     tau = qos.max_retransmissions
-    p_t = transmit_power(selected, link)
+    # energy.transmit_power's expression, at the set-up's path gain.
+    p_t = selected * link.bandwidth_hz * link.n0 * g_d
+    try:
+        p_pa = pa_power(pa, scheme, p_t)
+    except ValueError as exc:
+        # p_t <= the cap in exact arithmetic, so only a product that leaves
+        # the doubles (say gamma * B = inf) gets here.
+        return _rejected(scheme, qos, (
+            f"transmit power outside the range of a double ({exc})")), n_p
     return _new(Candidate, (scheme, tau, _new(OperatingPoint, (
         scheme, selected, n_p_int, tau,
         energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos), p_t,
-        pa_power(pa, scheme, p_t), True, binding, (),
+        p_pa, True, binding, (),
     )), None)), n_p
 
 
@@ -460,22 +458,24 @@ def candidate_tables(
     ``max_retransmissions``, or 0 alone); :func:`select_best` relies on that
     order for ties.  The inputs are checked once, when the first table is
     asked for; a distance <= 0 raises ValueError when the sweep reaches it.
-    Each (amplifier, scheme)'s :func:`_scheme_law` is built once per call
-    and evaluated at each distance; a scheme whose coefficients or SNR cap
-    leave the doubles there, or whose largest cap carries no payload at full
-    power, has every cap rejected without a map or a solve.  Each
-    candidate's solve starts at its own converged payload from the previous
-    distance of the sweep; without one (the first distance, or no
-    convergence there), at the previous cap's converged payload at this
-    distance, or 0: the map depends on the cap only through the SNR floor
-    and the payload ceiling, which grows with the cap (so the largest cap's
-    ceiling is the largest).  Where each candidate has one fixed point, as
-    ``check_multistart_agreement`` checks, the start does not change the
-    outcome, so no table depends on which distances are swept: a sweep's
-    tables equal the single-distance tables, as the equality tests in
-    ``tests/test_solver_reference.py`` check on the default grid, on random
-    grids and across a distance where 16QAM/TPA has a second, unstable fixed
-    point.
+    A distance enters only through its path gain,
+    ``link_template.gain_at(d)`` (the template's own ``distance_m`` is not
+    read), at which each (amplifier, scheme)'s :func:`_scheme_law`, built
+    once per call, is evaluated by :func:`_law_setup`; a scheme whose
+    coefficients or SNR cap leave the doubles there, or whose largest cap
+    carries no payload at full power, has every cap rejected without a map
+    or a solve.  Each candidate's solve starts at its own converged payload
+    from the previous distance of the sweep; without one (the first
+    distance, or no convergence there), at the previous cap's converged
+    payload at this distance, or 0: the map depends on the cap only through
+    the SNR floor and the payload ceiling, which grows with the cap (so the
+    largest cap's ceiling is the largest).  Where each candidate has one
+    fixed point, as ``check_multistart_agreement`` checks, the start does
+    not change the outcome, so no table depends on which distances are
+    swept: a sweep's tables equal the single-distance tables, as the
+    equality tests in ``tests/test_solver_reference.py`` check on the
+    default grid, on random grids and across a distance where 16QAM/TPA has
+    a second, unstable fixed point.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -501,13 +501,12 @@ def candidate_tables(
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
-        link = (link_template if d == link_template.distance_m
-                else replace(link_template, distance_m=d))
+        g_d = link_template.gain_at(d)
         k = 0
         for pa, pa_laws in zip(pas, laws):
             table = []
             for law in pa_laws:
-                setup = _law_setup(law, link, n_h, top_spec)
+                setup = _law_setup(law, g_d, n_h, top_spec)
                 if len(setup) == 2:
                     scheme, reason = setup
                     for spec in specs:

@@ -445,7 +445,8 @@ def check_multistart_agreement(run: BatteryRun):
 
     Covers every amplifier at 8 m and 20 m, ten starts each, every start
     solved by the per-candidate solve of ``candidate_tables``:
-    ``optimizer._solve_candidate`` on the scheme's ``_scheme_setup``.
+    ``optimizer._solve_candidate`` on the scheme's ``_law_setup`` at the
+    distance's path gain.
     ``candidate_tables`` starts each candidate's solve from its payload at
     the previous distance of a sweep, else from the previous retransmission
     cap's payload, which is only sound while each candidate has a single
@@ -454,11 +455,12 @@ def check_multistart_agreement(run: BatteryRun):
     config = run.config
     scheme = _scheme_like_16qam(config)
     p_c = config.circuit_power[scheme.circuit_power_class]
+    template = config.link_template
     rng = random.Random(20244)
     for variant, pa in config.pa_models.items():
+        law = opt._scheme_law(template, pa, scheme, p_c)
         for d in (8.0, 20.0):
-            link = replace(config.link_template, distance_m=d)
-            setup = opt._scheme_setup(link, pa, scheme, p_c, config.n_h)
+            setup = opt._law_setup(law, template.gain_at(d), config.n_h)
             energies = []
             for _ in range(10):
                 candidate, _ = opt._solve_candidate(

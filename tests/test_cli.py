@@ -450,10 +450,14 @@ class TestLifetimeSharedTable:
         make up the 4,266 entries."""
         calls, entries = [], {}
         solve, tables = optimizer._solve_candidate, cli.candidate_tables
+        cfg = default_config()
+        # The set-up carries the distance as its path gain.
+        distance_at = {cfg.link_template.gain_at(d): d
+                       for d in cfg.distances()}
 
         def counting(setup, qos, *args):
-            scheme, link, pa = setup[:3]
-            calls.append((link.distance_m, pa.variant, scheme.name,
+            scheme, _, g_d, pa = setup[:4]
+            calls.append((distance_at[g_d], pa.variant, scheme.name,
                           qos.max_retransmissions))
             return solve(setup, qos, *args)
 
@@ -467,7 +471,6 @@ class TestLifetimeSharedTable:
         # the per-candidate solve.
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
         monkeypatch.setattr(cli, "candidate_tables", recording)
-        cfg = default_config()
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
         points = len(cfg.distances()) * len(PaVariant)
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
@@ -658,7 +661,6 @@ class TestUnusableArguments:
             raise AssertionError("solved before --out was opened")
 
         monkeypatch.setattr(cli, "candidate_tables", never)
-        monkeypatch.setattr(cli, "joint_optimize", never)
         monkeypatch.setattr(validation, "BatteryRun", never)
         path = tmp_path / "missing" / "x.csv" if where == "missing_directory" \
             else tmp_path
@@ -803,8 +805,13 @@ class TestOutOfRangeConfig:
         ("[duty]\nperiod_s = 1e-320\npayload_kbit = 1e10\n",
          "duty: the lifetime at"),
         ("[duty]\npayload_kbit = 1e-322\n", "duty: the lifetime at"),
+        ("[circuit]\npc_mqam_mw = 1e-322\n",
+         "circuit.pc_mqam_mw: 1e-322 mW underflows to 0 W\n"),
+        ("[circuit]\npc_mfsk_mw = 5e-324\n",
+         "circuit.pc_mfsk_mw: 5e-324 mW underflows to 0 W\n"),
     ], ids=["p0_underflow", "battery_energy_overflow", "lifetime_underflow",
-            "energy_per_period_underflow"])
+            "energy_per_period_underflow", "mqam_circuit_power_underflow",
+            "mfsk_circuit_power_underflow"])
     def test_lifetime_rejected_with_section(self, tmp_path, capsys, text,
                                             message):
         path = tmp_path / "range.ini"
@@ -920,12 +927,52 @@ def assert_point_invariants(config, link, pa, point):
     assert point.p_t <= cap * (1.0 + 1e-9)
 
 
+def assert_ends_cleanly(path, text, distance, pa, commands):
+    """Write config ``text`` to ``path`` and run each of ``commands`` on it
+    (``optimize`` at ``distance`` for amplifier ``pa``, the others writing
+    to stdout).  Each ends in exit 0 or 2 (3 too for ``validate``), with
+    nothing on stderr and no nan in its output, or in exit 1 with one
+    ``error:`` line: never in a traceback.  If the text parses, its
+    ``joint_optimize`` point at ``distance`` meets the invariants the
+    benchmark's point queries check (:func:`assert_point_invariants`)."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        pass
+    else:
+        link = replace(config.link_template, distance_m=distance)
+        model = config.pa_models[PaVariant(pa)]
+        assert_point_invariants(config, link, model, optimizer.joint_optimize(
+            link, config.qos, model, config.modulations, config.n_h,
+            delta=config.delta, circuit_power=config.circuit_power,
+        ))
+    for command in commands:
+        argv = (["optimize", "--distance", repr(distance), "--pa", pa]
+                if command == "optimize" else [command, "--out", "-"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(["--config", str(path), *argv])
+        lines = out.getvalue().splitlines()
+        if code == cli.EXIT_USAGE:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")
+            continue
+        assert err.getvalue() == ""
+        if command == "validate":
+            assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+            assert lines[-1].startswith("checks: ")
+            # The check lines come first; the rest is the PER table.
+            lines = lines[len(validation.ALL_CHECKS):-1]
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
+        assert not any("nan" in line for line in lines), argv
+
+
 class TestAnyCustomModulationEndsCleanly:
     """Every command on a config with one custom modulation, drawn over
-    many orders of magnitude, ends in exit 0, 2 or 3, or in exit 1 with one
-    ``error:`` line: never in a traceback, and never with nan in a CSV.  A
-    config that parses solves through ``joint_optimize`` to a point that
-    meets the invariants the benchmark's point queries check."""
+    many orders of magnitude, ends cleanly, and a feasible point meets its
+    invariants (:func:`assert_ends_cleanly`)."""
 
     @settings(max_examples=25, deadline=None)
     @given(**CUSTOM_SCHEME_SPACE)
@@ -934,36 +981,54 @@ class TestAnyCustomModulationEndsCleanly:
             f"[sweep]\nd_min_m = {distance!r}\nd_max_m = {distance + 6.0!r}\n"
             f"d_step_m = 3\n"
         )
-        path = tmp_path_factory.mktemp("custom") / "custom.ini"
-        path.write_text(text, encoding="utf-8")
-        try:
-            config = parse_config(text)
-        except ConfigError:
-            pass
-        else:
-            link = replace(config.link_template, distance_m=distance)
-            model = config.pa_models[PaVariant(pa)]
-            assert_point_invariants(config, link, model, optimizer.joint_optimize(
-                link, config.qos, model, config.modulations, config.n_h,
-                delta=config.delta, circuit_power=config.circuit_power,
-            ))
-        for argv in (["optimize", "--distance", repr(distance), "--pa", pa],
-                     ["sweep", "--out", "-"], ["lifetime", "--out", "-"],
-                     ["validate", "--out", "-"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_cli(["--config", str(path), *argv])
-            lines = out.getvalue().splitlines()
-            if code == cli.EXIT_USAGE:
-                assert len(err.getvalue().splitlines()) == 1
-                assert err.getvalue().startswith("error: ")
-                continue
-            assert err.getvalue() == ""
-            if argv[0] == "validate":
-                assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
-                assert lines[-1].startswith("checks: ")
-                # The check lines come first; the rest is the PER table.
-                lines = lines[len(validation.ALL_CHECKS):-1]
-            else:
-                assert code in (cli.EXIT_OK, cli.EXIT_INFEASIBLE)
-            assert not any("nan" in line for line in lines), argv
+        assert_ends_cleanly(
+            tmp_path_factory.mktemp("custom") / "custom.ini", text, distance,
+            pa, ("optimize", "sweep", "lifetime", "validate"))
+
+
+# [link], [circuit] and [qos] over the ranges the config accepts: decibel
+# keys anywhere within +-3000 dB, and positive keys over most of the
+# doubles, so that conversions and path gains leave the doubles too.
+LINK_CIRCUIT_QOS_SPACE = dict(
+    p0_mw=_log_uniform(-320.0, 300.0),
+    kappa=_log_uniform(-3.0, 2.0),
+    g1_db=st.floats(-3000.0, 3000.0),
+    link_margin_db=st.floats(-3000.0, 3000.0),
+    noise_half_psd_dbm_hz=st.floats(-3000.0, 3000.0),
+    bandwidth_khz=_log_uniform(-300.0, 300.0),
+    pc_mqam_mw=_log_uniform(-320.0, 300.0),
+    pc_mfsk_mw=_log_uniform(-320.0, 300.0),
+    target_per=_log_uniform(-300.0, -1e-9),
+    max_retx=st.integers(0, MAX_RETRANSMISSIONS),
+    distance=_log_uniform(-3.0, 3.0),
+    pa=st.sampled_from(["cpa", "tpa", "etpa"]),
+)
+
+
+class TestAnyLinkCircuitQosEndsCleanly:
+    """``optimize``, ``sweep`` and ``lifetime`` on a config whose link,
+    circuit and QoS sections are drawn over many orders of magnitude end
+    cleanly, and a feasible point meets its invariants
+    (:func:`assert_ends_cleanly`)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(**LINK_CIRCUIT_QOS_SPACE)
+    def test_solve_commands(self, tmp_path_factory, p0_mw, kappa, g1_db,
+                            link_margin_db, noise_half_psd_dbm_hz,
+                            bandwidth_khz, pc_mqam_mw, pc_mfsk_mw,
+                            target_per, max_retx, distance, pa):
+        text = (
+            f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
+            f"g1_db = {g1_db!r}\nlink_margin_db = {link_margin_db!r}\n"
+            f"noise_half_psd_dbm_hz = {noise_half_psd_dbm_hz!r}\n"
+            f"bandwidth_khz = {bandwidth_khz!r}\n"
+            f"[circuit]\npc_mqam_mw = {pc_mqam_mw!r}\n"
+            f"pc_mfsk_mw = {pc_mfsk_mw!r}\n"
+            f"[qos]\ntarget_per = {target_per!r}\n"
+            f"max_retransmissions = {max_retx}\n"
+            f"[sweep]\nd_min_m = {distance!r}\n"
+            f"d_max_m = {distance * 3.0!r}\nd_step_m = {distance!r}\n"
+        )
+        assert_ends_cleanly(
+            tmp_path_factory.mktemp("link") / "link.ini", text, distance, pa,
+            ("optimize", "sweep", "lifetime"))

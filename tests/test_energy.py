@@ -16,7 +16,6 @@ from linkopt.energy import (
     energy_per_bit,
     pa_efficiency,
     pa_power,
-    path_gain,
     transmit_power,
 )
 from linkopt.errors import PeakPowerError
@@ -57,15 +56,20 @@ def link_at(d):
 class TestPathGain:
     def test_unit_distance_reference(self):
         """30 dB gain factor plus 40 dB margin is 1e7 at one meter."""
-        assert path_gain(LINK1) == pytest.approx(1e7, rel=1e-12)
+        assert LINK1.gain_at(1.0) == pytest.approx(1e7, rel=1e-12)
 
     def test_distance_doubling_power_law(self):
-        assert path_gain(link_at(2.0)) / path_gain(LINK1) == pytest.approx(
+        assert LINK1.gain_at(2.0) / LINK1.gain_at(1.0) == pytest.approx(
             2.0 ** 3.5, rel=1e-12
         )
 
     def test_ten_meters(self):
-        assert path_gain(link_at(10.0)) == pytest.approx(1e7 * 10 ** 3.5, rel=1e-12)
+        assert LINK1.gain_at(10.0) == pytest.approx(1e7 * 10 ** 3.5, rel=1e-12)
+
+    def test_overflowing_power_is_inf(self):
+        """``d ** kappa`` beyond the doubles raises OverflowError in Python;
+        the gain is inf there, as an overflowing product is."""
+        assert LINK1.gain_at(1e200) == math.inf
 
 
 class TestPaEfficiency:
@@ -107,14 +111,14 @@ class TestTransmitPower:
     def test_power_cap_roundtrip(self):
         """At the regulatory-cap SNR the transmit power equals the cap."""
         link = link_at(30.0)
-        g_max = link.p0_w / (link.bandwidth_hz * link.n0 * path_gain(link))
+        g_max = link.p0_w / (link.bandwidth_hz * link.n0 * link.gain_at(30.0))
         assert transmit_power(g_max, link) == pytest.approx(link.p0_w, rel=1e-12)
 
     def test_algebraic_inversion_at_20db(self):
         link = link_at(30.0)
         g = 100.0
         p_t = transmit_power(g, link)
-        assert p_t / (link.bandwidth_hz * link.n0 * path_gain(link)) == (
+        assert p_t / (link.bandwidth_hz * link.n0 * link.gain_at(30.0)) == (
             pytest.approx(g, rel=1e-12)
         )
 
@@ -124,7 +128,7 @@ class TestEnergyCoefficients:
         """With unit efficiency and PAPR the SNR coefficient is N0 G_d."""
         ideal = PaModel(PaVariant.CPA, 1.0, 1.0)
         coeffs = energy_coefficients(ideal, QAM4, LINK1, 0.31)
-        assert coeffs.a_coeff == pytest.approx(N0 * path_gain(LINK1), rel=1e-12)
+        assert coeffs.a_coeff == pytest.approx(N0 * LINK1.gain_at(1.0), rel=1e-12)
         assert coeffs.b_coeff == pytest.approx(0.31 / 2e4, rel=1e-12)
 
     def test_etpa_degenerates_to_cpa_as_c_vanishes(self):
@@ -143,7 +147,7 @@ class TestEnergyCoefficients:
         link = link_at(10.0)
         coeffs = energy_coefficients(TPA, QAM4, link, 0.31)
         r_b = bit_rate(QAM4, link)
-        g_d = path_gain(link)
+        g_d = link.gain_at(10.0)
         for g in (10.0, 250.0, 4e3):
             p_t = g * link.n0 * g_d * r_b
             direct = QAM4.papr * math.sqrt(p_t * TPA.p_t_max) / (
@@ -306,7 +310,7 @@ class TestE0Ordering:
         }
         for d in (5.0, 20.0, 40.0):
             link = link_at(d)
-            cap = link.p0_w / (link.bandwidth_hz * link.n0 * path_gain(link))
+            cap = link.p0_w / (link.bandwidth_hz * link.n0 * link.gain_at(d))
             for frac in (0.05, 0.4, 0.95):
                 g = cap * frac
                 values = {

@@ -1,6 +1,7 @@
 """Every module of the package reads every name it imports, imports
 nothing from outside the standard library, opens files in two places only,
-and the numeric oracles live in ``linkopt.oracles`` alone.
+copies no link per distance outside the battery, and the numeric oracles
+live in ``linkopt.oracles`` alone.
 
 No linter ships with the project, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the first check: its imports are the
@@ -116,6 +117,41 @@ def test_only_the_out_stream_and_the_config_loader_open_files():
     callers = {(path.name, name) for path in ALL_MODULES
                for name in open_callers(path.read_text(encoding="utf-8"))}
     assert callers == {("cli.py", "_open_out"), ("config.py", "load_config")}
+
+
+def distance_copies(source: str) -> int:
+    """Calls in ``source`` of a function or method named ``replace`` that
+    set ``distance_m``: the per-distance copies of a link."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            count += name == "replace" and any(
+                keyword.arg == "distance_m" for keyword in node.keywords)
+    return count
+
+
+def test_distance_copy_checker_counts_replace_calls_setting_the_distance():
+    source = (
+        "import dataclasses\nfrom dataclasses import replace\n"
+        "a = replace(link, distance_m=d)\n"
+        "b = dataclasses.replace(link, n0=1.0, distance_m=2.0)\n"
+        "c = replace(link, n0=1.0)\nd = 'x'.replace('x', 'y')\n"
+        "e = link.gain_at(distance_m)\n"
+    )
+    assert distance_copies(source) == 2
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "validation.py"],
+    ids=lambda path: path.name)
+def test_no_link_copied_per_distance(path):
+    """A distance reaches the solver as its path gain,
+    ``link_template.gain_at(d)``; only the battery, which feeds the public
+    point helpers it checks, copies a link to a distance."""
+    assert distance_copies(path.read_text(encoding="utf-8")) == 0
 
 
 ORACLE_NAMES = (

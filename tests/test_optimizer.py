@@ -17,7 +17,6 @@ from linkopt.energy import (
     PaModel,
     PaVariant,
     energy_coefficients,
-    path_gain,
     transmit_power,
 )
 from linkopt.optimizer import (
@@ -32,6 +31,7 @@ from linkopt.optimizer import (
     snr_max,
 )
 from linkopt.per import (
+    CircuitClass,
     QosSpec,
     payload_max,
     per_rayleigh,
@@ -62,10 +62,10 @@ def link_at(d):
 
 def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     """``(point, reason)`` of the per-candidate solve that candidate_tables
-    runs, on the scheme's set-up."""
-    return optimizer._solve_candidate(
-        optimizer._scheme_setup(link, pa, scheme, p_c, n_h), qos, delta,
-        n_p_init)[0][2:]
+    runs, on the scheme's set-up at the link's path gain."""
+    setup = optimizer._law_setup(optimizer._scheme_law(link, pa, scheme, p_c),
+                                 link.gain_at(link.distance_m), n_h)
+    return optimizer._solve_candidate(setup, qos, delta, n_p_init)[0][2:]
 
 
 def rejections_matching_solves(cfg, distances, pas):
@@ -90,31 +90,43 @@ def rejections_matching_solves(cfg, distances, pas):
 
 
 # Configs whose tables reject candidates for each reason a set-up or a solve
-# gives: ``(config text, distances or None for the config's sweep, amplifier
-# variants, a reason fragment some entry must carry)``.  A circuit power of
-# 1e-322 mW converts to 0 W; the other extreme configs are those of
-# tests/test_cli.py with the same ids, whose b_coeff_underflow is
+# gives: ``(config, distances or None for the config's sweep, amplifier
+# variants, a reason fragment some entry must carry)``.  No config text
+# parses to a circuit power of 0 W, so that one is set on the default
+# config; the other extreme configs are those of tests/test_cli.py with the
+# same ids, whose b_coeff_underflow is
 # test_coefficients_outside_double_range_match_the_table.
 REJECTION_TABLES = {
-    "default_grid": ("", None, tuple(PaVariant),
+    "default_grid": (CFG, None, tuple(PaVariant),
                      "no payload meets the PER bound"),
     "tpa_a_coeff_division_by_zero": (
-        "[link]\nlink_margin_db = -3000\n", (1e-3,), (PaVariant.TPA,),
-        "(float division by zero)"),
+        parse_config("[link]\nlink_margin_db = -3000\n"), (1e-3,),
+        (PaVariant.TPA,), "(float division by zero)"),
     "snr_cap_underflow": (
-        "[link]\np0_mw = 1e-300\nnoise_half_psd_dbm_hz = 2900\n", (10.0,),
-        (PaVariant.CPA,), "(snr_max underflows to 0)"),
+        parse_config("[link]\np0_mw = 1e-300\nnoise_half_psd_dbm_hz = 2900\n"),
+        (10.0,), (PaVariant.CPA,), "(snr_max underflows to 0)"),
     "tpa_a_coeff_inf_over_inf": (
-        "[link]\nbandwidth_khz = 4.661332057150907e-187\n"
-        "noise_half_psd_dbm_hz = 1428.4039761280337\n"
-        "link_margin_db = 2172.6444256628347\n", (1809.9699226692878,),
-        (PaVariant.TPA,), "(TPA a_coeff overflows: inf / inf)"),
+        parse_config("[link]\nbandwidth_khz = 4.661332057150907e-187\n"
+                     "noise_half_psd_dbm_hz = 1428.4039761280337\n"
+                     "link_margin_db = 2172.6444256628347\n"),
+        (1809.9699226692878,), (PaVariant.TPA,),
+        "(TPA a_coeff overflows: inf / inf)"),
     "circuit_power_underflow": (
-        "[circuit]\npc_mqam_mw = 1e-322\n", (10.0, 40.0), tuple(PaVariant),
-        "(p_c must be > 0, got 0.0)"),
+        replace(CFG, circuit_power={**CFG.circuit_power, CircuitClass.MQAM: 0.0}),
+        (10.0, 40.0), tuple(PaVariant), "(p_c must be > 0, got 0.0)"),
     "cpa_ratio_inf": (
-        "[link]\nlink_margin_db = -3000\n", (0.1,), (PaVariant.CPA,),
-        "(a step overflowed to an undefined value)"),
+        parse_config("[link]\nlink_margin_db = -3000\n"), (0.1,),
+        (PaVariant.CPA,), "(a step overflowed to an undefined value)"),
+    # The SNR cap is near 1e308, so gamma * B overflows in the transmit
+    # power although the power itself is below the cap.
+    "transmit_power_overflow": (
+        parse_config("[link]\nkappa = 1\ng1_db = 0\nlink_margin_db = -66\n"
+                     "noise_half_psd_dbm_hz = -3000\nbandwidth_khz = 0.01\n"
+                     "p0_mw = 1\n[circuit]\npc_mqam_mw = 1\npc_mfsk_mw = 1\n"
+                     "[qos]\ntarget_per = 0.1\n"
+                     "max_retransmissions = 0\n[sweep]\nd_min_m = 0.01\n"),
+        (0.01,), (PaVariant.CPA,),
+        "transmit power outside the range of a double (BPSK peak power inf W"),
 }
 
 
@@ -227,7 +239,7 @@ class TestSnrMax:
         link = link_at(10.0)
         scheme = MODS["BPSK"]
         expected = link.p0_w / (
-            link.bandwidth_hz * link.n0 * path_gain(link)
+            link.bandwidth_hz * link.n0 * link.gain_at(10.0)
         )
         assert snr_max(link, scheme, CPA) == pytest.approx(expected, rel=1e-12)
 
@@ -236,7 +248,7 @@ class TestSnrMax:
         scheme = MODS["64QAM"]
         link = link_at(10.0)
         capped = snr_max(link, scheme, pa)
-        uncapped = link.p0_w / (link.bandwidth_hz * link.n0 * path_gain(link))
+        uncapped = link.p0_w / (link.bandwidth_hz * link.n0 * link.gain_at(10.0))
         assert capped == pytest.approx(
             uncapped * (pa.p_t_max / scheme.papr) / link.p0_w, rel=1e-12
         )
@@ -660,14 +672,13 @@ class TestSolveCandidate:
             "(snr_max=9.001e-249)",
         }
 
-    @pytest.mark.parametrize("text, distances, variants, reason",
+    @pytest.mark.parametrize("cfg, distances, variants, reason",
                              REJECTION_TABLES.values(), ids=REJECTION_TABLES)
-    def test_rejections_match_solves_on_their_own(self, text, distances,
+    def test_rejections_match_solves_on_their_own(self, cfg, distances,
                                                   variants, reason):
         """Each rejected table entry has the reason a solve of its candidate
         on its own gives: whether the set-up, the largest cap's payload
         ceiling or the solve rejected it."""
-        cfg = parse_config(text)
         rejected = rejections_matching_solves(
             cfg, distances or cfg.distances(),
             [cfg.pa_models[v] for v in variants])
@@ -896,18 +907,23 @@ class TestDefaultPassWork:
         when every distance starts from 0) and 1,824 integer passes.  The
         QoS spec of each of the 3 caps is built once, the path gain is
         evaluated once per distance, 79 times, and
-        ``log1p(-per_attempt_bound)`` once per spec, 3 times."""
+        ``log1p(-per_attempt_bound)`` once per spec, 3 times.  No
+        ``LinkBudget`` is built: a distance reaches the set-ups only as its
+        path gain."""
         calls = Counter()
         solved = set()
         solve, build, spec, coefficients = (
             optimizer._solve_candidate, optimizer.payload_map,
             optimizer.QosSpec, optimizer.EnergyCoefficients)
         gain_at, log1p = LinkBudget.gain_at, math.log1p
+        check_link = LinkBudget.__post_init__
 
         def counting_solve(setup, *args):
             calls["solve"] += 1
-            scheme, link, pa = setup[:3]
-            solved.add((link.distance_m, pa.variant, scheme.name))
+            # The set-up carries the distance as its path gain, one per
+            # distance of the grid.
+            scheme, _, g_d, pa = setup[:4]
+            solved.add((g_d, pa.variant, scheme.name))
             return solve(setup, *args)
 
         def counting_map(*inputs):
@@ -935,6 +951,10 @@ class TestDefaultPassWork:
             calls["log1p"] += 1
             return log1p(x)
 
+        def counting_link(link):
+            calls["link"] += 1
+            check_link(link)
+
         monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
         monkeypatch.setattr(optimizer, "payload_map", counting_map)
         monkeypatch.setattr(optimizer, "QosSpec", counting_spec)
@@ -942,6 +962,7 @@ class TestDefaultPassWork:
                             counting_coefficients)
         monkeypatch.setattr(LinkBudget, "gain_at", counting_gain)
         monkeypatch.setattr(math, "log1p", counting_log1p)
+        monkeypatch.setattr(LinkBudget, "__post_init__", counting_link)
         entries = sum(len(table) for _, _, table in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
             CFG.pa_models.values(), CFG.modulations, CFG.n_h,
@@ -950,6 +971,7 @@ class TestDefaultPassWork:
         assert calls == {"solve": 2259, "map": 753, "coefficients": 753,
                          "loop": 4317, "integer": 1824, "spec": 3, "gain": 79,
                          "log1p": 3}
+        assert calls["link"] == 0
         set_ups = entries // CFG.qos.max_retransmissions
         assert (entries, set_ups) == (4266, 1422)
         assert set_ups - len(solved) == 669

@@ -112,10 +112,11 @@ def reference_solve_candidate(link, qos, pa, scheme, p_c, n_h, *, delta,
 
 def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     """``(point, reason)`` of ``optimizer._solve_candidate`` on the scheme's
-    ``optimizer._scheme_setup``, the solve ``candidate_tables`` runs."""
-    return optimizer._solve_candidate(
-        optimizer._scheme_setup(link, pa, scheme, p_c, n_h), qos, delta,
-        n_p_init)[0][2:]
+    ``optimizer._law_setup`` at the link's path gain, the solve
+    ``candidate_tables`` runs."""
+    setup = optimizer._law_setup(optimizer._scheme_law(link, pa, scheme, p_c),
+                                 link.gain_at(link.distance_m), n_h)
+    return optimizer._solve_candidate(setup, qos, delta, n_p_init)[0][2:]
 
 
 def outcome(solve, *args, **kwargs):

@@ -40,10 +40,12 @@ def test_multistart_covers_every_amplifier_at_8_and_20_m(monkeypatch):
     solved by the per-candidate solve of the candidate tables."""
     seen = []
     solve = optimizer._solve_candidate
+    # The set-up carries the distance as its path gain.
+    distance_at = {CFG.link_template.gain_at(d): d for d in (8.0, 20.0)}
 
     def recording(setup, *args):
-        _, link, pa = setup[:3]
-        seen.append((pa.variant, link.distance_m))
+        _, _, g_d, pa = setup[:4]
+        seen.append((pa.variant, distance_at[g_d]))
         return solve(setup, *args)
 
     monkeypatch.setattr(optimizer, "_solve_candidate", recording)
