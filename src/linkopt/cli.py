@@ -68,16 +68,28 @@ def _parse_pa_list(text: str) -> list[PaVariant]:
     return variants
 
 
-def _open_out(path: str | None) -> TextIO:
-    """The ``--out`` stream of every command: stdout for ``-`` or no path."""
+def _open_out(path: str | None) -> tuple[TextIO, str | None]:
+    """The ``--out`` stream of every command, and the file it replaces when
+    the command succeeds: stdout for ``-`` or no path; for a new or regular
+    file, a temporary file beside it, so that a failing command leaves the
+    file as it was; anything else, a device or a pipe, written in place."""
     if path is None or path == "-":
-        return sys.stdout
+        return sys.stdout, None
+    target = os.path.realpath(path)
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        if os.path.exists(target):
+            if not os.path.isfile(target):
+                return open(path, "w", encoding="utf-8", newline=""), None
+            open(target, "a").close()  # fails where writing it would
+        temp = f"{target}.{os.getpid()}.tmp"
+        out = open(temp, "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(
             f"--out: cannot write {path!r} ({exc.strerror or exc})"
         ) from None
+    if os.path.exists(target):
+        os.chmod(temp, os.stat(target).st_mode & 0o7777)
+    return out, target
 
 
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
@@ -265,19 +277,21 @@ def _run(args: argparse.Namespace) -> int:
         dataset = {"sweep": cmd_sweep, "lifetime": cmd_lifetime}[args.command]
         command = lambda out: dataset(config, variants, out)
     # --out is opened before anything is solved, so an unusable path fails
-    # first; a file it created is removed again if the command then fails.
-    created = args.out not in (None, "-") and not os.path.lexists(args.out)
-    out = _open_out(args.out)
+    # first.
+    out, target = _open_out(args.out)
     try:
-        return command(out)
-    except LinkoptError:
-        if created:
+        code = command(out)
+    except BaseException:
+        if target is not None:
             out.close()
-            os.remove(args.out)
+            os.remove(out.name)
         raise
     finally:
         if out is not sys.stdout:
             out.close()
+    if target is not None:
+        os.replace(out.name, target)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -99,9 +99,12 @@ period_s = 300.0
 [tolerance]
 # delta: relative payload tolerance of the fixed-point solve, which stops once
 # a map evaluation moves the payload by at most delta times the new payload.
-# Each candidate gets at most 100 map evaluations (optimizer.MAX_ITER), and
+# Each candidate gets at most 100 map evaluations (optimizer.MAX_ITER). It
 # starts from its own payload at the previous distance of a sweep, else from
-# the previous retransmission cap's payload.
+# ten header lengths, raised to one bit past the waterfall regime's edge if
+# that lies further out. A retransmission cap whose smaller cap converged with
+# neither the reliability floor nor the payload ceiling binding shares its
+# point, without a solve.
 delta = 1e-10
 quad_epsrel = 1e-10
 quad_epsabs = 1e-14

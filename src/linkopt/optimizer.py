@@ -284,7 +284,7 @@ def _law_setup(
 
 def _solve_candidate(
     setup: tuple, qos: QosSpec, delta: float, n_p_init: float
-) -> tuple[Candidate, float]:
+) -> tuple[Candidate, float, bool]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair
     on the scheme's :func:`_law_setup`: the fixed point of the payload
     map, capped at the largest payload the link carries at full power.
@@ -294,17 +294,22 @@ def _solve_candidate(
     steps contract and a plain step otherwise, until a step moves the
     payload by at most ``delta`` relative, within ``MAX_ITER`` map
     evaluations (read when called); one more step at the floored payload
-    gives the point's SNR, binding and payload optimum.
-    Returns ``(candidate, n_p)``: the table entry, a rejection when the set-up
-    was rejected or the candidate is infeasible, leaves the range of a double
-    or fails to converge, and the converged payload, 0.0 without convergence.
+    gives the point's SNR, binding and payload optimum.  ``n_p_init == 0``
+    starts cold, at ten headers (interior optima scale with the header),
+    raised where needed to one bit past the edge of the waterfall regime,
+    ``c_eff N = 1``, so that no solve starts below it.
+    Returns ``(candidate, n_p, interior)``: the table entry, a rejection
+    when the set-up was rejected or the candidate is infeasible, leaves the
+    range of a double or fails to converge; the converged payload, 0.0
+    without convergence; and whether neither the floor nor the ceiling
+    bound the last loop evaluation or the integer step.
     """
     if len(setup) == 2:
-        return _rejected(setup[0], qos, setup[1]), 0.0
+        return _rejected(setup[0], qos, setup[1]), 0.0, False
     scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step = setup
     ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
-        return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0
+        return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0, False
 
     log_keep = qos.log_keep
     cap = float(ceiling)
@@ -318,6 +323,8 @@ def _solve_candidate(
     # clamps and distances are written as comparisons that give what
     # min/max/abs give for every float, nan included (max(nan, 1.0) is nan).
     n_p = float(n_p_init)
+    if n_p == 0.0:
+        n_p = max(10.0 * n_h, 1.0 / scheme.c_eff + 1.0 - n_h)
     if n_p > cap:
         n_p = cap
     last: float | None = None  # the previous evaluated payload
@@ -330,7 +337,7 @@ def _solve_candidate(
             if fallback is not None:
                 n_p, fallback = fallback, None
                 continue
-            return _rejected(scheme, qos, result), 0.0
+            return _rejected(scheme, qos, result), 0.0, False
         nxt = result[2]
         nxt = 1.0 if nxt < 1.0 else cap if nxt > cap else nxt
         move = nxt - n_p
@@ -355,14 +362,15 @@ def _solve_candidate(
             "an undefined value)" if math.isnan(residual) else
             f"no convergence within {MAX_ITER} iterations "
             f"(last residual {residual:.3g})"
-        )), 0.0
+        )), 0.0, False
 
+    interior = result[1] is not Binding.SNR_MIN_BOUND
     # Freeze the payload to bits (n_p is in [1, ceiling]) and take one more
     # pass at the integer point.
     n_p_int = math.floor(n_p)
     result = step(n_p_int, log_keep)
     if result.__class__ is str:
-        return _rejected(scheme, qos, result), n_p
+        return _rejected(scheme, qos, result), n_p, False
     selected, binding, wanted = result
     if n_p_int >= ceiling and wanted > cap:
         binding = Binding.PAYLOAD_MAX_BOUND
@@ -375,12 +383,13 @@ def _solve_candidate(
         # p_t <= the cap in exact arithmetic, so only a product that leaves
         # the doubles (say gamma * B = inf) gets here.
         return _rejected(scheme, qos, (
-            f"transmit power outside the range of a double ({exc})")), n_p
+            f"transmit power outside the range of a double ({exc})")), n_p, False
     return _new(Candidate, (scheme, tau, _new(OperatingPoint, (
         scheme, selected, n_p_int, tau,
         energy_per_bit(coeffs, scheme, n_p_int, n_h, selected, qos), p_t,
         p_pa, True, binding, (),
-    )), None)), n_p
+    )), None)), n_p, interior and (
+        binding is Binding.UNCONSTRAINED or binding is Binding.SNR_MAX_BOUND)
 
 
 def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
@@ -464,18 +473,18 @@ def candidate_tables(
     once per call, is evaluated by :func:`_law_setup`; a scheme whose
     coefficients or SNR cap leave the doubles there, or whose largest cap
     carries no payload at full power, has every cap rejected without a map
-    or a solve.  Each candidate's solve starts at its own converged payload
-    from the previous distance of the sweep; without one (the first
-    distance, or no convergence there), at the previous cap's converged
-    payload at this distance, or 0: the map depends on the cap only through
-    the SNR floor and the payload ceiling, which grows with the cap (so the
-    largest cap's ceiling is the largest).  Where each candidate has one
-    fixed point, as ``check_multistart_agreement`` checks, the start does
-    not change the outcome, so no table depends on which distances are
-    swept: a sweep's tables equal the single-distance tables, as the
-    equality tests in ``tests/test_solver_reference.py`` check on the
-    default grid, on random grids and across a distance where 16QAM/TPA has
-    a second, unstable fixed point.
+    or a solve.  The map depends on the cap only through the SNR floor,
+    which falls as the cap grows, and the payload ceiling, which rises; so
+    once a cap's solve is ``interior`` (:func:`_solve_candidate`), each
+    larger cap shares its point, with ``tau`` and the energy at its own
+    ``QosSpec``.  A candidate starts at its converged (or shared) payload
+    from the previous distance of the sweep, else cold.  Where each
+    candidate has one fixed point, as ``check_multistart_agreement``
+    checks, the start does not change the outcome, so no table depends on
+    which distances are swept: a sweep's tables equal the single-distance
+    tables, as the equality tests in ``tests/test_solver_reference.py``
+    check on the default grid, on random grids and across a distance where
+    16QAM/TPA has a second, unstable fixed point.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -514,11 +523,19 @@ def candidate_tables(
                         starts[k] = 0.0
                         k += 1
                     continue
-                n_p = 0.0
+                shared = False
                 for spec in specs:
-                    candidate, n_p = _solve_candidate(
-                        setup, spec, delta, starts[k] or n_p
-                    )
+                    if shared:
+                        scheme, _, point, _ = candidate
+                        tau = spec.max_retransmissions
+                        candidate = _new(Candidate, (scheme, tau, point._replace(
+                            tau_r=tau, energy=energy_per_bit(
+                                setup[5], scheme, point.n_p, n_h,
+                                point.gamma_bar, spec)), None))
+                    else:
+                        candidate, n_p, shared = _solve_candidate(
+                            setup, spec, delta, starts[k]
+                        )
                     starts[k] = n_p
                     k += 1
                     table.append(candidate)

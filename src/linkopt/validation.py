@@ -448,9 +448,9 @@ def check_multistart_agreement(run: BatteryRun):
     ``optimizer._solve_candidate`` on the scheme's ``_law_setup`` at the
     distance's path gain.
     ``candidate_tables`` starts each candidate's solve from its payload at
-    the previous distance of a sweep, else from the previous retransmission
-    cap's payload, which is only sound while each candidate has a single
-    fixed point.  A rejected start fails the check with its reason.
+    the previous distance of a sweep, else cold, which is only sound while
+    each candidate has a single fixed point.  A rejected start fails the
+    check with its reason.
     """
     config = run.config
     scheme = _scheme_like_16qam(config)
@@ -463,7 +463,7 @@ def check_multistart_agreement(run: BatteryRun):
             setup = opt._law_setup(law, template.gain_at(d), config.n_h)
             energies = []
             for _ in range(10):
-                candidate, _ = opt._solve_candidate(
+                candidate, *_ = opt._solve_candidate(
                     setup, config.qos, config.delta, rng.uniform(1.0, 5000.0)
                 )
                 if candidate.point is None:

@@ -88,6 +88,21 @@ class TestOptimize:
         assert "feasible: false" in out
         assert "reason:" in out
 
+    def test_one_bit_header_starts_inside_the_waterfall_regime(
+            self, tmp_path, capsys):
+        """A one-bit header solves from a packet inside every scheme's
+        waterfall regime, not from a one-bit packet below it."""
+        path = tmp_path / "one_bit_header.ini"
+        path.write_text("[packet]\nn_h_bits = 1\n"
+                        "[qos]\nmax_retransmissions = 0\n", encoding="utf-8")
+        code = run_cli(["--config", str(path), "optimize", "--distance", "10",
+                        "--pa", "tpa"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert "modulation: OQPSK\n" in out
+        assert "binding: payload_max\n" in out
+        assert "below the waterfall regime" not in out
+
     @pytest.mark.parametrize("text,distance,pa,coefficient", [
         ("[link]\nbandwidth_khz = 3.9e251\n[circuit]\npc_mqam_mw = 4.8e-299\n",
          "10", "cpa", "b_coeff must be positive finite, got 0.0"),
@@ -445,8 +460,9 @@ class TestLifetimeSharedTable:
         assert base == baseline_only(cfg, link, pa)
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
-        """No candidate is solved twice: 2,259 solves, and 2,007 entries of
-        schemes that no cap can carry a payload on, built without a solve,
+        """No candidate is solved twice: 1,755 solves, 2,007 entries of
+        schemes that no cap can carry a payload on and 504 entries sharing
+        the interior point of a smaller cap, both built without a solve,
         make up the 4,266 entries."""
         calls, entries = [], {}
         solve, tables = optimizer._solve_candidate, cli.candidate_tables
@@ -476,10 +492,18 @@ class TestLifetimeSharedTable:
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
         assert len(entries) == points * per_point == 4266
-        assert len(calls) == len(set(calls)) == 2259
+        assert len(calls) == len(set(calls)) == 1755
         unsolved = set(entries) - set(calls)
-        assert len(unsolved) == 4266 - 2259 == 2007
-        assert all(entries[key].reason is not None for key in unsolved)
+        assert len(unsolved) == 4266 - 1755 == 2007 + 504
+        rejected = {key for key in unsolved if entries[key].reason is not None}
+        assert len(rejected) == 2007
+        for d, variant, name, tau in unsolved - rejected:
+            shared = entries[d, variant, name, tau].point
+            below = entries[d, variant, name, tau - 1].point
+            assert shared.binding in (optimizer.Binding.UNCONSTRAINED,
+                                      optimizer.Binding.SNR_MAX_BOUND)
+            assert shared.tau_r == tau
+            assert (shared[:3], shared[5:]) == (below[:3], below[5:])
 
 
 class TestSolveRouting:
@@ -686,6 +710,35 @@ class TestUnusableArguments:
         assert not out_path.exists()
 
 
+class TestOutFile:
+    def test_existing_file_replaced_through_its_link(self, tmp_path):
+        """A command that succeeds replaces the file a link names, with the
+        file's permissions, and leaves the link and no temporary file."""
+        target = tmp_path / "data" / "sweep.csv"
+        target.parent.mkdir()
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "out.csv"
+        link.symlink_to(target)
+        assert run_cli(["sweep", "--pa", "cpa", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8").startswith("distance_m,")
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in target.parent.iterdir()] == ["sweep.csv"]
+
+    def test_pipe_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(["optimize", "--distance", "10", "--out",
+                            str(fifo)]) == cli.EXIT_OK
+            assert os.read(reader, 65536).startswith(b"distance_m: 10\n")
+        finally:
+            os.close(reader)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -840,15 +893,21 @@ class TestOutOfRangeConfig:
 
     def test_lifetime_out_of_range_keeps_an_existing_output_file(
             self, tmp_path):
-        """Only a file the command created is removed; one that existed is
-        left in place, truncated as every --out is, with no partial CSV."""
+        """A file that existed is left as it was, whether the lifetime
+        underflows or overflows, with no temporary file left beside it."""
         path = tmp_path / "range.ini"
-        path.write_text("[duty]\npayload_kbit = 1e-322\n", encoding="utf-8")
-        out = tmp_path / "u.csv"
-        out.write_text("old\n", encoding="utf-8")
-        code = run_cli(["--config", str(path), "lifetime", "--out", str(out)])
-        assert code == cli.EXIT_USAGE
-        assert out.read_bytes() == b""
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"123456789")
+        for text in ("[duty]\npayload_kbit = 1e-322\n",
+                     "[duty]\nbattery_ah = 1e300\nbattery_v = 1\n"
+                     "period_s = 1e10\n"):
+            path.write_text(text, encoding="utf-8")
+            code = run_cli(["--config", str(path), "lifetime", "--out",
+                            str(out)])
+            assert code == cli.EXIT_USAGE
+            assert out.read_bytes() == b"123456789"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "keep.csv", "range.ini"]
 
     def test_lifetime_out_of_range_writes_nothing_to_stdout(self, tmp_path,
                                                             capsys):

@@ -903,10 +903,11 @@ class TestDefaultPassWork:
         triples.  669 of them carry no payload at full power under the
         largest cap, so every cap is rejected with no coefficients, map or
         solve; the other 753 build one ``EnergyCoefficients`` and one map
-        each and solve 2,259 candidates with 4,317 loop evaluations (8,433
-        when every distance starts from 0) and 1,824 integer passes.  The
-        QoS spec of each of the 3 caps is built once, the path gain is
-        evaluated once per distance, 79 times, and
+        each and solve 1,755 candidates with 3,718 loop evaluations (6,474
+        when every distance starts cold) and 1,320 integer passes; the other
+        504 of their 2,259 candidates share the interior point of a smaller
+        cap, with no solve.  The QoS spec of each of the 3 caps is built
+        once, the path gain is evaluated once per distance, 79 times, and
         ``log1p(-per_attempt_bound)`` once per spec, 3 times.  No
         ``LinkBudget`` is built: a distance reaches the set-ups only as its
         path gain."""
@@ -968,13 +969,70 @@ class TestDefaultPassWork:
             CFG.pa_models.values(), CFG.modulations, CFG.n_h,
             delta=CFG.delta, circuit_power=CFG.circuit_power,
         ))
-        assert calls == {"solve": 2259, "map": 753, "coefficients": 753,
-                         "loop": 4317, "integer": 1824, "spec": 3, "gain": 79,
+        assert calls == {"solve": 1755, "map": 753, "coefficients": 753,
+                         "loop": 3718, "integer": 1320, "spec": 3, "gain": 79,
                          "log1p": 3}
         assert calls["link"] == 0
         set_ups = entries // CFG.qos.max_retransmissions
         assert (entries, set_ups) == (4266, 1422)
         assert set_ups - len(solved) == 669
+
+
+    @staticmethod
+    def count_solves_and_evaluations(monkeypatch):
+        """A Counter of candidate solves and payload-map evaluations, integer
+        steps included, made from here on."""
+        calls = Counter()
+        solve, build = optimizer._solve_candidate, optimizer.payload_map
+
+        def counting_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counting_map(*inputs):
+            step = build(*inputs)
+
+            def counted(*args):
+                calls["evaluation"] += 1
+                return step(*args)
+            return counted
+
+        monkeypatch.setattr(optimizer, "_solve_candidate", counting_solve)
+        monkeypatch.setattr(optimizer, "payload_map", counting_map)
+        return calls
+
+    def test_default_grid_one_distance_at_a_time(self, monkeypatch):
+        """The 237 default tables built one distance at a time, as
+        ``joint_optimize`` and ``optimize`` build them, so that every solve
+        starts cold: 1,755 solves and 7,794 map evaluations (2,259 and
+        10,257 with a start of 0 and a solve per cap)."""
+        calls = self.count_solves_and_evaluations(monkeypatch)
+        for d in CFG.distances():
+            for _ in candidate_tables(
+                CFG.link_template, (d,), CFG.qos, CFG.pa_models.values(),
+                CFG.modulations, CFG.n_h, delta=CFG.delta,
+                circuit_power=CFG.circuit_power,
+            ):
+                pass
+        assert calls == {"solve": 1755, "evaluation": 7794}
+
+    def test_point_query_batches(self, monkeypatch):
+        """Batches 1 to 3 of the benchmark's point-query stream of seed 1,
+        one single-distance table per query: 5,630 solves and 28,002 map
+        evaluations (7,979 and 37,352 with a start of 0 and a solve per
+        cap)."""
+        calls = self.count_solves_and_evaluations(monkeypatch)
+        for batch in (1, 2, 3):
+            for query in WORKLOADS.generate_queries(1, batch, 300):
+                config = parse_config(query.ini)
+                for _ in candidate_tables(
+                    config.link_template, (query.distance_m,), config.qos,
+                    (config.pa_models[PaVariant(query.pa)],),
+                    config.modulations, config.n_h, delta=config.delta,
+                    circuit_power=config.circuit_power,
+                ):
+                    pass
+        assert calls == {"solve": 5630, "evaluation": 28002}
 
 
 class TestTableEntries:
