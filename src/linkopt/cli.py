@@ -81,8 +81,15 @@ def _open_out(path: str | None) -> tuple[TextIO, str | None]:
             if not os.path.isfile(target):
                 return open(path, "w", encoding="utf-8", newline=""), None
             open(target, "a").close()  # fails where writing it would
-        temp = f"{target}.{os.getpid()}.tmp"
-        out = open(temp, "x", encoding="utf-8", newline="")
+        # A killed run whose pid is reused leaves a name taken; take the next.
+        temp, n = f"{target}.{os.getpid()}.tmp", 0
+        while True:
+            try:
+                out = open(temp, "x", encoding="utf-8", newline="")
+                break
+            except FileExistsError:
+                n += 1
+                temp = f"{target}.{os.getpid()}.{n}.tmp"
     except OSError as exc:
         raise ConfigError(
             f"--out: cannot write {path!r} ({exc.strerror or exc})"
@@ -95,7 +102,7 @@ def _open_out(path: str | None) -> tuple[TextIO, str | None]:
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
                  out: TextIO) -> int:
     """Solve one distance and print the operating point."""
-    [(_, _, table)] = _tables(config, (variant,), (distance,))
+    [(_, _, table)] = _tables(config, (variant,), (distance,), ())
     point = select_best(table)
     out.write(f"distance_m: {_fmt(distance)}\n")
     out.write(f"pa_model: {variant.value}\n")
@@ -123,14 +130,15 @@ SWEEP_COLUMNS = [
 
 
 def _tables(config: ScenarioConfig, variants: Sequence[PaVariant],
-            distances: Sequence[float]):
+            distances: Sequence[float], keep_best_of: tuple):
     """:func:`candidate_tables` of the config at ``distances``, amplifiers
-    by name."""
+    by name, good only for the best point of each table and of each scheme
+    in ``keep_best_of``."""
     return candidate_tables(
         config.link_template, distances, config.qos,
         [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
         config.modulations, config.n_h, delta=config.delta,
-        circuit_power=config.circuit_power,
+        circuit_power=config.circuit_power, keep_best_of=keep_best_of,
     )
 
 
@@ -140,7 +148,7 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, pa, table in _tables(config, variants, config.distances()):
+    for d, pa, table in _tables(config, variants, config.distances(), ()):
         point = select_best(table)
         any_feasible = any_feasible or point.feasible
         writer.writerow([
@@ -172,7 +180,8 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     is selected by identity from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d, pa, table in _tables(config, variants, config.distances()):
+    for d, pa, table in _tables(config, variants, config.distances(),
+                                (baseline,)):
         base = select_best(c for c in table if c.scheme is baseline)
         yield d, pa.variant, select_best(table), base
 

@@ -282,8 +282,28 @@ def _law_setup(
     return scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step
 
 
+def _energy_floor(setup: tuple, qos: QosSpec, ceiling: int) -> float:
+    """A lower bound on the energy of every point a solve of ``setup`` at
+    ``qos`` can report, given its payload ceiling ``ceiling`` (>= 1).
+
+    Such a point has at least one transmission, a payload of at most
+    ``ceiling`` bits, so an overhead of at least ``(n_h + ceiling) /
+    ceiling``, and an SNR at least the reliability floor at ``N = n_h + 1``
+    bits, below every floor the solve conditions against (the floor rises
+    with ``N``; below the waterfall regime the solve reports nothing, so
+    ``log(N c_eff)`` is taken as at least 0)."""
+    scheme, n_h, coeffs = setup[0], setup[4], setup[5]
+    n_c = (n_h + 1) * scheme.c_eff
+    w0 = ((math.log(n_c) if n_c > 1.0 else 0.0) + EULER_GAMMA) / scheme.k_eff
+    gamma = -w0 / qos.log_keep
+    if coeffs.pa_variant is PaVariant.TPA:
+        gamma = math.sqrt(gamma)
+    return (n_h + ceiling) / ceiling * coeffs.a_coeff * gamma + coeffs.b_coeff
+
+
 def _solve_candidate(
-    setup: tuple, qos: QosSpec, delta: float, n_p_init: float
+    setup: tuple, qos: QosSpec, delta: float, n_p_init: float,
+    ceiling: int | None = None,
 ) -> tuple[Candidate, float, bool]:
     """Alternating SNR/payload optimization for one (modulation, QoS) pair
     on the scheme's :func:`_law_setup`: the fixed point of the payload
@@ -294,7 +314,8 @@ def _solve_candidate(
     steps contract and a plain step otherwise, until a step moves the
     payload by at most ``delta`` relative, within ``MAX_ITER`` map
     evaluations (read when called); one more step at the floored payload
-    gives the point's SNR, binding and payload optimum.  ``n_p_init == 0``
+    gives the point's SNR, binding and payload optimum.  ``ceiling`` is the
+    payload ceiling at ``qos`` when the caller has it.  ``n_p_init == 0``
     starts cold, at ten headers (interior optima scale with the header),
     raised where needed to one bit past the edge of the waterfall regime,
     ``c_eff N = 1``, so that no solve starts below it.
@@ -307,7 +328,8 @@ def _solve_candidate(
     if len(setup) == 2:
         return _rejected(setup[0], qos, setup[1]), 0.0, False
     scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step = setup
-    ceiling = payload_max(scheme, n_h, gamma_cap, qos)
+    if ceiling is None:
+        ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
         return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0, False
 
@@ -436,14 +458,15 @@ def joint_optimize(
     """Exhaustive search over modulations and retransmission caps.
 
     :func:`select_best` of the one table :func:`candidate_tables` builds at
-    ``link``'s distance for ``pa``: the feasible (modulation, tau) pair with
-    the lowest truncated-retransmission energy, ties within 1e-9 relative
-    going to the lower modulation order, then the smaller cap, or a marker
-    with one reason per rejected candidate.
+    ``link``'s distance for ``pa``, with the candidates that cannot win
+    bounded out (``keep_best_of=()``): the feasible (modulation, tau) pair
+    with the lowest truncated-retransmission energy, ties within 1e-9
+    relative going to the lower modulation order, then the smaller cap, or
+    a marker with one reason per rejected candidate.
     """
     [(_, _, table)] = candidate_tables(
         link, (link.distance_m,), qos, (pa,), modulation_set, n_h,
-        delta=delta, circuit_power=circuit_power,
+        delta=delta, circuit_power=circuit_power, keep_best_of=(),
     )
     return select_best(table)
 
@@ -458,6 +481,7 @@ def candidate_tables(
     *,
     delta: float,
     circuit_power: Mapping[CircuitClass, float],
+    keep_best_of: Iterable[ModulationScheme] | None = None,
 ) -> Iterator[tuple[float, PaModel, list[Candidate]]]:
     """Yield ``(distance, pa, table)``, distance-major, amplifiers in the
     given order: the one builder of candidate tables.
@@ -485,6 +509,25 @@ def candidate_tables(
     tables, as the equality tests in ``tests/test_solver_reference.py``
     check on the default grid, on random grids and across a distance where
     16QAM/TPA has a second, unstable fixed point.
+
+    With ``keep_best_of`` None every table is whole.  Otherwise a table
+    serves only :func:`select_best` of it and of the entries of each scheme
+    in ``keep_best_of`` (branch and bound): its schemes are solved in
+    ascending order of their smallest :func:`_energy_floor`, that of the
+    largest cap, and each scheme's caps in ascending order.  A cap whose
+    floor exceeds by more than 1e-3 relative the lowest energy found so far
+    in the table (in the scheme, for a scheme in ``keep_best_of``) is not
+    solved: its entry is the rejection ``bounded out: energy >= X, best
+    Y``, and its sweep start is kept.  Nothing is bounded out before an
+    entry is feasible, so an infeasible table keeps every reason, and a
+    NaN floor bounds out nothing.  This cannot change the pick.  Between
+    the lowest energy E of a table of L entries and ``E (1 - 1e-9)^-(L +
+    1)``, below ``E (1 + 1e-3)`` for L under 900,000, the L energies leave
+    empty some band one factor ``(1 - 1e-9)^-1`` wide (pigeonhole).  Every
+    entry below that gap beats every entry above it by more than the 1e-9
+    tie tolerance, so the first entry below it replaces any best so far,
+    and the pick depends only on the entries below it.  A bounded-out
+    entry lies more than 1e-3 above a solved energy, so above the gap.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -494,49 +537,79 @@ def candidate_tables(
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
+    bounded = keep_best_of is not None
+    if bounded:
+        keep_best_of = tuple(keep_best_of)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
     specs = [QosSpec(qos.target_per, tau) for tau in range(min(top, 1), top + 1)]
-    # The converged payload of each table entry of each amplifier at the
-    # previous distance, in yield order; 0.0 (no convergence, or no previous
-    # distance) marks no start.
-    starts = [0.0] * (len(pas) * len(mods) * len(specs))
+    n_specs = len(specs)
     # The payload ceiling grows with the cap, so the largest cap's ceiling
     # decides whether any cap of a scheme can carry a payload.
     top_spec = specs[-1]
     laws = [[_scheme_law(link_template, pa, scheme,
                          circuit_power[scheme.circuit_power_class])
              for scheme in mods] for pa in pas]
+    # The converged payload of each table entry of each amplifier at the
+    # previous distance, in table order; 0.0 (no convergence, or no previous
+    # distance) marks no start.
+    starts = [[0.0] * (len(mods) * n_specs) for _ in pas]
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         g_d = link_template.gain_at(d)
-        k = 0
-        for pa, pa_laws in zip(pas, laws):
-            table = []
-            for law in pa_laws:
-                setup = _law_setup(law, g_d, n_h, top_spec)
+        for pa, pa_laws, pa_starts in zip(pas, laws, starts):
+            setups = [_law_setup(law, g_d, n_h, top_spec) for law in pa_laws]
+            order = range(len(setups))
+            if bounded:
+                floors = [0.0 if len(s) == 2 else _energy_floor(
+                    s, top_spec, payload_max(s[0], n_h, s[6], top_spec))
+                    for s in setups]
+                order = sorted(order, key=floors.__getitem__)
+            table = [None] * len(pa_starts)
+            best = math.inf
+            for i in order:
+                setup = setups[i]
+                k = i * n_specs
                 if len(setup) == 2:
                     scheme, reason = setup
                     for spec in specs:
-                        table.append(_rejected(scheme, spec, reason))
-                        starts[k] = 0.0
+                        table[k] = _rejected(scheme, spec, reason)
+                        pa_starts[k] = 0.0
                         k += 1
                     continue
+                scheme, gamma_cap = setup[0], setup[6]
+                own = bounded and scheme in keep_best_of
+                own_best = math.inf
                 shared = False
                 for spec in specs:
                     if shared:
-                        scheme, _, point, _ = candidate
+                        _, _, point, _ = candidate
                         tau = spec.max_retransmissions
                         candidate = _new(Candidate, (scheme, tau, point._replace(
                             tau_r=tau, energy=energy_per_bit(
                                 setup[5], scheme, point.n_p, n_h,
                                 point.gamma_bar, spec)), None))
                     else:
+                        ceiling = payload_max(scheme, n_h, gamma_cap, spec)
+                        if bounded and ceiling >= 1:
+                            bound = _energy_floor(setup, spec, ceiling)
+                            limit = own_best if own else best
+                            if bound > limit * (1.0 + 1e-3):
+                                table[k] = _rejected(scheme, spec, (
+                                    f"bounded out: energy >= {bound:.4g}, "
+                                    f"best {limit:.4g}"))
+                                k += 1
+                                continue
                         candidate, n_p, shared = _solve_candidate(
-                            setup, spec, delta, starts[k]
+                            setup, spec, delta, pa_starts[k], ceiling
                         )
-                    starts[k] = n_p
+                    pa_starts[k] = n_p
+                    table[k] = candidate
                     k += 1
-                    table.append(candidate)
+                    point = candidate.point
+                    if point is not None and point.energy < own_best:
+                        own_best = point.energy
+                        if own_best < best:
+                            best = own_best
             yield d, pa, table

@@ -460,10 +460,12 @@ class TestLifetimeSharedTable:
         assert base == baseline_only(cfg, link, pa)
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
-        """No candidate is solved twice: 1,755 solves, 2,007 entries of
-        schemes that no cap can carry a payload on and 504 entries sharing
-        the interior point of a smaller cap, both built without a solve,
-        make up the 4,266 entries."""
+        """No candidate is solved twice, and every entry the lifetime path
+        did not bound out equals its entry of the whole table: 1,003 solves
+        (1,755 for whole tables), 1,125 entries bounded out, and 2,007
+        entries of schemes that no cap can carry a payload on and 131
+        sharing the interior point of a smaller cap, both built without a
+        solve, make up the 4,266 entries."""
         calls, entries = [], {}
         solve, tables = optimizer._solve_candidate, cli.candidate_tables
         cfg = default_config()
@@ -488,22 +490,31 @@ class TestLifetimeSharedTable:
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
         monkeypatch.setattr(cli, "candidate_tables", recording)
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
+        monkeypatch.undo()
         points = len(cfg.distances()) * len(PaVariant)
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
         assert len(entries) == points * per_point == 4266
-        assert len(calls) == len(set(calls)) == 1755
-        unsolved = set(entries) - set(calls)
-        assert len(unsolved) == 4266 - 1755 == 2007 + 504
+        assert len(calls) == len(set(calls)) == 1003
+        whole = {
+            (d, pa.variant, c.scheme.name, c.tau): c
+            for d, pa, table in optimizer.candidate_tables(
+                cfg.link_template, cfg.distances(), cfg.qos,
+                cfg.pa_models.values(), cfg.modulations, cfg.n_h,
+                delta=cfg.delta,
+                circuit_power=cfg.circuit_power)
+            for c in table}
+        bounded_out = {key for key, c in entries.items()
+                       if c.reason is not None and ": bounded out: " in c.reason}
+        assert not bounded_out & set(calls)
+        assert len(bounded_out) == 1125
+        for key in set(entries) - bounded_out:
+            assert entries[key] == whole[key]
+        unsolved = set(entries) - bounded_out - set(calls)
         rejected = {key for key in unsolved if entries[key].reason is not None}
-        assert len(rejected) == 2007
-        for d, variant, name, tau in unsolved - rejected:
-            shared = entries[d, variant, name, tau].point
-            below = entries[d, variant, name, tau - 1].point
-            assert shared.binding in (optimizer.Binding.UNCONSTRAINED,
-                                      optimizer.Binding.SNR_MAX_BOUND)
-            assert shared.tau_r == tau
-            assert (shared[:3], shared[5:]) == (below[:3], below[5:])
+        assert (len(rejected), len(unsolved - rejected)) == (2007, 131)
+        baseline = cfg.baseline_scheme().name
+        assert not {key for key in bounded_out if key[2] == baseline}
 
 
 class TestSolveRouting:
@@ -725,6 +736,18 @@ class TestOutFile:
         assert target.read_text(encoding="utf-8").startswith("distance_m,")
         assert target.stat().st_mode & 0o777 == 0o640
         assert [p.name for p in target.parent.iterdir()] == ["sweep.csv"]
+
+    def test_stale_temporary_file_left_alone(self, tmp_path):
+        """A temporary file a killed run left under this pid does not stop
+        the command; it takes another name and leaves the stale one."""
+        target = tmp_path / "keep.csv"
+        stale = tmp_path / f"keep.csv.{os.getpid()}.tmp"
+        stale.write_text("stale\n", encoding="utf-8")
+        assert run_cli(["sweep", "--pa", "cpa", "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8").startswith("distance_m,")
+        assert stale.read_text(encoding="utf-8") == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "keep.csv", stale.name]
 
     def test_pipe_written_in_place(self, tmp_path):
         fifo = tmp_path / "out.fifo"

@@ -897,6 +897,51 @@ class TestCandidateTables:
             list(tables)
 
 
+class TestEnergyFloor:
+    """``_energy_floor``, the bound by which a table bounded for selection
+    skips a solve, lies at or below the energy of every feasible entry of
+    whole tables."""
+
+    @staticmethod
+    def floor_over_energy(cfg, distances, pas):
+        """``_energy_floor / energy`` of each feasible entry of ``cfg``'s
+        whole tables, the floor given the entry's set-up and cap."""
+        ratios = []
+        for d, pa, table in candidate_tables(
+            cfg.link_template, distances, cfg.qos, pas, cfg.modulations,
+            cfg.n_h, delta=cfg.delta, circuit_power=cfg.circuit_power,
+        ):
+            for scheme, tau, point, _ in table:
+                if point is None:
+                    continue
+                setup = optimizer._law_setup(optimizer._scheme_law(
+                    cfg.link_template, pa, scheme,
+                    cfg.circuit_power[scheme.circuit_power_class],
+                ), cfg.link_template.gain_at(d), cfg.n_h)
+                spec = QosSpec(cfg.qos.target_per, tau)
+                ceiling = payload_max(scheme, cfg.n_h, setup[6], spec)
+                ratios.append(optimizer._energy_floor(setup, spec, ceiling)
+                              / point.energy)
+        return ratios
+
+    def test_default_tables(self):
+        ratios = self.floor_over_energy(CFG, CFG.distances(),
+                                        CFG.pa_models.values())
+        assert len(ratios) == 1824
+        assert max(ratios) <= 1.0 + 1e-12
+
+    def test_point_query_batch(self):
+        """Batch 1 of the benchmark's point-query stream of seed 1."""
+        ratios = []
+        for query in WORKLOADS.generate_queries(1, 1, 300):
+            config = parse_config(query.ini)
+            ratios += self.floor_over_energy(
+                config, (query.distance_m,),
+                (config.pa_models[PaVariant(query.pa)],))
+        assert len(ratios) == 2254
+        assert max(ratios) <= 1.0 + 1e-12
+
+
 class TestDefaultPassWork:
     def test_solves_maps_evaluations_and_specs(self, monkeypatch):
         """One default pass sets up 1,422 (distance, amplifier, scheme)
@@ -1016,12 +1061,10 @@ class TestDefaultPassWork:
                 pass
         assert calls == {"solve": 1755, "evaluation": 7794}
 
-    def test_point_query_batches(self, monkeypatch):
+    @staticmethod
+    def point_query_batches(keep_best_of):
         """Batches 1 to 3 of the benchmark's point-query stream of seed 1,
-        one single-distance table per query: 5,630 solves and 28,002 map
-        evaluations (7,979 and 37,352 with a start of 0 and a solve per
-        cap)."""
-        calls = self.count_solves_and_evaluations(monkeypatch)
+        one single-distance table per query."""
         for batch in (1, 2, 3):
             for query in WORKLOADS.generate_queries(1, batch, 300):
                 config = parse_config(query.ini)
@@ -1030,9 +1073,38 @@ class TestDefaultPassWork:
                     (config.pa_models[PaVariant(query.pa)],),
                     config.modulations, config.n_h, delta=config.delta,
                     circuit_power=config.circuit_power,
+                    keep_best_of=keep_best_of,
                 ):
                     pass
+
+    def test_point_query_batches(self, monkeypatch):
+        """:meth:`point_query_batches` with whole tables: 5,630 solves and
+        28,002 map evaluations (7,979 and 37,352 with a start of 0 and a
+        solve per cap)."""
+        calls = self.count_solves_and_evaluations(monkeypatch)
+        self.point_query_batches(None)
         assert calls == {"solve": 5630, "evaluation": 28002}
+
+    def test_point_query_batches_bounded(self, monkeypatch):
+        """The same with the tables bounded for selection, as
+        ``joint_optimize`` builds them: 2,790 solves and 10,861 map
+        evaluations."""
+        calls = self.count_solves_and_evaluations(monkeypatch)
+        self.point_query_batches(())
+        assert calls == {"solve": 2790, "evaluation": 10861}
+
+    def test_default_sweep_bounded(self, monkeypatch):
+        """The default sweep with the tables bounded for selection, as
+        ``sweep`` builds them: 934 solves and 2,277 map evaluations (1,755
+        and 5,038 for whole tables)."""
+        calls = self.count_solves_and_evaluations(monkeypatch)
+        for _ in candidate_tables(
+            CFG.link_template, CFG.distances(), CFG.qos,
+            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
+            delta=CFG.delta, circuit_power=CFG.circuit_power, keep_best_of=(),
+        ):
+            pass
+        assert calls == {"solve": 934, "evaluation": 2277}
 
 
 class TestTableEntries:

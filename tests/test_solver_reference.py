@@ -14,6 +14,8 @@ table must equal a cold solve, and every table of a sweep must equal the
 single-distance table at its distance, on the default grid, on random grids
 of random configs, and across a distance where 16QAM/TPA has a second fixed
 point.
+The tables bounded for selection (``keep_best_of``) must select what the
+whole tables select.
 The closed forms inside the map are checked by the oracle battery in
 ``linkopt.validation``.
 """
@@ -23,11 +25,12 @@ import re
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkopt import optimizer
 from linkopt.config import default_config, parse_config
+from linkopt.errors import ConfigError
 from linkopt.energy import (
     PaVariant,
     avg_transmissions,
@@ -41,9 +44,11 @@ from linkopt.optimizer import (
     OperatingPoint,
     candidate_tables,
     payload_map,
+    select_best,
     snr_max,
 )
 from linkopt.per import QosSpec, payload_max, per_rayleigh
+from test_cli import CUSTOM_SCHEME_SPACE
 
 # The plain iteration converges linearly; give it room to reach the same
 # relative tolerance the accelerated solver stops at.
@@ -334,3 +339,85 @@ def test_default_grid_builds_one_map_per_table_and_scheme():
     assert len(tables) == 79 * 3
     assert len(tables) * len(cfg.modulations) == 1422
     assert len(maps) == 753
+
+
+def assert_bounded_tables_select_as_whole_tables(cfg, pas):
+    """Over ``cfg.distances()``, the tables bounded for selection alone and
+    for the baseline's best too select, by ``repr``, what the whole tables
+    select: the best point and the baseline's best.  Returns the number of
+    tables compared."""
+    baseline = cfg.baseline_scheme()
+
+    def tables(keep_best_of):
+        return candidate_tables(
+            cfg.link_template, cfg.distances(), cfg.qos, pas,
+            cfg.modulations, cfg.n_h, delta=cfg.delta,
+            circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
+        )
+
+    def base(table):
+        return repr(select_best(c for c in table if c.scheme is baseline))
+
+    compared = 0
+    for (d, pa, whole), (_, _, alone), (_, _, kept) in zip(
+            tables(None), tables(()), tables((baseline,))):
+        best = repr(select_best(whole))
+        assert len(whole) == len(alone) == len(kept)
+        assert repr(select_best(alone)) == best, (d, pa.variant)
+        assert repr(select_best(kept)) == best, (d, pa.variant)
+        assert base(kept) == base(whole), (d, pa.variant)
+        compared += 1
+    return compared
+
+
+BUILT_IN = "NCFSK, BPSK, OQPSK, 4QAM, 16QAM, 64QAM"
+
+
+@settings(max_examples=60, deadline=None)
+@given(**dict(SWEEP_SPACE, max_retx=st.one_of(st.integers(0, 5), st.just(100))),
+       d_min=st.floats(2.0, 80.0), span=st.floats(0.0, 12.0),
+       step=st.floats(2.0, 7.0), custom=st.booleans(),
+       baseline=st.sampled_from(BUILT_IN.split(", ") + ["X"]),
+       scheme=st.fixed_dictionaries({
+           key: CUSTOM_SCHEME_SPACE[key] for key in (
+               "bits_per_symbol", "ber_form", "c_m", "k_m", "papr",
+               "circuit_class")}))
+@example(10.0, 3.5, 10.0, 48, 1e-3, 100, PaVariant.TPA, 2.0, 12.0, 3.0,
+         False, "OQPSK", dict(bits_per_symbol=2, ber_form="exponential",
+                              c_m=1.0, k_m=1.0, papr=1.0, circuit_class="mqam"))
+def test_bounded_tables_select_as_whole_tables(
+        p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx, variant,
+        d_min, span, step, custom, baseline, scheme):
+    """The same on a random grid of a random query config, with or without
+    a custom scheme X next to the built-in ones and any enabled baseline."""
+    extra = ""
+    if custom:
+        extra = "[modulation.X]\n" + "".join(
+            f"{key} = {value!r}\n" if isinstance(value, float) else
+            f"{key} = {value}\n" for key, value in scheme.items())
+    elif baseline == "X":
+        baseline = "OQPSK"
+    try:
+        cfg = query_config(
+            p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx,
+            f"[sweep]\nd_min_m = {d_min!r}\nd_max_m = {d_min + span!r}\n"
+            f"d_step_m = {step!r}\n" + extra + "[modulations]\n"
+            f"enabled = {BUILT_IN}{', X' if custom else ''}\n"
+            f"baseline = {baseline}\n",
+        )
+    except ConfigError:
+        assume(False)
+    assert assert_bounded_tables_select_as_whole_tables(
+        cfg, (cfg.pa_models[variant],)) == len(cfg.distances())
+
+
+def test_bounded_tables_across_a_second_fixed_point():
+    """The same on a 0.125 m grid around 73.125 m in the config where
+    16QAM/TPA has a second, unstable fixed point, for every amplifier."""
+    cfg = query_config(
+        1.0, 2.60546875, 3.0, 2, 0.003066017267510455, 2,
+        "[sweep]\nd_min_m = 72.0\nd_max_m = 74.25\nd_step_m = 0.125\n",
+    )
+    assert 73.125 in cfg.distances()
+    assert assert_bounded_tables_select_as_whole_tables(
+        cfg, tuple(cfg.pa_models.values())) == 19 * 3
