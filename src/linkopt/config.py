@@ -106,6 +106,10 @@ period_s = 300.0
 # neither the reliability floor nor the payload ceiling binding shares its
 # point, without a solve.
 delta = 1e-10
+# quad_epsrel, quad_epsabs: the relative and absolute error targets of the
+# quadrature oracles of `validate`. Each integral must end with an error
+# estimate within max(10 quad_epsabs, 1e-6 |value|), so quad_epsrel is at most
+# 1e-6; quad_epsabs = 0 needs a quad_epsrel of at least 50 machine epsilons.
 quad_epsrel = 1e-10
 quad_epsabs = 1e-14
 """
@@ -514,6 +518,13 @@ def _tolerance(sections: _Sections, fields: dict) -> dict:
     delta = tol.positive("delta")
     epsrel = tol.non_negative("quad_epsrel")
     epsabs = tol.non_negative("quad_epsabs")
+    # The quadrature oracles accept an error estimate of at most 1e-6
+    # relative (oracles._checked_quad), which a looser target need not meet.
+    if epsrel > 1e-6:
+        raise ConfigError(
+            f"tolerance.quad_epsrel: must be <= 1e-6, the relative error the "
+            f"quadrature oracles accept, got {epsrel!r}"
+        )
     # QUADPACK's invalid-input rule: with no absolute tolerance, a relative
     # one below 50 machine epsilons can never be met.
     if epsabs == 0.0 and epsrel < 50.0 * math.ulp(1.0):

@@ -103,6 +103,8 @@ _WG = (
 _NODES = tuple(-x for x in _XGK) + (0.0,) + _XGK[::-1]
 _KRONROD = _WGK + (_WGK_CENTRE,) + _WGK[::-1]
 _GAUSS = _WG + (0.0,) + _WG[::-1]
+# The nonzero Gauss weights, those of the odd nodes.
+_GAUSS_ODD = _GAUSS[1::2]
 # Round-off floor of a panel's error estimate, relative to its integral of |f|.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 # Most panels one adaptive integral may split into (QUADPACK's ``limit``).
@@ -110,16 +112,28 @@ QUAD_PANELS = 400
 
 
 def _qk21(f, a: float, b: float) -> tuple[float, float]:
-    """QK21 on one panel: the Kronrod value and QUADPACK's error estimate."""
+    """QK21 on one panel: the Kronrod value and QUADPACK's error estimate.
+
+    The Gauss estimate sums only the 10 nodes of nonzero Gauss weight, the
+    odd ones of :data:`_NODES`.  The integral of ``|f|`` that scales the
+    round-off floor is the Kronrod sum itself when no value is negative, as
+    for every PER and PER density the oracles integrate.  For finite values
+    both are bit-identical to the sums over all 21 nodes: each skipped term
+    is a zero weight times a value, ±0.0, which leaves a float sum as it
+    is, and ``|v| = v`` for ``v >= 0``.
+    """
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     values = f(centre, half)
     kronrod = sum(map(mul, _KRONROD, values))
     mean = 0.5 * kronrod
     width = abs(half)
-    res_abs = sum(map(mul, _KRONROD, map(abs, values))) * width
+    if min(values) >= 0.0:
+        res_abs = kronrod * width
+    else:
+        res_abs = sum(map(mul, _KRONROD, map(abs, values))) * width
     res_asc = sum(map(mul, _KRONROD, [abs(v - mean) for v in values])) * width
-    err = abs((kronrod - sum(map(mul, _GAUSS, values))) * half)
+    err = abs((kronrod - sum(map(mul, _GAUSS_ODD, values[1::2]))) * half)
     if res_asc != 0.0 and err != 0.0:
         err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
     return kronrod * half, max(_ROUNDOFF * res_abs, err)

@@ -97,22 +97,33 @@ def _check(name: str, threshold: float, floor: float = 0.0):
     return decorate
 
 
+# The grid of the feasibility-prefix check and the distances of the
+# conditioning checks; one sweep of the battery builds the tables of both.
+PREFIX_DISTANCES = tuple(float(d) for d in range(2, 90, 2))
+CONDITIONING_DISTANCES = (5.0, 15.0, 25.0, 35.0, 45.0)
+
+
 class BatteryRun:
     """Oracle work shared by the checks of one battery run.
 
     ``cmd_validate`` makes one per call, and every check reads its scenario
     from ``config``.  :meth:`quad` memoizes the quadrature oracles and runs
     them all on one :class:`oracles.AwgnPerCurve` per scheme and packet
-    size, so each quadrature node is evaluated once per run; the
-    conditioned points are solved once.  Nothing outlives the run, and no
-    candidate table outlives the check that solves it.
+    size, so each quadrature node is evaluated once per run.  The tables
+    the conditioning and feasibility-prefix checks read are built in one
+    sweep over the sorted union of :data:`PREFIX_DISTANCES` and
+    :data:`CONDITIONING_DISTANCES`, and streamed: the run keeps of them only
+    the conditioned points and, at each distance of the prefix grid, which
+    schemes have a feasible entry.  A ValueError or ArithmeticError the
+    sweep raises reaches each check that reads it.  Nothing outlives the
+    run, and no candidate table outlives the sweep or check that builds it.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self._curves: dict = {}
         self._quad: dict = {}
-        self._conditioned = None
+        self._swept = None
 
     def quad(self, integral, scheme: ModulationScheme, n_bits: int,
              *args) -> float:
@@ -130,24 +141,49 @@ class BatteryRun:
             )
         return self._quad[key]
 
-    def tables(self, distances):
-        """:func:`optimizer.candidate_tables` of the scenario at ``distances``."""
+    def tables(self, distances, keep_best_of=None):
+        """:func:`optimizer.candidate_tables` of the scenario at
+        ``distances``, whole or bounded for selection by ``keep_best_of``."""
         config = self.config
         return opt.candidate_tables(
             config.link_template, distances, config.qos,
             config.pa_models.values(), config.modulations, config.n_h,
             delta=config.delta, circuit_power=config.circuit_power,
+            keep_best_of=keep_best_of,
         )
 
+    def _sweep(self) -> tuple[list, list]:
+        """``(conditioned points, feasibility flags)`` of the run's one
+        sweep of whole tables, made on the first call."""
+        if self._swept is None:
+            prefix = frozenset(PREFIX_DISTANCES)
+            conditioning = frozenset(CONDITIONING_DISTANCES)
+            schemes = self.config.modulations
+            conditioned, flags = [], []
+            for d, pa, table in self.tables(sorted(prefix | conditioning)):
+                if d in conditioning:
+                    conditioned += [(d, pa, c.point)
+                                    for c in table if c.point is not None]
+                if d in prefix:
+                    # Table schemes are the config's own objects: identity,
+                    # not the dataclass __eq__.
+                    feasible = {id(c.scheme) for c in table
+                                if c.point is not None}
+                    flags.append((d, pa, [id(s) in feasible for s in schemes]))
+            self._swept = conditioned, flags
+        return self._swept
+
     def conditioned_points(self) -> list:
-        """``(distance, pa, point)`` of every feasible candidate at 5..45 m."""
-        if self._conditioned is None:
-            self._conditioned = [
-                (d, pa, c.point)
-                for d, pa, table in self.tables((5.0, 15.0, 25.0, 35.0, 45.0))
-                for c in table if c.point is not None
-            ]
-        return self._conditioned
+        """``(distance, pa, point)`` of every feasible candidate at
+        :data:`CONDITIONING_DISTANCES`, in table order."""
+        return self._sweep()[0]
+
+    def feasibility_flags(self) -> list:
+        """``(distance, pa, flags)`` at each distance of
+        :data:`PREFIX_DISTANCES` and each amplifier, distance-major:
+        ``flags[i]`` says whether ``config.modulations[i]`` has a feasible
+        entry in that table."""
+        return self._sweep()[1]
 
 
 @_check("waterfall_closed_vs_numeric", 0.03)
@@ -403,7 +439,9 @@ def check_scale_invariance(run: BatteryRun):
     Scaling noise density, power cap, amplifier maximum and circuit power by
     a common factor multiplies every (A, B) pair by that factor while
     leaving the SNR window untouched, so the selected modulation and the
-    optimal SNR must not move.
+    optimal SNR must not move.  The tables at 5, 20 and 45 m, unscaled and
+    scaled, are built bounded for selection (``keep_best_of=()``), which
+    selects what whole tables select.
     """
     config = run.config
     factor = 7.3
@@ -427,8 +465,10 @@ def check_scale_invariance(run: BatteryRun):
          for pa in config.pa_models.values()],
         config.modulations, config.n_h, delta=config.delta,
         circuit_power={k: v * factor for k, v in config.circuit_power.items()},
+        keep_best_of=(),
     )
-    for (d, pa, table), (_, _, scaled_table) in zip(run.tables(distances), scaled):
+    unscaled = run.tables(distances, keep_best_of=())
+    for (d, pa, table), (_, _, scaled_table) in zip(unscaled, scaled):
         one, other = opt.select_best(table), opt.select_best(scaled_table)
         same = (
             one.feasible == other.feasible
@@ -449,8 +489,10 @@ def check_multistart_agreement(run: BatteryRun):
     distance's path gain.
     ``candidate_tables`` starts each candidate's solve from its payload at
     the previous distance of a sweep, else cold, which is only sound while
-    each candidate has a single fixed point.  A rejected start fails the
-    check with its reason.
+    each candidate has a single fixed point.  An (amplifier, distance) whose
+    payload ceiling at the config's cap is below one bit is skipped: its
+    solve is rejected before a start is read, so no two starts can disagree
+    there.  Any other rejected start fails the check with its reason.
     """
     config = run.config
     scheme = _scheme_like_16qam(config)
@@ -461,6 +503,9 @@ def check_multistart_agreement(run: BatteryRun):
         law = opt._scheme_law(template, pa, scheme, p_c)
         for d in (8.0, 20.0):
             setup = opt._law_setup(law, template.gain_at(d), config.n_h)
+            if len(setup) > 2 and payload_max(
+                    scheme, config.n_h, setup[6], config.qos) < 1:
+                continue
             energies = []
             for _ in range(10):
                 candidate, *_ = opt._solve_candidate(
@@ -506,19 +551,17 @@ def check_conditioning_snr_max(run: BatteryRun):
 def check_feasibility_prefix(run: BatteryRun):
     """Once a scheme goes infeasible with distance it stays infeasible.
 
-    The residual of each feasible entry is the count of violations so far.
+    Reads the run's feasibility flags over :data:`PREFIX_DISTANCES`.  The
+    residual of each feasible entry is the count of violations so far.
     """
     violations = 0
     seen_infeasible = set()
-    for _, pa, table in run.tables([float(d) for d in range(2, 90, 2)]):
-        for scheme in run.config.modulations:
-            # Table schemes are the config's own objects: identity, not the
-            # dataclass __eq__.
-            point = opt.select_best(c for c in table if c.scheme is scheme)
-            if not point.feasible:
-                seen_infeasible.add((pa.variant, scheme))
+    for _, pa, flags in run.feasibility_flags():
+        for i, feasible in enumerate(flags):
+            if not feasible:
+                seen_infeasible.add((pa.variant, i))
                 continue
-            violations += (pa.variant, scheme) in seen_infeasible
+            violations += (pa.variant, i) in seen_infeasible
             yield float(violations), ""
 
 

@@ -175,9 +175,19 @@ class TestRejection:
                 f"[tolerance]\nquad_epsrel = {epsrel}\nquad_epsabs = 0\n"
             )
 
+    @pytest.mark.parametrize("epsrel", ["2e-6", "1e-5", "1"])
+    def test_quad_epsrel_the_oracles_cannot_meet_rejected(self, epsrel):
+        """The quadrature oracles accept an error estimate of at most 1e-6
+        relative, so a looser target is refused before any check runs."""
+        with pytest.raises(ConfigError,
+                           match="tolerance.quad_epsrel: must be <= 1e-6"):
+            parse_config(f"[tolerance]\nquad_epsrel = {epsrel}\n")
+
     def test_quad_tolerance_edges_accepted(self):
         cfg = parse_config("[tolerance]\nquad_epsrel = 0\nquad_epsabs = 1e-14\n")
         assert (cfg.quad_epsrel, cfg.quad_epsabs) == (0.0, 1e-14)
+        cfg = parse_config("[tolerance]\nquad_epsrel = 1e-6\n")
+        assert cfg.quad_epsrel == 1e-6
         cfg = parse_config("[tolerance]\nquad_epsrel = 1.2e-14\nquad_epsabs = 0\n")
         assert (cfg.quad_epsrel, cfg.quad_epsabs) == (1.2e-14, 0.0)
 

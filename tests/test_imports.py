@@ -157,7 +157,7 @@ def test_no_link_copied_per_distance(path):
 ORACLE_NAMES = (
     "_q_function", "ber", "awgn_per", "_awgn_cutoff",
     "CUTOFF_FLOOR", "_XGK", "_WGK", "_WGK_CENTRE", "_WG", "_NODES",
-    "_KRONROD", "_GAUSS", "_ROUNDOFF", "QUAD_PANELS", "_qk21",
+    "_KRONROD", "_GAUSS", "_GAUSS_ODD", "_ROUNDOFF", "QUAD_PANELS", "_qk21",
     "_gauss_kronrod", "_checked_quad", "_awgn_pers", "AwgnPerCurve",
     "waterfall_threshold_numeric",
     "per_rayleigh_exact", "_INVPHI", "_INVPHI2", "golden_section_min",

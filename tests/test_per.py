@@ -2,6 +2,7 @@
 
 import io
 import math
+from operator import mul
 
 import pytest
 
@@ -314,8 +315,72 @@ def panel(f):
     return lambda centre, half: [f(centre + half * x) for x in oracles._NODES]
 
 
+def reference_qk21(f, a, b):
+    """QK21 on one panel with every sum over all 21 nodes, the Gauss sum
+    with its zero weights and the sum of ``|f|`` always taken: the formula
+    ``oracles._qk21`` shortens."""
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    values = f(centre, half)
+    kronrod = sum(map(mul, oracles._KRONROD, values))
+    mean = 0.5 * kronrod
+    width = abs(half)
+    res_abs = sum(map(mul, oracles._KRONROD, map(abs, values))) * width
+    res_asc = sum(map(mul, oracles._KRONROD,
+                      [abs(v - mean) for v in values])) * width
+    err = abs((kronrod - sum(map(mul, oracles._GAUSS, values))) * half)
+    if res_asc != 0.0 and err != 0.0:
+        err = res_asc * min(1.0, (200.0 * err / res_asc) ** 1.5)
+    return kronrod * half, max(oracles._ROUNDOFF * res_abs, err)
+
+
+@pytest.fixture
+def panels_against_reference(monkeypatch):
+    """A list of the panels ``oracles._qk21`` evaluates from here on, each
+    result checked against :func:`reference_qk21`: equal value and error,
+    and equal reprs, so equal to the last bit, sign of zero included."""
+    qk21 = oracles._qk21
+    panels = []
+
+    def comparing(f, a, b):
+        got, expected = qk21(f, a, b), reference_qk21(f, a, b)
+        assert got == expected and repr(got) == repr(expected), (a, b)
+        panels.append((a, b))
+        return got
+
+    monkeypatch.setattr(oracles, "_qk21", comparing)
+    return panels
+
+
 class TestGaussKronrod:
     """The standard-library adaptive QK21 rule behind both oracles."""
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (math.sin, 0.0, 20.0),
+        (lambda x: 1.0 if math.floor(x * 7.3) % 2 else -1.0, 0.0, 1.0),
+        (lambda x: float(math.floor(x * 1e9) % 2), 0.0, 1.0),
+        (lambda x: x ** 31, -1.0, 1.0),
+        (lambda x: -0.0 if x < 0.3 else math.exp(-x) - 0.5, 0.0, 2.0),
+        (lambda x: -1.0 / math.sqrt(x), 0.0, 1.0),
+    ], ids=["sine", "signed_square_wave", "square_wave", "x31", "signed_zero",
+            "negative_singular"])
+    def test_panel_equals_the_full_sums(self, panels_against_reference, f, lo,
+                                        hi):
+        """Integrands of either sign, or both, on every panel the adaptive
+        rule evaluates."""
+        oracles._gauss_kronrod(panel(f), lo, hi, EPSREL, EPSABS)
+        assert panels_against_reference
+
+    def test_panels_of_a_default_validate_equal_the_full_sums(
+            self, panels_against_reference):
+        """Every panel of one default validate call, PER table included:
+        the 1,707 panels its 161 integrals split into."""
+        from linkopt import cli
+
+        out = io.StringIO()
+        code = cli.cmd_validate(default_config(), out, io.StringIO())
+        assert code == cli.EXIT_OK
+        assert len(panels_against_reference) == 1707
 
     def test_rule_is_exact_to_its_degree(self):
         """Over [-1, 1], the Gauss weights integrate x^d exactly up to

@@ -3,19 +3,24 @@
 import gc
 import io
 import math
+import sys
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from linkopt import cli, optimizer, oracles
-from linkopt.config import default_config
+from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant
 from linkopt.optimizer import Binding
-from linkopt.per import BerForm, CircuitClass, ModulationScheme
+from linkopt.per import BerForm, CircuitClass, ModulationScheme, payload_max
 from linkopt.validation import (
     ALL_CHECKS,
+    CONDITIONING_DISTANCES,
     PACKET_SIZES,
+    PREFIX_DISTANCES,
     BatteryRun,
     _worst,
     check_conditioning_snr_max,
@@ -29,6 +34,7 @@ from linkopt.validation import (
     run_all_checks,
     write_per_error_table,
 )
+from test_solver_reference import QUERY_SPACE, query_config
 
 CFG = default_config()
 # The quadrature tolerances the battery passes to the oracles.
@@ -249,7 +255,10 @@ def test_worst_keeps_the_first_largest_residual():
 @pytest.mark.parametrize("forced", [0, 1])
 def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
     """A scheme made infeasible at 2 m and feasible again further out is a
-    violation at every later distance where it is feasible."""
+    violation at every later distance of the prefix grid where it is
+    feasible.  The battery's one sweep also builds the tables at 5, 15, 25,
+    35 and 45 m for the conditioning checks; those are not on the grid and
+    do not count."""
     tables = optimizer.candidate_tables
     seen = []
 
@@ -262,7 +271,7 @@ def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
                     c._replace(point=None, reason="forced") if c.scheme is scheme
                     else c for c in table
                 ]
-            elif d > 2.0 and any(
+            elif d > 2.0 and d in PREFIX_DISTANCES and any(
                 c.scheme is scheme and c.point is not None for c in table
             ):
                 again += 1
@@ -274,3 +283,128 @@ def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
     assert result.residual == (seen[0] if forced else 0.0)
     assert result.passed == (not forced)
     assert seen[0] > 0
+
+
+def assert_sweep_matches_separate_tables(cfg):
+    """The run's feasibility flags equal ``select_best(...).feasible`` of
+    each scheme's entries of the whole single-distance table at each
+    distance of the prefix grid, and its conditioned points equal, by
+    ``repr``, those of a separate sweep over the conditioning distances."""
+    run = BatteryRun(cfg)
+    expected = [
+        (d, pa.variant, [
+            optimizer.select_best(c for c in table if c.scheme is s).feasible
+            for s in cfg.modulations])
+        for distance in PREFIX_DISTANCES
+        for d, pa, table in run.tables((distance,))
+    ]
+    assert [(d, pa.variant, flags)
+            for d, pa, flags in run.feasibility_flags()] == expected
+    separate = [(d, pa, c.point)
+                for d, pa, table in run.tables(CONDITIONING_DISTANCES)
+                for c in table if c.point is not None]
+    assert repr(run.conditioned_points()) == repr(separate)
+
+
+def test_sweep_matches_separate_tables_default():
+    assert_sweep_matches_separate_tables(CFG)
+
+
+@settings(max_examples=4, deadline=None)
+@given(**{k: v for k, v in QUERY_SPACE.items()
+          if k not in ("distance", "variant")})
+def test_sweep_matches_separate_tables_random_configs(
+        p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx):
+    assert_sweep_matches_separate_tables(query_config(
+        p0_mw, kappa, bandwidth_khz, n_h_bits, target_per, max_retx))
+
+
+def test_sweep_matches_separate_tables_second_fixed_point_config():
+    """The config where 16QAM/TPA has a second, unstable fixed point near
+    73 m with a 2-bit header."""
+    assert_sweep_matches_separate_tables(query_config(
+        1.0, 2.60546875, 3.0, 2, 0.003066017267510455, 2))
+
+
+def test_default_validate_solves(monkeypatch):
+    """One default validate call solves 1,221 candidates: 1,071 in the
+    battery's one sweep of 147 whole tables, 90 in the 18 bounded
+    scale-invariance tables and 60 multistart starts."""
+    calls = Counter()
+    solve = optimizer._solve_candidate
+
+    def counting(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(optimizer, "_solve_candidate", counting)
+    sweep = BatteryRun._sweep
+
+    def counting_sweep(run):
+        before = calls["candidate_tables"]
+        swept = sweep(run)
+        calls["sweep"] += calls["candidate_tables"] - before
+        return swept
+
+    monkeypatch.setattr(BatteryRun, "_sweep", counting_sweep)
+    code = cli.cmd_validate(CFG, io.StringIO(), io.StringIO())
+    assert code == cli.EXIT_OK
+    assert calls == {"candidate_tables": 1161, "sweep": 1071,
+                     "check_multistart_agreement": 60}
+
+
+def test_sweep_error_fails_each_check_that_reads_it(monkeypatch):
+    """An error the sweep raises fails the two conditioning checks and the
+    feasibility-prefix check, each under its own name; the other checks,
+    which build no table at 46 m, pass."""
+    tables = optimizer.candidate_tables
+
+    def failing(link, distances, *args, **kwargs):
+        for d, pa, table in tables(link, distances, *args, **kwargs):
+            if d == 46.0:
+                raise ArithmeticError("overflow at 46 m")
+            yield d, pa, table
+
+    monkeypatch.setattr(optimizer, "candidate_tables", failing)
+    failed = {result.name: result.line()
+              for result in run_all_checks(BatteryRun(CFG))
+              if not result.passed}
+    assert failed == {
+        name: f"{name},FAIL,residual=inf,threshold={threshold:.3e},"
+              "ArithmeticError: overflow at 46 m"
+        for name, threshold in (("conditioning_snr_min", 1e-9),
+                                ("conditioning_snr_max", 1e-12),
+                                ("feasibility_prefix", 0.0))
+    }
+
+
+@pytest.mark.parametrize("text", [
+    "[qos]\nmax_retransmissions = 0\n", "[link]\nkappa = 6\n",
+], ids=["no_retransmissions", "kappa_6"])
+def test_multistart_skips_a_distance_with_no_payload(text):
+    """16QAM carries no payload at full power at 20 m for CPA in both
+    configs; the multistart check skips that pair and the battery passes."""
+    cfg = parse_config(text)
+    scheme = next(s for s in cfg.modulations if s.name == "16QAM")
+    cpa = cfg.pa_models[PaVariant.CPA]
+    gamma_cap = optimizer.snr_max(
+        replace(cfg.link_template, distance_m=20.0), scheme, cpa)
+    assert payload_max(scheme, cfg.n_h, gamma_cap, cfg.qos) < 1
+    results = run_all_checks(BatteryRun(cfg))
+    assert [r.line() for r in results if not r.passed] == []
+
+
+def test_multistart_fails_on_any_other_rejection(monkeypatch):
+    """A start the solve rejects for any other reason still fails."""
+    monkeypatch.setattr(optimizer, "MAX_ITER", 1)
+    result = check_multistart_agreement(BatteryRun(CFG))
+    assert not result.passed and result.residual == math.inf
+    assert "no convergence within 1 iterations" in result.detail
+
+
+def test_loosest_quadrature_tolerance_passes():
+    """``quad_epsrel`` at its largest accepted value, 1e-6, meets the
+    oracles' error-estimate bound: the battery passes."""
+    cfg = parse_config("[tolerance]\nquad_epsrel = 1e-6\n")
+    results = run_all_checks(BatteryRun(cfg))
+    assert [r.line() for r in results if not r.passed] == []
