@@ -19,7 +19,7 @@ from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime
-from .optimizer import candidate_tables, select_best
+from .optimizer import best_point, candidate_tables, select_best
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,15 +35,11 @@ def _fmt(value: float | int | str | None) -> str:
     return str(value)
 
 
-def _db(value: float | None) -> float | None:
-    if value is None:
-        return None
+def _db(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def _dbm(value_w: float | None) -> float | None:
-    if value_w is None:
-        return None
+def _dbm(value_w: float) -> float:
     return 10.0 * math.log10(value_w * 1e3)
 
 
@@ -149,20 +145,24 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
     for d, pa, table in _tables(config, variants, config.distances(), ()):
-        point = select_best(table)
-        any_feasible = any_feasible or point.feasible
+        point = best_point(table)
+        if point is None:
+            writer.writerow([_fmt(d), pa.variant.value, *[""] * 7,
+                             "infeasible", "false"])
+            continue
+        any_feasible = True
         writer.writerow([
             _fmt(d),
             pa.variant.value,
-            point.scheme.name if point.feasible else "",
+            point.scheme.name,
             _fmt(_db(point.gamma_bar)),
             _fmt(_dbm(point.p_t)),
-            _fmt(point.p_pa * 1e3 if point.p_pa is not None else None),
+            _fmt(point.p_pa * 1e3),
             _fmt(point.n_p),
             _fmt(point.tau_r),
             _fmt(point.energy),
             point.binding.value,
-            str(point.feasible).lower(),
+            "true",
         ])
     return EXIT_OK if any_feasible else EXIT_INFEASIBLE
 
@@ -174,7 +174,7 @@ LIFETIME_COLUMNS = [
 
 
 def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
-    """One (distance, amplifier, best point, baseline point) per row.
+    """One (distance, amplifier, best, baseline) per row, None if infeasible.
 
     The baseline is one of the config's own scheme objects, so its best point
     is selected by identity from the same candidate table as the overall best.
@@ -182,8 +182,8 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     baseline = config.baseline_scheme()
     for d, pa, table in _tables(config, variants, config.distances(),
                                 (baseline,)):
-        base = select_best(c for c in table if c.scheme is baseline)
-        yield d, pa.variant, select_best(table), base
+        base = best_point(c for c in table if c.scheme is baseline)
+        yield d, pa.variant, best_point(table), base
 
 
 def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
@@ -195,8 +195,8 @@ def cmd_lifetime(config: ScenarioConfig, variants: Sequence[PaVariant],
     rows = []
     any_feasible = False
     for d, variant, best, base in _lifetime_rows(config, variants):
-        life = lifetime(best, config.duty) if best.feasible else None
-        base_life = lifetime(base, config.duty) if base.feasible else None
+        life = None if best is None else lifetime(best, config.duty)
+        base_life = None if base is None else lifetime(base, config.duty)
         gain = None
         if life is not None and base_life is not None:
             # lifetime_gain's own expression, on the two lifetimes above.

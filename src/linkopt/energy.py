@@ -118,7 +118,7 @@ class EnergyCoefficients:
 def check_coefficients(a_coeff: float, b_coeff: float) -> None:
     """Raise ValueError unless both coefficients are positive finite doubles:
     the check of every :class:`EnergyCoefficients`, which the candidate
-    tables also run on a scheme they reject without building one."""
+    tables also run on each set-up, before any solve builds one."""
     if a_coeff <= 0.0 or not math.isfinite(a_coeff):
         raise ValueError(f"a_coeff must be positive finite, got {a_coeff}")
     if b_coeff <= 0.0 or not math.isfinite(b_coeff):

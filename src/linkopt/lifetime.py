@@ -31,8 +31,8 @@ class DutyProfile:
             "payload_per_period_bits",
             "period_s",
         ):
-            if getattr(self, field) <= 0.0:
-                raise ValueError(f"{field} must be > 0")
+            if not 0.0 < (value := getattr(self, field)) < math.inf:
+                raise ValueError(f"{field} must be > 0 and finite, got {value}")
         if not math.isfinite(self.energy_budget_j):
             raise ValueError(
                 "the energy budget battery_charge_ah * 3600 * battery_voltage "

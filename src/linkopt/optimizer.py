@@ -13,7 +13,7 @@ Sign conventions: the cubic solved for the TPA optimum is written against the
 scaled threshold ``k_eff * w0`` (the threshold with its decay constant
 multiplied back in); with that convention its root is the exact stationary
 point of the TPA energy curve, which the numeric oracle in
-:mod:`linkopt.validation` confirms.
+:mod:`linkopt.oracles` confirms.
 """
 
 from __future__ import annotations
@@ -203,14 +203,25 @@ def payload_map(
 class Candidate(NamedTuple):
     """One (modulation, retransmission cap) entry of the candidate table.
 
-    Exactly one of ``point`` (a feasible operating point) and ``reason``
-    (why the candidate was rejected) is set.
+    Exactly one of ``point`` (a feasible operating point) and ``rejection``
+    (why the candidate was rejected) is set.  A rejection is kept as data, a
+    format template followed by its values or a finished string (the rare
+    reasons of a payload map or a solve); :attr:`reason` renders its text.
     """
 
     scheme: ModulationScheme
     tau: int
     point: OperatingPoint | None
-    reason: str | None
+    rejection: tuple | str | None
+
+    @property
+    def reason(self) -> str | None:
+        """``"{scheme}/tau={tau}: {why}"``, rendered on each access, or None
+        for a feasible entry."""
+        why = self.rejection
+        if why.__class__ is tuple:
+            why = why[0].format(*why[1:])
+        return None if why is None else f"{self.scheme.name}/tau={self.tau}: {why}"
 
 
 # Table entries are built as ``namedtuple._make`` builds them, skipping the
@@ -220,22 +231,18 @@ class Candidate(NamedTuple):
 _new = tuple.__new__
 
 
-def _rejected(scheme: ModulationScheme, qos: QosSpec, reason: str) -> Candidate:
-    """The table entry of a rejected candidate, its reason prefixed with the
-    scheme and cap: every rejection of a solve is made here."""
-    tau = qos.max_retransmissions
-    reason = f"{scheme.name}/tau={tau}: {reason}"
-    return _new(Candidate, (scheme, tau, None, reason))
+def _rejected(scheme: ModulationScheme, qos: QosSpec, rejection) -> Candidate:
+    """The table entry of a rejected candidate at ``qos``'s cap: every
+    rejection of a solve is made here."""
+    return _new(Candidate, (scheme, qos.max_retransmissions, None, rejection))
 
 
 # The reason of a set-up whose energy coefficients raise or fail their check.
 _COEFFICIENTS_OUT_OF_RANGE = "energy coefficients outside the range of a double ({})"
-
-
-def _no_payload(gamma_cap: float) -> str:
-    """Why a cap is rejected when no payload meets its PER bound at the SNR
-    cap ``gamma_cap``."""
-    return f"no payload meets the PER bound at full power (snr_max={gamma_cap:.4g})"
+# Templates of a cap with no payload meeting its PER bound at the SNR cap,
+# and of a cap bounded out of a table (its energy floor, the best energy).
+_NO_PAYLOAD = "no payload meets the PER bound at full power (snr_max={:.4g})"
+_BOUNDED_OUT = "bounded out: energy >= {:.4g}, best {:.4g}"
 
 
 def _scheme_law(
@@ -254,14 +261,17 @@ def _scheme_law(
 
 def _law_setup(
     law: tuple, g_d: float, n_h: int, top_spec: QosSpec | None = None
-) -> tuple:
-    """``(scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step)``: what every
-    solve of one scheme at path gain ``g_d`` shares and no retransmission
-    cap changes, a :func:`_scheme_law` evaluated there.  Or ``(scheme,
-    reason)`` when the coefficients (checked first, by the check
-    :class:`EnergyCoefficients` runs) or the SNR cap leave the doubles, or
-    when ``top_spec`` is given and no payload meets its bound at the SNR
-    cap."""
+) -> list | tuple:
+    """``[scheme, link, g_d, pa, n_h, ceiling, gamma_cap, a, b, coeffs,
+    step]``: what every solve of one scheme at path gain ``g_d`` shares and
+    no retransmission cap changes, a :func:`_scheme_law` evaluated there,
+    with the payload ceiling at ``top_spec`` (None without one).  The
+    :class:`EnergyCoefficients` of ``a`` and ``b`` and their payload map are
+    None until :func:`_solve_candidate` first needs them, and are kept here
+    for the scheme's other caps.  Or ``(scheme, rejection)`` when the
+    coefficients (checked first, by :func:`check_coefficients`) or the SNR
+    cap leave the doubles, or when no payload meets ``top_spec``'s bound at
+    the SNR cap."""
     if len(law) == 2:
         return law
     scheme, link, pa, a_at, b, snr_at = law
@@ -275,30 +285,29 @@ def _law_setup(
         return scheme, (
             "SNR cap outside the range of a double (snr_max underflows to 0)"
         )
-    if top_spec is not None and payload_max(scheme, n_h, gamma_cap, top_spec) < 1:
-        return scheme, _no_payload(gamma_cap)
-    coeffs = EnergyCoefficients(a, b, pa.variant)
-    step = payload_map(coeffs, scheme, n_h, gamma_cap)
-    return scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step
+    ceiling = None if top_spec is None else payload_max(
+        scheme, n_h, gamma_cap, top_spec)
+    if ceiling is not None and ceiling < 1:
+        return scheme, (_NO_PAYLOAD, gamma_cap)
+    return [scheme, link, g_d, pa, n_h, ceiling, gamma_cap, a, b, None, None]
 
 
-def _energy_floor(setup: tuple, qos: QosSpec, ceiling: int) -> float:
+def _energy_floor(setup: list, qos: QosSpec, ceiling: int, w0: float) -> float:
     """A lower bound on the energy of every point a solve of ``setup`` at
-    ``qos`` can report, given its payload ceiling ``ceiling`` (>= 1).
+    ``qos`` can report, given its payload ceiling ``ceiling`` (>= 1) and
+    the scheme's waterfall threshold ``w0`` at ``N = n_h + 1`` bits.
 
     Such a point has at least one transmission, a payload of at most
     ``ceiling`` bits, so an overhead of at least ``(n_h + ceiling) /
     ceiling``, and an SNR at least the reliability floor at ``N = n_h + 1``
     bits, below every floor the solve conditions against (the floor rises
     with ``N``; below the waterfall regime the solve reports nothing, so
-    ``log(N c_eff)`` is taken as at least 0)."""
-    scheme, n_h, coeffs = setup[0], setup[4], setup[5]
-    n_c = (n_h + 1) * scheme.c_eff
-    w0 = ((math.log(n_c) if n_c > 1.0 else 0.0) + EULER_GAMMA) / scheme.k_eff
+    ``log(N c_eff)`` may be taken as at least 0)."""
+    n_h, a, b = setup[4], setup[7], setup[8]
     gamma = -w0 / qos.log_keep
-    if coeffs.pa_variant is PaVariant.TPA:
+    if setup[3].variant is PaVariant.TPA:
         gamma = math.sqrt(gamma)
-    return (n_h + ceiling) / ceiling * coeffs.a_coeff * gamma + coeffs.b_coeff
+    return (n_h + ceiling) / ceiling * a * gamma + b
 
 
 def _solve_candidate(
@@ -327,11 +336,14 @@ def _solve_candidate(
     """
     if len(setup) == 2:
         return _rejected(setup[0], qos, setup[1]), 0.0, False
-    scheme, link, g_d, pa, n_h, coeffs, gamma_cap, step = setup
+    scheme, link, g_d, pa, n_h, _, gamma_cap, a, b, coeffs, step = setup
     if ceiling is None:
         ceiling = payload_max(scheme, n_h, gamma_cap, qos)
     if ceiling < 1:
-        return _rejected(scheme, qos, _no_payload(gamma_cap)), 0.0, False
+        return _rejected(scheme, qos, (_NO_PAYLOAD, gamma_cap)), 0.0, False
+    if step is None:
+        coeffs = setup[9] = EnergyCoefficients(a, b, pa.variant)
+        step = setup[10] = payload_map(coeffs, scheme, n_h, gamma_cap)
 
     log_keep = qos.log_keep
     cap = float(ceiling)
@@ -414,34 +426,30 @@ def _solve_candidate(
         binding is Binding.UNCONSTRAINED or binding is Binding.SNR_MAX_BOUND)
 
 
-def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
-    """Lowest-energy feasible point of a candidate table, in table order.
+def best_point(candidates: Iterable[Candidate]) -> OperatingPoint | None:
+    """Lowest-energy feasible point of a candidate table, in table order, or
+    None when nothing is feasible; no reason is rendered.
 
     A later candidate replaces the best so far only when its energy is lower
-    by more than 1e-9 relative, so ties keep the earlier entry.  When nothing
-    is feasible the returned marker carries one reason per candidate.
+    by more than 1e-9 relative, so ties keep the earlier entry.
     """
     best: OperatingPoint | None = None
-    reasons: list[str] = []
     for candidate in candidates:
         point = candidate.point
-        if point is None:
-            reasons.append(candidate.reason)
-        elif best is None or point.energy < best.energy * (1.0 - 1e-9):
+        if point is not None and (
+                best is None or point.energy < best.energy * (1.0 - 1e-9)):
             best = point
+    return best
+
+
+def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
+    """:func:`best_point`, or when nothing is feasible a marker carrying
+    the rendered reason of each candidate, the only reasons it renders."""
+    table = list(candidates)
+    best = best_point(table)
     if best is None:
-        return OperatingPoint(
-            scheme=None,
-            gamma_bar=None,
-            n_p=None,
-            tau_r=None,
-            energy=None,
-            p_t=None,
-            p_pa=None,
-            feasible=False,
-            binding=Binding.INFEASIBLE,
-            failure_reasons=tuple(reasons),
-        )
+        return OperatingPoint(*[None] * 7, False, Binding.INFEASIBLE,
+                              tuple(c.reason for c in table))
     return best
 
 
@@ -497,11 +505,13 @@ def candidate_tables(
     once per call, is evaluated by :func:`_law_setup`; a scheme whose
     coefficients or SNR cap leave the doubles there, or whose largest cap
     carries no payload at full power, has every cap rejected without a map
-    or a solve.  The map depends on the cap only through the SNR floor,
-    which falls as the cap grows, and the payload ceiling, which rises; so
-    once a cap's solve is ``interior`` (:func:`_solve_candidate`), each
-    larger cap shares its point, with ``tau`` and the energy at its own
-    ``QosSpec``.  A candidate starts at its converged (or shared) payload
+    or a solve, and a scheme's first solve builds the map its other caps
+    reuse.  Entries keep their rejections as data, so a reader that renders
+    no :attr:`Candidate.reason` formats no text.  The map depends on the cap
+    only through the SNR floor, which falls as the cap grows, and the
+    payload ceiling, which rises; so once a cap's solve is ``interior``
+    (:func:`_solve_candidate`), each larger cap shares its point, with
+    ``tau`` and the energy at its own ``QosSpec``.  A candidate starts at its converged (or shared) payload
     from the previous distance of the sweep, else cold.  Where each
     candidate has one fixed point, as ``check_multistart_agreement``
     checks, the start does not change the outcome, so no table depends on
@@ -511,8 +521,9 @@ def candidate_tables(
     16QAM/TPA has a second, unstable fixed point.
 
     With ``keep_best_of`` None every table is whole.  Otherwise a table
-    serves only :func:`select_best` of it and of the entries of each scheme
-    in ``keep_best_of`` (branch and bound): its schemes are solved in
+    serves only :func:`best_point` (or :func:`select_best`) of it and of the
+    entries of each scheme in ``keep_best_of`` (branch and bound): its
+    schemes are solved in
     ascending order of their smallest :func:`_energy_floor`, that of the
     largest cap, and each scheme's caps in ascending order.  A cap whose
     floor exceeds by more than 1e-3 relative the lowest energy found so far
@@ -550,6 +561,9 @@ def candidate_tables(
     laws = [[_scheme_law(link_template, pa, scheme,
                          circuit_power[scheme.circuit_power_class])
              for scheme in mods] for pa in pas]
+    # _energy_floor's w0 of each scheme, log(N c_eff) taken as at least 0.
+    floor_w0 = [(math.log(max(1.0, (n_h + 1) * scheme.c_eff)) + EULER_GAMMA)
+                / scheme.k_eff for scheme in mods]
     # The converged payload of each table entry of each amplifier at the
     # previous distance, in table order; 0.0 (no convergence, or no previous
     # distance) marks no start.
@@ -563,8 +577,7 @@ def candidate_tables(
             order = range(len(setups))
             if bounded:
                 floors = [0.0 if len(s) == 2 else _energy_floor(
-                    s, top_spec, payload_max(s[0], n_h, s[6], top_spec))
-                    for s in setups]
+                    s, top_spec, s[5], w0) for s, w0 in zip(setups, floor_w0)]
                 order = sorted(order, key=floors.__getitem__)
             table = [None] * len(pa_starts)
             best = math.inf
@@ -572,9 +585,9 @@ def candidate_tables(
                 setup = setups[i]
                 k = i * n_specs
                 if len(setup) == 2:
-                    scheme, reason = setup
+                    scheme, rejection = setup
                     for spec in specs:
-                        table[k] = _rejected(scheme, spec, reason)
+                        table[k] = _rejected(scheme, spec, rejection)
                         pa_starts[k] = 0.0
                         k += 1
                     continue
@@ -588,17 +601,18 @@ def candidate_tables(
                         tau = spec.max_retransmissions
                         candidate = _new(Candidate, (scheme, tau, point._replace(
                             tau_r=tau, energy=energy_per_bit(
-                                setup[5], scheme, point.n_p, n_h,
+                                setup[9], scheme, point.n_p, n_h,
                                 point.gamma_bar, spec)), None))
                     else:
-                        ceiling = payload_max(scheme, n_h, gamma_cap, spec)
+                        ceiling = setup[5] if spec is top_spec else payload_max(
+                            scheme, n_h, gamma_cap, spec)
                         if bounded and ceiling >= 1:
-                            bound = _energy_floor(setup, spec, ceiling)
+                            bound = _energy_floor(setup, spec, ceiling,
+                                                  floor_w0[i])
                             limit = own_best if own else best
                             if bound > limit * (1.0 + 1e-3):
                                 table[k] = _rejected(scheme, spec, (
-                                    f"bounded out: energy >= {bound:.4g}, "
-                                    f"best {limit:.4g}"))
+                                    _BOUNDED_OUT, bound, limit))
                                 k += 1
                                 continue
                         candidate, n_p, shared = _solve_candidate(

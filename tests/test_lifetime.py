@@ -1,10 +1,13 @@
 """Tests for battery lifetime estimation and gain comparisons."""
 
+import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from linkopt.config import parse_config
+from linkopt.errors import ConfigError
 from linkopt.lifetime import DutyProfile, lifetime, lifetime_gain
 from linkopt.optimizer import Binding, OperatingPoint
 
@@ -63,6 +66,26 @@ class TestLifetime:
             DutyProfile(2.0, 3.0, 5e3, -1.0)
         with pytest.raises(ValueError, match="outside the range of a double"):
             DutyProfile(1e300, 1e300, 5e3, 300.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_field_rejected_by_name(self, index, value):
+        """nan passes a ``<= 0`` check and inf a budget check that another
+        field's nan makes nan; each is rejected here, naming its field."""
+        args = [2.0, 3.0, 5e3, 300.0]
+        args[index] = value
+        name = fields(DutyProfile)[index].name
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be > 0 and finite, got {value}$"):
+            DutyProfile(*args)
+
+    def test_payload_overflowing_to_inf_rejected_with_the_config(self):
+        """``payload_kbit`` is finite but its bits overflow: the config is
+        rejected as it is read, not when a lifetime comes out as 0 s."""
+        with pytest.raises(ConfigError, match=(
+                "^duty: payload_per_period_bits must be > 0 and finite, "
+                "got inf$")):
+            parse_config("[duty]\npayload_kbit = 1e306\n")
 
 
 class TestLifetimeGain:

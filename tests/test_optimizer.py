@@ -65,7 +65,8 @@ def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     runs, on the scheme's set-up at the link's path gain."""
     setup = optimizer._law_setup(optimizer._scheme_law(link, pa, scheme, p_c),
                                  link.gain_at(link.distance_m), n_h)
-    return optimizer._solve_candidate(setup, qos, delta, n_p_init)[0][2:]
+    candidate = optimizer._solve_candidate(setup, qos, delta, n_p_init)[0]
+    return candidate.point, candidate.reason
 
 
 def rejections_matching_solves(cfg, distances, pas):
@@ -78,7 +79,9 @@ def rejections_matching_solves(cfg, distances, pas):
         delta=cfg.delta, circuit_power=cfg.circuit_power,
     ):
         link = replace(cfg.link_template, distance_m=d)
-        for scheme, tau, _, reason in table:
+        for candidate in table:
+            scheme, tau, reason = (candidate.scheme, candidate.tau,
+                                   candidate.reason)
             if reason is not None:
                 assert solve_one(
                     link, QosSpec(cfg.qos.target_per, tau), pa, scheme,
@@ -920,7 +923,8 @@ class TestEnergyFloor:
                 ), cfg.link_template.gain_at(d), cfg.n_h)
                 spec = QosSpec(cfg.qos.target_per, tau)
                 ceiling = payload_max(scheme, cfg.n_h, setup[6], spec)
-                ratios.append(optimizer._energy_floor(setup, spec, ceiling)
+                w0 = waterfall_threshold(scheme, cfg.n_h + 1)
+                ratios.append(optimizer._energy_floor(setup, spec, ceiling, w0)
                               / point.energy)
         return ratios
 
@@ -948,7 +952,7 @@ class TestDefaultPassWork:
         triples.  669 of them carry no payload at full power under the
         largest cap, so every cap is rejected with no coefficients, map or
         solve; the other 753 build one ``EnergyCoefficients`` and one map
-        each and solve 1,755 candidates with 3,718 loop evaluations (6,474
+        each, on their first solve, and solve 1,755 candidates with 3,718 loop evaluations (6,474
         when every distance starts cold) and 1,320 integer passes; the other
         504 of their 2,259 candidates share the interior point of a smaller
         cap, with no solve.  The QoS spec of each of the 3 caps is built

@@ -131,7 +131,8 @@ def solve_one(link, qos, pa, scheme, p_c, n_h, *, delta, n_p_init=0.0):
     ``candidate_tables`` runs."""
     setup = optimizer._law_setup(optimizer._scheme_law(link, pa, scheme, p_c),
                                  link.gain_at(link.distance_m), n_h)
-    return optimizer._solve_candidate(setup, qos, delta, n_p_init)[0][2:]
+    candidate = optimizer._solve_candidate(setup, qos, delta, n_p_init)[0]
+    return candidate.point, candidate.reason
 
 
 def outcome(solve, *args, **kwargs):
@@ -222,9 +223,9 @@ def test_accelerated_loop_matches_plain_reference(
     from any start."""
     cfg, link, pa = scenario(p0_mw, kappa, bandwidth_khz, n_h_bits,
                              target_per, max_retx, distance, variant)
-    for scheme, tau, point, reason in table_of(cfg, link, pa):
-        args = candidate_args(cfg, link, pa, scheme, tau)
-        got = repr((point, reason))
+    for c in table_of(cfg, link, pa):
+        args = candidate_args(cfg, link, pa, c.scheme, c.tau)
+        got = repr((c.point, c.reason))
         expected = outcome(reference_solve_candidate, *args, delta=cfg.delta)
         if converged(expected) and converged(got):
             assert without_iterate(got) == without_iterate(expected)
@@ -253,10 +254,10 @@ def test_warm_started_table_matches_cold_solves(
                              target_per, max_retx, distance, variant)
     table = table_of(cfg, link, pa)
     assert len(table) == len(cfg.modulations) * max(max_retx, 1)
-    for scheme, tau, point, reason in table:
-        cold = solve_one(*candidate_args(cfg, link, pa, scheme, tau),
+    for c in table:
+        cold = solve_one(*candidate_args(cfg, link, pa, c.scheme, c.tau),
                          delta=cfg.delta, n_p_init=0.0)
-        assert repr((point, reason)) == repr(cold)
+        assert repr((c.point, c.reason)) == repr(cold)
 
 
 def assert_sweep_matches_point_tables(cfg, pas):

@@ -92,8 +92,8 @@ def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
         (check_payload_optima_vs_golden, 40),
         (check_tpa_root_crosscheck, 40),
         # 40 unconstrained optima, then one map per scheme of its 18
-        # candidate tables that some cap can carry a payload on (90 of 108).
-        (check_scale_invariance, 130),
+        # bounded candidate tables that a solve reaches (24 of 108).
+        (check_scale_invariance, 64),
     )
 ])
 def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
@@ -268,7 +268,7 @@ def test_feasibility_prefix_counts_a_scheme_feasible_again(monkeypatch, forced):
             scheme = table[0].scheme
             if d == 2.0 and forced:
                 table = [
-                    c._replace(point=None, reason="forced") if c.scheme is scheme
+                    c._replace(point=None, rejection="forced") if c.scheme is scheme
                     else c for c in table
                 ]
             elif d > 2.0 and d in PREFIX_DISTANCES and any(
