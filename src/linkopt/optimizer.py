@@ -76,6 +76,7 @@ def snr_cap_law(
 
     The effective power cap is ``min(p0, p_t_max / papr)``: the regulatory
     limit and the amplifier peak-power headroom for the active waveform.
+    The law raises ZeroDivisionError where ``B * n0 * g_d`` underflows to 0.
     """
     cap = min(link.p0_w, pa.p_t_max / scheme.papr)
     b_n0 = link.bandwidth_hz * link.n0
@@ -269,9 +270,9 @@ def _law_setup(
     :class:`EnergyCoefficients` of ``a`` and ``b`` and their payload map are
     None until :func:`_solve_candidate` first needs them, and are kept here
     for the scheme's other caps.  Or ``(scheme, rejection)`` when the
-    coefficients (checked first, by :func:`check_coefficients`) or the SNR
-    cap leave the doubles, or when no payload meets ``top_spec``'s bound at
-    the SNR cap."""
+    coefficients (checked first, by :func:`check_coefficients`), the SNR
+    cap or its denominator ``B n0 g_d`` leave the doubles, or when no
+    payload meets ``top_spec``'s bound at the SNR cap."""
     if len(law) == 2:
         return law
     scheme, link, pa, a_at, b, snr_at = law
@@ -280,7 +281,12 @@ def _law_setup(
         check_coefficients(a, b)
     except (ValueError, ArithmeticError) as exc:
         return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
-    gamma_cap = snr_at(g_d)
+    try:
+        gamma_cap = snr_at(g_d)
+    except ZeroDivisionError:
+        return scheme, (
+            "SNR cap outside the range of a double (B n0 g_d underflows to 0)"
+        )
     if gamma_cap == 0.0:
         return scheme, (
             "SNR cap outside the range of a double (snr_max underflows to 0)"

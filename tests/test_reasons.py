@@ -104,43 +104,73 @@ def extreme_tables(cfg, distances):
         )
 
 
-def test_seeded_extreme_configs():
-    """The whole and both kinds of bounded tables, at three distances from
-    1 mm to 10 km, of 200 seeded draws of :func:`extreme_ini` (131 of which parse)."""
+def seeded_draws():
+    """``(draw, cfg, distances)`` of each of 200 seeded draws of
+    :func:`extreme_ini` that parses, with three distances from 1 mm to
+    10 km."""
     rng = random.Random(30)
-    lines, parsed = [], 0
-    for _ in range(200):
+    for draw in range(200):
         try:
             cfg = parse_config(extreme_ini(rng))
         except ConfigError:
             continue
+        yield draw, cfg, [10 ** rng.uniform(-3, 4) for _ in range(3)]
+
+
+def test_seeded_extreme_configs():
+    """The whole and both kinds of bounded tables of each
+    :func:`seeded_draws` config (131 of which parse)."""
+    lines, parsed = [], 0
+    for _, cfg, distances in seeded_draws():
         parsed += 1
-        distances = [10 ** rng.uniform(-3, 4) for _ in range(3)]
-        try:
-            lines += rendered(extreme_tables(cfg, distances))
-        except ArithmeticError as exc:
-            # B n0 g_d underflows to 0 in the SNR cap of draw 61 at 1.3 mm.
-            lines.append(f"raises {type(exc).__name__}: {exc}")
-    assert (parsed, len(lines)) == (131, 46009)
+        lines += rendered(extreme_tables(cfg, distances))
+    assert (parsed, len(lines)) == (131, 46170)
     text = "\n".join(lines)
     for fragment in ("energy coefficients outside", "SNR cap outside",
                      "no payload meets", "below the waterfall regime",
                      "payload map outside", "bounded out"):
         assert fragment in text
     assert digest(lines) == (
-        "c3282e1b8e5da6d475546ed600baa84799a966ac08f219651192771b0ddfcc42")
+        "ae364bd6038a3d0ec9b3a58b9b24d5ae7b4f28951b81083ea8f1c957e5589374")
+
+
+def test_snr_cap_denominator_underflow_is_a_rejection():
+    """Draw 61 of :func:`test_seeded_extreme_configs`: at 1.3 mm its
+    ``B n0 g_d`` underflows to 0 while ``a_coeff`` does not, so the SNR cap
+    divides by zero.  Where the coefficients pass (CPA and ETPA; TPA's
+    ``a_coeff`` divides by zero too), every scheme is rejected with that
+    reason, in whole and bounded tables alike."""
+    [(cfg, d)] = [(cfg, distances[2]) for draw, cfg, distances
+                  in seeded_draws() if draw == 61]
+    link = replace(cfg.link_template, distance_m=d)
+    assert link.bandwidth_hz * link.n0 * link.gain_at(d) == 0.0
+    for keep_best_of in (None, (), (cfg.baseline_scheme(),)):
+        for _, pa, table in candidate_tables(
+            cfg.link_template, (d,), cfg.qos, cfg.pa_models.values(),
+            cfg.modulations, cfg.n_h, delta=cfg.delta,
+            circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
+        ):
+            reasons = {c.reason.split(": ", 1)[1] for c in table}
+            assert reasons == {
+                "energy coefficients outside the range of a double (float "
+                "division by zero)"} if pa.variant is PaVariant.TPA else {
+                "SNR cap outside the range of a double (B n0 g_d underflows "
+                "to 0)"}
 
 
 def set_up_text(cfg, d, pa, scheme):
     """The reason a set-up at distance ``d`` gives, computed from the public
     closed forms: coefficients outside the range of a double, else an SNR
-    cap that underflows to 0, else no payload at full power."""
+    cap or its denominator ``B n0 g_d`` that underflows to 0, else no
+    payload at full power."""
     link = replace(cfg.link_template, distance_m=d)
     try:
         energy_coefficients(pa, scheme, link,
                             cfg.circuit_power[scheme.circuit_power_class])
     except (ValueError, ArithmeticError) as exc:
         return f"energy coefficients outside the range of a double ({exc})"
+    if link.bandwidth_hz * link.n0 * link.gain_at(d) == 0.0:
+        return "SNR cap outside the range of a double (B n0 g_d underflows to 0)"
     gamma_cap = snr_max(link, scheme, pa)
     if gamma_cap == 0.0:
         return "SNR cap outside the range of a double (snr_max underflows to 0)"
@@ -160,11 +190,7 @@ def test_drawn_extreme_configs(seed):
     except ConfigError:
         return
     distances = [10 ** rng.uniform(-3, 4) for _ in range(3)]
-    try:
-        tables = list(extreme_tables(cfg, distances))
-    except ArithmeticError:  # an SNR cap whose B n0 g_d underflows to 0
-        return
-    for d, pa, table in tables:
+    for d, pa, table in extreme_tables(cfg, distances):
         rejected = [c for c in table if c.point is None]
         assert select_best(rejected).failure_reasons == tuple(
             c.reason for c in rejected)
