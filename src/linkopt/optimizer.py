@@ -76,7 +76,6 @@ def snr_cap_law(
 
     The effective power cap is ``min(p0, p_t_max / papr)``: the regulatory
     limit and the amplifier peak-power headroom for the active waveform.
-    The law raises ZeroDivisionError where ``B * n0 * g_d`` underflows to 0.
     """
     cap = min(link.p0_w, pa.p_t_max / scheme.papr)
     b_n0 = link.bandwidth_hz * link.n0
@@ -238,8 +237,10 @@ def _rejected(scheme: ModulationScheme, qos: QosSpec, rejection) -> Candidate:
     return _new(Candidate, (scheme, qos.max_retransmissions, None, rejection))
 
 
-# The reason of a set-up whose energy coefficients raise or fail their check.
+# The reasons of a set-up whose energy coefficients raise or fail their
+# check, and whose SNR cap or its denominator underflows to 0.
 _COEFFICIENTS_OUT_OF_RANGE = "energy coefficients outside the range of a double ({})"
+_SNR_CAP_OUT_OF_RANGE = "SNR cap outside the range of a double ({} underflows to 0)"
 # Templates of a cap with no payload meeting its PER bound at the SNR cap,
 # and of a cap bounded out of a table (its energy floor, the best energy).
 _NO_PAYLOAD = "no payload meets the PER bound at full power (snr_max={:.4g})"
@@ -284,13 +285,9 @@ def _law_setup(
     try:
         gamma_cap = snr_at(g_d)
     except ZeroDivisionError:
-        return scheme, (
-            "SNR cap outside the range of a double (B n0 g_d underflows to 0)"
-        )
+        return scheme, _SNR_CAP_OUT_OF_RANGE.format("B n0 g_d")
     if gamma_cap == 0.0:
-        return scheme, (
-            "SNR cap outside the range of a double (snr_max underflows to 0)"
-        )
+        return scheme, _SNR_CAP_OUT_OF_RANGE.format("snr_max")
     ceiling = None if top_spec is None else payload_max(
         scheme, n_h, gamma_cap, top_spec)
     if ceiling is not None and ceiling < 1:
@@ -298,22 +295,54 @@ def _law_setup(
     return [scheme, link, g_d, pa, n_h, ceiling, gamma_cap, a, b, None, None]
 
 
-def _energy_floor(setup: list, qos: QosSpec, ceiling: int, w0: float) -> float:
+def _root_floor(c: float) -> float:
+    """A lower bound within 0.3 % on the root ``x > 1`` of ``x - log x = c``:
+    Chatzigeorgiou's ``1 + sqrt(2u) + 2u/3``, ``u = c - 1 > 0`` (IEEE Commun.
+    Lett. 17(8), 2013), then two steps ``x <- c + log x``, a map that rises
+    in ``x`` and fixes the root, so each step stays below it."""
+    u = c - 1.0
+    return c + math.log(c + math.log(1.0 + math.sqrt(2.0 * u) + u / 1.5))
+
+
+def _floor_terms(setup: list, log_n_h: float) -> tuple[float, float]:
+    """``(g(w1), k)`` of :func:`_energy_floor`, which neither the distance
+    nor the cap changes, given ``log_n_h = log(n_h)``."""
+    scheme, n_h, tpa = setup[0], setup[4], setup[3].variant is PaVariant.TPA
+    w1 = (math.log(max(1.0, (n_h + 1) * scheme.c_eff)) + EULER_GAMMA) / scheme.k_eff
+    t = 0.5 + math.log(2.0) if tpa else 1.0  # n_h / s - log(n_h / s)
+    c = log_n_h + scheme.log_c_eff + EULER_GAMMA + t
+    x = _root_floor(c) if c > t else 0.0
+    if tpa:
+        return math.sqrt(w1), x and x / math.sqrt((x - 0.5) * scheme.k_eff)
+    return w1, x / scheme.k_eff
+
+
+def _energy_floor(setup: list, qos: QosSpec, ceiling: int, terms: tuple) -> float:
     """A lower bound on the energy of every point a solve of ``setup`` at
     ``qos`` can report, given its payload ceiling ``ceiling`` (>= 1) and
-    the scheme's waterfall threshold ``w0`` at ``N = n_h + 1`` bits.
+    :func:`_floor_terms`: ``a max((n_h + ceiling) / ceiling g(w1), k) /
+    g(lk) + b``, ``lk = -log_keep``, ``g`` the identity for CPA and ETPA and
+    ``sqrt`` for TPA.  It falls as the cap grows.
 
-    Such a point has at least one transmission, a payload of at most
-    ``ceiling`` bits, so an overhead of at least ``(n_h + ceiling) /
-    ceiling``, and an SNR at least the reliability floor at ``N = n_h + 1``
-    bits, below every floor the solve conditions against (the floor rises
-    with ``N``; below the waterfall regime the solve reports nothing, so
-    ``log(N c_eff)`` may be taken as at least 0)."""
-    n_h, a, b = setup[4], setup[7], setup[8]
-    gamma = -w0 / qos.log_keep
+    Such a point (a solve's last step at ``n_p`` in [1, ceiling], or a
+    smaller cap's interior point, with a lower ceiling and a higher floor)
+    has ``c_eff N > 1`` at ``N = n_h + n_p``, an SNR (capped or not: a floor
+    above the cap is rejected) of at least ``w(N) / (k_eff lk)``, ``w(N) =
+    log(c_eff N) + EULER_GAMMA``, and one transmission or more, so ``E >= a
+    f + b``, ``f = N / n_p g(w(N) / (k_eff lk))``.  Decoupled: ``N / n_p >=
+    (n_h + ceiling) / ceiling``, ``w(N) >= k_eff w1 = w(n_h + 1)``, ``log``
+    taken as at least 0.  Coupled: with ``s = n_h`` (CPA, ETPA) or ``2 n_h``
+    (TPA), ``d log f / dN`` has the sign of ``N - n_h - s w(N) = s (x - log
+    x - C)``, ``x = N / s``, ``C = t + w(n_h)``, ``t = n_h / s - log(n_h /
+    s)``.  Where ``w(n_h) > 0`` (else ``k = 0``), ``x - log x < C`` on ``n_h
+    / s < x < x2``, the root above 1, and ``>`` beyond, so on ``N > n_h``
+    ``f`` is least at ``x2``: ``x2 / (k_eff lk)`` or ``x2 / sqrt((x2 - 1/2)
+    k_eff lk)`` (TPA), rising with ``x2``; ``k`` takes :func:`_root_floor`."""
+    lk = -qos.log_keep
     if setup[3].variant is PaVariant.TPA:
-        gamma = math.sqrt(gamma)
-    return (n_h + ceiling) / ceiling * a * gamma + b
+        lk = math.sqrt(lk)
+    term, k = (setup[4] + ceiling) / ceiling * terms[0], terms[1]
+    return setup[7] * (term if term > k else k) / lk + setup[8]
 
 
 def _solve_candidate(
@@ -505,46 +534,35 @@ def candidate_tables(
     ``max_retransmissions``, or 0 alone); :func:`select_best` relies on that
     order for ties.  The inputs are checked once, when the first table is
     asked for; a distance <= 0 raises ValueError when the sweep reaches it.
-    A distance enters only through its path gain,
-    ``link_template.gain_at(d)`` (the template's own ``distance_m`` is not
-    read), at which each (amplifier, scheme)'s :func:`_scheme_law`, built
-    once per call, is evaluated by :func:`_law_setup`; a scheme whose
-    coefficients or SNR cap leave the doubles there, or whose largest cap
-    carries no payload at full power, has every cap rejected without a map
-    or a solve, and a scheme's first solve builds the map its other caps
-    reuse.  Entries keep their rejections as data, so a reader that renders
-    no :attr:`Candidate.reason` formats no text.  The map depends on the cap
+    A distance enters only through its path gain ``link_template.gain_at(d)``,
+    at which each (amplifier, scheme)'s :func:`_scheme_law`, built once per
+    call, is evaluated by :func:`_law_setup`; a rejected set-up rejects
+    every cap without a map or a solve, and a scheme's first solve builds
+    the map its other caps reuse.  A reader that renders no
+    :attr:`Candidate.reason` formats no text.  The map depends on the cap
     only through the SNR floor, which falls as the cap grows, and the
     payload ceiling, which rises; so once a cap's solve is ``interior``
     (:func:`_solve_candidate`), each larger cap shares its point, with
-    ``tau`` and the energy at its own ``QosSpec``.  A candidate starts at its converged (or shared) payload
-    from the previous distance of the sweep, else cold.  Where each
-    candidate has one fixed point, as ``check_multistart_agreement``
-    checks, the start does not change the outcome, so no table depends on
-    which distances are swept: a sweep's tables equal the single-distance
-    tables, as the equality tests in ``tests/test_solver_reference.py``
-    check on the default grid, on random grids and across a distance where
-    16QAM/TPA has a second, unstable fixed point.
+    ``tau`` and the energy at its own ``QosSpec``.  A candidate starts at
+    its converged (or shared) payload from the previous distance, else
+    cold; where each candidate has one fixed point, as
+    ``check_multistart_agreement`` checks, a sweep's tables equal the
+    single-distance tables (``tests/test_solver_reference.py``).
 
     With ``keep_best_of`` None every table is whole.  Otherwise a table
-    serves only :func:`best_point` (or :func:`select_best`) of it and of the
-    entries of each scheme in ``keep_best_of`` (branch and bound): its
-    schemes are solved in
-    ascending order of their smallest :func:`_energy_floor`, that of the
-    largest cap, and each scheme's caps in ascending order.  A cap whose
-    floor exceeds by more than 1e-3 relative the lowest energy found so far
-    in the table (in the scheme, for a scheme in ``keep_best_of``) is not
+    serves only :func:`best_point` of it and of each scheme in
+    ``keep_best_of``, which is solved whole (branch and bound): schemes go
+    in ascending order of their smallest :func:`_energy_floor`, that of the
+    largest cap, and caps in ascending order.  A cap of another scheme whose
+    floor exceeds the lowest energy so far by more than 1e-3 relative is not
     solved: its entry is the rejection ``bounded out: energy >= X, best
     Y``, and its sweep start is kept.  Nothing is bounded out before an
-    entry is feasible, so an infeasible table keeps every reason, and a
-    NaN floor bounds out nothing.  This cannot change the pick.  Between
-    the lowest energy E of a table of L entries and ``E (1 - 1e-9)^-(L +
-    1)``, below ``E (1 + 1e-3)`` for L under 900,000, the L energies leave
-    empty some band one factor ``(1 - 1e-9)^-1`` wide (pigeonhole).  Every
-    entry below that gap beats every entry above it by more than the 1e-9
-    tie tolerance, so the first entry below it replaces any best so far,
-    and the pick depends only on the entries below it.  A bounded-out
-    entry lies more than 1e-3 above a solved energy, so above the gap.
+    entry is feasible, and a NaN floor bounds out nothing.  The pick cannot
+    change: the L energies of a table leave empty some band one factor
+    ``(1 - 1e-9)^-1`` wide between the lowest, E, and ``E (1 - 1e-9)^-(L +
+    1) < E (1 + 1e-3)`` (L < 900,000, pigeonhole); every entry below it beats
+    every entry above it by more than the 1e-9 tie tolerance, and a
+    bounded-out entry lies above it.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -555,8 +573,8 @@ def candidate_tables(
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     bounded = keep_best_of is not None
-    if bounded:
-        keep_best_of = tuple(keep_best_of)
+    keep_best_of = tuple(keep_best_of or ())
+    log_n_h = math.log(n_h)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
     specs = [QosSpec(qos.target_per, tau) for tau in range(min(top, 1), top + 1)]
@@ -567,9 +585,7 @@ def candidate_tables(
     laws = [[_scheme_law(link_template, pa, scheme,
                          circuit_power[scheme.circuit_power_class])
              for scheme in mods] for pa in pas]
-    # _energy_floor's w0 of each scheme, log(N c_eff) taken as at least 0.
-    floor_w0 = [(math.log(max(1.0, (n_h + 1) * scheme.c_eff)) + EULER_GAMMA)
-                / scheme.k_eff for scheme in mods]
+    terms = [[None] * len(mods) for _ in pas]  # _floor_terms, on first use
     # The converged payload of each table entry of each amplifier at the
     # previous distance, in table order; 0.0 (no convergence, or no previous
     # distance) marks no start.
@@ -578,12 +594,15 @@ def candidate_tables(
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
         g_d = link_template.gain_at(d)
-        for pa, pa_laws, pa_starts in zip(pas, laws, starts):
+        for pa, pa_laws, pa_starts, pa_terms in zip(pas, laws, starts, terms):
             setups = [_law_setup(law, g_d, n_h, top_spec) for law in pa_laws]
             order = range(len(setups))
             if bounded:
-                floors = [0.0 if len(s) == 2 else _energy_floor(
-                    s, top_spec, s[5], w0) for s, w0 in zip(setups, floor_w0)]
+                floors = [0.0] * len(setups)
+                for i, s in enumerate(setups):
+                    if len(s) > 2:
+                        t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
+                        floors[i] = _energy_floor(s, top_spec, s[5], t)
                 order = sorted(order, key=floors.__getitem__)
             table = [None] * len(pa_starts)
             best = math.inf
@@ -598,8 +617,7 @@ def candidate_tables(
                         k += 1
                     continue
                 scheme, gamma_cap = setup[0], setup[6]
-                own = bounded and scheme in keep_best_of
-                own_best = math.inf
+                whole = not bounded or scheme in keep_best_of
                 shared = False
                 for spec in specs:
                     if shared:
@@ -612,13 +630,11 @@ def candidate_tables(
                     else:
                         ceiling = setup[5] if spec is top_spec else payload_max(
                             scheme, n_h, gamma_cap, spec)
-                        if bounded and ceiling >= 1:
-                            bound = _energy_floor(setup, spec, ceiling,
-                                                  floor_w0[i])
-                            limit = own_best if own else best
-                            if bound > limit * (1.0 + 1e-3):
+                        if not whole and ceiling >= 1:
+                            bound = _energy_floor(setup, spec, ceiling, pa_terms[i])
+                            if bound > best * (1.0 + 1e-3):
                                 table[k] = _rejected(scheme, spec, (
-                                    _BOUNDED_OUT, bound, limit))
+                                    _BOUNDED_OUT, bound, best))
                                 k += 1
                                 continue
                         candidate, n_p, shared = _solve_candidate(
@@ -628,8 +644,6 @@ def candidate_tables(
                     table[k] = candidate
                     k += 1
                     point = candidate.point
-                    if point is not None and point.energy < own_best:
-                        own_best = point.energy
-                        if own_best < best:
-                            best = own_best
+                    if point is not None and point.energy < best:
+                        best = point.energy
             yield d, pa, table

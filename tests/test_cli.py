@@ -468,11 +468,13 @@ class TestLifetimeSharedTable:
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
         """No candidate is solved twice, and every entry the lifetime path
-        did not bound out equals its entry of the whole table: 1,003 solves
-        (1,755 for whole tables), 1,125 entries bounded out, and 2,007
-        entries of schemes that no cap can carry a payload on and 131
-        sharing the interior point of a smaller cap, both built without a
-        solve, make up the 4,266 entries."""
+        did not bound out equals its entry of the whole table: 885 solves
+        (1,003 with the decoupled energy floor, 1,755 for whole tables),
+        1,243 entries bounded out (1,125), and 2,007 entries of schemes that
+        no cap can carry a payload on and 131 sharing the interior point of
+        a smaller cap, both built without a solve, make up the 4,266
+        entries.  The baseline is solved whole, so none of its entries is
+        bounded out."""
         calls, entries = [], {}
         solve, tables = optimizer._solve_candidate, cli.candidate_tables
         cfg = default_config()
@@ -502,7 +504,7 @@ class TestLifetimeSharedTable:
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
         assert len(entries) == points * per_point == 4266
-        assert len(calls) == len(set(calls)) == 1003
+        assert len(calls) == len(set(calls)) == 885
         whole = {
             (d, pa.variant, c.scheme.name, c.tau): c
             for d, pa, table in optimizer.candidate_tables(
@@ -514,7 +516,7 @@ class TestLifetimeSharedTable:
         bounded_out = {key for key, c in entries.items()
                        if c.reason is not None and ": bounded out: " in c.reason}
         assert not bounded_out & set(calls)
-        assert len(bounded_out) == 1125
+        assert len(bounded_out) == 1243
         for key in set(entries) - bounded_out:
             assert entries[key] == whole[key]
         unsolved = set(entries) - bounded_out - set(calls)
@@ -525,18 +527,19 @@ class TestLifetimeSharedTable:
 
 
 @pytest.mark.parametrize("command, counts", [
-    (cli.cmd_sweep, {"solve": 934, "coefficients": 263, "map": 263,
+    (cli.cmd_sweep, {"solve": 814, "coefficients": 198, "map": 198,
                      "payload_max": 2924}),
-    (cli.cmd_lifetime, {"solve": 1003, "coefficients": 312, "map": 312,
+    (cli.cmd_lifetime, {"solve": 885, "coefficients": 248, "map": 248,
                         "payload_max": 2891}),
 ], ids=["sweep", "lifetime"])
 def test_default_dataset_work(monkeypatch, command, counts):
     """A default sweep or lifetime writes no reason, and renders none (each
     formatted 3,719 and 3,567 when a rejection formatted its own text).
     Of the 1,422 (distance, amplifier, scheme) set-ups, only those that
-    reach a solve build coefficients and a map (753 each before, when every
-    set-up with a payload built them), and each set-up computes its largest
-    cap's payload ceiling once (4,386 and 4,303 ceilings before)."""
+    reach a solve build coefficients and a map: 198 and 248 (263 and 312
+    with the decoupled energy floor, 753 each when every set-up with a
+    payload built them).  Each set-up computes its largest cap's payload
+    ceiling once (4,386 and 4,303 ceilings before)."""
     calls = Counter()
     reason = optimizer.Candidate.reason
 

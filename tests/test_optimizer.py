@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 from collections import Counter
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from linkopt.optimizer import (
     snr_max,
 )
 from linkopt.per import (
+    EULER_GAMMA,
     CircuitClass,
     QosSpec,
     payload_max,
@@ -903,12 +905,13 @@ class TestCandidateTables:
 class TestEnergyFloor:
     """``_energy_floor``, the bound by which a table bounded for selection
     skips a solve, lies at or below the energy of every feasible entry of
-    whole tables."""
+    whole tables, and its coupled term is what tightens it."""
 
     @staticmethod
-    def floor_over_energy(cfg, distances, pas):
+    def floor_over_energy(cfg, distances, pas, coupled=True):
         """``_energy_floor / energy`` of each feasible entry of ``cfg``'s
-        whole tables, the floor given the entry's set-up and cap."""
+        whole tables, the floor given the entry's set-up and cap (without
+        its coupled term when ``coupled`` is False)."""
         ratios = []
         for d, pa, table in candidate_tables(
             cfg.link_template, distances, cfg.qos, pas, cfg.modulations,
@@ -923,16 +926,23 @@ class TestEnergyFloor:
                 ), cfg.link_template.gain_at(d), cfg.n_h)
                 spec = QosSpec(cfg.qos.target_per, tau)
                 ceiling = payload_max(scheme, cfg.n_h, setup[6], spec)
-                w0 = waterfall_threshold(scheme, cfg.n_h + 1)
-                ratios.append(optimizer._energy_floor(setup, spec, ceiling, w0)
-                              / point.energy)
+                w1, k = optimizer._floor_terms(setup, math.log(cfg.n_h))
+                ratios.append(optimizer._energy_floor(
+                    setup, spec, ceiling, (w1, k if coupled else 0.0))
+                    / point.energy)
         return ratios
 
     def test_default_tables(self):
-        ratios = self.floor_over_energy(CFG, CFG.distances(),
-                                        CFG.pa_models.values())
+        """The 1,824 feasible entries of the default whole tables: the
+        median ratio rises from 0.870 without the coupled term to 0.904."""
+        args = (CFG, CFG.distances(), CFG.pa_models.values())
+        ratios = self.floor_over_energy(*args)
+        decoupled = self.floor_over_energy(*args, coupled=False)
         assert len(ratios) == 1824
         assert max(ratios) <= 1.0 + 1e-12
+        assert all(r >= r0 for r, r0 in zip(ratios, decoupled))
+        assert round(statistics.median(decoupled), 3) == 0.870
+        assert round(statistics.median(ratios), 3) == 0.904
 
     def test_point_query_batch(self):
         """Batch 1 of the benchmark's point-query stream of seed 1."""
@@ -944,6 +954,80 @@ class TestEnergyFloor:
                 (config.pa_models[PaVariant(query.pa)],))
         assert len(ratios) == 2254
         assert max(ratios) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("n_h", [*range(1, 17), 256])
+    def test_header_sizes(self, n_h):
+        """The default whole tables under all three amplifiers with headers
+        of 1 to 16 bits and 256 bits, where the coupled term is dropped for
+        the schemes with ``c_eff n_h`` at or below ``exp(-EULER_GAMMA)``."""
+        cfg = replace(CFG, n_h=n_h)
+        ratios = self.floor_over_energy(cfg, cfg.distances()[::3],
+                                        cfg.pa_models.values())
+        assert ratios and max(ratios) <= 1.0 + 1e-12
+
+    def test_coupled_term_dropped_only_outside_its_proof(self):
+        """``k`` is 0 exactly where ``w(n_h) = log(c_eff n_h) + EULER_GAMMA
+        <= 0``, so with a 1-bit header for the default schemes of small
+        ``c_eff``, and positive at the default header."""
+        g_d = CFG.link_template.gain_at(10.0)
+        for n_h in (1, 2, CFG.n_h):
+            for pa in CFG.pa_models.values():
+                for scheme in CFG.modulations:
+                    setup = optimizer._law_setup(optimizer._scheme_law(
+                        CFG.link_template, pa, scheme,
+                        CFG.circuit_power[scheme.circuit_power_class]),
+                        g_d, n_h)
+                    _, k = optimizer._floor_terms(setup, math.log(n_h))
+                    w_h = math.log(scheme.c_eff * n_h) + EULER_GAMMA
+                    assert (k > 0.0) is (w_h > 0.0)
+        assert any(math.log(m.c_eff) + EULER_GAMMA <= 0.0
+                   for m in CFG.modulations)
+
+    def test_root_floor_against_bisection(self):
+        """``_root_floor(c)`` lies at or below the root ``x > 1`` of ``x -
+        log x = c``, found by bisection on ``e = x - 1`` (``e - log1p(e) = c
+        - 1`` keeps its digits near ``c = 1``), and within 1e-2 of it
+        relative, over ``c`` in (1, 50].  Below ``c - 1 = 1e-6`` the bound's
+        gap, about ``(2 (c - 1))^1.5 / 36``, falls toward the rounding of
+        the root itself, so the grid starts there."""
+        def root(c):
+            lo, hi = 0.0, 2.0 * c + 10.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid - math.log1p(mid) < c - 1.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 1.0 + hi
+
+        cs = [1.0 + 10.0 ** -e for e in range(1, 7)]
+        cs += [1.0 + 49.0 * i / 2000 for i in range(1, 2001)]
+        for c in cs:
+            x, bound = root(c), optimizer._root_floor(c)
+            assert 1.0 < bound <= x
+            assert bound >= x * (1.0 - 1e-2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p0_mw=st.floats(1.0, 100.0), kappa=st.floats(2.5, 4.0),
+        bandwidth_khz=st.floats(3.0, 100.0), n_h=st.integers(1, 256),
+        target_per=st.floats(1e-4, 1e-2), tau=st.integers(0, 5),
+        distance=st.floats(2.0, 80.0), pa=st.sampled_from(list(PaVariant)),
+    )
+    def test_point_query_like_configs(self, p0_mw, kappa, bandwidth_khz, n_h,
+                                      target_per, tau, distance, pa):
+        """Configs drawn as the benchmark's point queries are, with headers
+        of 1 to 256 bits: the floor of every feasible whole-table entry lies
+        at or below its energy."""
+        config = parse_config(
+            f"[link]\np0_mw = {p0_mw!r}\nkappa = {kappa!r}\n"
+            f"bandwidth_khz = {bandwidth_khz!r}\n"
+            f"[packet]\nn_h_bits = {n_h}\n"
+            f"[qos]\ntarget_per = {target_per!r}\n"
+            f"max_retransmissions = {tau}\n")
+        ratios = self.floor_over_energy(config, (distance,),
+                                        (config.pa_models[pa],))
+        assert all(r <= 1.0 + 1e-12 for r in ratios)
 
 
 class TestDefaultPassWork:
@@ -1091,16 +1175,17 @@ class TestDefaultPassWork:
 
     def test_point_query_batches_bounded(self, monkeypatch):
         """The same with the tables bounded for selection, as
-        ``joint_optimize`` builds them: 2,790 solves and 10,861 map
-        evaluations."""
+        ``joint_optimize`` builds them: 2,406 solves and 8,322 map
+        evaluations (2,790 and 10,861 with the decoupled energy floor)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
         self.point_query_batches(())
-        assert calls == {"solve": 2790, "evaluation": 10861}
+        assert calls == {"solve": 2406, "evaluation": 8322}
 
     def test_default_sweep_bounded(self, monkeypatch):
         """The default sweep with the tables bounded for selection, as
-        ``sweep`` builds them: 934 solves and 2,277 map evaluations (1,755
-        and 5,038 for whole tables)."""
+        ``sweep`` builds them: 814 solves and 1,635 map evaluations (934
+        and 2,277 with the decoupled energy floor, 1,755 and 5,038 for whole
+        tables)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
         for _ in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
@@ -1108,7 +1193,7 @@ class TestDefaultPassWork:
             delta=CFG.delta, circuit_power=CFG.circuit_power, keep_best_of=(),
         ):
             pass
-        assert calls == {"solve": 934, "evaluation": 2277}
+        assert calls == {"solve": 814, "evaluation": 1635}
 
 
 class TestTableEntries:

@@ -12,7 +12,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkopt import cli
+from linkopt import cli, optimizer
 from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant, energy_coefficients
 from linkopt.errors import ConfigError
@@ -49,17 +49,62 @@ def test_default_sweep_tables():
     lines = rendered(cli._tables(CFG, list(PaVariant), CFG.distances(), ()))
     assert len(lines) == 4266
     assert digest(lines) == (
-        "b44a278e7e61184aa51cb3fcdf4caf9088c029d9b069da118bb469e4d291c9a7")
+        "b50670fc34e8c16e97d44df2cc2c67f2d0f3922db42c6d5a178d23d632fc0f85")
 
 
 def test_default_lifetime_tables():
-    """The bounded tables the default ``lifetime`` builds, which keep the
-    baseline's own best."""
+    """The bounded tables the default ``lifetime`` builds, which solve the
+    baseline whole."""
     lines = rendered(cli._tables(CFG, list(PaVariant), CFG.distances(),
                                  (CFG.baseline_scheme(),)))
     assert len(lines) == 4266
     assert digest(lines) == (
-        "9ee90889448b949d8412c935044a6a3e76eb67a6b64ef79d5e368027693835ac")
+        "655ee7a9c80625f75b4da326d995b68e258c550ee371b94f1abcb124387e5d53")
+
+
+def check_bounded_out(bounded, whole):
+    """Each bounded-out entry of the tables ``bounded`` holds its energy
+    floor X and the best energy Y it was compared with: X lies more than
+    1e-3 above Y, Y is the energy of a feasible entry of its table, and X
+    is at most the energy of the entry in the matching whole table when
+    that is feasible.  Returns how many entries were bounded out."""
+    count = 0
+    for (d, pa, table), (d_whole, pa_whole, entries) in zip(
+            bounded, whole, strict=True):
+        assert (d, pa) == (d_whole, pa_whole)
+        energies = {c.point.energy for c in table if c.point is not None}
+        for c, c_whole in zip(table, entries, strict=True):
+            assert (c.scheme, c.tau) == (c_whole.scheme, c_whole.tau)
+            if c.rejection.__class__ is not tuple or (
+                    c.rejection[0] is not optimizer._BOUNDED_OUT):
+                continue
+            count += 1
+            _, floor, best = c.rejection
+            assert floor > best * (1.0 + 1e-3)
+            assert best in energies
+            if c_whole.point is not None:
+                assert floor <= c_whole.point.energy
+    return count
+
+
+def test_bounded_out_entries_of_the_default_commands():
+    """The bounded tables of the default ``sweep`` and ``lifetime``."""
+    whole = list(cli._tables(CFG, list(PaVariant), CFG.distances(), None))
+    counts = [check_bounded_out(
+        cli._tables(CFG, list(PaVariant), CFG.distances(), keep_best_of),
+        whole) for keep_best_of in ((), (CFG.baseline_scheme(),))]
+    assert counts == [1397, 1243]
+
+
+def test_bounded_out_entries_of_the_seeded_extreme_configs():
+    """Both kinds of bounded tables of each :func:`seeded_draws` config."""
+    count = 0
+    for _, cfg, distances in seeded_draws():
+        whole = list(tables_of(cfg, distances, None))
+        for keep_best_of in ((), (cfg.baseline_scheme(),)):
+            count += check_bounded_out(
+                tables_of(cfg, distances, keep_best_of), whole)
+    assert count == 3088
 
 
 def test_optimize_stdout_of_an_infeasible_point(capsys):
@@ -93,15 +138,20 @@ def extreme_ini(rng):
     )
 
 
+def tables_of(cfg, distances, keep_best_of):
+    """``cfg``'s candidate tables at ``distances``, for every amplifier."""
+    return candidate_tables(
+        cfg.link_template, distances, cfg.qos, cfg.pa_models.values(),
+        cfg.modulations, cfg.n_h, delta=cfg.delta,
+        circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
+    )
+
+
 def extreme_tables(cfg, distances):
     """``cfg``'s whole tables at ``distances``, then its tables bounded for
-    selection, then those that keep the baseline's own best."""
+    selection, then those that solve the baseline whole."""
     for keep_best_of in (None, (), (cfg.baseline_scheme(),)):
-        yield from candidate_tables(
-            cfg.link_template, distances, cfg.qos, cfg.pa_models.values(),
-            cfg.modulations, cfg.n_h, delta=cfg.delta,
-            circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
-        )
+        yield from tables_of(cfg, distances, keep_best_of)
 
 
 def seeded_draws():
@@ -131,7 +181,7 @@ def test_seeded_extreme_configs():
                      "payload map outside", "bounded out"):
         assert fragment in text
     assert digest(lines) == (
-        "ae364bd6038a3d0ec9b3a58b9b24d5ae7b4f28951b81083ea8f1c957e5589374")
+        "c5754ea3dae96fafd69e68d0f2c6b4ff51fcc8e6b9b432cb41b9b034ee67c822")
 
 
 def test_snr_cap_denominator_underflow_is_a_rejection():

@@ -92,8 +92,8 @@ def test_payload_check_reads_the_tpa_closed_form(monkeypatch):
         (check_payload_optima_vs_golden, 40),
         (check_tpa_root_crosscheck, 40),
         # 40 unconstrained optima, then one map per scheme of its 18
-        # bounded candidate tables that a solve reaches (24 of 108).
-        (check_scale_invariance, 64),
+        # bounded candidate tables that a solve reaches (20 of 108).
+        (check_scale_invariance, 60),
     )
 ])
 def test_closed_form_checks_read_the_solvers_payload_map(monkeypatch, check,
@@ -327,9 +327,10 @@ def test_sweep_matches_separate_tables_second_fixed_point_config():
 
 
 def test_default_validate_solves(monkeypatch):
-    """One default validate call solves 1,221 candidates: 1,071 in the
-    battery's one sweep of 147 whole tables, 90 in the 18 bounded
-    scale-invariance tables and 60 multistart starts."""
+    """One default validate call solves 1,213 candidates: 1,071 in the
+    battery's one sweep of 147 whole tables, 82 in the 18 bounded
+    scale-invariance tables (90 with the decoupled energy floor) and 60
+    multistart starts."""
     calls = Counter()
     solve = optimizer._solve_candidate
 
@@ -349,7 +350,7 @@ def test_default_validate_solves(monkeypatch):
     monkeypatch.setattr(BatteryRun, "_sweep", counting_sweep)
     code = cli.cmd_validate(CFG, io.StringIO(), io.StringIO())
     assert code == cli.EXIT_OK
-    assert calls == {"candidate_tables": 1161, "sweep": 1071,
+    assert calls == {"candidate_tables": 1153, "sweep": 1071,
                      "check_multistart_agreement": 60}
 
 
