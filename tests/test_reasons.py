@@ -96,17 +96,6 @@ def test_bounded_out_entries_of_the_default_commands():
     assert counts == [1397, 1243]
 
 
-def test_bounded_out_entries_of_the_seeded_extreme_configs():
-    """Both kinds of bounded tables of each :func:`seeded_draws` config."""
-    count = 0
-    for _, cfg, distances in seeded_draws():
-        whole = list(tables_of(cfg, distances, None))
-        for keep_best_of in ((), (cfg.baseline_scheme(),)):
-            count += check_bounded_out(
-                tables_of(cfg, distances, keep_best_of), whole)
-    assert count == 3088
-
-
 def test_optimize_stdout_of_an_infeasible_point(capsys):
     """``optimize --distance 500 --pa tpa``: nothing is feasible, and every
     candidate's reason is printed."""
@@ -169,12 +158,19 @@ def seeded_draws():
 
 def test_seeded_extreme_configs():
     """The whole and both kinds of bounded tables of each
-    :func:`seeded_draws` config (131 of which parse)."""
-    lines, parsed = [], 0
+    :func:`seeded_draws` config (131 of which parse), as
+    :func:`extreme_tables` orders them, and :func:`check_bounded_out` of
+    the bounded ones."""
+    lines, parsed, bounded_out = [], 0, 0
     for _, cfg, distances in seeded_draws():
         parsed += 1
-        lines += rendered(extreme_tables(cfg, distances))
-    assert (parsed, len(lines)) == (131, 46170)
+        whole = list(tables_of(cfg, distances, None))
+        lines += rendered(whole)
+        for keep_best_of in ((), (cfg.baseline_scheme(),)):
+            bounded = list(tables_of(cfg, distances, keep_best_of))
+            lines += rendered(bounded)
+            bounded_out += check_bounded_out(bounded, whole)
+    assert (parsed, len(lines), bounded_out) == (131, 46170, 3088)
     text = "\n".join(lines)
     for fragment in ("energy coefficients outside", "SNR cap outside",
                      "no payload meets", "below the waterfall regime",
@@ -195,11 +191,7 @@ def test_snr_cap_denominator_underflow_is_a_rejection():
     link = replace(cfg.link_template, distance_m=d)
     assert link.bandwidth_hz * link.n0 * link.gain_at(d) == 0.0
     for keep_best_of in (None, (), (cfg.baseline_scheme(),)):
-        for _, pa, table in candidate_tables(
-            cfg.link_template, (d,), cfg.qos, cfg.pa_models.values(),
-            cfg.modulations, cfg.n_h, delta=cfg.delta,
-            circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
-        ):
+        for _, pa, table in tables_of(cfg, (d,), keep_best_of):
             reasons = {c.reason.split(": ", 1)[1] for c in table}
             assert reasons == {
                 "energy coefficients outside the range of a double (float "
