@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .errors import PeakPowerError
 from .per import ModulationScheme, QosSpec, per_rayleigh
@@ -177,44 +176,42 @@ def bit_rate(scheme: ModulationScheme, link: LinkBudget) -> float:
 
 def coefficient_law(
     pa: PaModel, scheme: ModulationScheme, link: LinkBudget, p_c: float
-) -> tuple[Callable[[float], float], float]:
-    """``(a_at, b_coeff)``: the energy coefficients of one amplifier and
-    scheme on ``link``'s budget at any distance.
-
-    Only ``a_coeff`` depends on the distance, through the path gain ``g_d``:
-    ``a_at(g_d)`` evaluates it.  The factors that do not depend on it are
-    computed here, once; each is the leading product of the left-to-right
-    expression it belongs to, so ``a_at(link.gain_at(d))`` is bit-identical
-    to the expression written out at distance ``d``.  `p_c` is the combined
-    transmit plus receive circuit power in watts (everything in the RF chain
-    except the amplifier).
+) -> tuple:
+    """``(xi_n0, eta, b_coeff, tpa)``: the distance-free factors, as
+    numbers, of the energy coefficients of one amplifier and scheme on
+    ``link``'s budget; ``tpa`` is ``(sqrt(p_t_max), n0, r_b)`` for TPA, else
+    None.  Only ``a_coeff`` depends on the distance, through the path gain
+    ``g_d``; :func:`a_coeff_at` evaluates it from the leading products of
+    its left-to-right expression, so bit-identically to that expression
+    written out at distance ``d``.  `p_c` is the combined transmit plus
+    receive circuit power in watts (everything in the RF chain except the
+    amplifier).
     """
     if p_c <= 0.0:
         raise ValueError(f"p_c must be > 0, got {p_c}")
     r_b = bit_rate(scheme, link)
     xi = scheme.papr
-    n0 = link.n0
-    xi_n0 = xi * n0
+    xi_n0 = xi * link.n0
     if pa.variant is PaVariant.TPA:
-        root_p_t_max = math.sqrt(pa.p_t_max)
-        eta_max = pa.eta_max
-        sqrt = math.sqrt
-
-        def a_at(g_d: float) -> float:
-            a = xi_n0 * g_d * root_p_t_max / (eta_max * sqrt(n0 * g_d * r_b))
-            if math.isnan(a):
-                raise OverflowError("TPA a_coeff overflows: inf / inf")
-            return a
-
-        return a_at, p_c / r_b
+        return xi_n0, pa.eta_max, p_c / r_b, (math.sqrt(pa.p_t_max), link.n0, r_b)
     if pa.variant is PaVariant.CPA:
-        eta = pa.eta_max
-        b = p_c / r_b
-    else:
-        c = pa.etpa_c
-        eta = pa.eta_max * (c + 1.0)
-        b = (xi * c * pa.p_t_max / eta + p_c) / r_b
-    return (lambda g_d: xi_n0 * g_d / eta), b
+        return xi_n0, pa.eta_max, p_c / r_b, None
+    c = pa.etpa_c
+    eta = pa.eta_max * (c + 1.0)
+    return xi_n0, eta, (xi * c * pa.p_t_max / eta + p_c) / r_b, None
+
+
+def a_coeff_at(law: tuple, g_d: float) -> float:
+    """``a_coeff`` at path gain ``g_d`` from :func:`coefficient_law`'s
+    ``law``: ``xi n0 g_d / eta``, for TPA over ``sqrt(n0 g_d r_b / p_t_max)``."""
+    xi_n0, eta, _, tpa = law
+    if tpa is None:
+        return xi_n0 * g_d / eta
+    root_p_t_max, n0, r_b = tpa
+    a = xi_n0 * g_d * root_p_t_max / (eta * math.sqrt(n0 * g_d * r_b))
+    if math.isnan(a):
+        raise OverflowError("TPA a_coeff overflows: inf / inf")
+    return a
 
 
 def energy_coefficients(
@@ -222,9 +219,9 @@ def energy_coefficients(
 ) -> EnergyCoefficients:
     """Per-bit energy coefficients for one amplifier model at the link's
     distance: :func:`coefficient_law` evaluated at its path gain."""
-    a_at, b = coefficient_law(pa, scheme, link, p_c)
-    return EnergyCoefficients(a_coeff=a_at(link.gain_at(link.distance_m)),
-                              b_coeff=b, pa_variant=pa.variant)
+    law = coefficient_law(pa, scheme, link, p_c)
+    a = a_coeff_at(law, link.gain_at(link.distance_m))
+    return EnergyCoefficients(a_coeff=a, b_coeff=law[2], pa_variant=pa.variant)
 
 
 def e0(coeffs: EnergyCoefficients, n_p: int, n_h: int, gamma_bar: float) -> float:

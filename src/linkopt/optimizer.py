@@ -27,6 +27,7 @@ from .energy import (
     LinkBudget,
     PaModel,
     PaVariant,
+    a_coeff_at,
     check_coefficients,
     coefficient_law,
     energy_per_bit,
@@ -70,22 +71,29 @@ class OperatingPoint(NamedTuple):
 
 def snr_cap_law(
     link: LinkBudget, scheme: ModulationScheme, pa: PaModel
-) -> Callable[[float], float]:
-    """The maximum achievable average SNR on ``link``'s budget as a function
-    of the path gain ``g_d``, its power cap and ``B * n0`` computed once.
+) -> tuple[float, float]:
+    """``(cap, B n0)``: the maximum achievable average SNR on ``link``'s
+    budget at path gain ``g_d`` is ``cap / (B n0 g_d)`` (:func:`_snr_cap`).
 
     The effective power cap is ``min(p0, p_t_max / papr)``: the regulatory
     limit and the amplifier peak-power headroom for the active waveform.
     """
-    cap = min(link.p0_w, pa.p_t_max / scheme.papr)
-    b_n0 = link.bandwidth_hz * link.n0
-    return lambda g_d: cap / (b_n0 * g_d)
+    return min(link.p0_w, pa.p_t_max / scheme.papr), link.bandwidth_hz * link.n0
+
+
+def _snr_cap(law: tuple[float, float], g_d: float) -> float:
+    """:func:`snr_cap_law`'s ``law`` at path gain ``g_d``; ValueError with a
+    candidate table's reason where ``B n0 g_d`` underflows to 0."""
+    b_n0_g_d = law[1] * g_d
+    if b_n0_g_d == 0.0:
+        raise ValueError(_SNR_CAP_OUT_OF_RANGE("B n0 g_d"))
+    return law[0] / b_n0_g_d
 
 
 def snr_max(link: LinkBudget, scheme: ModulationScheme, pa: PaModel) -> float:
     """Maximum achievable average SNR under the transmit-power limits:
-    :func:`snr_cap_law` at the link's path gain."""
-    return snr_cap_law(link, scheme, pa)(link.gain_at(link.distance_m))
+    :func:`_snr_cap` at the link's path gain."""
+    return _snr_cap(snr_cap_law(link, scheme, pa), link.gain_at(link.distance_m))
 
 
 def _depressed_cubic_root(p: float, q: float) -> float:
@@ -205,8 +213,9 @@ class Candidate(NamedTuple):
 
     Exactly one of ``point`` (a feasible operating point) and ``rejection``
     (why the candidate was rejected) is set.  A rejection is kept as data, a
-    format template followed by its values or a finished string (the rare
-    reasons of a payload map or a solve); :attr:`reason` renders its text.
+    finished string (the rare reasons of a payload map or a solve) or a
+    callable and its arguments: a template's ``str.format``, or
+    :func:`_bounded_whole`; :attr:`reason` renders its text.
     """
 
     scheme: ModulationScheme
@@ -220,7 +229,7 @@ class Candidate(NamedTuple):
         for a feasible entry."""
         why = self.rejection
         if why.__class__ is tuple:
-            why = why[0].format(*why[1:])
+            why = why[0](*why[1:])
         return None if why is None else f"{self.scheme.name}/tau={self.tau}: {why}"
 
 
@@ -232,33 +241,34 @@ _new = tuple.__new__
 
 
 def _rejected(scheme: ModulationScheme, qos: QosSpec, rejection) -> Candidate:
-    """The table entry of a rejected candidate at ``qos``'s cap: every
-    rejection of a solve is made here."""
+    """The table entry of a rejected solve at ``qos``'s cap."""
     return _new(Candidate, (scheme, qos.max_retransmissions, None, rejection))
 
 
 # The reasons of a set-up whose energy coefficients raise or fail their
 # check, and whose SNR cap or its denominator underflows to 0.
-_COEFFICIENTS_OUT_OF_RANGE = "energy coefficients outside the range of a double ({})"
-_SNR_CAP_OUT_OF_RANGE = "SNR cap outside the range of a double ({} underflows to 0)"
+_COEFFICIENTS_OUT_OF_RANGE = (
+    "energy coefficients outside the range of a double ({})".format)
+_SNR_CAP_OUT_OF_RANGE = (
+    "SNR cap outside the range of a double ({} underflows to 0)".format)
 # Templates of a cap with no payload meeting its PER bound at the SNR cap,
 # and of a cap bounded out of a table (its energy floor, the best energy).
-_NO_PAYLOAD = "no payload meets the PER bound at full power (snr_max={:.4g})"
-_BOUNDED_OUT = "bounded out: energy >= {:.4g}, best {:.4g}"
+_NO_PAYLOAD = "no payload meets the PER bound at full power (snr_max={:.4g})".format
+_BOUNDED_OUT = "bounded out: energy >= {:.4g}, best {:.4g}".format
 
 
 def _scheme_law(
     link: LinkBudget, pa: PaModel, scheme: ModulationScheme, p_c: float
 ) -> tuple:
-    """``(scheme, link, pa, a_at, b_coeff, snr_at)``: what the set-ups of
-    one scheme share at every distance of ``link``'s budget, the coefficient
-    and SNR-cap laws of :func:`coefficient_law` and :func:`snr_cap_law`, or
-    ``(scheme, reason)`` when its coefficients cannot be formed at all."""
+    """``(scheme, link, pa, coefficients, snr_cap)``: what the set-ups of one
+    scheme share at every distance of ``link``'s budget, the distance-free
+    factors of :func:`coefficient_law` and :func:`snr_cap_law` as numbers,
+    or ``(scheme, reason)`` when its coefficients cannot be formed at all."""
     try:
-        a_at, b = coefficient_law(pa, scheme, link, p_c)
+        coefficients = coefficient_law(pa, scheme, link, p_c)
     except (ValueError, ArithmeticError) as exc:
-        return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
-    return scheme, link, pa, a_at, b, snr_cap_law(link, scheme, pa)
+        return scheme, _COEFFICIENTS_OUT_OF_RANGE(exc)
+    return scheme, link, pa, coefficients, snr_cap_law(link, scheme, pa)
 
 
 def _law_setup(
@@ -266,28 +276,29 @@ def _law_setup(
 ) -> list | tuple:
     """``[scheme, link, g_d, pa, n_h, ceiling, gamma_cap, a, b, coeffs,
     step]``: what every solve of one scheme at path gain ``g_d`` shares and
-    no retransmission cap changes, a :func:`_scheme_law` evaluated there,
-    with the payload ceiling at ``top_spec`` (None without one).  The
-    :class:`EnergyCoefficients` of ``a`` and ``b`` and their payload map are
-    None until :func:`_solve_candidate` first needs them, and are kept here
-    for the scheme's other caps.  Or ``(scheme, rejection)`` when the
-    coefficients (checked first, by :func:`check_coefficients`), the SNR
+    no retransmission cap changes, :func:`a_coeff_at` and :func:`_snr_cap`
+    of a :func:`_scheme_law` there, with the payload ceiling at ``top_spec``
+    (None without one).  The :class:`EnergyCoefficients` of ``a`` and ``b``
+    and their payload map are None until :func:`_solve_candidate` first
+    needs them, and are kept here for the scheme's other caps.  Or
+    ``(scheme, rejection)`` when the coefficients (checked first), the SNR
     cap or its denominator ``B n0 g_d`` leave the doubles, or when no
     payload meets ``top_spec``'s bound at the SNR cap."""
     if len(law) == 2:
         return law
-    scheme, link, pa, a_at, b, snr_at = law
+    scheme, link, pa, coefficients, cap_law = law
+    b = coefficients[2]
     try:
-        a = a_at(g_d)
+        a = a_coeff_at(coefficients, g_d)
         check_coefficients(a, b)
     except (ValueError, ArithmeticError) as exc:
-        return scheme, _COEFFICIENTS_OUT_OF_RANGE.format(exc)
+        return scheme, _COEFFICIENTS_OUT_OF_RANGE(exc)
     try:
-        gamma_cap = snr_at(g_d)
-    except ZeroDivisionError:
-        return scheme, _SNR_CAP_OUT_OF_RANGE.format("B n0 g_d")
+        gamma_cap = _snr_cap(cap_law, g_d)
+    except ValueError as exc:
+        return scheme, str(exc)
     if gamma_cap == 0.0:
-        return scheme, _SNR_CAP_OUT_OF_RANGE.format("snr_max")
+        return scheme, _SNR_CAP_OUT_OF_RANGE("snr_max")
     ceiling = None if top_spec is None else payload_max(
         scheme, n_h, gamma_cap, top_spec)
     if ceiling is not None and ceiling < 1:
@@ -343,6 +354,17 @@ def _energy_floor(setup: list, qos: QosSpec, ceiling: int, terms: tuple) -> floa
         lk = math.sqrt(lk)
     term, k = (setup[4] + ceiling) / ceiling * terms[0], terms[1]
     return setup[7] * (term if term > k else k) / lk + setup[8]
+
+
+def _bounded_whole(setup: list, spec: QosSpec, terms: tuple, best: float) -> str:
+    """The reason of cap ``spec`` of a scheme bounded out whole against the
+    best energy ``best``, worked out when it is read: that of its solve
+    where the cap carries no payload at full power, else bounded out at its
+    own :func:`_energy_floor`."""
+    ceiling = payload_max(setup[0], setup[4], setup[6], spec)
+    if ceiling < 1:
+        return _NO_PAYLOAD(setup[6])
+    return _BOUNDED_OUT(_energy_floor(setup, spec, ceiling, terms), best)
 
 
 def _solve_candidate(
@@ -553,11 +575,14 @@ def candidate_tables(
     serves only :func:`best_point` of it and of each scheme in
     ``keep_best_of``, which is solved whole (branch and bound): schemes go
     in ascending order of their smallest :func:`_energy_floor`, that of the
-    largest cap, and caps in ascending order.  A cap of another scheme whose
-    floor exceeds the lowest energy so far by more than 1e-3 relative is not
-    solved: its entry is the rejection ``bounded out: energy >= X, best
-    Y``, and its sweep start is kept.  Nothing is bounded out before an
-    entry is feasible, and a NaN floor bounds out nothing.  The pick cannot
+    largest cap (whose spec is ``qos``), and caps in ascending order.  A cap
+    of another scheme whose floor exceeds the lowest energy so far by more
+    than 1e-3 relative is not solved: its entry is the rejection ``bounded
+    out: energy >= X, best Y``, and its sweep start is kept.  When the
+    smallest floor does, so does every cap's, and the scheme is bounded out
+    whole with no ceiling or floor per cap: :func:`_bounded_whole` works out
+    each reason when it is read.  Nothing is bounded out before an entry is
+    feasible, and a NaN floor bounds out nothing.  The pick cannot
     change: the L energies of a table leave empty some band one factor
     ``(1 - 1e-9)^-1`` wide between the lowest, E, and ``E (1 - 1e-9)^-(L +
     1) < E (1 + 1e-3)`` (L < 900,000, pigeonhole); every entry below it beats
@@ -577,11 +602,9 @@ def candidate_tables(
     log_n_h = math.log(n_h)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
-    specs = [QosSpec(qos.target_per, tau) for tau in range(min(top, 1), top + 1)]
-    n_specs = len(specs)
-    # The payload ceiling grows with the cap, so the largest cap's ceiling
-    # decides whether any cap of a scheme can carry a payload.
-    top_spec = specs[-1]
+    caps = [(QosSpec(qos.target_per, tau), tau) for tau in range(min(top, 1), top)]
+    caps.append((qos, top))
+    n_specs = len(caps)
     laws = [[_scheme_law(link_template, pa, scheme,
                          circuit_power[scheme.circuit_power_class])
              for scheme in mods] for pa in pas]
@@ -595,14 +618,16 @@ def candidate_tables(
             raise ValueError(f"distances must be positive, got {d}")
         g_d = link_template.gain_at(d)
         for pa, pa_laws, pa_starts, pa_terms in zip(pas, laws, starts, terms):
-            setups = [_law_setup(law, g_d, n_h, top_spec) for law in pa_laws]
+            # The payload ceiling grows with the cap, so the largest cap's
+            # ceiling decides whether any cap of a scheme carries a payload.
+            setups = [_law_setup(law, g_d, n_h, qos) for law in pa_laws]
             order = range(len(setups))
             if bounded:
                 floors = [0.0] * len(setups)
                 for i, s in enumerate(setups):
                     if len(s) > 2:
                         t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
-                        floors[i] = _energy_floor(s, top_spec, s[5], t)
+                        floors[i] = _energy_floor(s, qos, s[5], t)
                 order = sorted(order, key=floors.__getitem__)
             table = [None] * len(pa_starts)
             best = math.inf
@@ -611,30 +636,33 @@ def candidate_tables(
                 k = i * n_specs
                 if len(setup) == 2:
                     scheme, rejection = setup
-                    for spec in specs:
-                        table[k] = _rejected(scheme, spec, rejection)
-                        pa_starts[k] = 0.0
-                        k += 1
+                    table[k:k + n_specs] = [_new(Candidate, (
+                        scheme, tau, None, rejection)) for _, tau in caps]
+                    pa_starts[k:k + n_specs] = [0.0] * n_specs
                     continue
                 scheme, gamma_cap = setup[0], setup[6]
                 whole = not bounded or scheme in keep_best_of
+                if not whole and floors[i] > best * (1.0 + 1e-3):
+                    table[k:k + n_specs] = [_new(Candidate, (scheme, tau, None, (
+                        _bounded_whole, setup, spec, pa_terms[i], best)))
+                        for spec, tau in caps]
+                    continue
                 shared = False
-                for spec in specs:
+                for spec, tau in caps:
                     if shared:
-                        _, _, point, _ = candidate
-                        tau = spec.max_retransmissions
+                        point = candidate.point
                         candidate = _new(Candidate, (scheme, tau, point._replace(
                             tau_r=tau, energy=energy_per_bit(
                                 setup[9], scheme, point.n_p, n_h,
                                 point.gamma_bar, spec)), None))
                     else:
-                        ceiling = setup[5] if spec is top_spec else payload_max(
+                        ceiling = setup[5] if spec is qos else payload_max(
                             scheme, n_h, gamma_cap, spec)
                         if not whole and ceiling >= 1:
                             bound = _energy_floor(setup, spec, ceiling, pa_terms[i])
                             if bound > best * (1.0 + 1e-3):
-                                table[k] = _rejected(scheme, spec, (
-                                    _BOUNDED_OUT, bound, best))
+                                table[k] = _new(Candidate, (
+                                    scheme, tau, None, (_BOUNDED_OUT, bound, best)))
                                 k += 1
                                 continue
                         candidate, n_p, shared = _solve_candidate(

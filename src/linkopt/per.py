@@ -114,8 +114,9 @@ class QosSpec:
     cap of at most ``MAX_RETRANSMISSIONS``; the residual failure probability
     after the last attempt must not exceed ``target_per``.  The implied
     per-attempt PER bound is cached in ``per_attempt_bound``; a bound that
-    rounds to 1 is rejected, because the payload ceiling takes
-    ``log(1 - bound)`` (``log_keep``).
+    rounds to 1 is rejected, because the payload ceiling takes ``log_keep =
+    log1p(-bound)``, through which alone the cap enters the SNR floor and the
+    payload ceiling; it is set with the bound, outside the compared fields.
     """
 
     target_per: float
@@ -140,14 +141,7 @@ class QosSpec:
                 f"that rounds to 1"
             )
         object.__setattr__(self, "per_attempt_bound", bound)
-
-    # Cached on first use, as ModulationScheme's fitted constants are.
-    @cached_property
-    def log_keep(self) -> float:
-        """``log1p(-per_attempt_bound)``: the log of the probability that an
-        attempt at the PER bound succeeds, through which alone the
-        retransmission cap enters the SNR floor and the payload ceiling."""
-        return math.log1p(-self.per_attempt_bound)
+        object.__setattr__(self, "log_keep", math.log1p(-bound))
 
 
 def waterfall_threshold(scheme: ModulationScheme, n_bits: int) -> float:

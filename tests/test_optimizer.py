@@ -50,6 +50,7 @@ from linkopt.oracles import (
 from linkopt.validation import _snr_optimum as snr_optimum
 from test_cli import CUSTOM_SCHEME_SPACE, custom_scheme_ini
 from test_query_digests import WORKLOADS
+from test_reasons import seeded_draws
 
 CFG = default_config()
 MODS = {m.name: m for m in CFG.modulations}
@@ -965,6 +966,46 @@ class TestEnergyFloor:
                                         cfg.pa_models.values())
         assert ratios and max(ratios) <= 1.0 + 1e-12
 
+    @staticmethod
+    def set_ups_with_falling_floors(cfg, distances):
+        """How many of ``cfg``'s set-ups at ``distances`` carry a payload
+        at its largest cap, after checking that each one's payload ceilings
+        rise with the cap and its energy floors, at the caps with a ceiling
+        of one bit or more, fall with it, as computed in floating point.  A
+        table bounds a scheme out whole on its largest cap's floor, which
+        relies on the second."""
+        top = cfg.qos.max_retransmissions
+        specs = [QosSpec(cfg.qos.target_per, tau)
+                 for tau in range(min(top, 1), top + 1)]
+        count = 0
+        for d in distances:
+            for pa in cfg.pa_models.values():
+                for scheme in cfg.modulations:
+                    setup = optimizer._law_setup(optimizer._scheme_law(
+                        cfg.link_template, pa, scheme,
+                        cfg.circuit_power[scheme.circuit_power_class]),
+                        cfg.link_template.gain_at(d), cfg.n_h, specs[-1])
+                    if len(setup) == 2:
+                        continue
+                    count += 1
+                    terms = optimizer._floor_terms(setup, math.log(cfg.n_h))
+                    ceilings = [payload_max(scheme, cfg.n_h, setup[6], spec)
+                                for spec in specs]
+                    assert ceilings == sorted(ceilings)
+                    floors = [optimizer._energy_floor(setup, spec, c, terms)
+                              for spec, c in zip(specs, ceilings) if c >= 1]
+                    assert not any(lower > higher for higher, lower
+                                   in zip(floors, floors[1:]))
+        return count
+
+    def test_floors_fall_with_the_cap(self):
+        """On the default grid and on the seeded extreme configs of
+        ``tests/test_reasons.py``."""
+        assert self.set_ups_with_falling_floors(CFG, CFG.distances()) == 753
+        counts = [self.set_ups_with_falling_floors(cfg, distances)
+                  for _, cfg, distances in seeded_draws()]
+        assert (len(counts), sum(counts)) == (131, 2001)
+
     def test_coupled_term_dropped_only_outside_its_proof(self):
         """``k`` is 0 exactly where ``w(n_h) = log(c_eff n_h) + EULER_GAMMA
         <= 0``, so with a 1-bit header for the default schemes of small
@@ -1039,9 +1080,10 @@ class TestDefaultPassWork:
         each, on their first solve, and solve 1,755 candidates with 3,718 loop evaluations (6,474
         when every distance starts cold) and 1,320 integer passes; the other
         504 of their 2,259 candidates share the interior point of a smaller
-        cap, with no solve.  The QoS spec of each of the 3 caps is built
-        once, the path gain is evaluated once per distance, 79 times, and
-        ``log1p(-per_attempt_bound)`` once per spec, 3 times.  No
+        cap, with no solve.  The QoS spec of each of the 2 caps below the
+        caller's is built once, the path gain is evaluated once per
+        distance, 79 times, and ``log1p(-per_attempt_bound)`` once per spec
+        built, 2 times.  No
         ``LinkBudget`` is built: a distance reaches the set-ups only as its
         path gain."""
         calls = Counter()
@@ -1103,8 +1145,8 @@ class TestDefaultPassWork:
             delta=CFG.delta, circuit_power=CFG.circuit_power,
         ))
         assert calls == {"solve": 1755, "map": 753, "coefficients": 753,
-                         "loop": 3718, "integer": 1320, "spec": 3, "gain": 79,
-                         "log1p": 3}
+                         "loop": 3718, "integer": 1320, "spec": 2, "gain": 79,
+                         "log1p": 2}
         assert calls["link"] == 0
         set_ups = entries // CFG.qos.max_retransmissions
         assert (entries, set_ups) == (4266, 1422)
@@ -1175,17 +1217,18 @@ class TestDefaultPassWork:
 
     def test_point_query_batches_bounded(self, monkeypatch):
         """The same with the tables bounded for selection, as
-        ``joint_optimize`` builds them: 2,406 solves and 8,322 map
-        evaluations (2,790 and 10,861 with the decoupled energy floor)."""
+        ``joint_optimize`` builds them: 1,646 solves and 8,322 map
+        evaluations (2,406 and 8,322 with a bound per cap alone, 2,790 and
+        10,861 with the decoupled energy floor)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
         self.point_query_batches(())
-        assert calls == {"solve": 2406, "evaluation": 8322}
+        assert calls == {"solve": 1646, "evaluation": 8322}
 
     def test_default_sweep_bounded(self, monkeypatch):
         """The default sweep with the tables bounded for selection, as
-        ``sweep`` builds them: 814 solves and 1,635 map evaluations (934
-        and 2,277 with the decoupled energy floor, 1,755 and 5,038 for whole
-        tables)."""
+        ``sweep`` builds them: 482 solves and 1,635 map evaluations (814
+        and 1,635 with a bound per cap alone, 934 and 2,277 with the
+        decoupled energy floor, 1,755 and 5,038 for whole tables)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
         for _ in candidate_tables(
             CFG.link_template, CFG.distances(), CFG.qos,
@@ -1193,7 +1236,7 @@ class TestDefaultPassWork:
             delta=CFG.delta, circuit_power=CFG.circuit_power, keep_best_of=(),
         ):
             pass
-        assert calls == {"solve": 814, "evaluation": 1635}
+        assert calls == {"solve": 482, "evaluation": 1635}
 
 
 class TestTableEntries:

@@ -102,6 +102,19 @@ class TestQosSpec:
     def test_per_attempt_bound_cached(self):
         assert QOS.per_attempt_bound == pytest.approx(0.1778279410038923, rel=1e-12)
 
+    @pytest.mark.parametrize("target_per", [1e-9, 0.001, 0.3, 0.999])
+    def test_log_keep_set_with_the_bound(self, target_per):
+        """``log_keep`` is ``log1p(-per_attempt_bound)`` bit for bit, and
+        equality, hash and repr read only the fields."""
+        for tau in (0, 1, 3, MAX_RETRANSMISSIONS):
+            spec = QosSpec(target_per, tau)
+            assert spec.log_keep.hex() == math.log1p(
+                -spec.per_attempt_bound).hex()
+            twin = QosSpec(target_per, tau)
+            assert spec == twin and hash(spec) == hash(twin)
+        assert repr(QOS) == ("QosSpec(target_per=0.001, max_retransmissions=3, "
+                             "per_attempt_bound=0.1778279410038923)")
+
     def test_bound_between_target_and_one(self):
         assert QOS.target_per < QOS.per_attempt_bound < 1.0
 

@@ -9,6 +9,7 @@ import hashlib
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant, energy_coefficients
 from linkopt.errors import ConfigError
 from linkopt.optimizer import candidate_tables, select_best, snr_max
+from linkopt.per import payload_max
 
 CFG = default_config()
 
@@ -62,12 +64,32 @@ def test_default_lifetime_tables():
         "655ee7a9c80625f75b4da326d995b68e258c550ee371b94f1abcb124387e5d53")
 
 
+def bounded_out_floor(rejection):
+    """``(X, Y)`` of a bounded-out entry's ``rejection``, its energy floor
+    and the best energy it was compared with, or None for another entry.
+    A cap of a scheme bounded out whole defers its floor, at the cap's own
+    payload ceiling, to when it is read; it has none where that ceiling is
+    below one bit."""
+    if rejection.__class__ is not tuple:
+        return None
+    if rejection[0] is optimizer._BOUNDED_OUT:
+        return rejection[1:]
+    if rejection[0] is not optimizer._bounded_whole:
+        return None
+    _, setup, spec, terms, best = rejection
+    ceiling = payload_max(setup[0], setup[4], setup[6], spec)
+    if ceiling < 1:
+        return None
+    return optimizer._energy_floor(setup, spec, ceiling, terms), best
+
+
 def check_bounded_out(bounded, whole):
     """Each bounded-out entry of the tables ``bounded`` holds its energy
-    floor X and the best energy Y it was compared with: X lies more than
-    1e-3 above Y, Y is the energy of a feasible entry of its table, and X
-    is at most the energy of the entry in the matching whole table when
-    that is feasible.  Returns how many entries were bounded out."""
+    floor X and the best energy Y it was compared with
+    (:func:`bounded_out_floor`): X lies more than 1e-3 above Y, Y is the
+    energy of a feasible entry of its table, and X is at most the energy of
+    the entry in the matching whole table when that is feasible.  Returns
+    how many entries were bounded out."""
     count = 0
     for (d, pa, table), (d_whole, pa_whole, entries) in zip(
             bounded, whole, strict=True):
@@ -75,11 +97,11 @@ def check_bounded_out(bounded, whole):
         energies = {c.point.energy for c in table if c.point is not None}
         for c, c_whole in zip(table, entries, strict=True):
             assert (c.scheme, c.tau) == (c_whole.scheme, c_whole.tau)
-            if c.rejection.__class__ is not tuple or (
-                    c.rejection[0] is not optimizer._BOUNDED_OUT):
+            floor_best = bounded_out_floor(c.rejection)
+            if floor_best is None:
                 continue
             count += 1
-            _, floor, best = c.rejection
+            floor, best = floor_best
             assert floor > best * (1.0 + 1e-3)
             assert best in energies
             if c_whole.point is not None:
@@ -183,13 +205,19 @@ def test_seeded_extreme_configs():
 def test_snr_cap_denominator_underflow_is_a_rejection():
     """Draw 61 of :func:`test_seeded_extreme_configs`: at 1.3 mm its
     ``B n0 g_d`` underflows to 0 while ``a_coeff`` does not, so the SNR cap
-    divides by zero.  Where the coefficients pass (CPA and ETPA; TPA's
-    ``a_coeff`` divides by zero too), every scheme is rejected with that
-    reason, in whole and bounded tables alike."""
+    divides by zero.  :func:`snr_max` raises ValueError with the reason,
+    and where the coefficients pass (CPA and ETPA; TPA's ``a_coeff``
+    divides by zero too), every scheme is rejected with it, in whole and
+    bounded tables alike."""
     [(cfg, d)] = [(cfg, distances[2]) for draw, cfg, distances
                   in seeded_draws() if draw == 61]
     link = replace(cfg.link_template, distance_m=d)
     assert link.bandwidth_hz * link.n0 * link.gain_at(d) == 0.0
+    for pa in cfg.pa_models.values():
+        with pytest.raises(ValueError) as raised:
+            snr_max(link, cfg.baseline_scheme(), pa)
+        assert str(raised.value) == (
+            "SNR cap outside the range of a double (B n0 g_d underflows to 0)")
     for keep_best_of in (None, (), (cfg.baseline_scheme(),)):
         for _, pa, table in tables_of(cfg, (d,), keep_best_of):
             reasons = {c.reason.split(": ", 1)[1] for c in table}
@@ -211,9 +239,10 @@ def set_up_text(cfg, d, pa, scheme):
                             cfg.circuit_power[scheme.circuit_power_class])
     except (ValueError, ArithmeticError) as exc:
         return f"energy coefficients outside the range of a double ({exc})"
-    if link.bandwidth_hz * link.n0 * link.gain_at(d) == 0.0:
-        return "SNR cap outside the range of a double (B n0 g_d underflows to 0)"
-    gamma_cap = snr_max(link, scheme, pa)
+    try:
+        gamma_cap = snr_max(link, scheme, pa)
+    except ValueError as exc:
+        return str(exc)
     if gamma_cap == 0.0:
         return "SNR cap outside the range of a double (snr_max underflows to 0)"
     return f"no payload meets the PER bound at full power (snr_max={gamma_cap:.4g})"

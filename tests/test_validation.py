@@ -327,10 +327,10 @@ def test_sweep_matches_separate_tables_second_fixed_point_config():
 
 
 def test_default_validate_solves(monkeypatch):
-    """One default validate call solves 1,213 candidates: 1,071 in the
-    battery's one sweep of 147 whole tables, 82 in the 18 bounded
-    scale-invariance tables (90 with the decoupled energy floor) and 60
-    multistart starts."""
+    """One default validate call solves 1,183 candidates: 1,071 in the
+    battery's one sweep of 147 whole tables, 52 in the 18 bounded
+    scale-invariance tables (82 with a bound per cap alone, 90 with the
+    decoupled energy floor) and 60 multistart starts."""
     calls = Counter()
     solve = optimizer._solve_candidate
 
@@ -350,7 +350,7 @@ def test_default_validate_solves(monkeypatch):
     monkeypatch.setattr(BatteryRun, "_sweep", counting_sweep)
     code = cli.cmd_validate(CFG, io.StringIO(), io.StringIO())
     assert code == cli.EXIT_OK
-    assert calls == {"candidate_tables": 1153, "sweep": 1071,
+    assert calls == {"candidate_tables": 1123, "sweep": 1071,
                      "check_multistart_agreement": 60}
 
 
