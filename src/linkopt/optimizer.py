@@ -573,9 +573,10 @@ def candidate_tables(
 
     With ``keep_best_of`` None every table is whole.  Otherwise a table
     serves only :func:`best_point` of it and of each scheme in
-    ``keep_best_of``, which is solved whole (branch and bound): schemes go
-    in ascending order of their smallest :func:`_energy_floor`, that of the
-    largest cap (whose spec is ``qos``), and caps in ascending order.  A cap
+    ``keep_best_of``, which is solved whole, and first (branch and bound):
+    the other schemes go in ascending order of their smallest
+    :func:`_energy_floor`, that of the largest cap (whose spec is ``qos``),
+    and caps in ascending order.  A cap
     of another scheme whose floor exceeds the lowest energy so far by more
     than 1e-3 relative is not solved: its entry is the rejection ``bounded
     out: energy >= X, best Y``, and its sweep start is kept.  When the
@@ -623,9 +624,9 @@ def candidate_tables(
             setups = [_law_setup(law, g_d, n_h, qos) for law in pa_laws]
             order = range(len(setups))
             if bounded:
-                floors = [0.0] * len(setups)
+                floors = [-math.inf if s[0] in keep_best_of else 0.0 for s in setups]
                 for i, s in enumerate(setups):
-                    if len(s) > 2:
+                    if len(s) > 2 and floors[i] == 0.0:
                         t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
                         floors[i] = _energy_floor(s, qos, s[5], t)
                 order = sorted(order, key=floors.__getitem__)

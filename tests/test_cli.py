@@ -468,14 +468,16 @@ class TestLifetimeSharedTable:
 
     def test_default_lifetime_solves_each_candidate_once(self, monkeypatch):
         """No candidate is solved twice, and every entry the lifetime path
-        did not bound out reads as its entry of the whole table: 553 solves
-        (885 with a bound per cap alone, 1,003 with the decoupled energy
-        floor, 1,755 for whole tables), 1,243 entries bounded out (1,125),
-        and 2,007 entries of schemes that no cap can carry a payload on, 332
+        did not bound out reads as its entry of the whole table: 520 solves
+        (553 with the baseline in floor order, 885 with a bound per cap
+        alone, 1,003 with the decoupled energy floor, 1,755 for whole
+        tables), 1,276 entries bounded out (1,243, 1,125), and 2,007
+        entries of schemes that no cap can carry a payload on, 332
         caps that carry none of schemes bounded out whole (solved before,
         to the same reason) and 131 sharing the interior point of a smaller
         cap, all built without a solve, make up the 4,266 entries.  The
-        baseline is solved whole, so none of its entries is bounded out."""
+        baseline is solved whole and first, so none of its entries is
+        bounded out."""
         calls, entries = [], {}
         solve, tables = optimizer._solve_candidate, cli.candidate_tables
         cfg = default_config()
@@ -505,7 +507,7 @@ class TestLifetimeSharedTable:
         per_point = len(cfg.modulations) * cfg.qos.max_retransmissions
         assert (points, per_point) == (237, 18)
         assert len(entries) == points * per_point == 4266
-        assert len(calls) == len(set(calls)) == 553
+        assert len(calls) == len(set(calls)) == 520
         whole = {
             (d, pa.variant, c.scheme.name, c.tau): c
             for d, pa, table in optimizer.candidate_tables(
@@ -517,7 +519,7 @@ class TestLifetimeSharedTable:
         bounded_out = {key for key, c in entries.items()
                        if c.reason is not None and ": bounded out: " in c.reason}
         assert not bounded_out & set(calls)
-        assert len(bounded_out) == 1243
+        assert len(bounded_out) == 1276
         for key in set(entries) - bounded_out:
             assert entries[key].point == whole[key].point
             assert entries[key].reason == whole[key].reason
@@ -534,7 +536,7 @@ class TestLifetimeSharedTable:
 @pytest.mark.parametrize("command, counts", [
     (cli.cmd_sweep, {"solve": 482, "coefficients": 198, "map": 198,
                      "payload_max": 1814}),
-    (cli.cmd_lifetime, {"solve": 553, "coefficients": 248, "map": 248,
+    (cli.cmd_lifetime, {"solve": 520, "coefficients": 248, "map": 248,
                         "payload_max": 1881}),
 ], ids=["sweep", "lifetime"])
 def test_default_dataset_work(monkeypatch, command, counts):
@@ -545,8 +547,9 @@ def test_default_dataset_work(monkeypatch, command, counts):
     with the decoupled energy floor, 753 each when every set-up with a
     payload built them).  Each set-up computes its largest cap's payload
     ceiling once (4,386 and 4,303 ceilings before), and a scheme bounded out
-    whole computes no other: 482 and 553 solves and 1,814 and 1,881
-    ceilings (814 and 885, 2,924 and 2,891 with a bound per cap alone)."""
+    whole computes no other: 482 and 520 solves and 1,814 and 1,881
+    ceilings (814 and 885, 2,924 and 2,891 with a bound per cap alone;
+    ``lifetime`` solved 553 with the baseline in floor order)."""
     calls = Counter()
     reason = optimizer.Candidate.reason
 
