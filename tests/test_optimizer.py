@@ -1006,6 +1006,25 @@ class TestEnergyFloor:
                   for _, cfg, distances in seeded_draws()]
         assert (len(counts), sum(counts)) == (131, 2001)
 
+    @pytest.mark.parametrize("pa", [CPA, TPA, ETPA], ids=lambda pa: pa.variant.value)
+    def test_floor_at_the_threshold_bounds_out_nothing(self, monkeypatch, pa):
+        """A floor of exactly ``best (1 + 1e-3)`` bounds out neither a cap
+        nor a whole scheme: with the winning scheme's floors 0, so that it
+        is solved first, and every other floor that threshold against the
+        lowest energy of the whole table, the bounded table at 20 m equals
+        the whole one."""
+        args = (CFG.link_template, (20.0,), CFG.qos, (pa,), CFG.modulations,
+                CFG.n_h)
+        kwargs = {"delta": CFG.delta, "circuit_power": CFG.circuit_power}
+        [(_, _, whole)] = candidate_tables(*args, **kwargs)
+        best = min((c.point for c in whole if c.point is not None),
+                   key=lambda point: point.energy)
+        threshold = best.energy * (1.0 + 1e-3)
+        monkeypatch.setattr(optimizer, "_energy_floor", lambda setup, *_: (
+            0.0 if setup[0] is best.scheme else threshold))
+        [(_, _, bounded)] = candidate_tables(*args, keep_best_of=(), **kwargs)
+        assert bounded == whole
+
     def test_coupled_term_dropped_only_outside_its_proof(self):
         """``k`` is 0 exactly where ``w(n_h) = log(c_eff n_h) + EULER_GAMMA
         <= 0``, so with a 1-bit header for the default schemes of small
