@@ -177,15 +177,13 @@ def bit_rate(scheme: ModulationScheme, link: LinkBudget) -> float:
 def coefficient_law(
     pa: PaModel, scheme: ModulationScheme, link: LinkBudget, p_c: float
 ) -> tuple:
-    """``(xi_n0, eta, b_coeff, tpa)``: the distance-free factors, as
-    numbers, of the energy coefficients of one amplifier and scheme on
-    ``link``'s budget; ``tpa`` is ``(sqrt(p_t_max), n0, r_b)`` for TPA, else
-    None.  Only ``a_coeff`` depends on the distance, through the path gain
-    ``g_d``; :func:`a_coeff_at` evaluates it from the leading products of
-    its left-to-right expression, so bit-identically to that expression
-    written out at distance ``d``.  `p_c` is the combined transmit plus
-    receive circuit power in watts (everything in the RF chain except the
-    amplifier).
+    """``(xi_n0, eta, b_coeff, tpa)``: the distance-free factors of the
+    energy coefficients of one amplifier and scheme on ``link``'s budget,
+    ``tpa`` being ``(sqrt(p_t_max), n0, r_b)`` for TPA, else None.  Only
+    ``a_coeff`` depends on the distance: :func:`a_coeff_at` evaluates it at
+    a path gain from these leading products of its left-to-right expression,
+    bit-identically.  `p_c` is the combined transmit plus receive circuit
+    power in watts (everything in the RF chain except the amplifier).
     """
     if p_c <= 0.0:
         raise ValueError(f"p_c must be > 0, got {p_c}")

@@ -576,19 +576,18 @@ def candidate_tables(
     ``keep_best_of``, which is solved whole, and first (branch and bound):
     the other schemes go in ascending order of their smallest
     :func:`_energy_floor`, that of the largest cap (whose spec is ``qos``),
-    and caps in ascending order.  A cap
-    of another scheme whose floor exceeds the lowest energy so far by more
-    than 1e-3 relative is not solved: its entry is the rejection ``bounded
-    out: energy >= X, best Y``, and its sweep start is kept.  When the
-    smallest floor does, so does every cap's, and the scheme is bounded out
-    whole with no ceiling or floor per cap: :func:`_bounded_whole` works out
-    each reason when it is read.  Nothing is bounded out before an entry is
-    feasible, and a NaN floor bounds out nothing.  The pick cannot
-    change: the L energies of a table leave empty some band one factor
-    ``(1 - 1e-9)^-1`` wide between the lowest, E, and ``E (1 - 1e-9)^-(L +
-    1) < E (1 + 1e-3)`` (L < 900,000, pigeonhole); every entry below it beats
-    every entry above it by more than the 1e-9 tie tolerance, and a
-    bounded-out entry lies above it.
+    and caps in ascending order.  A cap of another scheme whose floor
+    exceeds the lowest energy so far by more than 1e-3 relative is not
+    solved: its entry is the rejection ``bounded out: energy >= X, best
+    Y``, and its sweep start is kept.  When the smallest floor does, so does
+    every cap's, and the scheme is bounded out whole with no ceiling or
+    floor per cap: :func:`_bounded_whole` works out each reason when it is
+    read.  Nothing is bounded out before an entry is feasible, and a NaN
+    floor bounds out nothing.  The pick cannot change: the L energies of a
+    table leave empty some band one factor ``(1 - 1e-9)^-1`` wide between
+    the lowest, E, and ``E (1 - 1e-9)^-(L + 1) < E (1 + 1e-3)`` (L <
+    900,000, pigeonhole); every entry below it beats every entry above it by
+    more than the 1e-9 tie tolerance, and a bounded-out entry lies above it.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -600,6 +599,7 @@ def candidate_tables(
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     bounded = keep_best_of is not None
     keep_best_of = tuple(keep_best_of or ())
+    whole = [not bounded or m in keep_best_of for m in mods]
     log_n_h = math.log(n_h)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
@@ -624,7 +624,7 @@ def candidate_tables(
             setups = [_law_setup(law, g_d, n_h, qos) for law in pa_laws]
             order = range(len(setups))
             if bounded:
-                floors = [-math.inf if s[0] in keep_best_of else 0.0 for s in setups]
+                floors = [-math.inf if w else 0.0 for w in whole]
                 for i, s in enumerate(setups):
                     if len(s) > 2 and floors[i] == 0.0:
                         t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
@@ -637,16 +637,17 @@ def candidate_tables(
                 k = i * n_specs
                 if len(setup) == 2:
                     scheme, rejection = setup
-                    table[k:k + n_specs] = [_new(Candidate, (
-                        scheme, tau, None, rejection)) for _, tau in caps]
-                    pa_starts[k:k + n_specs] = [0.0] * n_specs
+                    for _, tau in caps:
+                        table[k] = _new(Candidate, (scheme, tau, None, rejection))
+                        pa_starts[k] = 0.0
+                        k += 1
                     continue
                 scheme, gamma_cap = setup[0], setup[6]
-                whole = not bounded or scheme in keep_best_of
-                if not whole and floors[i] > best * (1.0 + 1e-3):
-                    table[k:k + n_specs] = [_new(Candidate, (scheme, tau, None, (
-                        _bounded_whole, setup, spec, pa_terms[i], best)))
-                        for spec, tau in caps]
+                if not whole[i] and floors[i] > best * (1.0 + 1e-3):
+                    for spec, tau in caps:
+                        table[k] = _new(Candidate, (scheme, tau, None, (
+                            _bounded_whole, setup, spec, pa_terms[i], best)))
+                        k += 1
                     continue
                 shared = False
                 for spec, tau in caps:
@@ -659,7 +660,7 @@ def candidate_tables(
                     else:
                         ceiling = setup[5] if spec is qos else payload_max(
                             scheme, n_h, gamma_cap, spec)
-                        if not whole and ceiling >= 1:
+                        if not whole[i] and ceiling >= 1:
                             bound = _energy_floor(setup, spec, ceiling, pa_terms[i])
                             if bound > best * (1.0 + 1e-3):
                                 table[k] = _new(Candidate, (

@@ -115,8 +115,7 @@ class QosSpec:
     after the last attempt must not exceed ``target_per``.  The implied
     per-attempt PER bound is cached in ``per_attempt_bound``; a bound that
     rounds to 1 is rejected, because the payload ceiling takes ``log_keep =
-    log1p(-bound)``, through which alone the cap enters the SNR floor and the
-    payload ceiling; it is set with the bound, outside the compared fields.
+    log1p(-bound)``, which is set with it but is not a field.
     """
 
     target_per: float
