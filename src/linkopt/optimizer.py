@@ -605,7 +605,7 @@ def candidate_tables(
     top = qos.max_retransmissions
     caps = [(QosSpec(qos.target_per, tau), tau) for tau in range(min(top, 1), top)]
     caps.append((qos, top))
-    n_specs = len(caps)
+    n_caps = len(caps)
     laws = [[_scheme_law(link_template, pa, scheme,
                          circuit_power[scheme.circuit_power_class])
              for scheme in mods] for pa in pas]
@@ -613,7 +613,7 @@ def candidate_tables(
     # The converged payload of each table entry of each amplifier at the
     # previous distance, in table order; 0.0 (no convergence, or no previous
     # distance) marks no start.
-    starts = [[0.0] * (len(mods) * n_specs) for _ in pas]
+    starts = [[0.0] * (len(mods) * n_caps) for _ in pas]
     for d in distances:
         if d <= 0.0:
             raise ValueError(f"distances must be positive, got {d}")
@@ -626,7 +626,7 @@ def candidate_tables(
             if bounded:
                 floors = [-math.inf if w else 0.0 for w in whole]
                 for i, s in enumerate(setups):
-                    if len(s) > 2 and floors[i] == 0.0:
+                    if len(s) > 2 and not whole[i]:
                         t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
                         floors[i] = _energy_floor(s, qos, s[5], t)
                 order = sorted(order, key=floors.__getitem__)
@@ -634,7 +634,7 @@ def candidate_tables(
             best = math.inf
             for i in order:
                 setup = setups[i]
-                k = i * n_specs
+                k = i * n_caps
                 if len(setup) == 2:
                     scheme, rejection = setup
                     for _, tau in caps:
