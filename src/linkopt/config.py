@@ -124,24 +124,26 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         ConfigError: "config syntax error" with the line number, or a
             non-empty ``[DEFAULT]`` named as an unknown section.
     """
-    sections: dict[str, dict[str, list[str]]] = {}
-    default: dict[str, list[str]] = {}
-    values = None  # the current section's lines per key
+    sections: dict[str, dict[str, str]] = {}
+    default: dict[str, str] = {}
+    values = None  # the current section's values per key
     key = None  # the key a continuation line extends
-    indent = 0
+    indent = blanks = 0  # blanks: blank lines since the key's last line
     for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
-        if not stripped or stripped[0] in "#;":
-            if not stripped and key is not None:
-                values[key].append("")
+        if not stripped:
+            blanks += 1
             continue
-        level = len(line) - len(line.lstrip())
+        if stripped[0] in "#;":
+            continue
+        level = 0 if line[0] == stripped[0] else len(line) - len(line.lstrip())
         if key is not None and level > indent:
-            values[key].append(stripped)
+            # Blank lines inside a value are kept; trailing ones never are.
+            values[key] += "\n" * (blanks + 1) + stripped
+            blanks = 0
             continue
         indent = level
-        end = stripped.rfind("]")
-        if stripped[0] == "[" and end > 1:
+        if stripped[0] == "[" and (end := stripped.rfind("]")) > 1:
             name = stripped[1:end]
             if name == "DEFAULT":
                 values = default
@@ -162,15 +164,13 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
             raise _syntax_error(lineno, f"empty key in {line!r}")
         if key in values:
             raise _syntax_error(lineno, f"key {key!r} already exists")
-        values[key] = [stripped[cut + 1:].lstrip()]
+        values[key] = stripped[cut + 1:].lstrip()
+        blanks = 0
     if default:
         raise ConfigError(
             "DEFAULT: unknown section (its keys would apply to every section)"
         )
-    return {
-        name: {key: "\n".join(lines).rstrip() for key, lines in keys.items()}
-        for name, keys in sections.items()
-    }
+    return sections
 
 
 def _syntax_error(lineno: int, problem: str) -> ConfigError:
@@ -248,18 +248,17 @@ class ScenarioConfig:
 class _Reader:
     """Typed key lookup over one section with field-path errors."""
 
-    def __init__(self, sections: _Sections, section: str):
+    def __init__(self, named: _Sections, section: str):
+        """`section` of `named`, each key it lacks read from the defaults."""
         self.section = section
-        self.values = sections[section]
+        self.values = {**_DEFAULTS.get(section, {}), **named.get(section, {})}
 
     def number(self, key: str) -> float:
         raw = self.values[key]
         try:
             value = float(raw)
         except ValueError:
-            raise ConfigError(
-                f"{self.section}.{key}: invalid number {raw!r}"
-            ) from None
+            raise ConfigError(f"{self.section}.{key}: invalid number {raw!r}") from None
         if not math.isfinite(value):
             raise ConfigError(f"{self.section}.{key}: must be finite, got {raw!r}")
         return value
@@ -281,8 +280,7 @@ class _Reader:
         if abs(value) > MAX_ABS_DB:
             raise ConfigError(
                 f"{self.section}.{key}: must be within +-{MAX_ABS_DB:g} dB, "
-                f"got {value!r}"
-            )
+                f"got {value!r}")
         return value
 
     def integer(self, key: str) -> int:
@@ -291,8 +289,7 @@ class _Reader:
             return int(raw)
         except ValueError:
             raise ConfigError(
-                f"{self.section}.{key}: invalid integer {raw!r}"
-            ) from None
+                f"{self.section}.{key}: invalid integer {raw!r}") from None
 
     def text(self, key: str) -> str:
         return self.values[key].strip()
@@ -308,17 +305,13 @@ class _Reader:
             ) from None
 
 
-def _dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 def check_distance(link: LinkBudget, distance_m: float, field: str) -> None:
     """Reject a link distance the model cannot be evaluated at.
 
     The distance must be positive and finite.  The path gain of ``link``'s
-    law there (its own distance is not read), and the
-    noise power referred to the transmitter (bandwidth x N0 x path gain)
-    that every SNR is measured against, must be positive finite doubles.
+    law there (its own distance is not read), and the noise power referred
+    to the transmitter (bandwidth x N0 x path gain) that every SNR is
+    measured against, must be positive finite doubles.
 
     Raises:
         ConfigError: naming `field` when either condition fails.
@@ -335,18 +328,17 @@ def check_distance(link: LinkBudget, distance_m: float, field: str) -> None:
         )
 
 
-def _link(sections: _Sections, fields: dict) -> dict:
-    link = _Reader(sections, "link")
+def _link(named: _Sections, fields: dict) -> dict:
+    link = _Reader(named, "link")
     noise_half_dbm = link.decibels("noise_half_psd_dbm_hz")
+    kappa, g1_db = link.positive("kappa"), link.decibels("g1_db")
+    margin_db = link.decibels("link_margin_db")
+    bandwidth_khz, p0_mw = link.positive("bandwidth_khz"), link.positive("p0_mw")
     try:
         link_template = LinkBudget(
-            distance_m=1.0,
-            kappa=link.positive("kappa"),
-            g1_db=link.decibels("g1_db"),
-            link_margin_db=link.decibels("link_margin_db"),
-            n0=2.0 * _dbm_to_watts(noise_half_dbm),
-            bandwidth_hz=link.positive("bandwidth_khz") * 1e3,
-            p0_w=link.positive("p0_mw") * 1e-3,
+            distance_m=1.0, kappa=kappa, g1_db=g1_db, link_margin_db=margin_db,
+            n0=2.0 * 10.0 ** ((noise_half_dbm - 30.0) / 10.0),
+            bandwidth_hz=bandwidth_khz * 1e3, p0_w=p0_mw * 1e-3,
         )
     except ValueError as exc:
         # A positive value can underflow to 0 in the unit conversion.
@@ -354,8 +346,8 @@ def _link(sections: _Sections, fields: dict) -> dict:
     return {"link_template": link_template}
 
 
-def _qos(sections: _Sections, fields: dict) -> dict:
-    qos_r = _Reader(sections, "qos")
+def _qos(named: _Sections, fields: dict) -> dict:
+    qos_r = _Reader(named, "qos")
     target_per = qos_r.number("target_per")
     max_retransmissions = qos_r.integer("max_retransmissions")
     try:
@@ -365,15 +357,15 @@ def _qos(sections: _Sections, fields: dict) -> dict:
         raise ConfigError(f"qos.{exc}") from None
 
 
-def _packet(sections: _Sections, fields: dict) -> dict:
-    n_h = _Reader(sections, "packet").integer("n_h_bits")
+def _packet(named: _Sections, fields: dict) -> dict:
+    n_h = _Reader(named, "packet").integer("n_h_bits")
     if n_h < 1:
         raise ConfigError("packet.n_h_bits: must be >= 1")
     return {"n_h": n_h}
 
 
-def _circuit(sections: _Sections, fields: dict) -> dict:
-    circuit = _Reader(sections, "circuit")
+def _circuit(named: _Sections, fields: dict) -> dict:
+    circuit = _Reader(named, "circuit")
     circuit_power = {}
     for kind, key in ((CircuitClass.MQAM, "pc_mqam_mw"),
                       (CircuitClass.MFSK, "pc_mfsk_mw")):
@@ -385,15 +377,13 @@ def _circuit(sections: _Sections, fields: dict) -> dict:
     return {"circuit_power": circuit_power}
 
 
-def _pa(sections: _Sections, fields: dict) -> dict:
+def _pa(named: _Sections, fields: dict) -> dict:
     pa_models = {}
     for variant in PaVariant:
-        pa_r = _Reader(sections, f"pa.{variant.value}")
-        kwargs = dict(
-            variant=variant,
-            eta_max=pa_r.number("eta_max_pct") / 100.0,
-            p_t_max=pa_r.number("p_t_max_mw") * 1e-3,
-        )
+        pa_r = _Reader(named, f"pa.{variant.value}")
+        kwargs = dict(variant=variant,
+                      eta_max=pa_r.number("eta_max_pct") / 100.0,
+                      p_t_max=pa_r.number("p_t_max_mw") * 1e-3)
         if variant is PaVariant.ETPA:
             kwargs["etpa_c"] = pa_r.number("c")
         try:
@@ -403,35 +393,35 @@ def _pa(sections: _Sections, fields: dict) -> dict:
     return {"pa_models": pa_models}
 
 
-def _modulations(sections: _Sections, fields: dict) -> dict:
-    mods_r = _Reader(sections, "modulations")
+def _modulations(named: _Sections, fields: dict) -> dict:
+    mods_r = _Reader(named, "modulations")
     papr_formula = mods_r.text("mqam_papr_formula")
     if papr_formula not in _BUILTIN_SCHEMES:
         raise ConfigError(
             f"modulations.mqam_papr_formula: unknown MQAM PAPR formula "
-            f"{papr_formula!r}; expected one of {sorted(_BUILTIN_SCHEMES)}"
-        )
+            f"{papr_formula!r}; expected one of {sorted(_BUILTIN_SCHEMES)}")
     table = dict(_BUILTIN_SCHEMES[papr_formula])
 
-    for name, values in sections.items():
+    for name, values in named.items():
         if not name.startswith("modulation."):
             continue
         mod_name = name[len("modulation."):]
-        r = _Reader(sections, name)
+        if not mod_name or "," in mod_name or mod_name != mod_name.strip():
+            raise ConfigError(
+                f"{name}: modulations.enabled cannot list {mod_name!r}; a "
+                f"scheme name is non-empty, with no comma or outer spaces")
         missing = _MODULATION_KEYS - set(values)
         if missing:
             raise ConfigError(f"{name}: missing keys {sorted(missing)}")
+        r = _Reader(named, name)
         form = r.choice("ber_form", BerForm)
         circuit_class = r.choice("circuit_class", CircuitClass)
+        bits, c_m = r.integer("bits_per_symbol"), r.number("c_m")
+        k_m, papr = r.number("k_m"), r.number("papr")
         try:
             table[mod_name] = ModulationScheme(
-                name=mod_name,
-                bits_per_symbol=r.integer("bits_per_symbol"),
-                ber_form=form,
-                c_m=r.number("c_m"),
-                k_m=r.number("k_m"),
-                papr=r.number("papr"),
-                circuit_power_class=circuit_class,
+                name=mod_name, bits_per_symbol=bits, ber_form=form, c_m=c_m,
+                k_m=k_m, papr=papr, circuit_power_class=circuit_class,
             )
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from None
@@ -448,73 +438,74 @@ def _modulations(sections: _Sections, fields: dict) -> dict:
         if name not in table:
             raise ConfigError(
                 f"modulations.enabled: unknown scheme {name!r}; define a "
-                f"[modulation.{name}] section or use one of {sorted(table)}"
-            )
+                f"[modulation.{name}] section or use one of {sorted(table)}")
         modulations.append(table[name])
 
     baseline_name = mods_r.text("baseline")
     if baseline_name not in table:
-        raise ConfigError(
-            f"modulations.baseline: unknown scheme {baseline_name!r}"
-        )
+        raise ConfigError(f"modulations.baseline: unknown scheme {baseline_name!r}")
     if baseline_name not in enabled:
         raise ConfigError(
             f"modulations.baseline: {baseline_name!r} is not in "
-            f"modulations.enabled ({', '.join(enabled)})"
-        )
+            f"modulations.enabled ({', '.join(enabled)})")
     return {"modulations": tuple(modulations), "baseline_name": baseline_name}
 
 
-def _sweep(sections: _Sections, fields: dict) -> dict:
-    sweep = _Reader(sections, "sweep")
-    d_min = sweep.number("d_min_m")
-    d_max = sweep.number("d_max_m")
-    d_step = sweep.number("d_step_m")
-    if d_min <= 0.0 or d_max < d_min or d_step <= 0.0:
-        raise ConfigError(
-            f"sweep: need 0 < d_min_m <= d_max_m and d_step_m > 0, got "
-            f"({d_min}, {d_max}, {d_step})"
-        )
-    if (d_max - d_min) / d_step + 1.0 > MAX_SWEEP_POINTS:
-        raise ConfigError(
-            f"sweep.d_step_m: {d_step} gives more than {MAX_SWEEP_POINTS} "
-            f"distances between {d_min} and {d_max} m"
-        )
-    # The path gain grows with distance, so the two ends bound the grid;
-    # distances() rounds them, which can move them (d_min_m = 1e-12 to 0).
-    last = _grid_steps(d_min, d_max, d_step)
-    link_template = fields["link_template"]
-    for field, end, point in (
-        ("sweep.d_min_m", d_min, _grid_point(d_min, d_step, 0)),
-        ("sweep.d_max_m", d_max, _grid_point(d_min, d_step, last)),
-    ):
-        check_distance(link_template, end, field)
+def _sweep_ends(d_min: float, d_max: float, d_step: float) -> list:
+    """The sweep ends a link is checked at, with their fields: each as
+    written, then as distances() rounds it to 1e-9 m where that moves it
+    (d_min_m = 1e-12 to 0).  The path gain grows with distance, so the two
+    ends bound the grid."""
+    last = _grid_point(d_min, d_step, _grid_steps(d_min, d_max, d_step))
+    ends = []
+    for field, end, point in (("sweep.d_min_m", d_min, round(d_min, 9)),
+                              ("sweep.d_max_m", d_max, last)):
+        ends.append((field, end))
         if point != end:
-            check_distance(
-                link_template, point, f"{field} as rounded to the 1e-9 m grid"
-            )
-    return {"d_min_m": d_min, "d_max_m": d_max, "d_step_m": d_step}
+            ends.append((f"{field} as rounded to the 1e-9 m grid", point))
+    return ends
 
 
-def _duty(sections: _Sections, fields: dict) -> dict:
-    duty_r = _Reader(sections, "duty")
-    battery_ah = duty_r.number("battery_ah")
-    battery_v = duty_r.number("battery_v")
-    payload_kbit = duty_r.number("payload_kbit")
-    period_s = duty_r.number("period_s")
+def _sweep(named: _Sections, fields: dict) -> dict:
+    """The grid when the text names [sweep]; its ends, else the default
+    grid's, are checked against the link either way."""
+    if "sweep" not in named:
+        grid, ends = {}, _DEFAULT_SWEEP_ENDS
+    else:
+        sweep = _Reader(named, "sweep")
+        d_min = sweep.number("d_min_m")
+        d_max = sweep.number("d_max_m")
+        d_step = sweep.number("d_step_m")
+        if d_min <= 0.0 or d_max < d_min or d_step <= 0.0:
+            raise ConfigError(
+                f"sweep: need 0 < d_min_m <= d_max_m and d_step_m > 0, got "
+                f"({d_min}, {d_max}, {d_step})")
+        if (d_max - d_min) / d_step + 1.0 > MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"sweep.d_step_m: {d_step} gives more than {MAX_SWEEP_POINTS} "
+                f"distances between {d_min} and {d_max} m")
+        grid = {"d_min_m": d_min, "d_max_m": d_max, "d_step_m": d_step}
+        ends = _sweep_ends(d_min, d_max, d_step)
+    for field, distance in ends:
+        check_distance(fields["link_template"], distance, field)
+    return grid
+
+
+def _duty(named: _Sections, fields: dict) -> dict:
+    duty_r = _Reader(named, "duty")
+    battery_ah, battery_v = duty_r.number("battery_ah"), duty_r.number("battery_v")
+    payload_kbit, period_s = duty_r.number("payload_kbit"), duty_r.number("period_s")
     try:
         return {"duty": DutyProfile(
-            battery_charge_ah=battery_ah,
-            battery_voltage=battery_v,
-            payload_per_period_bits=payload_kbit * 1e3,
-            period_s=period_s,
+            battery_charge_ah=battery_ah, battery_voltage=battery_v,
+            payload_per_period_bits=payload_kbit * 1e3, period_s=period_s,
         )}
     except ValueError as exc:
         raise ConfigError(f"duty: {exc}") from None
 
 
-def _tolerance(sections: _Sections, fields: dict) -> dict:
-    tol = _Reader(sections, "tolerance")
+def _tolerance(named: _Sections, fields: dict) -> dict:
+    tol = _Reader(named, "tolerance")
     delta = tol.positive("delta")
     epsrel = tol.non_negative("quad_epsrel")
     epsabs = tol.non_negative("quad_epsabs")
@@ -549,19 +540,19 @@ _BUILDERS = (
 def _build(named: _Sections, base: dict) -> dict:
     """The fields of `named` laid over the defaults: those of the groups it
     names built again, every other one taken from `base`."""
-    sections = {**_DEFAULTS, **{
-        name: {**_DEFAULTS.get(name, {}), **values} for name, values in named.items()
-    }}
     groups = {name.partition(".")[0] for name in named}
     fields = dict(base)
     for build, triggers in _BUILDERS:
         if not triggers.isdisjoint(groups):
-            fields.update(build(sections, fields))
+            fields.update(build(named, fields))
     return fields
 
 
-# Built once: every field of the default config, each default validated.
+# Built once: every field of the default config, each default validated, and
+# the ends of its sweep grid, which a text naming [link] alone is checked at.
 _DEFAULT_FIELDS = _build(_DEFAULTS, {})
+_DEFAULT_SWEEP_ENDS = _sweep_ends(*(
+    _DEFAULT_FIELDS[key] for key in ("d_min_m", "d_max_m", "d_step_m")))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -569,9 +560,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Every section and key of the text is checked against the schema.  The
     defaults were validated once, at import; only the section groups the
-    text names (and the sweep, when it names ``[link]``) are read again,
-    and every other field is the import-time one.  Each config gets its own
-    ``circuit_power`` and ``pa_models`` dicts.
+    text names are read again, and every other field is the import-time
+    one.  A text naming ``[link]`` has its sweep ends checked against it,
+    those of the default grid when it does not name ``[sweep]``.  Each
+    config gets its own ``circuit_power`` and ``pa_models`` dicts.
     """
     named = _read_sections(text)
     for name, values in named.items():
@@ -587,16 +579,23 @@ def parse_config(text: str) -> ScenarioConfig:
     fields = _build(named, _DEFAULT_FIELDS)
     fields["circuit_power"] = dict(fields["circuit_power"])
     fields["pa_models"] = dict(fields["pa_models"])
-    return ScenarioConfig(**fields)
+    # The fields are validated: the frozen instance is filled directly,
+    # without the generated __init__'s 14 object.__setattr__ calls.
+    config = object.__new__(ScenarioConfig)
+    config.__dict__.update(fields)
+    return config
 
 
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a scenario config file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config {path!r}: not UTF-8 text ({exc})") from None
     return parse_config(text)
 
 

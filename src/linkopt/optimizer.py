@@ -230,7 +230,10 @@ class Candidate(NamedTuple):
         why = self.rejection
         if why.__class__ is tuple:
             why = why[0](*why[1:])
-        return None if why is None else f"{self.scheme.name}/tau={self.tau}: {why}"
+        return None if why is None else _REASON(self.scheme.name, self.tau, why)
+
+
+_REASON = "{}/tau={}: {}".format
 
 
 # Table entries are built as ``namedtuple._make`` builds them, skipping the
@@ -306,23 +309,27 @@ def _law_setup(
     return [scheme, link, g_d, pa, n_h, ceiling, gamma_cap, a, b, None, None]
 
 
-def _root_floor(c: float) -> float:
-    """A lower bound within 0.3 % on the root ``x > 1`` of ``x - log x = c``:
-    Chatzigeorgiou's ``1 + sqrt(2u) + 2u/3``, ``u = c - 1 > 0`` (IEEE Commun.
-    Lett. 17(8), 2013), then two steps ``x <- c + log x``, a map that rises
-    in ``x`` and fixes the root, so each step stays below it."""
-    u = c - 1.0
-    return c + math.log(c + math.log(1.0 + math.sqrt(2.0 * u) + u / 1.5))
+# n_h / s - log(n_h / s) of :func:`_energy_floor` at s = 2 n_h (TPA).
+_T_TPA = 0.5 + math.log(2.0)
 
 
 def _floor_terms(setup: list, log_n_h: float) -> tuple[float, float]:
     """``(g(w1), k)`` of :func:`_energy_floor`, which neither the distance
-    nor the cap changes, given ``log_n_h = log(n_h)``."""
+    nor the cap changes, given ``log_n_h = log(n_h)``.
+
+    ``x`` is a lower bound within 0.3 % on the root ``x > 1`` of ``x - log x
+    = c``: Chatzigeorgiou's ``1 + sqrt(2u) + 2u/3``, ``u = c - 1 > 0`` (IEEE
+    Commun. Lett. 17(8), 2013), then two steps ``x <- c + log x``, a map that
+    rises in ``x`` and fixes the root, so each step stays below it."""
     scheme, n_h, tpa = setup[0], setup[4], setup[3].variant is PaVariant.TPA
     w1 = (math.log(max(1.0, (n_h + 1) * scheme.c_eff)) + EULER_GAMMA) / scheme.k_eff
-    t = 0.5 + math.log(2.0) if tpa else 1.0  # n_h / s - log(n_h / s)
+    t = _T_TPA if tpa else 1.0  # n_h / s - log(n_h / s)
     c = log_n_h + scheme.log_c_eff + EULER_GAMMA + t
-    x = _root_floor(c) if c > t else 0.0
+    if c > t:
+        u = c - 1.0
+        x = c + math.log(c + math.log(1.0 + math.sqrt(2.0 * u) + u / 1.5))
+    else:
+        x = 0.0
     if tpa:
         return math.sqrt(w1), x and x / math.sqrt((x - 0.5) * scheme.k_eff)
     return w1, x / scheme.k_eff
@@ -348,7 +355,8 @@ def _energy_floor(setup: list, qos: QosSpec, ceiling: int, terms: tuple) -> floa
     s)``.  Where ``w(n_h) > 0`` (else ``k = 0``), ``x - log x < C`` on ``n_h
     / s < x < x2``, the root above 1, and ``>`` beyond, so on ``N > n_h``
     ``f`` is least at ``x2``: ``x2 / (k_eff lk)`` or ``x2 / sqrt((x2 - 1/2)
-    k_eff lk)`` (TPA), rising with ``x2``; ``k`` takes :func:`_root_floor`."""
+    k_eff lk)`` (TPA), rising with ``x2``; ``k`` takes a lower bound on
+    ``x2`` (:func:`_floor_terms`)."""
     lk = -qos.log_keep
     if setup[3].variant is PaVariant.TPA:
         lk = math.sqrt(lk)
@@ -505,8 +513,16 @@ def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
     table = list(candidates)
     best = best_point(table)
     if best is None:
-        return OperatingPoint(*[None] * 7, False, Binding.INFEASIBLE,
-                              tuple(c.reason for c in table))
+        # The caps of a rejected set-up share one rejection: each distinct
+        # one is formatted once.
+        texts = {}
+        for c in table:
+            why = c.rejection
+            if why.__class__ is tuple and id(why) not in texts:
+                texts[id(why)] = why[0](*why[1:])
+        return OperatingPoint(*[None] * 7, False, Binding.INFEASIBLE, tuple(
+            _REASON(c.scheme.name, c.tau, texts.get(id(c.rejection), c.rejection))
+            for c in table))
     return best
 
 

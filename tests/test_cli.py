@@ -198,6 +198,32 @@ class TestOptimize:
         assert code == cli.EXIT_USAGE
         assert "link: unknown key 'mystery_key'" in err
 
+    def test_config_not_utf8_exit_and_message(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[link]\np0_mw = 20\n# \xff\n")
+        code = run_cli([
+            "--config", str(path), "optimize", "--distance", "10", "--pa", "cpa",
+        ])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(
+            f"error: cannot read config {str(path)!r}: not UTF-8 text (")
+
+    def test_config_byte_order_mark_skipped(self, tmp_path, capsys):
+        text = "[link]\np0_mw = 20\n"
+        marked, plain = tmp_path / "marked.ini", tmp_path / "plain.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        plain.write_text(text, encoding="utf-8")
+        runs = []
+        for path in (marked, plain):
+            code = run_cli([
+                "--config", str(path), "optimize", "--distance", "10",
+                "--pa", "cpa",
+            ])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == cli.EXIT_OK and runs[0][1].err == ""
+
     def test_unknown_pa_rejected(self, capsys):
         code = run_cli(["optimize", "--distance", "10", "--pa", "gaasfet"])
         assert code == cli.EXIT_USAGE

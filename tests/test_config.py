@@ -14,6 +14,7 @@ from linkopt import config
 from linkopt.config import (
     DEFAULT_CONFIG_TEXT,
     MAX_SWEEP_POINTS,
+    ScenarioConfig,
     default_config,
     load_config,
     parse_config,
@@ -127,6 +128,41 @@ class TestRejection:
         with pytest.raises(ConfigError) as info:
             parse_config(f"[duty]\n{text}\n")
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value,problem", [
+        ("x", "invalid number 'x'"), ("nan", "must be finite, got 'nan'"),
+    ])
+    @pytest.mark.parametrize("key", sorted(config._DEFAULTS["link"]))
+    def test_link_reader_error_wrapped_once(self, key, value, problem):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[link]\n{key} = {value}\n")
+        assert str(info.value) == f"link.{key}: {problem}"
+
+    @pytest.mark.parametrize("key,value,problem", [
+        ("bits_per_symbol", "x", "invalid integer 'x'"),
+        ("ber_form", "x", "expected one of ['exponential', 'gaussian_q'], got 'x'"),
+        ("c_m", "nan", "must be finite, got 'nan'"),
+        ("k_m", "x", "invalid number 'x'"),
+        ("papr", "inf", "must be finite, got 'inf'"),
+        ("circuit_class", "x", "expected one of ['mqam', 'mfsk'], got 'x'"),
+    ])
+    def test_modulation_reader_error_wrapped_once(self, key, value, problem):
+        keys = {"bits_per_symbol": "1", "ber_form": "gaussian_q", "c_m": "1",
+                "k_m": "1", "papr": "1", "circuit_class": "mqam", key: value}
+        with pytest.raises(ConfigError) as info:
+            parse_config(ini({"modulation.X": keys}))
+        assert str(info.value) == f"modulation.X.{key}: {problem}"
+
+    @pytest.mark.parametrize("name", ["", "A,B", " X", "X ", ",X"])
+    def test_scheme_name_enabled_cannot_list_rejected(self, name):
+        """modulations.enabled splits at commas and strips each name, so
+        such a section could never be listed."""
+        keys = dict.fromkeys(sorted(config._MODULATION_KEYS), "1")
+        with pytest.raises(ConfigError) as info:
+            parse_config(ini({f"modulation.{name}": keys}))
+        assert str(info.value) == (
+            f"modulation.{name}: modulations.enabled cannot list {name!r}; a "
+            f"scheme name is non-empty, with no comma or outer spaces")
 
     def test_bad_sweep(self):
         with pytest.raises(ConfigError, match="sweep"):
@@ -474,8 +510,13 @@ class TestReaderOracle:
         ("[s]\nk = a\r\n", {"s": {"k": "a"}}),
         ("[s]\nk = a\x0cb\n", {"s": {"k": "a\x0cb"}}),
         ("[DEFAULT]\n[DEFAULT]\n[s]\n", {"s": {}}),
+        ("[s]\nk = a\n\n# c\n\n  b\n", {"s": {"k": "a\n\n\nb"}}),
+        ("[s]\nk = a\n\n\nj = b\n", {"s": {"k": "a", "j": "b"}}),
+        ("[s]\n  k = a\n    b\n  j = c\n", {"s": {"k": "a\nb", "j": "c"}}),
     ], ids=["blank_lines_in_value", "comment_in_value", "last_bracket",
-            "crlf", "form_feed_not_a_line_break", "empty_default_twice"])
+            "crlf", "form_feed_not_a_line_break", "empty_default_twice",
+            "blank_lines_and_comment_in_value", "blank_lines_before_next_key",
+            "indented_first_key"])
     def test_examples(self, text, expected):
         assert config._read_sections(text) == expected
         assert reference_sections(text) == expected
@@ -597,6 +638,39 @@ class TestParseWork:
         for query in WORKLOADS.generate_queries(0, 0, 30):
             parse_config(query.ini)
         assert made == {"LinkBudget": 30}
+
+    def test_point_query_checks_the_default_sweep_ends(self, monkeypatch):
+        """A query naming [link] but not [sweep] checks the import-time grid
+        ends (2 m and 80 m, both on the 1e-9 m grid) against its link, and
+        reads no [sweep] key."""
+        checked, read = [], set()
+        check, init = config.check_distance, config._Reader.__init__
+
+        def counting_check(link, distance, field):
+            checked.append((distance, field))
+            check(link, distance, field)
+
+        def recording_init(self, named, section):
+            read.add(section)
+            init(self, named, section)
+
+        monkeypatch.setattr(config, "check_distance", counting_check)
+        monkeypatch.setattr(config._Reader, "__init__", recording_init)
+        for query in WORKLOADS.generate_queries(0, 0, 30):
+            parse_config(query.ini)
+        assert checked == [(2.0, "sweep.d_min_m"), (80.0, "sweep.d_max_m")] * 30
+        assert read == {"link", "packet", "qos"}
+
+    @pytest.mark.parametrize("text", [
+        "", "[link]\nkappa = 3\n", DEFAULT_CONFIG_TEXT,
+        WORKLOADS.generate_queries(0, 0, 1)[0].ini,
+    ], ids=["empty", "link", "defaults_written_out", "point_query"])
+    def test_config_equals_one_built_by_its_init(self, text):
+        """parse_config fills the frozen instance without ScenarioConfig's
+        __init__: it holds the same fields, and only those."""
+        cfg = parse_config(text)
+        built = ScenarioConfig(**vars(cfg))
+        assert cfg == built and vars(cfg) == vars(built)
 
     def test_default_config_builds_nothing(self, monkeypatch):
         assert self.builds(monkeypatch, [""]) == {}

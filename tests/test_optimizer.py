@@ -5,6 +5,7 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -1044,9 +1045,10 @@ class TestEnergyFloor:
                    for m in CFG.modulations)
 
     def test_root_floor_against_bisection(self):
-        """``_root_floor(c)`` lies at or below the root ``x > 1`` of ``x -
-        log x = c``, found by bisection on ``e = x - 1`` (``e - log1p(e) = c
-        - 1`` keeps its digits near ``c = 1``), and within 1e-2 of it
+        """The floor ``_floor_terms`` takes on the root ``x > 1`` of ``x -
+        log x = c`` (its ``k`` under CPA at ``k_eff = 1``) lies at or below
+        the root, found by bisection on ``e = x - 1`` (``e - log1p(e) = c -
+        1`` keeps its digits near ``c = 1``), and within 1e-2 of it
         relative, over ``c`` in (1, 50].  Below ``c - 1 = 1e-6`` the bound's
         gap, about ``(2 (c - 1))^1.5 / 36``, falls toward the rounding of
         the root itself, so the grid starts there."""
@@ -1062,8 +1064,12 @@ class TestEnergyFloor:
 
         cs = [1.0 + 10.0 ** -e for e in range(1, 7)]
         cs += [1.0 + 49.0 * i / 2000 for i in range(1, 2001)]
+        scheme = SimpleNamespace(c_eff=1.0, log_c_eff=0.0, k_eff=1.0)
+        setup = [scheme, None, None, CFG.pa_models[PaVariant.CPA], 1]
         for c in cs:
-            x, bound = root(c), optimizer._root_floor(c)
+            log_n_h = c - 1.0 - EULER_GAMMA
+            c = log_n_h + scheme.log_c_eff + EULER_GAMMA + 1.0  # as summed there
+            x, (_, bound) = root(c), optimizer._floor_terms(setup, log_n_h)
             assert 1.0 < bound <= x
             assert bound >= x * (1.0 - 1e-2)
 
