@@ -155,16 +155,17 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if values is None:
             raise _syntax_error(lineno, "no section header before this line")
-        equals, colon = stripped.find("="), stripped.find(":")
-        cut = equals if colon < 0 or 0 <= equals < colon else colon
-        if cut < 0:
+        key, cut, value = stripped.partition("=")
+        if ":" in key:  # a ':' comes first
+            key, cut, value = stripped.partition(":")
+        if not cut:
             raise _syntax_error(lineno, f"expected 'key = value', got {line!r}")
-        key = stripped[:cut].rstrip().lower()
+        key = key.rstrip().lower()
         if not key:
             raise _syntax_error(lineno, f"empty key in {line!r}")
         if key in values:
             raise _syntax_error(lineno, f"key {key!r} already exists")
-        values[key] = stripped[cut + 1:].lstrip()
+        values[key] = value.lstrip()
         blanks = 0
     if default:
         raise ConfigError(
