@@ -19,7 +19,7 @@ from .config import ScenarioConfig, check_distance, default_config, load_config
 from .energy import PaVariant
 from .errors import ConfigError, LinkoptError
 from .lifetime import lifetime
-from .optimizer import best_point, candidate_tables, select_best
+from .optimizer import best_point, select_best
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +98,7 @@ def _open_out(path: str | None) -> tuple[TextIO, str | None]:
 def cmd_optimize(config: ScenarioConfig, distance: float, variant: PaVariant,
                  out: TextIO) -> int:
     """Solve one distance and print the operating point."""
-    [(_, _, table)] = _tables(config, (variant,), (distance,), ())
+    [(_, _, table)] = config.tables((distance,), (config.pa_models[variant],), ())
     point = select_best(table)
     out.write(f"distance_m: {_fmt(distance)}\n")
     out.write(f"pa_model: {variant.value}\n")
@@ -125,17 +125,9 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _tables(config: ScenarioConfig, variants: Sequence[PaVariant],
-            distances: Sequence[float], keep_best_of: tuple):
-    """:func:`candidate_tables` of the config at ``distances``, amplifiers
-    by name, good only for the best point of each table and of each scheme
-    in ``keep_best_of``."""
-    return candidate_tables(
-        config.link_template, distances, config.qos,
-        [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)],
-        config.modulations, config.n_h, delta=config.delta,
-        circuit_power=config.circuit_power, keep_best_of=keep_best_of,
-    )
+def _by_name(config: ScenarioConfig, variants: Sequence[PaVariant]) -> list:
+    """The config's amplifier models of ``variants``, by name."""
+    return [config.pa_models[v] for v in sorted(variants, key=lambda v: v.value)]
 
 
 def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
@@ -144,7 +136,8 @@ def cmd_sweep(config: ScenarioConfig, variants: Sequence[PaVariant],
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     any_feasible = False
-    for d, pa, table in _tables(config, variants, config.distances(), ()):
+    for d, pa, table in config.tables(config.distances(),
+                                      _by_name(config, variants), ()):
         point = best_point(table)
         if point is None:
             writer.writerow([_fmt(d), pa.variant.value, *[""] * 7,
@@ -180,8 +173,8 @@ def _lifetime_rows(config: ScenarioConfig, variants: Sequence[PaVariant]):
     is selected by identity from the same candidate table as the overall best.
     """
     baseline = config.baseline_scheme()
-    for d, pa, table in _tables(config, variants, config.distances(),
-                                (baseline,)):
+    for d, pa, table in config.tables(config.distances(),
+                                      _by_name(config, variants), (baseline,)):
         base = best_point(c for c in table if c.scheme is baseline)
         yield d, pa.variant, best_point(table), base
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import optimizer
 from .energy import LinkBudget, PaModel, PaVariant
 from .errors import ConfigError
 from .lifetime import DutyProfile
@@ -244,6 +245,16 @@ class ScenarioConfig:
 
     def baseline_scheme(self) -> ModulationScheme:
         return self.scheme(self.baseline_name)
+
+    def tables(self, distances, pa_models, keep_best_of=None):
+        """:func:`optimizer.candidate_tables` of the scenario at
+        ``distances`` for ``pa_models``, solving whole the schemes of
+        ``keep_best_of`` (None: every scheme)."""
+        return optimizer.candidate_tables(
+            self.link_template, distances, self.qos, pa_models,
+            self.modulations, self.n_h, delta=self.delta,
+            circuit_power=self.circuit_power, keep_best_of=keep_best_of,
+        )
 
 
 class _Reader:

@@ -513,16 +513,8 @@ def select_best(candidates: Iterable[Candidate]) -> OperatingPoint:
     table = list(candidates)
     best = best_point(table)
     if best is None:
-        # The caps of a rejected set-up share one rejection: each distinct
-        # one is formatted once.
-        texts = {}
-        for c in table:
-            why = c.rejection
-            if why.__class__ is tuple and id(why) not in texts:
-                texts[id(why)] = why[0](*why[1:])
-        return OperatingPoint(*[None] * 7, False, Binding.INFEASIBLE, tuple(
-            _REASON(c.scheme.name, c.tau, texts.get(id(c.rejection), c.rejection))
-            for c in table))
+        return OperatingPoint(*[None] * 7, False, Binding.INFEASIBLE,
+                              tuple(c.reason for c in table))
     return best
 
 
@@ -587,23 +579,23 @@ def candidate_tables(
     ``check_multistart_agreement`` checks, a sweep's tables equal the
     single-distance tables (``tests/test_solver_reference.py``).
 
-    With ``keep_best_of`` None every table is whole.  Otherwise a table
-    serves only :func:`best_point` of it and of each scheme in
-    ``keep_best_of``, which is solved whole, and first (branch and bound):
-    the other schemes go in ascending order of their smallest
-    :func:`_energy_floor`, that of the largest cap (whose spec is ``qos``),
-    and caps in ascending order.  A cap of another scheme whose floor
-    exceeds the lowest energy so far by more than 1e-3 relative is not
-    solved: its entry is the rejection ``bounded out: energy >= X, best
-    Y``, and its sweep start is kept.  When the smallest floor does, so does
-    every cap's, and the scheme is bounded out whole with no ceiling or
-    floor per cap: :func:`_bounded_whole` works out each reason when it is
-    read.  Nothing is bounded out before an entry is feasible, and a NaN
-    floor bounds out nothing.  The pick cannot change: the L energies of a
-    table leave empty some band one factor ``(1 - 1e-9)^-1`` wide between
-    the lowest, E, and ``E (1 - 1e-9)^-(L + 1) < E (1 + 1e-3)`` (L <
-    900,000, pigeonhole); every entry below it beats every entry above it by
-    more than the 1e-9 tie tolerance, and a bounded-out entry lies above it.
+    A table serves :func:`best_point` of it and of each scheme in
+    ``keep_best_of`` (None: every scheme), which is solved whole, and first,
+    in table order (branch and bound): the other schemes go in ascending
+    order of their smallest :func:`_energy_floor`, that of the largest cap
+    (whose spec is ``qos``), and caps in ascending order.  A cap of another
+    scheme whose floor exceeds the lowest energy so far by more than 1e-3
+    relative is not solved: its entry is the rejection ``bounded out: energy
+    >= X, best Y``, and its sweep start is kept.  When the smallest floor
+    does, so does every cap's, and the scheme is bounded out whole with no
+    ceiling or floor per cap: :func:`_bounded_whole` works out each reason
+    when it is read.  Nothing is bounded out before an entry is feasible,
+    and a NaN floor bounds out nothing.  The pick cannot change: the L
+    energies of a table leave empty some band one factor ``(1 - 1e-9)^-1``
+    wide between the lowest, E, and ``E (1 - 1e-9)^-(L + 1) < E (1 + 1e-3)``
+    (L < 900,000, pigeonhole); every entry below it beats every entry above
+    it by more than the 1e-9 tie tolerance, and a bounded-out entry lies
+    above it.
     """
     pas = tuple(pa_models)
     mods = sorted(modulation_set, key=lambda m: (m.bits_per_symbol, m.name))
@@ -613,9 +605,8 @@ def candidate_tables(
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
     if n_h < 1:
         raise ValueError(f"n_h must be >= 1, got {n_h}")
-    bounded = keep_best_of is not None
-    keep_best_of = tuple(keep_best_of or ())
-    whole = [not bounded or m in keep_best_of for m in mods]
+    kept = mods if keep_best_of is None else tuple(keep_best_of)
+    whole = [m in kept for m in mods]
     log_n_h = math.log(n_h)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
@@ -638,17 +629,14 @@ def candidate_tables(
             # The payload ceiling grows with the cap, so the largest cap's
             # ceiling decides whether any cap of a scheme carries a payload.
             setups = [_law_setup(law, g_d, n_h, qos) for law in pa_laws]
-            order = range(len(setups))
-            if bounded:
-                floors = [-math.inf if w else 0.0 for w in whole]
-                for i, s in enumerate(setups):
-                    if len(s) > 2 and not whole[i]:
-                        t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
-                        floors[i] = _energy_floor(s, qos, s[5], t)
-                order = sorted(order, key=floors.__getitem__)
+            floors = [-math.inf if w else 0.0 for w in whole]
+            for i, s in enumerate(setups):
+                if len(s) > 2 and not whole[i]:
+                    t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
+                    floors[i] = _energy_floor(s, qos, s[5], t)
             table = [None] * len(pa_starts)
             best = math.inf
-            for i in order:
+            for i in sorted(range(len(setups)), key=floors.__getitem__):
                 setup = setups[i]
                 k = i * n_caps
                 if len(setup) == 2:

@@ -14,7 +14,7 @@ otherwise.  All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -120,7 +120,7 @@ class QosSpec:
 
     target_per: float
     max_retransmissions: int
-    per_attempt_bound: float = None  # type: ignore[assignment]  # derived
+    per_attempt_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_per < 1.0:
@@ -252,7 +252,7 @@ MQAM_PAPR_FORMULAS = {
 }
 
 
-def default_modulations(mqam_papr: str = "growing") -> tuple[ModulationScheme, ...]:
+def default_modulations(mqam_papr: str) -> tuple[ModulationScheme, ...]:
     """Default modulation table: NCFSK, BPSK, OQPSK and square MQAM.
 
     BER constants are the standard per-bit-SNR approximations: coherent

@@ -86,13 +86,20 @@ def _worst(name, threshold, gaps, floor=0.0) -> CheckResult:
     return CheckResult(name, worst <= threshold, worst, threshold, where)
 
 
+# The battery, in definition order: :func:`_check` appends each check it makes.
+ALL_CHECKS: tuple = ()
+
+
 def _check(name: str, threshold: float, floor: float = 0.0):
     """Make a generator of ``(residual, where)`` pairs the check
-    ``check(run) -> CheckResult``, which runs it through :func:`_worst`."""
+    ``check(run) -> CheckResult``, which runs it through :func:`_worst`, and
+    append it to :data:`ALL_CHECKS`."""
     def decorate(gaps):
         @functools.wraps(gaps)
         def check(run):
             return _worst(name, threshold, gaps(run), floor)
+        global ALL_CHECKS
+        ALL_CHECKS += (check,)
         return check
     return decorate
 
@@ -141,26 +148,16 @@ class BatteryRun:
             )
         return self._quad[key]
 
-    def tables(self, distances, keep_best_of=None):
-        """:func:`optimizer.candidate_tables` of the scenario at
-        ``distances``, whole or bounded for selection by ``keep_best_of``."""
-        config = self.config
-        return opt.candidate_tables(
-            config.link_template, distances, config.qos,
-            config.pa_models.values(), config.modulations, config.n_h,
-            delta=config.delta, circuit_power=config.circuit_power,
-            keep_best_of=keep_best_of,
-        )
-
     def _sweep(self) -> tuple[list, list]:
         """``(conditioned points, feasibility flags)`` of the run's one
         sweep of whole tables, made on the first call."""
         if self._swept is None:
             prefix = frozenset(PREFIX_DISTANCES)
             conditioning = frozenset(CONDITIONING_DISTANCES)
-            schemes = self.config.modulations
+            config = self.config
             conditioned, flags = [], []
-            for d, pa, table in self.tables(sorted(prefix | conditioning)):
+            for d, pa, table in config.tables(sorted(prefix | conditioning),
+                                              config.pa_models.values()):
                 if d in conditioning:
                     conditioned += [(d, pa, c.point)
                                     for c in table if c.point is not None]
@@ -169,7 +166,8 @@ class BatteryRun:
                     # not the dataclass __eq__.
                     feasible = {id(c.scheme) for c in table
                                 if c.point is not None}
-                    flags.append((d, pa, [id(s) in feasible for s in schemes]))
+                    flags.append((d, pa, [id(s) in feasible
+                                          for s in config.modulations]))
             self._swept = conditioned, flags
         return self._swept
 
@@ -458,17 +456,16 @@ def check_scale_invariance(run: BatteryRun):
         yield abs(a - b) / a, ""
     link = config.link_template
     distances = (5.0, 20.0, 45.0)
-    scaled = opt.candidate_tables(
-        replace(link, n0=link.n0 * factor, p0_w=link.p0_w * factor),
-        distances, config.qos,
-        [replace(pa, p_t_max=pa.p_t_max * factor)
-         for pa in config.pa_models.values()],
-        config.modulations, config.n_h, delta=config.delta,
+    scaled = replace(
+        config,
+        link_template=replace(link, n0=link.n0 * factor, p0_w=link.p0_w * factor),
+        pa_models={v: replace(pa, p_t_max=pa.p_t_max * factor)
+                   for v, pa in config.pa_models.items()},
         circuit_power={k: v * factor for k, v in config.circuit_power.items()},
-        keep_best_of=(),
     )
-    unscaled = run.tables(distances, keep_best_of=())
-    for (d, pa, table), (_, _, scaled_table) in zip(unscaled, scaled):
+    for (d, pa, table), (_, _, scaled_table) in zip(
+            config.tables(distances, config.pa_models.values(), ()),
+            scaled.tables(distances, scaled.pa_models.values(), ())):
         one, other = opt.select_best(table), opt.select_best(scaled_table)
         same = (
             one.feasible == other.feasible
@@ -563,27 +560,6 @@ def check_feasibility_prefix(run: BatteryRun):
                 continue
             violations += (pa.variant, i) in seen_infeasible
             yield float(violations), ""
-
-
-ALL_CHECKS = (
-    check_waterfall_closed_vs_numeric,
-    check_per_error_vs_bound,
-    check_per_monotonicity,
-    check_exact_below_bound,
-    check_snr_min_roundtrip,
-    check_payload_max_roundtrip,
-    check_snr_optima_vs_golden,
-    check_payload_optima_vs_golden,
-    check_tpa_root_crosscheck,
-    check_pa_saturation,
-    check_e0_ordering,
-    check_avg_transmissions,
-    check_scale_invariance,
-    check_multistart_agreement,
-    check_conditioning_snr_min,
-    check_conditioning_snr_max,
-    check_feasibility_prefix,
-)
 
 
 def run_all_checks(run: BatteryRun) -> list[CheckResult]:

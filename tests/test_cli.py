@@ -505,7 +505,7 @@ class TestLifetimeSharedTable:
         baseline is solved whole and first, so none of its entries is
         bounded out."""
         calls, entries = [], {}
-        solve, tables = optimizer._solve_candidate, cli.candidate_tables
+        solve, tables = optimizer._solve_candidate, optimizer.candidate_tables
         cfg = default_config()
         # The set-up carries the distance as its path gain.
         distance_at = {cfg.link_template.gain_at(d): d
@@ -526,7 +526,7 @@ class TestLifetimeSharedTable:
         # candidate_tables hands each candidate, with its scheme's set-up, to
         # the per-candidate solve.
         monkeypatch.setattr(optimizer, "_solve_candidate", counting)
-        monkeypatch.setattr(cli, "candidate_tables", recording)
+        monkeypatch.setattr(optimizer, "candidate_tables", recording)
         cli.cmd_lifetime(cfg, list(PaVariant), io.StringIO())
         monkeypatch.undo()
         points = len(cfg.distances()) * len(PaVariant)
@@ -536,11 +536,8 @@ class TestLifetimeSharedTable:
         assert len(calls) == len(set(calls)) == 520
         whole = {
             (d, pa.variant, c.scheme.name, c.tau): c
-            for d, pa, table in optimizer.candidate_tables(
-                cfg.link_template, cfg.distances(), cfg.qos,
-                cfg.pa_models.values(), cfg.modulations, cfg.n_h,
-                delta=cfg.delta,
-                circuit_power=cfg.circuit_power)
+            for d, pa, table in cfg.tables(cfg.distances(),
+                                           cfg.pa_models.values())
             for c in table}
         bounded_out = {key for key, c in entries.items()
                        if c.reason is not None and ": bounded out: " in c.reason}
@@ -775,7 +772,7 @@ class TestUnusableArguments:
         def never(*args, **kwargs):
             raise AssertionError("solved before --out was opened")
 
-        monkeypatch.setattr(cli, "candidate_tables", never)
+        monkeypatch.setattr(optimizer, "candidate_tables", never)
         monkeypatch.setattr(validation, "BatteryRun", never)
         path = tmp_path / "missing" / "x.csv" if where == "missing_directory" \
             else tmp_path

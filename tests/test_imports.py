@@ -1,7 +1,8 @@
 """Every module of the package reads every name it imports, imports
 nothing from outside the standard library, opens files in two places only,
-copies no link per distance outside the battery, and the numeric oracles
-live in ``linkopt.oracles`` alone.
+copies no link per distance outside the battery, keeps the numeric oracles
+in ``linkopt.oracles`` alone, and makes every battery check with
+``validation._check``.
 
 No linter ships with the project, so this parses each module with ``ast``.
 ``__init__.py`` is left out of the first check: its imports are the
@@ -178,3 +179,35 @@ def test_oracles_live_only_in_their_module():
                "waterfall_threshold_numeric"}
     assert dropped.isdisjoint(linkopt.__all__)
     assert [n for n in sorted(dropped) if hasattr(linkopt, n)] == []
+
+
+def check_functions(source: str) -> list[tuple[str, bool]]:
+    """``(name, made)`` of each module-level function of ``source`` named
+    ``check_*``, in source order: whether a ``_check(...)`` decorates it."""
+    return [
+        (node.name, any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                        and d.func.id == "_check" for d in node.decorator_list))
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    ]
+
+
+def test_check_checker_reports_checks_not_made_by_check():
+    source = (
+        "@_check('a', 0.0)\ndef check_a(run):\n    yield 0.0, ''\n"
+        "@functools.cache\ndef check_b(run):\n    pass\n"
+        "def check_c(run):\n    pass\n"
+        "def _check_d(run):\n    pass\n"
+    )
+    assert check_functions(source) == [
+        ("check_a", True), ("check_b", False), ("check_c", False)]
+
+
+def test_every_battery_check_is_made_by_check_and_runs_in_source_order():
+    """``validation._check`` makes each ``check_*`` function and appends it
+    to ``ALL_CHECKS``, so the battery runs every check, in the order the
+    module defines them."""
+    checks = check_functions((PACKAGE / "validation.py").read_text(encoding="utf-8"))
+    assert [name for name, made in checks if not made] == []
+    assert [c.__name__ for c in validation.ALL_CHECKS] == [
+        name for name, _ in checks]

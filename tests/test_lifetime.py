@@ -127,15 +127,12 @@ class TestLifetimeOverDistance:
         """Inside one scheme's optimal band the lifetime falls with range."""
         from linkopt.config import default_config
         from linkopt.energy import PaVariant
-        from linkopt.optimizer import candidate_tables, select_best
+        from linkopt.optimizer import select_best
 
         cfg = default_config()
         distances = [3.0, 5.0, 7.0, 9.0]  # inside the 64QAM band
-        points = [select_best(table) for _, _, table in candidate_tables(
-            cfg.link_template, distances, cfg.qos,
-            (cfg.pa_models[PaVariant.ETPA],), cfg.modulations, cfg.n_h,
-            delta=cfg.delta, circuit_power=cfg.circuit_power,
-        )]
+        points = [select_best(table) for _, _, table in cfg.tables(
+            distances, (cfg.pa_models[PaVariant.ETPA],))]
         assert all(p.scheme.name == "64QAM" for p in points)
         lifetimes = [lifetime(p, cfg.duty) for p in points]
         assert all(a > b for a, b in zip(lifetimes, lifetimes[1:]))

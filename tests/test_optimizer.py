@@ -78,10 +78,7 @@ def rejections_matching_solves(cfg, distances, pas):
     ``distances``, each asserted equal to the reason :func:`solve_one` gives
     for that candidate on its own."""
     reasons = []
-    for d, pa, table in candidate_tables(
-        cfg.link_template, distances, cfg.qos, pas, cfg.modulations, cfg.n_h,
-        delta=cfg.delta, circuit_power=cfg.circuit_power,
-    ):
+    for d, pa, table in cfg.tables(distances, pas):
         link = replace(cfg.link_template, distance_m=d)
         for candidate in table:
             scheme, tau, reason = (candidate.scheme, candidate.tau,
@@ -880,10 +877,7 @@ class TestCandidateTables:
         each one selects what a standalone solve at that point returns."""
         distances = [3.0, 17.0, 60.0]
         pas = [TPA, CPA, ETPA]
-        tables = list(candidate_tables(
-            CFG.link_template, distances, CFG.qos, pas, CFG.modulations,
-            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-        ))
+        tables = list(CFG.tables(distances, pas))
         assert [(d, pa) for d, pa, _ in tables] == [
             (d, pa) for d in distances for pa in pas
         ]
@@ -896,10 +890,7 @@ class TestCandidateTables:
 
     @pytest.mark.parametrize("bad", [0.0, -5.0])
     def test_rejects_non_positive_distance(self, bad):
-        tables = candidate_tables(
-            CFG.link_template, [4.0, bad], CFG.qos, [CPA], CFG.modulations,
-            CFG.n_h, delta=CFG.delta, circuit_power=CFG.circuit_power,
-        )
+        tables = CFG.tables([4.0, bad], [CPA])
         with pytest.raises(ValueError, match="distances must be positive"):
             list(tables)
 
@@ -915,10 +906,7 @@ class TestEnergyFloor:
         whole tables, the floor given the entry's set-up and cap (without
         its coupled term when ``coupled`` is False)."""
         ratios = []
-        for d, pa, table in candidate_tables(
-            cfg.link_template, distances, cfg.qos, pas, cfg.modulations,
-            cfg.n_h, delta=cfg.delta, circuit_power=cfg.circuit_power,
-        ):
+        for d, pa, table in cfg.tables(distances, pas):
             for scheme, tau, point, _ in table:
                 if point is None:
                     continue
@@ -1014,16 +1002,13 @@ class TestEnergyFloor:
         is solved first, and every other floor that threshold against the
         lowest energy of the whole table, the bounded table at 20 m equals
         the whole one."""
-        args = (CFG.link_template, (20.0,), CFG.qos, (pa,), CFG.modulations,
-                CFG.n_h)
-        kwargs = {"delta": CFG.delta, "circuit_power": CFG.circuit_power}
-        [(_, _, whole)] = candidate_tables(*args, **kwargs)
+        [(_, _, whole)] = CFG.tables((20.0,), (pa,))
         best = min((c.point for c in whole if c.point is not None),
                    key=lambda point: point.energy)
         threshold = best.energy * (1.0 + 1e-3)
         monkeypatch.setattr(optimizer, "_energy_floor", lambda setup, *_: (
             0.0 if setup[0] is best.scheme else threshold))
-        [(_, _, bounded)] = candidate_tables(*args, keep_best_of=(), **kwargs)
+        [(_, _, bounded)] = CFG.tables((20.0,), (pa,), ())
         assert bounded == whole
 
     def test_coupled_term_dropped_only_outside_its_proof(self):
@@ -1164,11 +1149,8 @@ class TestDefaultPassWork:
         monkeypatch.setattr(LinkBudget, "gain_at", counting_gain)
         monkeypatch.setattr(math, "log1p", counting_log1p)
         monkeypatch.setattr(LinkBudget, "__post_init__", counting_link)
-        entries = sum(len(table) for _, _, table in candidate_tables(
-            CFG.link_template, CFG.distances(), CFG.qos,
-            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
-            delta=CFG.delta, circuit_power=CFG.circuit_power,
-        ))
+        entries = sum(len(table) for _, _, table in CFG.tables(
+            CFG.distances(), CFG.pa_models.values()))
         assert calls == {"solve": 1755, "map": 753, "coefficients": 753,
                          "loop": 3718, "integer": 1320, "spec": 2, "gain": 79,
                          "log1p": 2}
@@ -1208,11 +1190,7 @@ class TestDefaultPassWork:
         10,257 with a start of 0 and a solve per cap)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
         for d in CFG.distances():
-            for _ in candidate_tables(
-                CFG.link_template, (d,), CFG.qos, CFG.pa_models.values(),
-                CFG.modulations, CFG.n_h, delta=CFG.delta,
-                circuit_power=CFG.circuit_power,
-            ):
+            for _ in CFG.tables((d,), CFG.pa_models.values()):
                 pass
         assert calls == {"solve": 1755, "evaluation": 7794}
 
@@ -1223,12 +1201,9 @@ class TestDefaultPassWork:
         for batch in (1, 2, 3):
             for query in WORKLOADS.generate_queries(1, batch, 300):
                 config = parse_config(query.ini)
-                for _ in candidate_tables(
-                    config.link_template, (query.distance_m,), config.qos,
-                    (config.pa_models[PaVariant(query.pa)],),
-                    config.modulations, config.n_h, delta=config.delta,
-                    circuit_power=config.circuit_power,
-                    keep_best_of=keep_best_of,
+                for _ in config.tables(
+                    (query.distance_m,),
+                    (config.pa_models[PaVariant(query.pa)],), keep_best_of,
                 ):
                     pass
 
@@ -1255,11 +1230,7 @@ class TestDefaultPassWork:
         and 1,635 with a bound per cap alone, 934 and 2,277 with the
         decoupled energy floor, 1,755 and 5,038 for whole tables)."""
         calls = self.count_solves_and_evaluations(monkeypatch)
-        for _ in candidate_tables(
-            CFG.link_template, CFG.distances(), CFG.qos,
-            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
-            delta=CFG.delta, circuit_power=CFG.circuit_power, keep_best_of=(),
-        ):
+        for _ in CFG.tables(CFG.distances(), CFG.pa_models.values(), ()):
             pass
         assert calls == {"solve": 482, "evaluation": 1635}
 
@@ -1285,11 +1256,8 @@ class TestTableEntries:
         assert kinds[True] and kinds[False]
 
     def test_default_tables(self):
-        tables = [table for _, _, table in candidate_tables(
-            CFG.link_template, CFG.distances(), CFG.qos,
-            CFG.pa_models.values(), CFG.modulations, CFG.n_h,
-            delta=CFG.delta, circuit_power=CFG.circuit_power,
-        )]
+        tables = [table for _, _, table in CFG.tables(
+            CFG.distances(), CFG.pa_models.values())]
         assert len(tables) == 237
         self.check(tables)
 
@@ -1297,12 +1265,8 @@ class TestTableEntries:
         tables = []
         for query in WORKLOADS.generate_queries(0, 0, 300):
             config = parse_config(query.ini)
-            [(_, _, table)] = candidate_tables(
-                config.link_template, (query.distance_m,), config.qos,
-                (config.pa_models[PaVariant(query.pa)],), config.modulations,
-                config.n_h, delta=config.delta,
-                circuit_power=config.circuit_power,
-            )
+            [(_, _, table)] = config.tables(
+                (query.distance_m,), (config.pa_models[PaVariant(query.pa)],))
             tables.append(table)
         self.check(tables)
 

@@ -78,7 +78,7 @@ class TestModulationScheme:
             ModulationScheme(**base)
 
     def test_default_table_names_and_paprs(self):
-        mods = {m.name: m for m in default_modulations()}
+        mods = {m.name: m for m in default_modulations("growing")}
         assert set(mods) == {"NCFSK", "BPSK", "OQPSK", "4QAM", "16QAM", "64QAM"}
         assert mods["OQPSK"].papr == pytest.approx(2.138)
         assert mods["4QAM"].papr == pytest.approx(papr_mqam_growing(4))
@@ -87,7 +87,7 @@ class TestModulationScheme:
         assert bounded["64QAM"].papr == pytest.approx(papr_mqam_bounded(64))
 
     def test_mqam_ber_constants(self):
-        mods = {m.name: m for m in default_modulations()}
+        mods = {m.name: m for m in default_modulations("growing")}
         assert mods["16QAM"].c_m == pytest.approx(0.75)
         assert mods["16QAM"].k_m == pytest.approx(0.8)
         assert mods["64QAM"].c_m == pytest.approx(4 * (1 - 1 / 8) / 6)
@@ -114,6 +114,11 @@ class TestQosSpec:
             assert spec == twin and hash(spec) == hash(twin)
         assert repr(QOS) == ("QosSpec(target_per=0.001, max_retransmissions=3, "
                              "per_attempt_bound=0.1778279410038923)")
+
+    def test_bound_is_not_an_argument(self):
+        """The bound is derived from the two fields, never passed in."""
+        with pytest.raises(TypeError):
+            QosSpec(0.001, 3, 0.5)
 
     def test_bound_between_target_and_one(self):
         assert QOS.target_per < QOS.per_attempt_bound < 1.0
@@ -233,7 +238,7 @@ class TestWaterfallThreshold:
             7.857082729931548, rel=1e-8
         )
 
-    @pytest.mark.parametrize("scheme", default_modulations())
+    @pytest.mark.parametrize("scheme", default_modulations("growing"))
     @pytest.mark.parametrize("n_bits", [120, 1024])
     def test_closed_form_tracks_numeric(self, scheme, n_bits):
         numeric = waterfall_threshold_numeric(scheme, n_bits, EPSREL, EPSABS)
@@ -457,7 +462,8 @@ class TestGaussKronrod:
             oracles._checked_quad(panel(lambda x: bad), 0.0, 1.0, "constant",
                                   EPSREL, EPSABS)
 
-    @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
+    @pytest.mark.parametrize(
+        "scheme", default_modulations("growing") + (NCFSK, UNIT_EXP))
     @pytest.mark.parametrize("n_bits", [1, 120, 10048])
     def test_curve_is_awgn_per_bit_for_bit(self, scheme, n_bits):
         """A panel of the curve holds its 21 QK21 nodes and awgn_per at
@@ -470,7 +476,8 @@ class TestGaussKronrod:
             assert pers == [awgn_per(scheme, n_bits, g) for g in gammas]
             assert curve.panel(centre, half) == (gammas, pers)
 
-    @pytest.mark.parametrize("scheme", default_modulations() + (NCFSK, UNIT_EXP))
+    @pytest.mark.parametrize(
+        "scheme", default_modulations("growing") + (NCFSK, UNIT_EXP))
     @pytest.mark.parametrize("n_bits", [1, 120, 10048])
     def test_rayleigh_integrand_is_weighted_curve_bit_for_bit(
         self, monkeypatch, scheme, n_bits
@@ -600,7 +607,7 @@ class TestPayloadMax:
 
     def test_bisection_oracle(self):
         """Brute-force bisection over the packet size finds the same payload."""
-        mods = {m.name: m for m in default_modulations()}
+        mods = {m.name: m for m in default_modulations("growing")}
         scheme = mods["4QAM"]
         g = 40.0
         lo, hi = 1, 10 ** 7

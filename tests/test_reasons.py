@@ -17,10 +17,12 @@ from linkopt import cli, optimizer
 from linkopt.config import default_config, parse_config
 from linkopt.energy import PaVariant, energy_coefficients
 from linkopt.errors import ConfigError
-from linkopt.optimizer import candidate_tables, select_best, snr_max
+from linkopt.optimizer import select_best, snr_max
 from linkopt.per import payload_max
 
 CFG = default_config()
+# The amplifiers of the default sweep and lifetime, by name.
+BY_NAME = cli._by_name(CFG, list(PaVariant))
 
 
 def digest(lines):
@@ -36,11 +38,7 @@ def rendered(tables):
 
 def test_default_whole_tables():
     """Every entry of the 237 default whole tables."""
-    lines = rendered(candidate_tables(
-        CFG.link_template, CFG.distances(), CFG.qos, CFG.pa_models.values(),
-        CFG.modulations, CFG.n_h, delta=CFG.delta,
-        circuit_power=CFG.circuit_power,
-    ))
+    lines = rendered(CFG.tables(CFG.distances(), CFG.pa_models.values()))
     assert len(lines) == 4266
     assert digest(lines) == (
         "8736cff45eae58a077824f17fd529fbeb96ed09201827de6f6a4ba037aa0279b")
@@ -48,7 +46,7 @@ def test_default_whole_tables():
 
 def test_default_sweep_tables():
     """The bounded tables the default ``sweep`` builds."""
-    lines = rendered(cli._tables(CFG, list(PaVariant), CFG.distances(), ()))
+    lines = rendered(CFG.tables(CFG.distances(), BY_NAME, ()))
     assert len(lines) == 4266
     assert digest(lines) == (
         "b50670fc34e8c16e97d44df2cc2c67f2d0f3922db42c6d5a178d23d632fc0f85")
@@ -57,8 +55,8 @@ def test_default_sweep_tables():
 def test_default_lifetime_tables():
     """The bounded tables the default ``lifetime`` builds, which solve the
     baseline whole and first."""
-    lines = rendered(cli._tables(CFG, list(PaVariant), CFG.distances(),
-                                 (CFG.baseline_scheme(),)))
+    lines = rendered(CFG.tables(CFG.distances(), BY_NAME,
+                                (CFG.baseline_scheme(),)))
     assert len(lines) == 4266
     assert digest(lines) == (
         "19ba4550e25384435adb6c9061ed91a89ed6be2a8f611c516744e312d6ceb68b")
@@ -111,10 +109,10 @@ def check_bounded_out(bounded, whole):
 
 def test_bounded_out_entries_of_the_default_commands():
     """The bounded tables of the default ``sweep`` and ``lifetime``."""
-    whole = list(cli._tables(CFG, list(PaVariant), CFG.distances(), None))
+    whole = list(CFG.tables(CFG.distances(), BY_NAME))
     counts = [check_bounded_out(
-        cli._tables(CFG, list(PaVariant), CFG.distances(), keep_best_of),
-        whole) for keep_best_of in ((), (CFG.baseline_scheme(),))]
+        CFG.tables(CFG.distances(), BY_NAME, keep_best_of), whole)
+        for keep_best_of in ((), (CFG.baseline_scheme(),))]
     assert counts == [1397, 1276]
 
 
@@ -151,11 +149,7 @@ def extreme_ini(rng):
 
 def tables_of(cfg, distances, keep_best_of):
     """``cfg``'s candidate tables at ``distances``, for every amplifier."""
-    return candidate_tables(
-        cfg.link_template, distances, cfg.qos, cfg.pa_models.values(),
-        cfg.modulations, cfg.n_h, delta=cfg.delta,
-        circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
-    )
+    return cfg.tables(distances, cfg.pa_models.values(), keep_best_of)
 
 
 def extreme_tables(cfg, distances):
@@ -178,21 +172,46 @@ def seeded_draws():
         yield draw, cfg, [10 ** rng.uniform(-3, 4) for _ in range(3)]
 
 
+def infeasible_markers(tables):
+    """How many of ``tables`` have no feasible entry, each checked to make
+    a marker listing every entry's rendered reason, in table order."""
+    count = 0
+    for _, _, table in tables:
+        point = select_best(table)
+        if not point.feasible:
+            count += 1
+            assert point.failure_reasons == tuple(c.reason for c in table)
+    return count
+
+
+def test_infeasible_markers_of_schemes_with_their_own_snr_cap():
+    """At ``p0_mw = 1000`` the amplifier's peak power over each scheme's
+    PAPR is the cap, so the no-payload reasons of one infeasible table
+    differ by scheme, and its marker lists each as its entry renders it."""
+    cfg = parse_config("[link]\np0_mw = 1000\n")
+    tables = list(cfg.tables((500.0,), cfg.pa_models.values()))
+    assert infeasible_markers(tables) == 3
+    for _, _, table in tables:
+        assert len({c.reason.split(": ", 1)[1] for c in table}) == 5
+
+
 def test_seeded_extreme_configs():
     """The whole and both kinds of bounded tables of each
     :func:`seeded_draws` config (131 of which parse), as
-    :func:`extreme_tables` orders them, and :func:`check_bounded_out` of
-    the bounded ones."""
-    lines, parsed, bounded_out = [], 0, 0
+    :func:`extreme_tables` orders them, :func:`check_bounded_out` of the
+    bounded ones and :func:`infeasible_markers` of all."""
+    lines, parsed, bounded_out, markers = [], 0, 0, 0
     for _, cfg, distances in seeded_draws():
         parsed += 1
         whole = list(tables_of(cfg, distances, None))
         lines += rendered(whole)
+        markers += infeasible_markers(whole)
         for keep_best_of in ((), (cfg.baseline_scheme(),)):
             bounded = list(tables_of(cfg, distances, keep_best_of))
             lines += rendered(bounded)
             bounded_out += check_bounded_out(bounded, whole)
-    assert (parsed, len(lines), bounded_out) == (131, 46170, 3106)
+            markers += infeasible_markers(bounded)
+    assert (parsed, len(lines), bounded_out, markers) == (131, 46170, 3106, 2934)
     text = "\n".join(lines)
     for fragment in ("energy coefficients outside", "SNR cap outside",
                      "no payload meets", "below the waterfall regime",

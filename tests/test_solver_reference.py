@@ -265,10 +265,7 @@ def assert_sweep_matches_point_tables(cfg, pas):
     candidate by ``repr``, the table a single-distance call builds there.
     Returns the number of tables compared."""
     compared = 0
-    for d, pa, table in candidate_tables(
-        cfg.link_template, cfg.distances(), cfg.qos, pas, cfg.modulations,
-        cfg.n_h, delta=cfg.delta, circuit_power=cfg.circuit_power,
-    ):
+    for d, pa, table in cfg.tables(cfg.distances(), pas):
         point_table = table_of(cfg, replace(cfg.link_template, distance_m=d), pa)
         assert len(table) == len(point_table)
         for swept, single in zip(table, point_table):
@@ -332,14 +329,23 @@ def test_default_grid_builds_one_map_per_table_and_scheme():
         return build(*inputs)
 
     with mock.patch.object(optimizer, "payload_map", counting_map):
-        tables = list(optimizer.candidate_tables(
-            cfg.link_template, cfg.distances(), cfg.qos,
-            cfg.pa_models.values(), cfg.modulations, cfg.n_h,
-            delta=cfg.delta, circuit_power=cfg.circuit_power,
-        ))
+        tables = list(cfg.tables(cfg.distances(), cfg.pa_models.values()))
     assert len(tables) == 79 * 3
     assert len(tables) * len(cfg.modulations) == 1422
     assert len(maps) == 753
+
+
+def test_whole_tables_keep_every_scheme():
+    """``keep_best_of=None`` keeps every scheme: the default tables equal,
+    entry for entry by ``repr``, those that name every scheme."""
+    cfg = default_config()
+    pas = cfg.pa_models.values()
+
+    def entries(keep_best_of):
+        return [repr(entry) for _, _, table in cfg.tables(
+            cfg.distances(), pas, keep_best_of) for entry in table]
+
+    assert entries(None) == entries(cfg.modulations)
 
 
 def assert_bounded_tables_select_as_whole_tables(cfg, pas):
@@ -350,11 +356,7 @@ def assert_bounded_tables_select_as_whole_tables(cfg, pas):
     baseline = cfg.baseline_scheme()
 
     def tables(keep_best_of):
-        return candidate_tables(
-            cfg.link_template, cfg.distances(), cfg.qos, pas,
-            cfg.modulations, cfg.n_h, delta=cfg.delta,
-            circuit_power=cfg.circuit_power, keep_best_of=keep_best_of,
-        )
+        return cfg.tables(cfg.distances(), pas, keep_best_of)
 
     def base(table):
         return repr(select_best(c for c in table if c.scheme is baseline))

@@ -296,12 +296,13 @@ def assert_sweep_matches_separate_tables(cfg):
             optimizer.select_best(c for c in table if c.scheme is s).feasible
             for s in cfg.modulations])
         for distance in PREFIX_DISTANCES
-        for d, pa, table in run.tables((distance,))
+        for d, pa, table in cfg.tables((distance,), cfg.pa_models.values())
     ]
     assert [(d, pa.variant, flags)
             for d, pa, flags in run.feasibility_flags()] == expected
     separate = [(d, pa, c.point)
-                for d, pa, table in run.tables(CONDITIONING_DISTANCES)
+                for d, pa, table in cfg.tables(CONDITIONING_DISTANCES,
+                                               cfg.pa_models.values())
                 for c in table if c.point is not None]
     assert repr(run.conditioned_points()) == repr(separate)
 
