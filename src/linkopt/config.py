@@ -247,9 +247,8 @@ class ScenarioConfig:
         return self.scheme(self.baseline_name)
 
     def tables(self, distances, pa_models, keep_best_of=None):
-        """:func:`optimizer.candidate_tables` of the scenario at
-        ``distances`` for ``pa_models``, solving whole the schemes of
-        ``keep_best_of`` (None: every scheme)."""
+        """:func:`optimizer.candidate_tables` of the scenario at ``distances``
+        for ``pa_models``, keeping whole ``keep_best_of`` (None: every scheme)."""
         return optimizer.candidate_tables(
             self.link_template, distances, self.qos, pa_models,
             self.modulations, self.n_h, delta=self.delta,

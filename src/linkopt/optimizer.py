@@ -607,6 +607,8 @@ def candidate_tables(
         raise ValueError(f"n_h must be >= 1, got {n_h}")
     kept = mods if keep_best_of is None else tuple(keep_best_of)
     whole = [m in kept for m in mods]
+    first = [i for i, w in enumerate(whole) if w]
+    others = [i for i, w in enumerate(whole) if not w]
     log_n_h = math.log(n_h)
     # Cap 0 too would select the same point at all 237 default sweep points.
     top = qos.max_retransmissions
@@ -629,14 +631,15 @@ def candidate_tables(
             # The payload ceiling grows with the cap, so the largest cap's
             # ceiling decides whether any cap of a scheme carries a payload.
             setups = [_law_setup(law, g_d, n_h, qos) for law in pa_laws]
-            floors = [-math.inf if w else 0.0 for w in whole]
-            for i, s in enumerate(setups):
-                if len(s) > 2 and not whole[i]:
+            floors = [0.0] * len(setups)
+            for i in others:
+                s = setups[i]
+                if len(s) > 2:
                     t = pa_terms[i] = pa_terms[i] or _floor_terms(s, log_n_h)
                     floors[i] = _energy_floor(s, qos, s[5], t)
             table = [None] * len(pa_starts)
             best = math.inf
-            for i in sorted(range(len(setups)), key=floors.__getitem__):
+            for i in first + sorted(others, key=floors.__getitem__):
                 setup = setups[i]
                 k = i * n_caps
                 if len(setup) == 2:
